@@ -20,6 +20,7 @@ from pathlib import Path
 # Percentiles tried for a tail figure, highest first.
 TAIL_PERCENTILES = (99.9, 99.0, 90.0, 50.0)
 MIN_BEYOND = 10
+REFERENCE_PASSES = 3
 
 
 class Tracer:
@@ -186,6 +187,37 @@ def tail_percentile(samples, ceiling: float = 100.0):
         if n - rank >= MIN_BEYOND:
             return q, values[rank - 1]
     return 50.0, median(values)
+
+
+class Reference:
+    """A fixed piece of numpy and interpreter work that does not touch the
+    package: its time tracks the speed the host gives this process."""
+
+    def __init__(self):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        self.np = np
+        small = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        self.small = small @ small.conj().T + 12 * np.eye(12)
+        self.vec = rng.standard_normal(12) + 0j
+        self.big = rng.standard_normal((64, 14, 12)) + 1j * rng.standard_normal((64, 14, 12))
+        self.mix = rng.standard_normal((14, 14, 12, 12))
+
+    def measure(self) -> float:
+        """Median time of ``REFERENCE_PASSES`` passes."""
+        return median([self.run() for _ in range(REFERENCE_PASSES)])
+
+    def run(self) -> float:
+        """Seconds one pass of the reference work takes."""
+        np = self.np
+        t0 = time.perf_counter()
+        x = self.vec
+        for _ in range(60):
+            x = np.linalg.solve(self.small, x)
+            x = x / np.linalg.norm(x)
+        np.einsum("rnm,nkml->rkl", self.big, self.mix)
+        return time.perf_counter() - t0
 
 
 def median(values):

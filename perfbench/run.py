@@ -2,9 +2,9 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload rb-sweep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload rb-sweep --seed 1 --seconds 50 --trace 0
 
-Workloads are ``rb-sweep``, ``grid-48x28`` and ``mc-rounding`` (see
+Workloads are ``rb-sweep`` and ``mc-rounding`` (see
 ``perfbench/workloads.py``).  The package is imported from ``src/`` of the
 same checkout, with BLAS pinned to one thread.  With ``--trace 0`` the run
 reports the end-to-end metrics; with ``--trace 1`` it reports the per-layer
@@ -36,10 +36,11 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench.harness import Digest, environment, median, self_times, tail_percentile  # noqa: E402
+from perfbench.harness import Digest, Reference, environment, median, self_times, tail_percentile  # noqa: E402
 from perfbench.workloads import WORKLOADS, Bench  # noqa: E402
 
-SETUP_REPEATS = 5  # set-ups per untraced run: this process and four children
+SETUP_REPEATS = 7  # set-ups per untraced run: this process and six children,
+# half of them before the measured phase and half after it
 SETUP_TIMEOUT_S = 60
 
 # Per-layer metrics: span call counts, span seconds, self seconds and hook
@@ -174,7 +175,7 @@ def execute(bench: Bench, unit, cycle: int, traced: bool):
     return elapsed, digest.hexdigest(), window
 
 
-def setup_samples(args) -> list[float]:
+def setup_samples(args, count: int) -> list[float]:
     """Set-up time of fresh interpreters running this script's set-up only."""
     cmd = [
         sys.executable,
@@ -185,7 +186,7 @@ def setup_samples(args) -> list[float]:
         "--setup-only",
     ]
     samples = []
-    for _ in range(SETUP_REPEATS - 1):
+    for _ in range(count):
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=SETUP_TIMEOUT_S)
         if proc.returncode != 0:
             raise RuntimeError(f"set-up child failed: {proc.stderr.strip()[-2000:]}")
@@ -218,17 +219,25 @@ def main(argv=None) -> int:
         print(json.dumps({"setup_s": setup_s}))
         return 0
     out_dir.mkdir(parents=True, exist_ok=True)
-    setups = [setup_s] + ([] if args.trace else setup_samples(args))
+    children = 0 if args.trace else SETUP_REPEATS - 1
+    setups = [setup_s] + setup_samples(args, children // 2)
 
     # Measured phase: units in turn; a unit starts only if its median time so
     # far still fits in --seconds.  Untraced runs first complete two cycles,
-    # so that every unit's median has two samples and runs on a slow or a
-    # fast machine take the same number; the traced run needs one cycle.
-    min_cycles = 1 if args.trace else 2
+    # so that every unit has two samples and runs on a slow or a fast machine
+    # take the same number; the traced run needs one cycle.  A unit may ask
+    # for more, to pool enough outputs for its check.
+    min_cycles = max([1 if args.trace else 2] + [getattr(u, "min_repeats", 1) for u in units])
     times = {u.name: [] for u in units}
     traced_times = {u.name: [] for u in units}
     windows = {u.name: [] for u in units}
     first_digests = {}
+    # Each execution is also timed in reference passes: its time over the
+    # mean time of the reference work measured just before and just after it.
+    reference, reference_s = Reference(), []
+    ratios = {u.name: [] for u in units}
+    traced_ratios = {u.name: [] for u in units}
+    ref_before = reference.measure()
     loop_start = time.perf_counter()
     cycle, pos = 0, 0
     while True:
@@ -238,40 +247,58 @@ def main(argv=None) -> int:
             if time.perf_counter() - loop_start + estimate > args.seconds:
                 break
         elapsed, digest, _ = execute(bench, unit, cycle, traced=False)
+        ref_after = reference.measure()
+        reference_s.append(ref_after)
         if elapsed is not None:
             times[unit.name].append(elapsed)
+            ratios[unit.name].append(elapsed / (0.5 * (ref_before + ref_after)))
+        ref_before = ref_after
         if cycle == 0:
             first_digests[unit.name] = digest
+        elif getattr(unit, "deterministic", False) and digest != first_digests[unit.name]:
+            bench.ledger.record(f"{unit.name}: repetition {cycle}", ["outputs differ from the first repetition"])
         if args.trace:
             t_elapsed, t_digest, window = execute(bench, unit, cycle, traced=True)
+            ref_after = reference.measure()
             if t_elapsed is not None:
                 traced_times[unit.name].append(t_elapsed)
+                traced_ratios[unit.name].append(t_elapsed / (0.5 * (ref_before + ref_after)))
                 windows[unit.name].append(window)
             # Same seed, same outputs: tracing must not change a result.
             if t_digest != digest:
                 bench.ledger.record(f"{unit.name}: traced outputs", ["differ from the untraced run"])
+            ref_before = ref_after
         pos += 1
         if pos == len(units):
             pos, cycle = 0, cycle + 1
     measured_s = time.perf_counter() - loop_start
+    setups += setup_samples(args, children - children // 2)
 
     final_checks = [u.final_check() for u in units if hasattr(u, "final_check")]
-    wall_s = sum(median(v) for v in times.values())
+    # wall_s: a unit's cost is its fastest repetition, since every repetition
+    # does the same work.  wall_ref: a unit's cost is the median over its
+    # repetitions of the time in reference passes measured beside it, which
+    # takes out the host's changing speed.
+    wall_s = sum(min(v) for v in times.values() if v)
+    wall_ref = sum(median(v) for v in ratios.values())
     output_digest = Digest()
     for unit in units:
         output_digest.add(unit.name, first_digests[unit.name])
 
     if args.trace:
         metrics, trace_notes = layer_metrics(setup_window, windows, bench.ranks)
-        traced_wall = sum(median(v) for v in traced_times.values())
+        traced_wall = sum(min(v) for v in traced_times.values() if v)
         metrics["trace.wall_s"] = traced_wall
         metrics["trace.untraced_wall_s"] = wall_s
-        metrics["trace.overhead"] = traced_wall / wall_s - 1.0 if wall_s > 0 else 0.0
+        # Overhead from the reference-relative times, which the host's speed
+        # does not move.
+        traced_ref = sum(median(v) for v in traced_ratios.values())
+        metrics["trace.overhead"] = traced_ref / wall_ref - 1.0 if wall_ref > 0 else 0.0
         bench.tracer.write_jsonl(out_dir / "spans.jsonl")
     else:
         trace_notes = {}
         metrics = {
-            "wall_s": wall_s,
+            "wall_ref": wall_ref,
             "setup_s": median(setups),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "design_gap": median(bench.gaps),
@@ -301,7 +328,10 @@ def main(argv=None) -> int:
         "setup_samples_s": setups,
         "measured_s": measured_s,
         "cycles": cycle,
+        "wall_s": wall_s,
         "unit_times_s": times,
+        "unit_ratios": ratios,
+        "reference_s": reference_s,
         "traced_unit_times_s": traced_times if args.trace else None,
         "final_checks": final_checks,
         "trace": trace_notes,

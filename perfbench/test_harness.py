@@ -17,7 +17,7 @@ import numpy as np  # noqa: E402
 
 from perfbench import checks  # noqa: E402
 from perfbench.harness import Tracer, self_times, tail_percentile  # noqa: E402
-from perfbench.workloads import Bench  # noqa: E402
+from perfbench.workloads import Bench, SimulationUnit  # noqa: E402
 
 
 class SelfTimeTest(unittest.TestCase):
@@ -127,6 +127,19 @@ class CheckTest(unittest.TestCase):
         self.assertEqual(checks.marginal_problems(target, fair, n)[0], [])
         biased = np.array([2800, 7200, n, 0])
         self.assertEqual(len(checks.marginal_problems(target, biased, n)[0]), 2)
+
+    def test_monte_carlo_is_checked_over_the_pooled_runs(self):
+        def pooled(empirical):
+            ledger = self.bench.ledger = checks.Ledger()
+            unit = SimulationUnit(self.bench, "12x14", 0, None, None, None)
+            for seed in range(unit.min_repeats):
+                # Each run alone is within 4 SE; ten of them pooled are not.
+                unit.runs[seed] = (empirical, 0.003, 1.0)
+            unit.final_check()
+            return ledger
+
+        self.assertEqual(pooled(1.002).failures, [])
+        self.assertEqual(len(pooled(1.006).failures), 1)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ channel statistics and warms BLAS at every rank it will use; its measured
 phase repeats a fixed list of units.  A unit is one call into the program
 (a ``sweep`` CLI run, a batch of roundings, one Monte Carlo simulation);
 only that call is timed, and the unit's outputs are checked afterwards.
+
+Units are short and every repetition of a unit does the same work: a sweep
+unit reruns the same config, and the rounding and Monte Carlo units draw
+fresh seeds for a fixed amount of work.  ``run.py`` times each repetition
+against a fixed reference computation run beside it.
 """
 
 import contextlib
@@ -19,10 +24,6 @@ import numpy as np
 
 from . import checks
 from .harness import Digest, Tracer, fmt12
-
-# Cycle c of the measured phase runs with config seed ``seed + c * stride``,
-# so every repetition draws fresh roundings and the first one uses ``seed``.
-CYCLE_SEED_STRIDE = 1_000_003
 
 SNR_DB = 20.0
 SPREADING = 0.005
@@ -43,15 +44,15 @@ RB_ROUNDINGS = 50
 RB_K = round(0.1 * RB_GRID["M"] * RB_GRID["N"])  # 17 pilots
 
 BIG_GRID = {"M": 48, "N": 28}
-BIG_DENSITY = 0.1
-BIG_K = round(BIG_DENSITY * BIG_GRID["M"] * BIG_GRID["N"])  # 134 pilots
-BIG_METHODS = ("cr", "cr-round-swap", "greedy-swap")
-BIG_ROUNDINGS = 2
+BIG_K = round(0.1 * BIG_GRID["M"] * BIG_GRID["N"])  # 134 pilots
 
-ROUNDINGS_PER_UNIT = 8000
-# Realizations per simulation: enough that 2% of the analytic MSE is more
-# than 4 standard errors, so criterion 5 fails a correct run rarely.
-MC_REALIZATIONS = {"12x14": 5000, "48x28": 2000}
+ROUNDINGS_PER_UNIT = 1000
+# Realizations per simulation unit, and the fewest units a run pools for the
+# Monte Carlo check: enough realizations in all (10000 and 2500) that 2% of
+# the analytic MSE is more than 4 standard errors, so criterion 5 fails a
+# correct run rarely.
+MC_REALIZATIONS = {"12x14": 1000, "48x28": 250}
+MC_MIN_UNITS = 10
 
 SWAP_METHODS = ("greedy-swap", "cr-round-swap")
 LATTICE_METHODS = ("rect", "diamond")
@@ -89,7 +90,7 @@ class Bench:
         self.ledger = checks.Ledger()
         self.counters = Counter()
         self.obs = defaultdict(list)
-        self.gaps: list[float] = []
+        self.gaps: list[float] = []  # design gaps, one per distinct output
         self.ranks: set[int] = set()
         self.last_allocation = None
         self.notes: list[str] = []
@@ -214,7 +215,7 @@ class Bench:
             self.ledger.record(f"{unit}: dependent_rounding", problems)
             digest.add("round", indices)
 
-    def check_point(self, unit: str, point, digest: Digest) -> None:
+    def check_point(self, unit: str, point, digest: Digest, record_gap: bool = True) -> None:
         """Recompute every method's objective at one design point."""
         arguments, outcomes, allocation = point
         cfg, stats, K, snr_db = arguments["cfg"], arguments["stats"], arguments["K"], arguments["snr_db"]
@@ -261,7 +262,7 @@ class Bench:
             for m in SWAP_METHODS
             if m in outcomes and "error" not in outcomes[m]
         ]
-        if bound is not None and refined:
+        if record_gap and bound is not None and refined:
             self.gaps.append(min(refined) / bound - 1.0)
 
 
@@ -288,19 +289,24 @@ def _csv_problems(path, outcomes, methods) -> list[str]:
 
 
 class SweepUnit:
-    """One ``pilotopt sweep`` run over a single design point."""
+    """One ``pilotopt sweep`` run over a single design point.  Every
+    repetition runs the same config, with the workload seed as its seed."""
+
+    # Repetitions must reproduce the first one's outputs exactly.
+    deterministic = True
 
     def __init__(self, bench: Bench, name: str, config: dict):
         self.bench, self.name, self.config = bench, name, config
         self.out = bench.out_dir / "cli" / name
         self.config_path = bench.out_dir / "configs" / f"{name}.json"
+        self.checked = 0
 
     def prepare(self, cycle: int):
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.config_path.parent.mkdir(parents=True, exist_ok=True)
-        seed = self.bench.seed + CYCLE_SEED_STRIDE * cycle
-        config = dict(self.config, seeds=[seed], output_dir=str(self.out))
-        self.config_path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+        if self.checked == 0:
+            self.out.mkdir(parents=True, exist_ok=True)
+            self.config_path.parent.mkdir(parents=True, exist_ok=True)
+            config = dict(self.config, seeds=[self.bench.seed], output_dir=str(self.out))
+            self.config_path.write_text(json.dumps(config, indent=1), encoding="utf-8")
         return self.config_path
 
     def run(self, config_path):
@@ -311,7 +317,8 @@ class SweepUnit:
         bench.ledger.record(f"{self.name}: exit code", [] if exit_code == 0 else [f"exit code {exit_code}"])
         points = bench.take("points")
         for point in points:
-            bench.check_point(self.name, point, digest)
+            bench.check_point(self.name, point, digest, record_gap=self.checked == 0)
+        self.checked += 1
         bench.check_swaps(self.name, digest)
         bench.check_roundings(self.name, digest)
         if exit_code == 0:
@@ -336,6 +343,7 @@ class RoundingUnit:
         )
         self.counts = np.zeros(problem.grid.size)
         self.total = 0
+        self.seen = set()  # a traced run repeats each batch; count it once
 
     def prepare(self, cycle: int):
         entropy = [self.bench.seed, cycle]
@@ -348,6 +356,8 @@ class RoundingUnit:
     def check(self, seeds, patterns, digest: Digest) -> None:
         bench, problem = self.bench, self.problem
         taken = bench.take("roundings")
+        fresh = seeds[0] not in self.seen
+        self.seen.add(seeds[0])
         gaps = []
         for allocation, indices in taken:
             problems = []
@@ -356,13 +366,15 @@ class RoundingUnit:
             value = checks.a_optimal_objective(problem.prior, problem.rows, problem.pilot_snr, indices)
             problems += checks.bound_problems(self.bound, value)
             bench.ledger.record(f"{self.name}: dependent_rounding", problems)
-            self.counts[list(indices)] += 1
             gaps.append(value / self.bound - 1.0)
             digest.add("round", indices)
-        self.total += len(taken)
+            if fresh:
+                self.counts[list(indices)] += 1
         if len(taken) != len(seeds):
             bench.ledger.record(self.name, [f"{len(taken)} roundings observed for {len(seeds)} calls"])
-        bench.gaps += gaps
+        if fresh:
+            self.total += len(taken)
+            bench.gaps += gaps
 
     def final_check(self) -> dict:
         """Aggregate marginals of every rounding in the run."""
@@ -374,13 +386,17 @@ class RoundingUnit:
 
 
 class SimulationUnit:
-    """One seeded Monte Carlo run of a fixed pattern."""
+    """One seeded Monte Carlo run of a fixed pattern.  The check against the
+    analytic MSE pools every distinct run of the unit."""
+
+    min_repeats = MC_MIN_UNITS
 
     def __init__(self, bench: Bench, label: str, index: int, stats, problem, pattern):
         self.bench, self.index = bench, index
         self.name = f"mc-{label}"
         self.stats, self.problem, self.pattern = stats, problem, pattern
         self.realizations = MC_REALIZATIONS[label]
+        self.runs = {}  # rng seed -> (empirical MSE, standard error, analytic MSE)
 
     def prepare(self, cycle: int):
         entropy = [self.bench.seed, cycle, self.index]
@@ -394,12 +410,34 @@ class SimulationUnit:
         return mcsim.run_simulation(self.stats, self.problem, self.pattern, cfg)
 
     def check(self, rng_seed, result, digest: Digest) -> None:
-        problems = checks.monte_carlo_problems(
-            result.empirical_mse, result.analytic_mse, result.standard_error
-        )
-        self.bench.ledger.record(f"{self.name}: Monte Carlo vs analytic", problems)
+        run = (result.empirical_mse, result.standard_error, result.analytic_mse)
+        problems = []
+        if not (np.isfinite(run).all() and min(run) > 0):
+            problems.append(f"MSE, standard error and analytic MSE must be positive: {run}")
+        if self.runs.setdefault(rng_seed, run) != run:
+            problems.append(f"rng seed {rng_seed} gave {run}, before {self.runs[rng_seed]}")
+        self.bench.ledger.record(f"{self.name}: Monte Carlo run", problems)
         self.bench.counters["mcsim.realizations"] += self.realizations
-        digest.add(self.name, fmt12(result.empirical_mse), fmt12(result.standard_error), fmt12(result.analytic_mse))
+        digest.add(self.name, *(fmt12(v) for v in run))
+
+    def final_check(self) -> dict:
+        """Criterion 5 on the mean of the run's distinct simulations."""
+        runs = list(self.runs.values())
+        empirical = float(np.mean([r[0] for r in runs]))
+        standard_error = float(np.sqrt(np.sum(np.square([r[1] for r in runs])))) / len(runs)
+        analytic = runs[0][2]
+        problems = checks.monte_carlo_problems(empirical, analytic, standard_error)
+        if len(runs) < self.min_repeats:
+            problems.append(f"{len(runs)} simulations pooled, at least {self.min_repeats} needed")
+        if any(r[2] != analytic for r in runs):
+            problems.append("the analytic MSE differs between runs of one pattern")
+        self.bench.ledger.record(f"{self.name}: Monte Carlo vs analytic over {len(runs)} runs", problems)
+        return {
+            "unit": self.name,
+            "realizations": len(runs) * self.realizations,
+            "deviation_se": abs(empirical - analytic) / standard_error,
+            "deviation_rel": abs(empirical - analytic) / analytic,
+        }
 
 
 # -- set-ups ---------------------------------------------------------------
@@ -456,12 +494,6 @@ def setup_rb_sweep(bench: Bench) -> list:
     return units
 
 
-def setup_grid_48x28(bench: Bench) -> list:
-    _warm_up(bench, _statistics(bench, BIG_GRID, SPREADING), BIG_K, SNR_DB)
-    config = _sweep_config(BIG_GRID, SPREADING, BIG_DENSITY, SNR_DB, BIG_METHODS, BIG_ROUNDINGS)
-    return [SweepUnit(bench, "grid-48x28", config)]
-
-
 def setup_mc_rounding(bench: Bench) -> list:
     stats_small = _statistics(bench, RB_GRID, SPREADING)
     stats_big = _statistics(bench, BIG_GRID, SPREADING)
@@ -478,6 +510,5 @@ def setup_mc_rounding(bench: Bench) -> list:
 
 WORKLOADS = {
     "rb-sweep": setup_rb_sweep,
-    "grid-48x28": setup_grid_48x28,
     "mc-rounding": setup_mc_rounding,
 }
