@@ -101,7 +101,8 @@ class DesignProblem:
             warnings.warn(
                 f"power_fraction {self.power_fraction:g} > 1: pilot power exceeds "
                 "the block budget (happens when K > N with unit pilot power)",
-                stacklevel=2,
+                # 1 is here, 2 the generated __init__, 3 its caller.
+                stacklevel=3,
             )
         expected = compute_alpha(self.power_fraction, self.grid.N, self.budget, self.noise_var)
         if abs(self.pilot_snr - expected) > 1e-9 * max(expected, 1.0):
@@ -387,6 +388,38 @@ def swap_delta(state: ObjectiveState, i: int, j: int, problem: DesignProblem | N
     return increase - float(gain)
 
 
+def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
+    """Objective change of every swap at once: entry (a, b) is
+    ``swap_delta(state, selected[a], candidates[b])`` up to rounding.
+
+    With ``Z = U A^{-1}``, removing i adds ``t_i z_i z_i^H`` to ``A^{-1}``
+    (``t_i = alpha / (1 - alpha q_i)``), which shifts each candidate's
+    quadratic form by ``t_i |D_ij|^2`` and its squared norm by
+    ``2 t_i Re(D_ij conj(E_ij)) + t_i^2 |D_ij|^2 n_i``, where
+    ``D = Z_S U_C^H`` and ``E = Z_S Z_C^H``.  Two matrix products thus give
+    all K x (P - K) deltas (the Fedorov exchange screen).
+    """
+    alpha = state.problem.pilot_snr
+    U = state.problem.rows
+    Z = U @ state.A_inv
+    quad = np.einsum("ij,ij->i", Z, U.conj()).real
+    norm2 = np.einsum("ij,ij->i", Z, Z.conj()).real
+    denom = 1.0 - alpha * quad[selected]
+    if denom.min() <= 1e-12:
+        a = int(np.argmin(denom))
+        raise DegenerateUpdateError(
+            f"removal of {selected[a]} hit denominator {denom[a]:g}"
+        )
+    t = (alpha / denom)[:, None]
+    Z_S, norm2_S = Z[selected], norm2[selected][:, None]
+    D = Z_S @ U[candidates].conj().T
+    E = Z_S @ Z[candidates].conj().T
+    D2 = D.real**2 + D.imag**2
+    quad_after = quad[candidates] + t * D2
+    norm2_after = norm2[candidates] + 2.0 * t * (D * E.conj()).real + t**2 * D2 * norm2_S
+    return t * norm2_S - alpha * norm2_after / (1.0 + alpha * quad_after)
+
+
 def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:
     """Gradient of the relaxed objective: ``-alpha * u_i A^{-2} u_i^H`` per cell."""
     A_inv = np.linalg.inv(build_A(problem, allocation))
@@ -396,7 +429,11 @@ def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:
 
 
 def error_covariance(problem: DesignProblem, pattern) -> np.ndarray:
-    """Full error covariance ``U_r A^{-1} U_r^H``; diagnostics only."""
+    """Reduced-rank error covariance ``U_r A^{-1} U_r^H``; diagnostics only.
+
+    An approximation on the design basis: its trace is the design objective
+    ``trace(A^{-1})``, not the exact LMMSE error, which ``average_mse`` gives.
+    """
     if problem.grid.size > MAX_DENSE_GRID:
         raise ComplexityGuardError(
             f"refusing {problem.grid.size}^2 error covariance (limit {MAX_DENSE_GRID})"

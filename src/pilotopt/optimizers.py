@@ -39,10 +39,14 @@ from .objective import (
     objective_value,
     removal_terms,
     rank_one_update,
+    swap_deltas,
 )
 
 EXHAUSTIVE_GUARD = 2_000_000
 SWAP_TOLERANCE = 1e-10
+# Screened swaps within this fraction of the objective of the best one are
+# refereed by the per-row arithmetic.
+SWAP_SCREEN_BAND = 1e-9
 
 METHOD_CR = "cr"
 METHOD_CR_ROUND = "cr-round"
@@ -255,6 +259,36 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     return _report(problem, pattern, state.value, METHOD_GREEDY, initial, 0, t0)
 
 
+def _best_swap(state: ObjectiveState, selected: list, candidates: np.ndarray):
+    """The improving swap (i out, j in) of the per-row scan, or None.
+
+    The scan takes, per selected i in ascending order, the candidate of largest
+    gain after removing i (lowest j on ties) and keeps the first i with the
+    lowest delta.  Mirror-symmetric channels give exactly tied swaps, and the
+    batched screen's arithmetic differs from the scan's by a few ulps, enough
+    to flip such a tie.  So the screen only shortlists the rows within
+    ``SWAP_SCREEN_BAND`` of its best delta, and the scan referees them.
+    """
+    problem = state.problem
+    row_best = swap_deltas(state, selected, candidates).min(axis=1)
+    band = SWAP_SCREEN_BAND * state.value
+    if row_best.min() > -SWAP_TOLERANCE + band:
+        return None
+    cand_rows = problem.rows[candidates]
+    best_delta, best_pair = 0.0, None
+    for a in np.flatnonzero(row_best <= row_best.min() + band):
+        i = selected[a]
+        increase, A_inv_without = removal_terms(state, i)
+        gains = gains_for_candidates(A_inv_without, cand_rows, problem.pilot_snr)
+        pos = int(np.argmax(gains))
+        delta = increase - float(gains[pos])
+        if delta < best_delta:
+            best_delta, best_pair = delta, (i, int(candidates[pos]))
+    if best_delta >= -SWAP_TOLERANCE:
+        return None
+    return best_pair
+
+
 def local_swap(
     problem: DesignProblem,
     init: PilotPattern,
@@ -263,8 +297,9 @@ def local_swap(
 ) -> DesignReport:
     """Fedorov exchange: apply the best improving (i out, j in) swap per pass.
 
-    Stops when the best improvement falls below 1e-10 absolute or after
-    ``max_passes`` passes; the result is then 1-swap locally optimal.
+    Stops when the best improvement falls below ``SWAP_TOLERANCE`` absolute,
+    leaving a 1-swap locally optimal pattern, or after ``max_passes`` passes;
+    a run the cap stops with an improving swap left warns.
     """
     if len(init) != problem.budget:
         raise BudgetError(f"initial pattern has {len(init)} pilots, budget is {problem.budget}")
@@ -272,26 +307,25 @@ def local_swap(
     state = ObjectiveState.from_pattern(problem, init)
     initial = state.value
     accepted = 0
-    for _ in range(max_passes):
+    for passes in range(max_passes + 1):
         selected = sorted(state.selected)
         candidates = np.array(
             [j for j in range(problem.grid.size) if j not in state.selected]
         )
         if candidates.size == 0:
             break
-        cand_rows = problem.rows[candidates]
-        best_delta, best_pair = 0.0, None
-        for i in selected:
-            increase, A_inv_without = removal_terms(state, i)
-            gains = gains_for_candidates(A_inv_without, cand_rows, problem.pilot_snr)
-            pos = int(np.argmax(gains))
-            delta = increase - float(gains[pos])
-            if delta < best_delta:
-                best_delta, best_pair = delta, (i, int(candidates[pos]))
-        if best_pair is None or best_delta >= -SWAP_TOLERANCE:
+        pair = _best_swap(state, selected, candidates)
+        if pair is None:
             break
-        rank_one_update(state, best_pair[0], "remove")
-        rank_one_update(state, best_pair[1], "add")
+        if passes == max_passes:
+            warnings.warn(
+                f"local_swap stopped at max_passes={max_passes} with an improving "
+                "swap left; the pattern is not 1-swap locally optimal",
+                stacklevel=2,
+            )
+            break
+        rank_one_update(state, pair[0], "remove")
+        rank_one_update(state, pair[1], "add")
         accepted += 1
     pattern = PilotPattern(tuple(sorted(state.selected)), problem.grid)
     return _report(problem, pattern, state.value, method, initial, accepted, t0)

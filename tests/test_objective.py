@@ -26,8 +26,10 @@ from pilotopt.errors import (
     BudgetError,
     CandidateError,
     ComplexityGuardError,
+    DegenerateUpdateError,
     InvalidSpecError,
 )
+from pilotopt.objective import swap_deltas
 from pilotopt.optimizers import project_capped_simplex
 
 
@@ -244,6 +246,24 @@ class TestSwapDelta:
         assert min(deltas) >= -1e-10
 
 
+class TestSwapDeltas:
+    def test_every_pair_matches_swap_delta(self, problem_rb):
+        pattern = PilotPattern(tuple(range(0, 168, 12)), problem_rb.grid)
+        state = ObjectiveState.from_pattern(problem_rb, pattern)
+        selected = sorted(state.selected)
+        candidates = [j for j in range(problem_rb.grid.size) if j not in state.selected]
+        batched = swap_deltas(state, selected, candidates)
+        assert batched.shape == (len(selected), len(candidates))
+        looped = np.array([[swap_delta(state, i, j) for j in candidates] for i in selected])
+        assert np.abs(batched - looped).max() <= 1e-9 * state.value
+
+    def test_nonpositive_removal_denominator_raises(self, problem_rb):
+        state = ObjectiveState.from_pattern(problem_rb, PilotPattern((0, 50), problem_rb.grid))
+        state.A_inv = 1e6 * state.A_inv  # no longer the inverse of A
+        with pytest.raises(DegenerateUpdateError):
+            swap_deltas(state, [0, 50], [1, 2, 3])
+
+
 class TestGradient:
     def test_vanishing_alpha_gradient(self):
         pr = synthetic_problem(4, 4, 3, 2, alpha=1e-280)
@@ -339,6 +359,21 @@ class TestErrorCovariance:
         )
         with pytest.raises(ComplexityGuardError):
             error_covariance(pr, PilotPattern((0, 1), grid))
+
+
+class TestPowerFractionWarning:
+    def test_warning_names_the_caller(self, problem_rb):
+        with pytest.warns(UserWarning, match="power_fraction 2 > 1") as caught:
+            DesignProblem(
+                grid=problem_rb.grid,
+                rows=problem_rb.rows,
+                prior=problem_rb.prior,
+                pilot_snr=compute_alpha(2.0, 14, 14, 0.1),
+                budget=14,
+                power_fraction=2.0,
+                noise_var=0.1,
+            )
+        assert caught[0].filename == __file__
 
 
 class TestObjectiveProperties:

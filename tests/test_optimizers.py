@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -11,13 +12,16 @@ from pilotopt import (
     LatticeParams,
     ObjectiveState,
     PilotPattern,
+    ScatteringSpec,
     best_lattice,
+    build_statistics,
     compute_alpha,
     dependent_rounding,
     exhaustive_search,
     greedy_design,
     lattice_pattern,
     local_swap,
+    make_design_problem,
     marginal_gain,
     objective_gradient,
     objective_value,
@@ -31,6 +35,7 @@ from pilotopt.errors import (
     LatticeError,
     NoFeasibleLatticeError,
 )
+from pilotopt.optimizers import greedy_swap_design
 
 # Hand enumeration of the diamond with spacing (4, 2) on the 12x14 grid:
 # even pilot columns n in {0,4,8,12} carry m in {0,4,8}; odd pilot columns
@@ -261,6 +266,31 @@ class TestLocalSwap:
         b = local_swap(problem_rb, init)
         assert a.pattern.indices == b.pattern.indices
         assert a.objective == b.objective
+
+    def test_mirror_image_tie_keeps_lowest_index_swap(self):
+        # The mirror-symmetric channel gives exactly tied swaps here; the
+        # batched screen alone returns the mirror image
+        # (14, 22, 54, 73, 95, 126, 145, 166).
+        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=0.01))
+        report = greedy_swap_design(make_design_problem(stats, K=8, snr_db=20.0))
+        assert report.pattern.indices == (1, 22, 41, 72, 94, 113, 145, 153)
+        assert report.swap_iterations == 15
+        assert report.objective == 2.2383677162230255
+
+    def test_pass_cap_with_improving_swap_left_warns(self, problem_rb):
+        poor = PilotPattern(tuple(range(problem_rb.budget)), problem_rb.grid)
+        with pytest.warns(UserWarning, match="max_passes=1"):
+            capped = local_swap(problem_rb, poor, max_passes=1)
+        assert capped.swap_iterations == 1
+
+    def test_run_converging_at_the_cap_does_not_warn(self, problem_rb):
+        init = greedy_design(problem_rb).pattern
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = local_swap(problem_rb, init)
+            capped = local_swap(problem_rb, init, max_passes=report.swap_iterations)
+        assert report.swap_iterations > 0
+        assert capped.pattern.indices == report.pattern.indices
 
 
 class TestLatticePattern:
