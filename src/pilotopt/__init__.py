@@ -2,7 +2,6 @@
 OFDM time-frequency grids over doubly dispersive channels."""
 
 from .channel import (
-    ChannelStatistics,
     DelayProfile,
     DopplerSpectrum,
     GridConfig,
@@ -11,7 +10,7 @@ from .channel import (
     build_statistics,
     build_time_correlation,
 )
-from .mcsim import SimConfig, SimResult, run_simulation, sample_channel
+from .mcsim import SimConfig, run_simulation, sample_channel
 from .objective import (
     DesignProblem,
     FractionalAllocation,
@@ -29,7 +28,6 @@ from .objective import (
     swap_delta,
 )
 from .optimizers import (
-    DesignReport,
     LatticeParams,
     best_lattice,
     dependent_rounding,
@@ -44,10 +42,8 @@ from .optimizers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelStatistics",
     "DelayProfile",
     "DesignProblem",
-    "DesignReport",
     "DopplerSpectrum",
     "FractionalAllocation",
     "GridConfig",
@@ -56,7 +52,6 @@ __all__ = [
     "PilotPattern",
     "ScatteringSpec",
     "SimConfig",
-    "SimResult",
     "average_mse",
     "best_lattice",
     "build_A",

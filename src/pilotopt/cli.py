@@ -13,10 +13,10 @@ identical result files (recorded wall times are the one exception).
 """
 
 import argparse
+import itertools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,8 +38,8 @@ from .optimizers import (
     METHOD_GREEDY_SWAP,
     METHOD_RECT,
     METHOD_EXHAUSTIVE,
+    DesignReport,
     best_lattice,
-    dependent_rounding,
     exhaustive_search,
     greedy_design,
     greedy_swap_design,
@@ -49,17 +49,6 @@ from .optimizers import (
 from .validation import run_all_checks
 
 FORMAT_VERSION = 1
-
-VALID_METHODS = (
-    METHOD_CR,
-    METHOD_CR_ROUND,
-    METHOD_CR_ROUND_SWAP,
-    METHOD_GREEDY,
-    METHOD_GREEDY_SWAP,
-    METHOD_RECT,
-    METHOD_DIAMOND,
-    METHOD_EXHAUSTIVE,
-)
 
 CSV_COLUMNS = (
     "axis",
@@ -102,13 +91,23 @@ class ExperimentConfig:
     list_axes: tuple = ()  # axis names the config gave as lists
 
 
-def _as_tuple(value) -> tuple:
-    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+def _as_tuple(value, field: str) -> tuple:
+    values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    _require(values, f"field '{field}' must not be an empty list")
+    return values
 
 
 def _require(condition, message):
     if not condition:
         raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -144,48 +143,53 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid_raw = raw.get("grid")
     _require(isinstance(grid_raw, dict) and "M" in grid_raw and "N" in grid_raw,
              "field 'grid' must be an object with M and N")
+    _require(_is_int(grid_raw["M"]) and _is_int(grid_raw["N"]),
+             "field 'grid': M and N must be integers")
     try:
-        grid = GridConfig(int(grid_raw["M"]), int(grid_raw["N"]))
+        grid = GridConfig(grid_raw["M"], grid_raw["N"])
     except PilotOptError as exc:
         raise ConfigError(f"field 'grid': {exc}") from exc
 
     list_axes = []
-    scattering_raw = dict(raw.get("scattering") or {})
+    scattering_raw = raw.get("scattering") or {}
+    _require(isinstance(scattering_raw, dict), "field 'scattering' must be an object")
+    scattering_raw = dict(scattering_raw)
     if isinstance(scattering_raw.get("spreading_factor"), list):
         list_axes.append("spreading_factor")
-    spreading = _as_tuple(scattering_raw.pop("spreading_factor", None))
+    spreading = _as_tuple(scattering_raw.pop("spreading_factor", None), "scattering.spreading_factor")
     _require(spreading != (None,), "field 'scattering.spreading_factor' is required")
     for value in spreading:
-        _require(isinstance(value, (int, float)) and value > 0,
+        _require(_is_number(value) and value > 0,
                  f"field 'scattering.spreading_factor': {value!r} is not a positive number")
     try:
         ScatteringSpec(spreading_factor=spreading[0], **scattering_raw)
-    except (PilotOptError, TypeError) as exc:
+    except (PilotOptError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'scattering': {exc}") from exc
 
     if isinstance(raw.get("snr_db"), list):
         list_axes.append("snr_db")
-    snr = _as_tuple(raw.get("snr_db", 10.0))
+    snr = _as_tuple(raw.get("snr_db", 10.0), "snr_db")
     for value in snr:
-        _require(isinstance(value, (int, float)), f"field 'snr_db': {value!r} is not a number")
+        _require(_is_number(value), f"field 'snr_db': {value!r} is not a number")
 
     budget_raw = raw.get("pilot_budget")
     _require(budget_raw is not None, "field 'pilot_budget' is required")
     if isinstance(budget_raw, list):
+        _require(budget_raw, "field 'pilot_budget' must not be an empty list")
         list_axes.insert(0, "density")
         for d in budget_raw:
-            _require(isinstance(d, (int, float)) and 0 < d <= 1,
+            _require(_is_number(d) and 0 < d <= 1,
                      f"field 'pilot_budget': density {d!r} outside (0, 1]")
         budgets = tuple(("density", float(d)) for d in budget_raw)
     else:
-        _require(isinstance(budget_raw, int) and not isinstance(budget_raw, bool),
+        _require(_is_int(budget_raw),
                  "field 'pilot_budget' must be an integer or a list of densities")
         _require(budget_raw >= 1, f"field 'pilot_budget': K = {budget_raw} is not a valid budget")
         budgets = (("pilots", int(budget_raw)),)
 
     beta = raw.get("beta")
     if beta is not None:
-        _require(isinstance(beta, (int, float)) and beta > 0, "field 'beta' must be positive")
+        _require(_is_number(beta) and beta > 0, "field 'beta' must be positive")
 
     methods_raw = raw.get("methods", ["greedy-swap"])
     _require(isinstance(methods_raw, list) and len(methods_raw) >= 1,
@@ -193,10 +197,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     methods = tuple(methods_raw)
     for m in methods:
         _require(m in VALID_METHODS, f"field 'methods': unknown method {m!r}; valid: {VALID_METHODS}")
+    _require(len(set(methods)) == len(methods), "field 'methods' lists a method twice")
 
-    seeds = tuple(int(s) for s in _as_tuple(raw.get("seeds", 0)))
-    repeats = int(raw.get("rounding_repeats", 50))
-    _require(repeats >= 1, "field 'rounding_repeats' must be >= 1")
+    seeds = _as_tuple(raw.get("seeds", 0), "seeds")
+    for s in seeds:
+        _require(_is_int(s) and s >= 0, f"field 'seeds': {s!r} is not a non-negative integer")
+    repeats = raw.get("rounding_repeats", 50)
+    _require(_is_int(repeats) and repeats >= 1, "field 'rounding_repeats' must be an integer >= 1")
+    output_dir = raw.get("output_dir", "out")
+    _require(isinstance(output_dir, str), "field 'output_dir' must be a string")
 
     return ExperimentConfig(
         grid=grid,
@@ -208,7 +217,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         methods=methods,
         seeds=seeds,
         rounding_repeats=repeats,
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=output_dir,
         list_axes=tuple(list_axes),
     )
 
@@ -302,18 +311,74 @@ def render_weights(grid: GridConfig, weights, footer: str) -> str:
 # one design point
 
 
+def _report_outcome(report: DesignReport) -> dict:
+    """The outcome fields of an integer pattern, at the budget actually used."""
+    return {
+        "indices": list(report.pattern.indices),
+        "objective": report.objective,
+        "average_mse": report.average_mse,
+        "K": report.budget_used,
+        "swap_iterations": report.swap_iterations,
+    }
+
+
+def _run_relaxation(problem, allocation, seed, repeats) -> dict:
+    return {
+        "weights": allocation.weights.tolist(),
+        "objective": objective_value(problem, allocation),
+        "average_mse": average_mse(problem, allocation),
+        "K": problem.budget,
+        "converged": allocation.converged,
+        "swap_iterations": 0,
+    }
+
+
+def _run_rounding(problem, allocation, seed, repeats) -> dict:
+    seeds = [derive_rounding_seed(seed, 0)]
+    best, _ = relax_round_swap_design(problem, seeds, refine=False, allocation=allocation)
+    return _report_outcome(best)
+
+
+def _run_rounding_swap(problem, allocation, seed, repeats) -> dict:
+    seeds = [derive_rounding_seed(seed, i) for i in range(repeats)]
+    best, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+    distribution = [
+        {"rounding_seed": s, "wall_time": r.wall_time, **_report_outcome(r)}
+        for s, r in zip(seeds, reports)
+    ]
+    return {**_report_outcome(best), "distribution": distribution}
+
+
+# Each runner takes (problem, allocation, seed, repeats); ``allocation`` is the
+# shared relaxation solve, present whenever a method starting with "cr" runs.
+RUNNERS = {
+    METHOD_CR: _run_relaxation,
+    METHOD_CR_ROUND: _run_rounding,
+    METHOD_CR_ROUND_SWAP: _run_rounding_swap,
+    METHOD_GREEDY: lambda problem, *_: _report_outcome(greedy_design(problem)),
+    METHOD_GREEDY_SWAP: lambda problem, *_: _report_outcome(greedy_swap_design(problem)),
+    METHOD_RECT: lambda problem, *_: _report_outcome(best_lattice(problem, problem.grid, METHOD_RECT)),
+    METHOD_DIAMOND: lambda problem, *_: _report_outcome(best_lattice(problem, problem.grid, METHOD_DIAMOND)),
+    METHOD_EXHAUSTIVE: lambda problem, *_: _report_outcome(exhaustive_search(problem)),
+}
+VALID_METHODS = tuple(RUNNERS)
+
+
 def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     """Run every requested method at one configuration point.
 
-    Returns ``{method: outcome}`` where an outcome is a dict with at least
-    the objective and average MSE, or an ``error`` entry for methods that are
-    infeasible at this point.  ``objective`` is the design objective on the
-    reduced-rank basis; for ``cr`` it is the relaxation bound on it.
-    ``average_mse`` is the exact LMMSE error of the pattern at the budget
-    ``K`` actually used; for ``cr`` it is that of the weights read as
-    per-cell pilot power, which is not a bound.  One relaxation solve is
-    shared by all relaxation-based methods; its time is attributed to the
-    first of them.
+    Returns ``{method: outcome}``.  An outcome holds ``indices``,
+    ``objective``, ``average_mse``, ``K``, ``swap_iterations`` and
+    ``wall_time``; ``cr-round-swap`` adds the per-rounding ``distribution``,
+    and ``cr`` has ``weights`` and ``converged`` in place of ``indices``.  A
+    method infeasible at this point gets ``error`` and ``K`` instead.
+
+    ``objective`` is the design objective on the reduced-rank basis; for
+    ``cr`` it is the relaxation bound on it.  ``average_mse`` is the exact
+    LMMSE error of the pattern at the budget ``K`` actually used; for ``cr``
+    it is that of the weights read as per-cell pilot power, which is not a
+    bound.  One relaxation solve is shared by all relaxation-based methods;
+    its time is attributed to the first of them.
     """
     problem = make_design_problem(stats, K=K, snr_db=snr_db, beta=cfg.beta)
     outcomes = {}
@@ -330,75 +395,12 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
         if method.startswith("cr"):
             shared, relax_time = relax_time, 0.0
         try:
-            if method == METHOD_CR:
-                obj = objective_value(problem, allocation)
-                outcomes[method] = {
-                    "weights": allocation.weights.tolist(),
-                    "objective": obj,
-                    "average_mse": average_mse(problem, allocation),
-                    "K": K,
-                    "converged": allocation.converged,
-                    "swap_iterations": 0,
-                    "wall_time": shared + time.perf_counter() - t0,
-                }
-            elif method == METHOD_CR_ROUND:
-                pattern = dependent_rounding(
-                    allocation, derive_rounding_seed(seed, 0), grid=problem.grid
-                )
-                obj = objective_value(problem, pattern)
-                outcomes[method] = {
-                    "indices": list(pattern.indices),
-                    "objective": obj,
-                    "average_mse": average_mse(problem, pattern),
-                    "K": K,
-                    "swap_iterations": 0,
-                    "wall_time": shared + time.perf_counter() - t0,
-                }
-            elif method == METHOD_CR_ROUND_SWAP:
-                seeds = [derive_rounding_seed(seed, i) for i in range(repeats)]
-                best, reports = relax_round_swap_design(
-                    problem, seeds, allocation=allocation
-                )
-                outcomes[method] = {
-                    "indices": list(best.pattern.indices),
-                    "objective": best.objective,
-                    "average_mse": best.average_mse,
-                    "K": best.budget_used,
-                    "swap_iterations": best.swap_iterations,
-                    "wall_time": shared + time.perf_counter() - t0,
-                    "distribution": [
-                        {
-                            "rounding_seed": s,
-                            "indices": list(r.pattern.indices),
-                            "objective": r.objective,
-                            "average_mse": r.average_mse,
-                            "swap_iterations": r.swap_iterations,
-                            "wall_time": r.wall_time,
-                        }
-                        for s, r in zip(seeds, reports)
-                    ],
-                }
-            else:
-                if method == METHOD_GREEDY:
-                    report = greedy_design(problem)
-                elif method == METHOD_GREEDY_SWAP:
-                    report = greedy_swap_design(problem)
-                elif method in (METHOD_RECT, METHOD_DIAMOND):
-                    report = best_lattice(problem, problem.grid, method)
-                elif method == METHOD_EXHAUSTIVE:
-                    report = exhaustive_search(problem)
-                else:  # pragma: no cover - guarded by config validation
-                    raise ConfigError(f"unknown method {method}")
-                outcomes[method] = {
-                    "indices": list(report.pattern.indices),
-                    "objective": report.objective,
-                    "average_mse": report.average_mse,
-                    "K": report.budget_used,
-                    "swap_iterations": report.swap_iterations,
-                    "wall_time": report.wall_time,
-                }
+            outcome = RUNNERS[method](problem, allocation, seed, repeats)
         except PilotOptError as exc:
             outcomes[method] = {"error": f"{type(exc).__name__}: {exc}", "K": K}
+            continue
+        outcome["wall_time"] = shared + time.perf_counter() - t0
+        outcomes[method] = outcome
     return outcomes
 
 
@@ -423,7 +425,7 @@ def _statistics_cache(cfg: ExperimentConfig) -> dict:
 # subcommands
 
 
-def cmd_design(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.list_axes:
         raise ConfigError(f"design needs scalar parameters; {cfg.list_axes[0]!r} is a list")
     dd = cfg.spreading_factors[0]
@@ -477,30 +479,18 @@ def _axis_points(cfg: ExperimentConfig):
                 yield kind_value, snr_db, dd
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.list_axes:
         raise ConfigError("sweep needs a list-valued axis (pilot_budget, snr_db or spreading)")
     primary = cfg.list_axes[0]
     cache = _statistics_cache(cfg)
-    points = list(_axis_points(cfg))
-    tasks = [(point, seed) for point in points for seed in cfg.seeds]
-
-    def run_task(task):
-        ((kind, value), snr_db, dd), seed = task
-        K = budget_pilots(cfg.grid, kind, value)
-        return run_point(cfg, cache[dd], K, snr_db, seed, cfg.methods, cfg.rounding_repeats)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-
     meta = {"format_version": FORMAT_VERSION, "config": resolved_config_dict(cfg), "columns": list(CSV_COLUMNS)}
     lines = ["# " + json.dumps(_round_floats(meta), sort_keys=True)]
     lines.append(",".join(CSV_COLUMNS))
     errors = []
-    for (((kind, value), snr_db, dd), seed), outcomes in zip(tasks, results):
+    for ((kind, value), snr_db, dd), seed in itertools.product(_axis_points(cfg), cfg.seeds):
+        K = budget_pilots(cfg.grid, kind, value)
+        outcomes = run_point(cfg, cache[dd], K, snr_db, seed, cfg.methods, cfg.rounding_repeats)
         density = value if kind == "density" else value / cfg.grid.size
         axis_value = {"density": density, "snr_db": snr_db, "spreading_factor": dd}[primary]
         base = {
@@ -558,7 +548,7 @@ def nearest_neighbor_dispersion(grid: GridConfig, indices) -> float | None:
     return float(dist.min(axis=1).mean())
 
 
-def cmd_structure(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
     kind, value = cfg.budgets[0]
     if len(cfg.budgets) > 1 or "density" in cfg.list_axes:
         raise ConfigError("structure needs a fixed pilot budget")
@@ -661,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seeds")
         p.add_argument("--out", default=None, help="override the config output directory")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument(
             "--method",
             action="append",
@@ -677,21 +666,22 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else None
         if cfg is not None:
             if args.seed is not None:
-                cfg = _replace(cfg, seeds=(args.seed,))
+                _require(args.seed >= 0, f"--seed {args.seed} is not a non-negative integer")
+                cfg = replace(cfg, seeds=(args.seed,))
             if args.method:
                 for m in args.method:
                     if m not in VALID_METHODS:
                         raise ConfigError(f"--method {m!r} unknown; valid: {VALID_METHODS}")
-                cfg = _replace(cfg, methods=tuple(args.method))
+                cfg = replace(cfg, methods=tuple(args.method))
         out_dir = Path(args.out) if args.out else Path(cfg.output_dir if cfg else "out")
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.command == "design":
-            return cmd_design(cfg, out_dir, args.threads)
+            return cmd_design(cfg, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.threads)
+            return cmd_sweep(cfg, out_dir)
         if args.command == "structure":
-            return cmd_structure(cfg, out_dir, args.threads)
+            return cmd_structure(cfg, out_dir)
         if args.command == "validate":
             return cmd_validate(cfg, out_dir)
         raise ConfigError(f"unknown command {args.command}")  # pragma: no cover
@@ -701,10 +691,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-
-
-def _replace(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    return replace(cfg, **changes)
 
 
 if __name__ == "__main__":

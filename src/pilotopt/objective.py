@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .channel import ChannelStatistics, GridConfig
+from .channel import MAX_DENSE_GRID, ChannelStatistics, GridConfig
 from .errors import (
     BudgetError,
     CandidateError,
@@ -29,9 +29,6 @@ from .errors import (
     InvalidSpecError,
     NumericError,
 )
-
-# Dense P x P error covariances are diagnostics; refuse beyond this grid size.
-MAX_DENSE_GRID = 4096
 
 
 def compute_alpha(beta: float, N: int, K: int, noise_var: float) -> float:
@@ -253,13 +250,15 @@ def build_A(problem: DesignProblem, pattern, full: bool = False) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def _trace_inverse(A: np.ndarray) -> float:
-    return float(np.trace(np.linalg.inv(A)).real)
+def _inverse(problem: DesignProblem, pattern) -> np.ndarray:
+    """Hermitian ``A^{-1}`` on the design basis for a pattern or allocation."""
+    A_inv = np.linalg.inv(build_A(problem, pattern))
+    return 0.5 * (A_inv + A_inv.conj().T)
 
 
 def objective_value(problem: DesignProblem, pattern) -> float:
     """The design objective ``trace(A^{-1})`` for a pattern or allocation."""
-    return _trace_inverse(build_A(problem, pattern))
+    return float(np.trace(_inverse(problem, pattern)).real)
 
 
 def average_mse(problem: DesignProblem, pattern) -> float:
@@ -297,37 +296,47 @@ class ObjectiveState:
 
     @classmethod
     def from_pattern(cls, problem: DesignProblem, pattern: PilotPattern) -> "ObjectiveState":
-        A_inv = np.linalg.inv(build_A(problem, pattern))
-        A_inv = 0.5 * (A_inv + A_inv.conj().T)
+        A_inv = _inverse(problem, pattern)
         return cls(problem, A_inv, float(np.trace(A_inv).real), set(pattern.indices))
 
     def pattern(self) -> PilotPattern:
         return PilotPattern(tuple(sorted(self.selected)), self.problem.grid)
 
 
+def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
+    """Sherman-Morrison terms of every row ``u_k`` of ``rows`` against ``A_inv``.
+
+    Returns ``Z``, whose k-th row is ``z_k = A^{-1} u_k^H``, the quadratic
+    forms ``u_k A^{-1} u_k^H`` and the squared norms ``|z_k|^2``.
+    """
+    Z = (rows @ A_inv).conj()
+    quad = np.einsum("ij,ij->i", rows, Z).real
+    norm2 = np.einsum("ij,ij->i", Z, Z.conj()).real
+    return Z, quad, norm2
+
+
 def _update_terms(state: ObjectiveState, j: int):
-    """Return (z, quad, norm2) for index j: z = A_inv w_j, quad = w_j^H z."""
+    """``_row_terms`` of index j in column form ``z = A^{-1} u_j^H``; the row
+    form differs in the last bits, enough to flip exactly tied swaps."""
     w = state.problem.rows[j].conj()
     z = state.A_inv @ w
     quad = float(np.real(w.conj() @ z))
     return z, quad, float(np.real(np.vdot(z, z)))
 
 
-def marginal_gain(state: ObjectiveState, j: int, problem: DesignProblem | None = None) -> float:
+def marginal_gain(state: ObjectiveState, j: int) -> float:
     """Objective decrease from adding candidate j:
     ``alpha * u_j A^{-2} u_j^H / (1 + alpha * u_j A^{-1} u_j^H)``."""
     if j in state.selected:
         raise CandidateError(f"index {j} is already selected")
-    problem = problem or state.problem
+    alpha = state.problem.pilot_snr
     _, quad, norm2 = _update_terms(state, j)
-    return problem.pilot_snr * norm2 / (1.0 + problem.pilot_snr * quad)
+    return alpha * norm2 / (1.0 + alpha * quad)
 
 
 def gains_for_candidates(A_inv: np.ndarray, rows: np.ndarray, alpha: float) -> np.ndarray:
     """Vectorized marginal gains for every row in ``rows`` against ``A_inv``."""
-    Z = (rows @ A_inv).conj()
-    norm2 = np.einsum("ij,ij->i", Z, Z.conj()).real
-    quad = np.einsum("ij,ij->i", rows, Z).real
+    _, quad, norm2 = _row_terms(A_inv, rows)
     return alpha * norm2 / (1.0 + alpha * quad)
 
 
@@ -340,22 +349,16 @@ def rank_one_update(state: ObjectiveState, j: int, sign: str) -> ObjectiveState:
         z, quad, _ = _update_terms(state, j)
         denom = 1.0 + alpha * quad
         state.A_inv -= (alpha / denom) * np.outer(z, z.conj())
+        # Symmetrize to suppress drift over long update chains.
+        state.A_inv = 0.5 * (state.A_inv + state.A_inv.conj().T)
         state.selected.add(j)
     elif sign == "remove":
         if j not in state.selected:
             raise CandidateError(f"cannot remove {j}: not selected")
-        z, quad, _ = _update_terms(state, j)
-        denom = 1.0 - alpha * quad
-        if denom <= 1e-12:
-            raise DegenerateUpdateError(
-                f"removal of {j} hit denominator {denom:g}; state is inconsistent"
-            )
-        state.A_inv += (alpha / denom) * np.outer(z, z.conj())
+        _, state.A_inv = removal_terms(state, j)
         state.selected.discard(j)
     else:
         raise ValueError(f"sign must be 'add' or 'remove', got {sign!r}")
-    # Symmetrize to suppress drift over long update chains.
-    state.A_inv = 0.5 * (state.A_inv + state.A_inv.conj().T)
     state.value = float(np.trace(state.A_inv).real)
     return state
 
@@ -372,7 +375,7 @@ def removal_terms(state: ObjectiveState, i: int):
     return increase, 0.5 * (A_inv_without + A_inv_without.conj().T)
 
 
-def swap_delta(state: ObjectiveState, i: int, j: int, problem: DesignProblem | None = None) -> float:
+def swap_delta(state: ObjectiveState, i: int, j: int) -> float:
     """Exact objective change of swapping selected i for unselected j.
 
     Negative means the swap improves.  Composed from two rank-one updates, no
@@ -382,7 +385,7 @@ def swap_delta(state: ObjectiveState, i: int, j: int, problem: DesignProblem | N
         raise CandidateError(f"swap source {i} is not selected")
     if j in state.selected:
         raise CandidateError(f"swap target {j} is already selected")
-    problem = problem or state.problem
+    problem = state.problem
     increase, A_inv_without = removal_terms(state, i)
     gain = gains_for_candidates(A_inv_without, problem.rows[j : j + 1], problem.pilot_snr)[0]
     return increase - float(gain)
@@ -392,18 +395,16 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
     """Objective change of every swap at once: entry (a, b) is
     ``swap_delta(state, selected[a], candidates[b])`` up to rounding.
 
-    With ``Z = U A^{-1}``, removing i adds ``t_i z_i z_i^H`` to ``A^{-1}``
-    (``t_i = alpha / (1 - alpha q_i)``), which shifts each candidate's
-    quadratic form by ``t_i |D_ij|^2`` and its squared norm by
+    With ``z_k = A^{-1} u_k^H``, removing i adds ``t_i z_i z_i^H`` to
+    ``A^{-1}`` (``t_i = alpha / (1 - alpha q_i)``), which shifts each
+    candidate's quadratic form by ``t_i |D_ij|^2`` and its squared norm by
     ``2 t_i Re(D_ij conj(E_ij)) + t_i^2 |D_ij|^2 n_i``, where
-    ``D = Z_S U_C^H`` and ``E = Z_S Z_C^H``.  Two matrix products thus give
-    all K x (P - K) deltas (the Fedorov exchange screen).
+    ``D_ij = u_i A^{-1} u_j^H`` and ``E_ij = z_i^H z_j``.  Two matrix
+    products thus give all K x (P - K) deltas (the Fedorov exchange screen).
     """
     alpha = state.problem.pilot_snr
     U = state.problem.rows
-    Z = U @ state.A_inv
-    quad = np.einsum("ij,ij->i", Z, U.conj()).real
-    norm2 = np.einsum("ij,ij->i", Z, Z.conj()).real
+    Z, quad, norm2 = _row_terms(state.A_inv, U)
     denom = 1.0 - alpha * quad[selected]
     if denom.min() <= 1e-12:
         a = int(np.argmin(denom))
@@ -411,9 +412,10 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
             f"removal of {selected[a]} hit denominator {denom[a]:g}"
         )
     t = (alpha / denom)[:, None]
-    Z_S, norm2_S = Z[selected], norm2[selected][:, None]
+    # The rows of Z_S are z_i^H = u_i A^{-1}.
+    Z_S, norm2_S = Z[selected].conj(), norm2[selected][:, None]
     D = Z_S @ U[candidates].conj().T
-    E = Z_S @ Z[candidates].conj().T
+    E = Z_S @ Z[candidates].T
     D2 = D.real**2 + D.imag**2
     quad_after = quad[candidates] + t * D2
     norm2_after = norm2[candidates] + 2.0 * t * (D * E.conj()).real + t**2 * D2 * norm2_S
@@ -422,10 +424,8 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
 
 def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:
     """Gradient of the relaxed objective: ``-alpha * u_i A^{-2} u_i^H`` per cell."""
-    A_inv = np.linalg.inv(build_A(problem, allocation))
-    A_inv = 0.5 * (A_inv + A_inv.conj().T)
-    Z = (problem.rows @ A_inv).conj()
-    return -problem.pilot_snr * np.einsum("ij,ij->i", Z, Z.conj()).real
+    _, _, norm2 = _row_terms(_inverse(problem, allocation), problem.rows)
+    return -problem.pilot_snr * norm2
 
 
 def error_covariance(problem: DesignProblem, pattern) -> np.ndarray:
@@ -438,6 +438,5 @@ def error_covariance(problem: DesignProblem, pattern) -> np.ndarray:
         raise ComplexityGuardError(
             f"refusing {problem.grid.size}^2 error covariance (limit {MAX_DENSE_GRID})"
         )
-    A_inv = np.linalg.inv(build_A(problem, pattern))
-    C_e = problem.rows @ A_inv @ problem.rows.conj().T
+    C_e = problem.rows @ _inverse(problem, pattern) @ problem.rows.conj().T
     return 0.5 * (C_e + C_e.conj().T)

@@ -81,18 +81,6 @@ class DesignReport:
         """Exact LMMSE error of the pattern, computed when first read."""
         return average_mse(self.problem, self.pattern)
 
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "K": self.budget_used,
-            "indices": list(self.pattern.indices),
-            "objective": self.objective,
-            "average_mse": self.average_mse,
-            "initial_objective": self.initial_objective,
-            "swap_iterations": self.swap_iterations,
-            "wall_time": self.wall_time,
-        }
-
 
 def _report(problem, pattern, objective, method, initial, swaps, t0):
     return DesignReport(
@@ -255,8 +243,7 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
         j = int(np.argmax(gains))
         rank_one_update(state, j, "add")
         unselected[j] = False
-    pattern = PilotPattern(tuple(sorted(state.selected)), problem.grid)
-    return _report(problem, pattern, state.value, METHOD_GREEDY, initial, 0, t0)
+    return _report(problem, state.pattern(), state.value, METHOD_GREEDY, initial, 0, t0)
 
 
 def _best_swap(state: ObjectiveState, selected: list, candidates: np.ndarray):
@@ -293,7 +280,6 @@ def local_swap(
     problem: DesignProblem,
     init: PilotPattern,
     max_passes: int = 100,
-    method: str = "swap",
 ) -> DesignReport:
     """Fedorov exchange: apply the best improving (i out, j in) swap per pass.
 
@@ -327,8 +313,7 @@ def local_swap(
         rank_one_update(state, pair[0], "remove")
         rank_one_update(state, pair[1], "add")
         accepted += 1
-    pattern = PilotPattern(tuple(sorted(state.selected)), problem.grid)
-    return _report(problem, pattern, state.value, method, initial, accepted, t0)
+    return _report(problem, state.pattern(), state.value, "swap", initial, accepted, t0)
 
 
 @dataclass(frozen=True)
@@ -420,7 +405,7 @@ def greedy_swap_design(problem: DesignProblem, max_passes: int = 100) -> DesignR
     """Greedy initialization refined by local swaps."""
     t0 = time.perf_counter()
     seeded = greedy_design(problem)
-    refined = local_swap(problem, seeded.pattern, max_passes, method=METHOD_GREEDY_SWAP)
+    refined = local_swap(problem, seeded.pattern, max_passes)
     return _report(
         problem,
         refined.pattern,
@@ -456,7 +441,7 @@ def relax_round_swap_design(
         pattern = dependent_rounding(allocation, seed, grid=problem.grid)
         rounded_obj = objective_value(problem, pattern)
         if refine:
-            refined = local_swap(problem, pattern, max_passes, method=method)
+            refined = local_swap(problem, pattern, max_passes)
             reports.append(
                 _report(
                     problem,

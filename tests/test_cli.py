@@ -13,6 +13,7 @@ from pilotopt.cli import (
     EXIT_OK,
     budget_pilots,
     derive_rounding_seed,
+    VALID_METHODS,
     load_pattern,
     main,
     parse_config,
@@ -71,10 +72,23 @@ class TestConfigParsing:
             {"pilot_budget": [1.3]},
             {"methods": ["simulated-annealing"]},
             {"methods": []},
+            {"methods": ["greedy", "greedy"]},
             {"scattering": {"spreading_factor": -1}},
             {"scattering": {"spreading_factor": 0.001, "bogus_knob": 1}},
+            {"scattering": {"spreading_factor": 0.001, "delay_profile": "bogus"}},
             {"grid": {"M": 12}},
+            {"grid": {"M": 12.5, "N": 14}},
             {"typo_field": 3},
+            {"seeds": ["a"]},
+            {"seeds": 1.5},
+            {"seeds": [-1]},
+            {"seeds": []},
+            {"rounding_repeats": "x"},
+            {"rounding_repeats": True},
+            {"scattering": [1]},
+            {"scattering": {"spreading_factor": []}},
+            {"pilot_budget": []},
+            {"output_dir": 5},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -215,15 +229,6 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_BAD_CONFIG
 
-    def test_threads_match_serial(self, tmp_path):
-        cfg_path = write_config(tmp_path, {"pilot_budget": [0.05, 0.1], "seeds": [0, 1]})
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["sweep", "--config", str(cfg_path), "--out", str(out1), "--threads", "1"])
-        main(["sweep", "--config", str(cfg_path), "--out", str(out2), "--threads", "4"])
-        rows1 = [{k: v for k, v in r.items() if k != "wall_time"} for r in read_csv(out1 / "sweep.csv")]
-        rows2 = [{k: v for k, v in r.items() if k != "wall_time"} for r in read_csv(out2 / "sweep.csv")]
-        assert rows1 == rows2
-
 
 class TestStructureCommand:
     def test_snr_axis_outputs(self, tmp_path):
@@ -283,6 +288,12 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    def test_malformed_field_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"seeds": ["a"]})
+        assert main(["design", "--config", str(cfg_path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'seeds'" in err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["design", "--config", str(tmp_path / "nope.json")]) == EXIT_BAD_CONFIG
 
@@ -315,6 +326,7 @@ class TestErrorPaths:
         main(["design", "--config", str(cfg_path), "--out", str(out), "--seed", "5"])
         assert (out / "design_greedy-swap_seed5.json").exists()
         assert not (out / "design_greedy-swap_seed0.json").exists()
+        assert main(["design", "--config", str(cfg_path), "--seed", "-1"]) == EXIT_BAD_CONFIG
 
 
 class TestReportedMse:
@@ -349,3 +361,20 @@ class TestReportedMse:
                 assert len(pattern) == outcome["K"]
                 exact = analytic_mse(stats, pattern, sigma_p, noise_var)
                 assert row["average_mse"] == pytest.approx(exact, rel=1e-6), method
+
+
+class TestRunPoint:
+    INTEGER_KEYS = {"indices", "objective", "average_mse", "K", "swap_iterations", "wall_time"}
+    DOCUMENTED_KEYS = {
+        "cr": {"weights", "objective", "average_mse", "K", "converged", "swap_iterations", "wall_time"},
+        "cr-round-swap": INTEGER_KEYS | {"distribution"},
+    }
+
+    def test_every_method_has_a_runner(self, stats_4x4):
+        cfg = parse_config({**BASE_CONFIG, "grid": {"M": 4, "N": 4}, "pilot_budget": 3})
+        outcomes = run_point(cfg, stats_4x4, 3, 10.0, 0, VALID_METHODS, repeats=2)
+        assert tuple(outcomes) == VALID_METHODS
+        for method, outcome in outcomes.items():
+            expected = self.DOCUMENTED_KEYS.get(method, self.INTEGER_KEYS)
+            assert set(outcome) in (expected, {"error", "K"}), method
+

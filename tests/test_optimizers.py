@@ -35,7 +35,8 @@ from pilotopt.errors import (
     LatticeError,
     NoFeasibleLatticeError,
 )
-from pilotopt.optimizers import greedy_swap_design
+from pilotopt.cli import derive_rounding_seed
+from pilotopt.optimizers import greedy_swap_design, relax_round_swap_design
 
 # Hand enumeration of the diamond with spacing (4, 2) on the 12x14 grid:
 # even pilot columns n in {0,4,8,12} carry m in {0,4,8}; odd pilot columns
@@ -379,6 +380,17 @@ class TestPipelines:
         rounded_refined = local_swap(problem_rb, rounded)
         gap = abs(greedy_refined.objective - rounded_refined.objective)
         assert gap <= 0.02 * min(greedy_refined.objective, rounded_refined.objective)
+
+    def test_tied_roundings_keep_their_best_pattern(self):
+        # Refined roundings here tie to the last bits: single-row updates in
+        # row form (u_j A^-1 instead of A^-1 u_j^H) pick another best one,
+        # (0, 1, 10, 11, 76, 80, 84, 89, 95, 156, 157, 166, 167) after 6 swaps.
+        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=1e-3))
+        problem = make_design_problem(stats, K=13, snr_db=20.0)
+        seeds = [derive_rounding_seed(0, i) for i in range(50)]
+        best, _ = relax_round_swap_design(problem, seeds)
+        assert best.swap_iterations == 3
+        assert best.pattern.indices == (0, 1, 10, 11, 72, 77, 83, 88, 92, 156, 157, 166, 167)
 
     def test_diamond_vs_rect_report(self, stats_rb):
         # The literature favors diamonds on infinite grids; on this finite
