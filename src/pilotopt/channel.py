@@ -129,7 +129,8 @@ class ScatteringSpec:
             warnings.warn(
                 f"spreading factor {self.spreading_factor:g} >= 0.1 violates the "
                 "underspread assumption; results may be meaningless",
-                stacklevel=2,
+                # 1 is here, 2 the generated __init__, 3 its caller.
+                stacklevel=3,
             )
 
 

@@ -68,14 +68,16 @@ def sample_channels(stats: ChannelStatistics, count: int, rng: np.random.Generat
 
     Each realization is ``vec(L_f Z L_t^T)`` with Z i.i.d. standard complex
     Gaussian, so the covariance is ``C_t (x) C_f`` under the column-major
-    vectorization.
+    vectorization.  The colouring is two batched matrix products, which cost
+    O(count*M*N*(M+N)) multiply-adds.
     """
     M, N = stats.grid.M, stats.grid.N
     L_f = _factor_sqrt(stats.freq_corr)
     L_t = _factor_sqrt(stats.time_corr.astype(np.complex128))
     parts = rng.standard_normal((count, M, N, 2))
     Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-    G = np.einsum("ma,zab,nb->zmn", L_f, Z, L_t)
+    del parts
+    G = L_f @ Z @ L_t.T
     # Flatten (m, n) to k = n*M + m: symbol-major order.
     return G.transpose(0, 2, 1).reshape(count, M * N)
 
@@ -252,7 +254,11 @@ def run_simulation(
                 parts[..., 0] + 1j * parts[..., 1]
             )
         parts = rng.standard_normal((count, P, 2))
-        Y = X * G + np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+        # Y = X * G + noise, formed in X's buffer to hold one block less.
+        Y = X
+        Y *= G
+        Y += np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+        del parts
         G_hat = Y[:, idx] @ W.T
         err2 = np.abs(G - G_hat) ** 2
         sq_cell_sum += err2.sum(axis=0)

@@ -250,7 +250,7 @@ def build_A(problem: DesignProblem, pattern, full: bool = False) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def _inverse(problem: DesignProblem, pattern) -> np.ndarray:
+def information_inverse(problem: DesignProblem, pattern) -> np.ndarray:
     """Hermitian ``A^{-1}`` on the design basis for a pattern or allocation."""
     A_inv = np.linalg.inv(build_A(problem, pattern))
     return 0.5 * (A_inv + A_inv.conj().T)
@@ -258,7 +258,7 @@ def _inverse(problem: DesignProblem, pattern) -> np.ndarray:
 
 def objective_value(problem: DesignProblem, pattern) -> float:
     """The design objective ``trace(A^{-1})`` for a pattern or allocation."""
-    return float(np.trace(_inverse(problem, pattern)).real)
+    return float(np.trace(information_inverse(problem, pattern)).real)
 
 
 def average_mse(problem: DesignProblem, pattern) -> float:
@@ -296,7 +296,7 @@ class ObjectiveState:
 
     @classmethod
     def from_pattern(cls, problem: DesignProblem, pattern: PilotPattern) -> "ObjectiveState":
-        A_inv = _inverse(problem, pattern)
+        A_inv = information_inverse(problem, pattern)
         return cls(problem, A_inv, float(np.trace(A_inv).real), set(pattern.indices))
 
     def pattern(self) -> PilotPattern:
@@ -422,10 +422,16 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
     return t * norm2_S - alpha * norm2_after / (1.0 + alpha * quad_after)
 
 
+def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarray:
+    """Relaxed-objective gradient ``-alpha * u_i A^{-2} u_i^H`` per cell, from
+    an ``A^{-1}`` already formed by ``information_inverse``."""
+    _, _, norm2 = _row_terms(A_inv, problem.rows)
+    return -problem.pilot_snr * norm2
+
+
 def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:
     """Gradient of the relaxed objective: ``-alpha * u_i A^{-2} u_i^H`` per cell."""
-    _, _, norm2 = _row_terms(_inverse(problem, allocation), problem.rows)
-    return -problem.pilot_snr * norm2
+    return gradient_from_inverse(problem, information_inverse(problem, allocation))
 
 
 def error_covariance(problem: DesignProblem, pattern) -> np.ndarray:
@@ -438,5 +444,5 @@ def error_covariance(problem: DesignProblem, pattern) -> np.ndarray:
         raise ComplexityGuardError(
             f"refusing {problem.grid.size}^2 error covariance (limit {MAX_DENSE_GRID})"
         )
-    C_e = problem.rows @ _inverse(problem, pattern) @ problem.rows.conj().T
+    C_e = problem.rows @ information_inverse(problem, pattern) @ problem.rows.conj().T
     return 0.5 * (C_e + C_e.conj().T)

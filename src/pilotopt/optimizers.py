@@ -35,7 +35,8 @@ from .objective import (
     PilotPattern,
     average_mse,
     gains_for_candidates,
-    objective_gradient,
+    gradient_from_inverse,
+    information_inverse,
     objective_value,
     removal_terms,
     rank_one_update,
@@ -132,12 +133,14 @@ def solve_relaxation(
     Converged when the unit-step projected-gradient residual norm drops below
     ``tol``; otherwise the best iterate is returned with ``converged=False``
     and a warning.  Steps use a Barzilai-Borwein guess safeguarded by Armijo
-    backtracking (constant 1e-4, shrink 0.5) along the projection arc.
+    backtracking (constant 1e-4, shrink 0.5) along the projection arc.  Each
+    iterate's ``A^{-1}`` gives both its objective and its gradient.
     """
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
-    f = objective_value(problem, w)
-    grad = objective_gradient(problem, w)
+    A_inv = information_inverse(problem, w)
+    f = float(np.trace(A_inv).real)
+    grad = gradient_from_inverse(problem, A_inv)
     best_w, best_f = w.copy(), f
     step = 1.0 / max(float(np.abs(grad).max()), 1e-12)
     converged = False
@@ -154,14 +157,15 @@ def solve_relaxation(
             move = cand - w
             if not move.any():
                 break
-            f_cand = objective_value(problem, cand)
+            A_inv = information_inverse(problem, cand)
+            f_cand = float(np.trace(A_inv).real)
             if f_cand <= f + 1e-4 * float(grad @ move):
                 w_new, f_new = cand, f_cand
                 break
             t *= 0.5
         if w_new is None:
             break  # no feasible decrease left at machine precision
-        grad_new = objective_gradient(problem, w_new)
+        grad_new = gradient_from_inverse(problem, A_inv)
         dw, dg = w_new - w, grad_new - grad
         bb = float(dw @ dw) / float(dw @ dg) if float(dw @ dg) > 0 else 2.0 * t
         step = min(max(bb, 1e-12), 1e12)
@@ -184,46 +188,57 @@ def dependent_rounding(
 ) -> PilotPattern:
     """Round a fractional allocation to exactly K pilots.
 
-    Repeatedly takes the two lowest-indexed fractional coordinates (i, j) and
-    shifts mass between them: with probability ``delta-/(delta+ + delta-)``
-    move ``delta+ = min(1-c[i], c[j])`` from j to i, otherwise move
-    ``delta- = min(c[i], 1-c[j])`` from i to j.  Each draw pins at least one
-    coordinate to {0, 1}, marginals are preserved, and the budget holds almost
-    surely.  ``grid`` defaults to a 1-symbol grid of matching size.
+    Scans the fractional coordinates once in index order, pairing the
+    fractional survivor of the last step (i) with the next fractional
+    coordinate (j), and shifts mass between them: with probability
+    ``delta-/(delta+ + delta-)`` move ``delta+ = min(1-c[i], c[j])`` from j to
+    i, otherwise move ``delta- = min(c[i], 1-c[j])`` from i to j.  Each step
+    pins at least one of the pair to {0, 1}, marginals are preserved, and the
+    budget holds almost surely.  ``rng_seed`` is an integer seed of
+    ``np.random.default_rng``; the uniforms of all steps are drawn at once.
+    ``grid`` defaults to a 1-symbol grid of matching size.
     """
     if isinstance(allocation, FractionalAllocation):
         w, K = allocation.weights, allocation.budget
     else:
         w = np.asarray(allocation, dtype=float)
         K = int(round(w.sum()))
-    if abs(w.sum() - round(w.sum())) > 1e-6:
-        raise InfeasibleAllocationError(
-            f"allocation sums to {w.sum():.9f}, not an integer"
-        )
-    if np.any(w < -1e-9) or np.any(w > 1 + 1e-9):
-        raise InfeasibleAllocationError("allocation entries outside [0, 1]")
+    total = float(w.sum())
+    if abs(total - round(total)) > 1e-6:
+        raise InfeasibleAllocationError(f"allocation sums to {total:.9f}, not an integer")
     if grid is None:
         grid = GridConfig(M=w.size, N=1)
     elif grid.size != w.size:
         raise InfeasibleAllocationError("allocation length does not match the grid")
+    if w.min() < -1e-9 or w.max() > 1 + 1e-9:
+        raise InfeasibleAllocationError("allocation entries outside [0, 1]")
 
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    c = [min(max(float(x), 0.0), 1.0) for x in w]
+    rng = np.random.default_rng(rng_seed)
     eps = 1e-9
-    fractional = [k for k, x in enumerate(c) if eps < x < 1.0 - eps]
-    while len(fractional) >= 2:
-        i, j = fractional[0], fractional[1]
-        d_plus = min(1.0 - c[i], c[j])
-        d_minus = min(c[i], 1.0 - c[j])
-        if rng.uniform() <= d_minus / (d_plus + d_minus):
-            c[i] += d_plus
-            c[j] -= d_plus
+    fractional = np.flatnonzero((w > eps) & (w < 1.0 - eps))
+    values = w[fractional].tolist()
+    draws = iter(rng.uniform(size=max(len(values) - 1, 0)).tolist())
+    i = ci = None  # position in ``values`` and value of the fractional survivor
+    for j, cj in enumerate(values):
+        if i is None:
+            i, ci = j, cj
+            continue
+        up, down = 1.0 - ci, 1.0 - cj
+        d_plus = up if up < cj else cj
+        d_minus = ci if ci < down else down
+        if next(draws) <= d_minus / (d_plus + d_minus):
+            ci, cj = ci + d_plus, cj - d_plus
         else:
-            c[i] -= d_minus
-            c[j] += d_minus
-        fractional = [k for k in fractional if eps < c[k] < 1.0 - eps]
+            ci, cj = ci - d_minus, cj + d_minus
+        values[i], values[j] = ci, cj
+        if not eps < ci < 1.0 - eps:
+            i, ci = (j, cj) if eps < cj < 1.0 - eps else (None, None)
 
-    indices = tuple(k for k, x in enumerate(c) if x > 0.5)
+    # Entries outside (eps, 1 - eps) are already pinned; clipping them to
+    # [0, 1] would not move them across 0.5.
+    ones = w > 0.5
+    ones[fractional] = [x > 0.5 for x in values]
+    indices = tuple(np.flatnonzero(ones).tolist())
     if len(indices) != K:
         raise InfeasibleAllocationError(
             f"rounding produced {len(indices)} pilots, expected {K}"
@@ -362,12 +377,36 @@ def lattice_pattern(grid: GridConfig, params: LatticeParams) -> PilotPattern:
     return PilotPattern(tuple(indices), grid)
 
 
-def _lattice_params_iter(grid: GridConfig, staggered: bool):
+def lattice_count(
+    grid: GridConfig,
+    freq_spacing: int,
+    time_spacing: int,
+    freq_offset: int = 0,
+    time_offset: int = 0,
+    staggered: bool = False,
+    wrap: bool = False,
+) -> int:
+    """``len(lattice_pattern(grid, LatticeParams(...)))`` in closed form, from
+    the ``LatticeParams`` fields."""
+    rows = (grid.M - 1 - freq_offset) // freq_spacing + 1
+    cols = (grid.N - 1 - time_offset) // time_spacing + 1
+    if not staggered or wrap:
+        return rows * cols
+    # Every second column keeps the rows that stay on the grid when shifted.
+    shifted = max((grid.M - 1 - freq_offset - freq_spacing // 2) // freq_spacing + 1, 0)
+    return rows * ((cols + 1) // 2) + shifted * (cols // 2)
+
+
+def _lattices(grid: GridConfig, staggered: bool, counts: range):
+    """(count, params) of every lattice of one shape whose pilot count is in
+    ``counts``, in (freq_spacing, time_spacing, offsets) order."""
     for f_sp in range(1, grid.M + 1):
         for t_sp in range(1, grid.N + 1):
             for f_off in range(f_sp):
                 for t_off in range(t_sp):
-                    yield LatticeParams(f_sp, t_sp, f_off, t_off, staggered=staggered)
+                    count = lattice_count(grid, f_sp, t_sp, f_off, t_off, staggered)
+                    if count in counts:
+                        yield count, LatticeParams(f_sp, t_sp, f_off, t_off, staggered=staggered)
 
 
 def best_lattice(problem: DesignProblem, grid: GridConfig, shape: str) -> DesignReport:
@@ -375,16 +414,16 @@ def best_lattice(problem: DesignProblem, grid: GridConfig, shape: str) -> Design
 
     All spacing/offset combinations with exactly K pilots are scored.  If no
     lattice hits K, the largest count K' in [K-2, K) with candidates is used
-    instead and alpha is recomputed for K'.
+    instead and alpha is recomputed for K'.  Only lattices whose closed-form
+    count lies in [K-2, K] are built.
     """
     if shape not in (METHOD_RECT, METHOD_DIAMOND):
         raise LatticeError(f"shape must be 'rect' or 'diamond', got {shape!r}")
     t0 = time.perf_counter()
     staggered = shape == METHOD_DIAMOND
     by_count: dict[int, list] = {}
-    for params in _lattice_params_iter(grid, staggered):
-        pattern = lattice_pattern(grid, params)
-        by_count.setdefault(len(pattern), []).append(pattern)
+    for count, params in _lattices(grid, staggered, range(problem.budget - 2, problem.budget + 1)):
+        by_count.setdefault(count, []).append(lattice_pattern(grid, params))
 
     for K_used in range(problem.budget, problem.budget - 3, -1):
         if K_used in by_count and K_used >= 1:
@@ -439,8 +478,8 @@ def relax_round_swap_design(
     for seed in rounding_seeds:
         t0 = time.perf_counter()
         pattern = dependent_rounding(allocation, seed, grid=problem.grid)
-        rounded_obj = objective_value(problem, pattern)
         if refine:
+            # The swap run's initial objective is the rounded pattern's.
             refined = local_swap(problem, pattern, max_passes)
             reports.append(
                 _report(
@@ -448,12 +487,13 @@ def relax_round_swap_design(
                     refined.pattern,
                     refined.objective,
                     method,
-                    rounded_obj,
+                    refined.initial_objective,
                     refined.swap_iterations,
                     t0,
                 )
             )
         else:
+            rounded_obj = objective_value(problem, pattern)
             reports.append(
                 _report(problem, pattern, rounded_obj, method, rounded_obj, 0, t0)
             )

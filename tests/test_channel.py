@@ -138,8 +138,9 @@ class TestCorrelationMatrices:
             )
 
     def test_underspread_warning(self):
-        with pytest.warns(UserWarning, match="underspread"):
+        with pytest.warns(UserWarning, match="underspread") as caught:
             ScatteringSpec(spreading_factor=0.1)
+        assert caught[0].filename == __file__
 
 
 class TestGridConfig:

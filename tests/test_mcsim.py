@@ -16,6 +16,7 @@ from pilotopt import (
 from pilotopt.channel import full_covariance
 from pilotopt.errors import InvalidSpecError
 from pilotopt.mcsim import (
+    _factor_sqrt,
     analytic_mse,
     lmmse_estimate,
     lmmse_estimate_full,
@@ -41,6 +42,20 @@ class TestSampleChannel:
         power = np.mean(np.abs(draws) ** 2, axis=0)
         # var(|g|^2) = 1 for CN(0,1), so the standard error is 1/sqrt(n).
         assert np.abs(power - 1.0).max() < 3.0 / np.sqrt(10_000)
+
+    @pytest.mark.parametrize("stats", ["stats_4x4", "stats_rb"])
+    def test_matches_einsum_colouring(self, stats, request):
+        # Reference: the same draws coloured by one einsum over both factors.
+        stats = request.getfixturevalue(stats)
+        M, N = stats.grid.M, stats.grid.N
+        draws = sample_channels(stats, 50, np.random.default_rng(3))
+        parts = np.random.default_rng(3).standard_normal((50, M, N, 2))
+        Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+        L_f = _factor_sqrt(stats.freq_corr)
+        L_t = _factor_sqrt(stats.time_corr.astype(np.complex128))
+        G = np.einsum("ma,zab,nb->zmn", L_f, Z, L_t)
+        ref = G.transpose(0, 2, 1).reshape(50, M * N)
+        assert np.abs(draws - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_sample_covariance_matches(self, stats_4x4):
         draws = sample_channels(stats_4x4, 10_000, np.random.default_rng(2))

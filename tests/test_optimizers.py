@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import warnings
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotopt import (
     DesignProblem,
@@ -36,7 +39,7 @@ from pilotopt.errors import (
     NoFeasibleLatticeError,
 )
 from pilotopt.cli import derive_rounding_seed
-from pilotopt.optimizers import greedy_swap_design, relax_round_swap_design
+from pilotopt.optimizers import greedy_swap_design, lattice_count, relax_round_swap_design
 
 # Hand enumeration of the diamond with spacing (4, 2) on the 12x14 grid:
 # even pilot columns n in {0,4,8,12} carry m in {0,4,8}; odd pilot columns
@@ -71,6 +74,33 @@ def exact_capped_simplex_projection(v, K):
             theta = (v[free].sum() + n_up - K) / free.sum()
         return np.clip(v - theta, 0.0, 1.0)
     raise AssertionError("no active set matched")
+
+
+def list_rebuild_rounding(w, rng_seed):
+    """Reference: the dependent rounding that re-pairs the two lowest-indexed
+    fractional coordinates after every step, rebuilding the fractional list."""
+    rng = np.random.default_rng(rng_seed)
+    c = [min(max(float(x), 0.0), 1.0) for x in w]
+    eps = 1e-9
+    fractional = [k for k, x in enumerate(c) if eps < x < 1.0 - eps]
+    while len(fractional) >= 2:
+        i, j = fractional[0], fractional[1]
+        d_plus = min(1.0 - c[i], c[j])
+        d_minus = min(c[i], 1.0 - c[j])
+        if rng.uniform() <= d_minus / (d_plus + d_minus):
+            c[i] += d_plus
+            c[j] -= d_plus
+        else:
+            c[i] -= d_minus
+            c[j] += d_minus
+        fractional = [k for k in fractional if eps < c[k] < 1.0 - eps]
+    return tuple(k for k, x in enumerate(c) if x > 0.5)
+
+
+def criterion_4_allocation():
+    """The P=16, K=5 allocation of ``validation.check_dependent_rounding``."""
+    rng = np.random.default_rng(99)
+    return FractionalAllocation(project_capped_simplex(rng.uniform(0.05, 0.95, size=16), 5), 5)
 
 
 def dft_symmetric_problem(M=4, N=4, r=5, K=6, alpha=3.0):
@@ -192,6 +222,38 @@ class TestDependentRounding:
         with pytest.raises(InfeasibleAllocationError):
             dependent_rounding(np.array([0.5, 0.2]), rng_seed=0)
 
+    @pytest.mark.parametrize("case", ["12x14-K17", "criterion-4", "halves"])
+    def test_matches_list_rebuild_reference(self, case):
+        grid = None
+        if case == "12x14-K17":
+            stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=5e-3))
+            problem = make_design_problem(stats, K=17, snr_db=20.0)
+            alloc, grid = solve_relaxation(problem), problem.grid
+        elif case == "criterion-4":
+            alloc = criterion_4_allocation()
+        else:  # every step pins both coordinates of its pair
+            alloc = FractionalAllocation(np.full(8, 0.5), 4)
+        for seed in range(2000):
+            pattern = dependent_rounding(alloc, rng_seed=seed, grid=grid)
+            assert pattern.indices == list_rebuild_rounding(alloc.weights, seed), seed
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        values=st.lists(st.floats(-2.0, 3.0), min_size=2, max_size=40),
+        budget_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_projection_rounds_to_budget_as_reference(self, values, budget_fraction, seed):
+        v = np.array(values)
+        K = min(max(round(budget_fraction * v.size), 1), v.size)
+        w = project_capped_simplex(v, K)
+        assert w.min() >= 0.0 and w.max() <= 1.0
+        assert abs(w.sum() - K) <= 1e-9
+        assert np.abs(w - exact_capped_simplex_projection(v, K)).max() < 1e-9
+        pattern = dependent_rounding(FractionalAllocation(w, K), rng_seed=seed)
+        assert len(pattern) == K
+        assert pattern.indices == list_rebuild_rounding(w, seed)
+
 
 class TestGreedy:
     def test_rank_one_picks_largest_row(self):
@@ -308,6 +370,16 @@ class TestLatticePattern:
     def test_diamond_golden_enumeration(self, grid_rb):
         pattern = lattice_pattern(grid_rb, LatticeParams(4, 2, staggered=True))
         assert pattern.indices == DIAMOND_4_2_GOLDEN
+
+    @pytest.mark.parametrize("M,N", [(12, 14), (7, 5)])
+    def test_closed_form_count(self, M, N):
+        grid = GridConfig(M, N)
+        for f_sp, t_sp in itertools.product(range(1, M + 1), range(1, N + 1)):
+            for f_off, t_off in itertools.product(range(f_sp), range(t_sp)):
+                for staggered, wrap in ((False, False), (True, False), (True, True)):
+                    params = LatticeParams(f_sp, t_sp, f_off, t_off, staggered, wrap)
+                    count = lattice_count(grid, **dataclasses.asdict(params))
+                    assert count == len(lattice_pattern(grid, params)), params
 
     def test_invalid_params(self):
         with pytest.raises(LatticeError):
