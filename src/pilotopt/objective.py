@@ -200,11 +200,19 @@ class PilotPattern:
 
 @dataclass(frozen=True)
 class FractionalAllocation:
-    """Box-constrained pilot weights summing to the budget K."""
+    """Box-constrained pilot weights summing to the budget K.
+
+    ``converged``, ``iterations`` and ``residual`` record how a solver
+    obtained the weights: whether it reached its tolerance, the gradient
+    steps it took and its final projected-gradient residual norm (NaN when
+    the weights were not solved for).
+    """
 
     weights: np.ndarray
     budget: int
     converged: bool = field(default=True, compare=False)
+    iterations: int = field(default=0, compare=False)
+    residual: float = field(default=float("nan"), compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)

@@ -150,6 +150,56 @@ class TestCappedSimplexProjection:
         with pytest.raises(BudgetError):
             project_capped_simplex(np.zeros(3), 4)
 
+    def test_negative_budget_rejected(self):
+        from pilotopt.errors import BudgetError
+
+        with pytest.raises(BudgetError, match="-1"):
+            project_capped_simplex(np.array([0.2, 0.5, 0.9]), -1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        from pilotopt.errors import NumericError
+
+        with pytest.raises(NumericError, match="non-finite"):
+            project_capped_simplex(np.array([0.2, bad, 0.9]), 1)
+
+
+def _large_projection_cases():
+    """P = 1344 inputs with ties and degenerate segments, and their budgets."""
+    rng = np.random.default_rng(1344)
+    P = 1344
+    levels = rng.normal(scale=1.5, size=12)
+    split = np.concatenate([rng.uniform(1.5, 3.0, 200), rng.uniform(-3.0, -1.5, P - 200)])
+    return {
+        "random": (rng.normal(scale=2.0, size=P), 134),
+        "duplicated": (rng.choice(levels, size=P), 401),
+        "all-equal": (np.full(P, 0.3), 336),
+        # The sum is exactly 200 for every shift in [-1.5, 0.5]: a flat segment.
+        "flat-segment": (rng.permutation(split), 200),
+        # Hundreds of tied maxima: a shift taken from their rounded sum would
+        # leave 1e-17 residues instead of exact zeros.
+        "zero-budget": (np.minimum(rng.normal(size=P), 0.1), 0),
+    }
+
+
+class TestExactProjectionEdgeCases:
+    @pytest.mark.parametrize("case", list(_large_projection_cases()))
+    def test_matches_kkt_oracle_at_1344(self, case):
+        v, K = _large_projection_cases()[case]
+        out = project_capped_simplex(v, K)
+        assert np.abs(out - exact_capped_simplex_projection(v, K)).max() < 1e-12
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert abs(out.sum() - K) <= 1e-12 * max(K, 1)
+
+    def test_all_equal_entries_share_the_budget(self):
+        v, K = _large_projection_cases()["all-equal"]
+        assert np.allclose(project_capped_simplex(v, K), K / v.size, rtol=0, atol=1e-15)
+
+    def test_zero_budget_gives_exact_zeros(self):
+        v, _ = _large_projection_cases()["zero-budget"]
+        out = project_capped_simplex(v, 0)
+        assert np.array_equal(out, np.zeros(v.size))
+
 
 class TestSolveRelaxation:
     def test_full_budget_unique_point(self, problem_4x4):
@@ -182,6 +232,17 @@ class TestSolveRelaxation:
             alloc = solve_relaxation(problem_rb, tol=1e-14, max_iters=2)
         assert not alloc.converged
         assert abs(alloc.weights.sum() - problem_rb.budget) <= 1e-8
+
+    def test_records_iterations_and_residual(self, problem_rb):
+        alloc = solve_relaxation(problem_rb)
+        assert alloc.iterations > 0
+        assert 0.0 <= alloc.residual <= 1e-6
+
+    def test_iteration_cap_warning_quotes_its_counts(self, problem_rb):
+        with pytest.warns(UserWarning, match=r"relaxation stopped after 2 iterations at residual"):
+            alloc = solve_relaxation(problem_rb, tol=1e-14, max_iters=2)
+        assert alloc.iterations == 2
+        assert alloc.residual > 1e-14
 
 
 class TestDependentRounding:
