@@ -10,7 +10,7 @@ from .channel import (
     build_statistics,
     build_time_correlation,
 )
-from .mcsim import SimConfig, run_simulation, sample_channel
+from .mcsim import SimConfig, run_simulation
 from .objective import (
     DesignProblem,
     FractionalAllocation,
@@ -19,7 +19,6 @@ from .objective import (
     average_mse,
     build_A,
     compute_alpha,
-    error_covariance,
     make_design_problem,
     marginal_gain,
     objective_gradient,
@@ -60,7 +59,6 @@ __all__ = [
     "build_time_correlation",
     "compute_alpha",
     "dependent_rounding",
-    "error_covariance",
     "exhaustive_search",
     "greedy_design",
     "lattice_pattern",
@@ -72,7 +70,6 @@ __all__ = [
     "project_capped_simplex",
     "rank_one_update",
     "run_simulation",
-    "sample_channel",
     "solve_relaxation",
     "swap_delta",
 ]

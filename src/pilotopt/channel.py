@@ -10,23 +10,31 @@ the design objective; every significant pair is kept as well, so that the
 reported LMMSE error of a pattern is exact.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import j0
 
-from .errors import ComplexityGuardError, InvalidSpecError, NumericError
+from .errors import InvalidSpecError, NumericError
 
 # Eigenvalues below this fraction of the largest one are always dropped from
 # the reduced-rank basis, regardless of the energy threshold.
 EIGENVALUE_FLOOR = 1e-12
 
-# Diagnostic helpers refuse to materialize covariances larger than this.
-MAX_DENSE_GRID = 4096
+
+def is_finite_number(value) -> bool:
+    """True for a real number that is not a boolean and is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class DelayProfile(str, Enum):
@@ -95,6 +103,12 @@ class ScatteringSpec:
     normalized_doppler_spread: float | None = None
 
     def __post_init__(self):
+        required = ("spreading_factor", "rms_fraction", "rank_energy_threshold", "time_bandwidth")
+        optional = ("normalized_delay_spread", "normalized_doppler_spread")
+        for name in required + optional:
+            value = getattr(self, name)
+            if not (is_finite_number(value) or (value is None and name in optional)):
+                raise InvalidSpecError(f"{name} must be a finite number, got {value!r}")
         if self.spreading_factor <= 0:
             raise InvalidSpecError("spreading_factor must be positive")
         if self.time_bandwidth <= 0:
@@ -104,9 +118,13 @@ class ScatteringSpec:
         if not 0 < self.rank_energy_threshold <= 1:
             raise InvalidSpecError("rank_energy_threshold must be in (0, 1]")
 
-        product = self.time_bandwidth * self.spreading_factor
-        d_f = self.normalized_delay_spread
-        d_t = self.normalized_doppler_spread
+        product = float(self.time_bandwidth) * float(self.spreading_factor)
+        d_f, d_t = (
+            None if d is None else float(d)
+            for d in (self.normalized_delay_spread, self.normalized_doppler_spread)
+        )
+        if (d_f is not None and d_f <= 0) or (d_t is not None and d_t <= 0):
+            raise InvalidSpecError("normalized spreads must be positive")
         if d_f is None and d_t is None:
             d_f = d_t = sqrt(product)
         elif d_f is None:
@@ -118,10 +136,10 @@ class ScatteringSpec:
                 f"d_f*d_t = {d_f * d_t:g} inconsistent with "
                 f"time_bandwidth*spreading_factor = {product:g}"
             )
-        if d_f <= 0 or d_t <= 0:
-            raise InvalidSpecError("normalized spreads must be positive")
-        object.__setattr__(self, "normalized_delay_spread", float(d_f))
-        object.__setattr__(self, "normalized_doppler_spread", float(d_t))
+        if not (0 < d_f < inf and 0 < d_t < inf):
+            raise InvalidSpecError("normalized spreads must be positive and finite")
+        object.__setattr__(self, "normalized_delay_spread", d_f)
+        object.__setattr__(self, "normalized_doppler_spread", d_t)
         object.__setattr__(self, "delay_profile", DelayProfile(self.delay_profile))
         object.__setattr__(self, "doppler_spectrum", DopplerSpectrum(self.doppler_spectrum))
 
@@ -276,15 +294,6 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
         full_eigvals=full_eigvals,
         full_eigvecs=full_eigvecs,
     )
-
-
-def full_covariance(stats: ChannelStatistics) -> np.ndarray:
-    """Dense ``C_g = C_t (x) C_f``; diagnostics only, refused for large grids."""
-    if stats.grid.size > MAX_DENSE_GRID:
-        raise ComplexityGuardError(
-            f"refusing to form a {stats.grid.size}^2 covariance (limit {MAX_DENSE_GRID})"
-        )
-    return np.kron(stats.time_corr, stats.freq_corr)
 
 
 def covariance_columns(stats: ChannelStatistics, indices) -> np.ndarray:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import GridConfig, ScatteringSpec, build_statistics
+from .channel import GridConfig, ScatteringSpec, build_statistics, is_finite_number
 from .errors import BudgetError, ConfigError, PilotOptError
 from .objective import (
     average_mse,
@@ -106,10 +106,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
     try:
@@ -159,8 +155,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     spreading = _as_tuple(scattering_raw.pop("spreading_factor", None), "scattering.spreading_factor")
     _require(spreading != (None,), "field 'scattering.spreading_factor' is required")
     for value in spreading:
-        _require(_is_number(value) and value > 0,
-                 f"field 'scattering.spreading_factor': {value!r} is not a positive number")
+        _require(is_finite_number(value) and value > 0,
+                 f"field 'scattering.spreading_factor': {value!r} is not a finite positive number")
     try:
         ScatteringSpec(spreading_factor=spreading[0], **scattering_raw)
     except (PilotOptError, TypeError, ValueError) as exc:
@@ -170,7 +166,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         list_axes.append("snr_db")
     snr = _as_tuple(raw.get("snr_db", 10.0), "snr_db")
     for value in snr:
-        _require(_is_number(value), f"field 'snr_db': {value!r} is not a number")
+        _require(is_finite_number(value), f"field 'snr_db': {value!r} is not a finite number")
 
     budget_raw = raw.get("pilot_budget")
     _require(budget_raw is not None, "field 'pilot_budget' is required")
@@ -178,7 +174,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(budget_raw, "field 'pilot_budget' must not be an empty list")
         list_axes.insert(0, "density")
         for d in budget_raw:
-            _require(_is_number(d) and 0 < d <= 1,
+            _require(is_finite_number(d) and 0 < d <= 1,
                      f"field 'pilot_budget': density {d!r} outside (0, 1]")
         budgets = tuple(("density", float(d)) for d in budget_raw)
     else:
@@ -189,7 +185,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     beta = raw.get("beta")
     if beta is not None:
-        _require(_is_number(beta) and beta > 0, "field 'beta' must be positive")
+        _require(is_finite_number(beta) and beta > 0, "field 'beta' must be a finite positive number")
 
     methods_raw = raw.get("methods", ["greedy-swap"])
     _require(isinstance(methods_raw, list) and len(methods_raw) >= 1,
@@ -357,8 +353,8 @@ RUNNERS = {
     METHOD_CR_ROUND_SWAP: _run_rounding_swap,
     METHOD_GREEDY: lambda problem, *_: _report_outcome(greedy_design(problem)),
     METHOD_GREEDY_SWAP: lambda problem, *_: _report_outcome(greedy_swap_design(problem)),
-    METHOD_RECT: lambda problem, *_: _report_outcome(best_lattice(problem, problem.grid, METHOD_RECT)),
-    METHOD_DIAMOND: lambda problem, *_: _report_outcome(best_lattice(problem, problem.grid, METHOD_DIAMOND)),
+    METHOD_RECT: lambda problem, *_: _report_outcome(best_lattice(problem, METHOD_RECT)),
+    METHOD_DIAMOND: lambda problem, *_: _report_outcome(best_lattice(problem, METHOD_DIAMOND)),
     METHOD_EXHAUSTIVE: lambda problem, *_: _report_outcome(exhaustive_search(problem)),
 }
 VALID_METHODS = tuple(RUNNERS)
@@ -377,8 +373,10 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     ``cr`` it is the relaxation bound on it.  ``average_mse`` is the exact
     LMMSE error of the pattern at the budget ``K`` actually used; for ``cr``
     it is that of the weights read as per-cell pilot power, which is not a
-    bound.  One relaxation solve is shared by all relaxation-based methods;
-    its time is attributed to the first of them.
+    bound, and it depends on which of the non-unique relaxed optima the
+    solver stops at far more than the objective does.  One relaxation solve
+    is shared by all relaxation-based methods; its time is attributed to the
+    first of them.
     """
     problem = make_design_problem(stats, K=K, snr_db=snr_db, beta=cfg.beta)
     outcomes = {}
@@ -402,15 +400,6 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
         outcome["wall_time"] = shared + time.perf_counter() - t0
         outcomes[method] = outcome
     return outcomes
-
-
-def load_pattern(path):
-    """Reload a pattern written by the design or structure commands."""
-    from .objective import PilotPattern
-
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    grid = GridConfig(data["M"], data["N"])
-    return PilotPattern(tuple(data["indices"]), grid)
 
 
 def _statistics_cache(cfg: ExperimentConfig) -> dict:

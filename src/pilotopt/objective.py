@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .channel import MAX_DENSE_GRID, ChannelStatistics, GridConfig
+from .channel import ChannelStatistics, GridConfig
 from .errors import (
     BudgetError,
     CandidateError,
-    ComplexityGuardError,
     DegenerateUpdateError,
     InvalidSpecError,
     NumericError,
@@ -440,17 +439,3 @@ def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarr
 def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:
     """Gradient of the relaxed objective: ``-alpha * u_i A^{-2} u_i^H`` per cell."""
     return gradient_from_inverse(problem, information_inverse(problem, allocation))
-
-
-def error_covariance(problem: DesignProblem, pattern) -> np.ndarray:
-    """Reduced-rank error covariance ``U_r A^{-1} U_r^H``; diagnostics only.
-
-    An approximation on the design basis: its trace is the design objective
-    ``trace(A^{-1})``, not the exact LMMSE error, which ``average_mse`` gives.
-    """
-    if problem.grid.size > MAX_DENSE_GRID:
-        raise ComplexityGuardError(
-            f"refusing {problem.grid.size}^2 error covariance (limit {MAX_DENSE_GRID})"
-        )
-    C_e = problem.rows @ information_inverse(problem, pattern) @ problem.rows.conj().T
-    return 0.5 * (C_e + C_e.conj().T)

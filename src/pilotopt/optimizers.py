@@ -367,7 +367,6 @@ class LatticeParams:
     freq_offset: int = 0
     time_offset: int = 0
     staggered: bool = False
-    wrap: bool = False
 
     def __post_init__(self):
         if self.freq_spacing < 1 or self.time_spacing < 1:
@@ -383,7 +382,7 @@ def lattice_pattern(grid: GridConfig, params: LatticeParams) -> PilotPattern:
 
     The diamond shifts the subcarrier indices of every second pilot-bearing
     column by half the frequency spacing; shifted pilots falling off the grid
-    edge are dropped unless ``wrap`` is set.
+    edge are dropped.
     """
     rows = np.arange(params.freq_offset, grid.M, params.freq_spacing)
     cols = np.arange(params.time_offset, grid.N, params.time_spacing)
@@ -392,10 +391,7 @@ def lattice_pattern(grid: GridConfig, params: LatticeParams) -> PilotPattern:
     for pos, n in enumerate(cols):
         if params.staggered and pos % 2 == 1:
             m_vals = rows + shift
-            if params.wrap:
-                m_vals = m_vals % grid.M
-            else:
-                m_vals = m_vals[m_vals < grid.M]
+            m_vals = m_vals[m_vals < grid.M]
         else:
             m_vals = rows
         indices.extend(int(n) * grid.M + int(m) for m in m_vals)
@@ -411,13 +407,12 @@ def lattice_count(
     freq_offset: int = 0,
     time_offset: int = 0,
     staggered: bool = False,
-    wrap: bool = False,
 ) -> int:
     """``len(lattice_pattern(grid, LatticeParams(...)))`` in closed form, from
     the ``LatticeParams`` fields."""
     rows = (grid.M - 1 - freq_offset) // freq_spacing + 1
     cols = (grid.N - 1 - time_offset) // time_spacing + 1
-    if not staggered or wrap:
+    if not staggered:
         return rows * cols
     # Every second column keeps the rows that stay on the grid when shifted.
     shifted = max((grid.M - 1 - freq_offset - freq_spacing // 2) // freq_spacing + 1, 0)
@@ -436,7 +431,7 @@ def _lattices(grid: GridConfig, staggered: bool, counts: range):
                         yield count, LatticeParams(f_sp, t_sp, f_off, t_off, staggered=staggered)
 
 
-def best_lattice(problem: DesignProblem, grid: GridConfig, shape: str) -> DesignReport:
+def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
     """Lowest-objective lattice of the given shape and pilot count.
 
     All spacing/offset combinations with exactly K pilots are scored.  If no
@@ -447,6 +442,7 @@ def best_lattice(problem: DesignProblem, grid: GridConfig, shape: str) -> Design
     if shape not in (METHOD_RECT, METHOD_DIAMOND):
         raise LatticeError(f"shape must be 'rect' or 'diamond', got {shape!r}")
     t0 = time.perf_counter()
+    grid = problem.grid
     staggered = shape == METHOD_DIAMOND
     by_count: dict[int, list] = {}
     for count, params in _lattices(grid, staggered, range(problem.budget - 2, problem.budget + 1)):
@@ -467,11 +463,11 @@ def best_lattice(problem: DesignProblem, grid: GridConfig, shape: str) -> Design
     )
 
 
-def greedy_swap_design(problem: DesignProblem, max_passes: int = 100) -> DesignReport:
+def greedy_swap_design(problem: DesignProblem) -> DesignReport:
     """Greedy initialization refined by local swaps."""
     t0 = time.perf_counter()
     seeded = greedy_design(problem)
-    refined = local_swap(problem, seeded.pattern, max_passes)
+    refined = local_swap(problem, seeded.pattern)
     return _report(
         problem,
         refined.pattern,
@@ -487,9 +483,6 @@ def relax_round_swap_design(
     problem: DesignProblem,
     rounding_seeds,
     refine: bool = True,
-    tol: float = 1e-6,
-    max_iters: int = 5000,
-    max_passes: int = 100,
     allocation: FractionalAllocation | None = None,
 ) -> tuple[DesignReport, list[DesignReport]]:
     """Relaxation, then one rounding per seed (each optionally swap-refined).
@@ -499,7 +492,7 @@ def relax_round_swap_design(
     supplied to share one relaxation solve across calls.
     """
     if allocation is None:
-        allocation = solve_relaxation(problem, tol=tol, max_iters=max_iters)
+        allocation = solve_relaxation(problem)
     method = METHOD_CR_ROUND_SWAP if refine else METHOD_CR_ROUND
     reports = []
     for seed in rounding_seeds:
@@ -507,7 +500,7 @@ def relax_round_swap_design(
         pattern = dependent_rounding(allocation, seed, grid=problem.grid)
         if refine:
             # The swap run's initial objective is the rounded pattern's.
-            refined = local_swap(problem, pattern, max_passes)
+            refined = local_swap(problem, pattern)
             reports.append(
                 _report(
                     problem,

@@ -237,7 +237,7 @@ def check_density_sweep_ordering(densities=DEFAULT_DENSITIES) -> CheckResult:
         entry = {"K": K, "designed": designed}
         for shape in ("rect", "diamond"):
             try:
-                lattice = best_lattice(problem, grid, shape)
+                lattice = best_lattice(problem, shape)
                 entry[shape] = lattice.objective
                 entry[f"{shape}_K"] = lattice.budget_used
                 ok &= designed < lattice.objective

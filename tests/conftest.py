@@ -9,6 +9,35 @@ from pilotopt import (
 )
 
 
+def full_covariance(stats):
+    """Dense grid covariance ``C_g = C_t (x) C_f``, for small-grid references."""
+    return np.kron(stats.time_corr, stats.freq_corr)
+
+
+def dense_lmmse(stats, pattern, sigma_p, noise_var, data_power=0.0):
+    """Full-grid LMMSE reference, independent of the pilot-restricted code.
+
+    The received block is ``y = x * g + n`` with pilots of amplitude
+    ``sigma_p`` on ``pattern`` and, when ``data_power > 0``, zero-mean data
+    symbols of that power on every other cell, whose interference enters the
+    observation covariance.  Returns the P x P estimator ``W`` (``g_hat = W y``)
+    and the error covariance ``C_g - W C_gy^H``.
+    """
+    P = stats.grid.size
+    C_g = full_covariance(stats)
+    x_p = np.zeros(P, dtype=np.complex128)
+    idx = list(pattern.indices)
+    x_p[idx] = sigma_p
+    B_p = np.diag(x_p)
+    C_gy = C_g @ B_p.conj().T
+    C_y = B_p @ C_g @ B_p.conj().T + noise_var * np.eye(P)
+    data = np.ones(P)
+    data[idx] = 0.0
+    C_y += np.diag(data_power * data * np.diag(C_g).real)
+    W = np.linalg.solve(C_y.conj().T, C_gy.conj().T).conj().T
+    return W, C_g - W @ C_gy.conj().T
+
+
 @pytest.fixture(scope="session")
 def grid_4x4():
     return GridConfig(4, 4)

@@ -11,8 +11,10 @@ from pilotopt import (
     build_statistics,
     build_time_correlation,
 )
-from pilotopt.channel import delay_correlation, doppler_correlation, full_covariance
+from pilotopt.channel import delay_correlation, doppler_correlation
 from pilotopt.errors import InvalidSpecError
+
+from conftest import full_covariance
 
 # Quadrature oracle values, frozen from scipy.integrate.quad at epsabs=1e-12.
 TRUNCEXP_DF02_RHO025_LAG1 = 0.9269774207646987 - 0.2734743413609650j

@@ -1,8 +1,12 @@
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotopt import GridConfig, PilotPattern, ScatteringSpec, build_statistics
 from pilotopt.cli import (
@@ -14,11 +18,11 @@ from pilotopt.cli import (
     budget_pilots,
     derive_rounding_seed,
     VALID_METHODS,
-    load_pattern,
     main,
     parse_config,
     render_pattern,
     render_weights,
+    resolved_config_dict,
     run_point,
 )
 from pilotopt.errors import ConfigError
@@ -49,6 +53,55 @@ def read_csv(path):
             if not line.startswith("#"):
                 rows.append(line)
     return list(csv.DictReader(rows))
+
+
+def named_fields(overrides):
+    """What the error for an invalid override must name: its last top-level
+    field, and any nested field set to a non-finite number."""
+    field, value = list(overrides.items())[-1]
+    nested = value.items() if isinstance(value, dict) else ()
+    return [field] + [k for k, v in nested if isinstance(v, float) and not math.isfinite(v)]
+
+
+# Any JSON value: scalars including NaN and infinities, nested lists, objects.
+# The edge values are also drawn directly, so every field meets each of them.
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 0.5, 10**400, True, "1", [], {}]
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.sampled_from(EDGE_VALUES) | st.recursive(
+    SCALARS | st.sampled_from(EDGE_VALUES),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+TOP_FIELDS = (
+    "grid", "scattering", "snr_db", "pilot_budget", "beta",
+    "methods", "seeds", "rounding_repeats", "output_dir",
+)
+SCATTERING_FIELDS = (
+    "spreading_factor", "delay_profile", "doppler_spectrum", "rms_fraction",
+    "rank_energy_threshold", "time_bandwidth", "normalized_delay_spread", "normalized_doppler_spread",
+)
+
+
+def assert_parses_or_config_error(raw):
+    """``parse_config`` returns a config whose floats are all finite, or
+    raises ``ConfigError``; no other outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an accepted spreading factor may break underspread
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+    resolved = resolved_config_dict(cfg)
+    assert all(isinstance(x, int) or math.isfinite(x) for x in numbers_in(resolved)), resolved
+
+
+def numbers_in(value):
+    """Every non-boolean number in a nested JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in numbers_in(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
 
 
 class TestConfigParsing:
@@ -89,11 +142,38 @@ class TestConfigParsing:
             {"scattering": {"spreading_factor": []}},
             {"pilot_budget": []},
             {"output_dir": 5},
+            {"snr_db": float("nan")},
+            {"beta": float("inf")},
+            {"pilot_budget": [0.1], "snr_db": float("nan")},
+            {"scattering": {"spreading_factor": 0.001, "rms_fraction": float("nan")}},
+            {"scattering": {"spreading_factor": float("inf")}},
         ],
     )
-    def test_invalid_configs_rejected(self, overrides):
+    def test_invalid_configs_rejected(self, overrides, tmp_path, capsys):
         with pytest.raises(ConfigError):
             parse_config({**BASE_CONFIG, **overrides})
+        # The CLI exits 2 with one line naming the field, before any work.
+        command = "sweep" if isinstance(overrides.get("pilot_budget"), list) else "design"
+        cfg_path = write_config(tmp_path, overrides)
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        for field in named_fields(overrides):
+            assert field in err
+
+    @pytest.mark.parametrize("field", TOP_FIELDS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(value=JSON_VALUES)
+    def test_any_top_level_value_parses_or_is_a_config_error(self, field, value):
+        assert_parses_or_config_error({**BASE_CONFIG, field: value})
+
+    @pytest.mark.parametrize("field", SCATTERING_FIELDS)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(value=JSON_VALUES)
+    def test_any_scattering_value_parses_or_is_a_config_error(self, field, value):
+        scattering = {**BASE_CONFIG["scattering"], field: value}
+        assert_parses_or_config_error({**BASE_CONFIG, "scattering": scattering})
 
     def test_density_to_budget_rounding(self):
         grid = GridConfig(12, 14)
@@ -140,12 +220,15 @@ class TestDesignCommand:
         assert abs(sum(weights) - 6) < 1e-5
 
     def test_pattern_roundtrip(self, tmp_path):
+        # The JSON pattern reloads into a pattern that renders as the ASCII art.
         cfg_path = write_config(tmp_path, {"pilot_budget": 5})
         out = tmp_path / "out"
         main(["design", "--config", str(cfg_path), "--out", str(out)])
-        loaded = load_pattern(out / "design_greedy-swap_seed0.json")
         data = json.loads((out / "design_greedy-swap_seed0.json").read_text())
-        assert loaded == PilotPattern(tuple(data["indices"]), GridConfig(12, 14))
+        loaded = PilotPattern(tuple(data["indices"]), GridConfig(data["M"], data["N"]))
+        art = (out / "design_greedy-swap_seed0.txt").read_text()
+        footer = art.splitlines()[-1]
+        assert render_pattern(loaded.grid, loaded.indices, footer) == art
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, {"methods": ["cr", "greedy-swap"]})

@@ -11,19 +11,22 @@ from pilotopt import (
     greedy_design,
     local_swap,
     run_simulation,
-    sample_channel,
 )
-from pilotopt.channel import full_covariance
 from pilotopt.errors import InvalidSpecError
-from pilotopt.mcsim import (
-    _factor_sqrt,
-    analytic_mse,
-    lmmse_estimate,
-    lmmse_estimate_full,
-    lmmse_weights,
-    sample_channels,
-    synthesize_rx,
-)
+from pilotopt.mcsim import _factor_sqrt, analytic_mse, lmmse_weights, sample_channels
+
+from conftest import dense_lmmse, full_covariance
+
+
+def received_block(g, pattern, sigma_p, data_power, noise_var, rng):
+    """``y = x * g + n``: pilots of amplitude ``sigma_p`` on the pattern and
+    complex Gaussian data symbols of variance ``data_power`` elsewhere."""
+    P = g.size
+    parts = rng.standard_normal((P, 2, 2))
+    x = np.sqrt(data_power / 2.0) * (parts[:, 0, 0] + 1j * parts[:, 0, 1])
+    x[list(pattern.indices)] = sigma_p
+    noise = np.sqrt(noise_var / 2.0) * (parts[:, 1, 0] + 1j * parts[:, 1, 1])
+    return x * g + noise
 
 
 class TestSampleChannel:
@@ -34,7 +37,7 @@ class TestSampleChannel:
             normalized_doppler_spread=1e-8,
         )
         stats = build_statistics(GridConfig(4, 5), spec)
-        g = sample_channel(stats, np.random.default_rng(0))
+        g = sample_channels(stats, 1, np.random.default_rng(0))[0]
         assert np.abs(g - g[0]).max() < 1e-5
 
     def test_unit_cell_power(self, stats_4x4):
@@ -65,84 +68,38 @@ class TestSampleChannel:
         assert rel < 0.05
 
 
-class TestSynthesizeRx:
-    def test_noiseless_dataless_block(self, stats_4x4, rng):
-        g = sample_channel(stats_4x4, rng)
-        pattern = PilotPattern((0, 5, 10), stats_4x4.grid)
-        y = synthesize_rx(g, pattern, sigma_p=2.0, data_power=0.0, noise_var=0.0, rng=rng)
-        assert np.allclose(y[[0, 5, 10]], 2.0 * g[[0, 5, 10]])
-        mask = np.ones(16, dtype=bool)
-        mask[[0, 5, 10]] = False
-        assert np.all(y[mask] == 0)
-
-    def test_pilot_cell_rx_power(self, stats_4x4):
-        rng = np.random.default_rng(3)
-        pattern = PilotPattern((1, 6, 11), stats_4x4.grid)
-        sigma_p, noise_var = 1.5, 0.2
-        n = 4000
-        acc = np.zeros(3)
-        for _ in range(n):
-            g = sample_channel(stats_4x4, rng)
-            y = synthesize_rx(g, pattern, sigma_p, 0.0, noise_var, rng)
-            acc += np.abs(y[[1, 6, 11]]) ** 2
-        expected = sigma_p**2 + noise_var
-        # |y|^2 is exponential with mean sigma_p^2 + noise_var: sd = mean.
-        assert np.abs(acc / n - expected).max() < 3 * expected / np.sqrt(n)
-
-    def test_block_power_accounting(self, stats_4x4):
-        rng = np.random.default_rng(4)
-        pattern = PilotPattern(tuple(range(5)), stats_4x4.grid)
-        sigma_p, sigma_d2 = 1.2, 0.8
-        n = 6000
-        total = 0.0
-        for _ in range(n):
-            g = np.ones(16, dtype=complex)
-            x = synthesize_rx(np.ones(16, dtype=complex), pattern, sigma_p, sigma_d2, 1e-30, rng)
-            total += np.mean(np.abs(x) ** 2)
-        expected = (5 * sigma_p**2 + 11 * sigma_d2) / 16
-        assert total / n == pytest.approx(expected, rel=0.05)
-
-
 class TestLmmseEstimate:
     def test_no_pilots_returns_prior_mean(self, stats_4x4, rng):
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
-        g_hat = lmmse_estimate(y, PilotPattern((), stats_4x4.grid), stats_4x4, 1.0)
-        assert np.all(g_hat == 0)
+        W = lmmse_weights(stats_4x4, PilotPattern((), stats_4x4.grid), 1.0, 0.1)
+        assert np.all(W @ y[[]] == 0)
 
     def test_noiseless_full_observation_recovers_channel(self, stats_4x4, rng):
-        g = sample_channel(stats_4x4, rng)
+        g = sample_channels(stats_4x4, 1, rng)[0]
         pattern = PilotPattern(tuple(range(16)), stats_4x4.grid)
-        y = synthesize_rx(g, pattern, 1.0, 0.0, 0.0, rng)
-        g_hat = lmmse_estimate(y, pattern, stats_4x4, 1.0, noise_var=1e-14)
+        g_hat = lmmse_weights(stats_4x4, pattern, 1.0, 1e-14) @ g
         assert np.abs(g_hat - g).max() < 1e-5
 
     def test_restricted_matches_full_model(self, stats_4x4, rng):
-        g = sample_channel(stats_4x4, rng)
+        # The dense reference sees the whole block, data cells included; with
+        # or without their interference term it must reduce to the K x K
+        # pilot-restricted estimator.
+        g = sample_channels(stats_4x4, 1, rng)[0]
         pattern = PilotPattern((2, 7, 9, 14), stats_4x4.grid)
-        y = synthesize_rx(g, pattern, 1.3, 0.5, 0.25, rng)
-        fast = lmmse_estimate(y, pattern, stats_4x4, 1.3, 0.5, 0.25)
-        for include in (False, True):
-            full = lmmse_estimate_full(
-                y, pattern, stats_4x4, 1.3, 0.5, 0.25, include_data_interference=include
-            )
-            assert np.abs(fast - full).max() < 1e-9
+        y = received_block(g, pattern, 1.3, 0.5, 0.25, rng)
+        fast = lmmse_weights(stats_4x4, pattern, 1.3, 0.25) @ y[list(pattern.indices)]
+        for data_power in (0.0, 0.5):
+            W, _ = dense_lmmse(stats_4x4, pattern, 1.3, 0.25, data_power)
+            assert np.abs(fast - W @ y).max() < 1e-9
 
-    def test_random_pilot_phases_equivalent(self, stats_4x4, rng):
-        # Constant-modulus phases cancel inside the diagonal pilot model.
-        g = sample_channel(stats_4x4, rng)
-        pattern = PilotPattern((1, 4, 12), stats_4x4.grid)
-        phases = np.exp(2j * np.pi * rng.uniform(size=3))
-        symbols = 1.7 * phases
-        y = synthesize_rx(g, pattern, 1.7, 0.0, 0.3, rng, pilot_symbols=symbols)
-        est = lmmse_estimate(y, pattern, stats_4x4, 1.7, 0.0, 0.3, pilot_symbols=symbols)
-        ref = lmmse_estimate_full(
-            y, pattern, stats_4x4, 1.7, 0.0, 0.3, pilot_symbols=symbols
-        )
-        assert np.abs(est - ref).max() < 1e-9
-        W_phase = lmmse_weights(stats_4x4, pattern, 1.7, 0.3, pilot_symbols=symbols)
-        W_plain = lmmse_weights(stats_4x4, pattern, 1.7, 0.3)
-        # Same error covariance either way: weights absorb the pilot phases.
-        assert np.abs(W_phase * phases[None, :] - W_plain).max() < 1e-10
+
+class TestAnalyticMse:
+    @pytest.mark.parametrize("indices", [(), (5,), (0, 5, 10), (1, 2, 7, 11, 12), tuple(range(16))])
+    def test_matches_dense_error_trace_on_4x4(self, stats_4x4, indices):
+        pattern = PilotPattern(indices, stats_4x4.grid)
+        _, C_e = dense_lmmse(stats_4x4, pattern, 1.7, 0.3)
+        expected = np.trace(C_e).real / 16
+        assert analytic_mse(stats_4x4, pattern, 1.7, 0.3) == pytest.approx(expected, rel=1e-10)
 
 
 class TestRunSimulation:
@@ -151,8 +108,6 @@ class TestRunSimulation:
         cfg = SimConfig(realizations=4000, rng_seed=11, noise_var=problem_rb.noise_var)
         res = run_simulation(stats_rb, problem_rb, pattern, cfg)
         assert abs(res.empirical_mse - res.analytic_mse) <= 4 * res.standard_error
-        assert res.per_cell_mse.shape == (12, 14)
-        assert res.per_cell_mse.mean() == pytest.approx(res.empirical_mse, rel=1e-12)
 
     def test_overwhelming_noise_gives_prior_mse(self, stats_4x4, problem_4x4):
         cfg = SimConfig(realizations=2000, rng_seed=5, noise_var=1e12)
@@ -161,27 +116,12 @@ class TestRunSimulation:
         assert res.empirical_mse == pytest.approx(1.0, abs=0.1)
         assert res.analytic_mse == pytest.approx(1.0, abs=1e-6)
 
-    def test_data_interference_cannot_help(self, stats_4x4, problem_4x4):
-        pattern = PilotPattern((0, 5, 10), stats_4x4.grid)
-        base = SimConfig(realizations=3000, rng_seed=6, noise_var=problem_4x4.noise_var)
-        with_data = SimConfig(
-            realizations=3000,
-            rng_seed=6,
-            data_power=1.0,
-            noise_var=problem_4x4.noise_var,
-            include_data_interference=True,
-        )
-        res = run_simulation(stats_4x4, problem_4x4, pattern, with_data)
-        ref = run_simulation(stats_4x4, problem_4x4, pattern, base)
-        assert res.empirical_mse >= ref.analytic_mse - 4 * res.standard_error
-
     def test_seeded_determinism(self, stats_4x4, problem_4x4):
         cfg = SimConfig(realizations=500, rng_seed=7, noise_var=problem_4x4.noise_var)
         pattern = PilotPattern((0, 3, 9), stats_4x4.grid)
         a = run_simulation(stats_4x4, problem_4x4, pattern, cfg)
         b = run_simulation(stats_4x4, problem_4x4, pattern, cfg)
-        assert a.empirical_mse == b.empirical_mse
-        assert np.array_equal(a.per_cell_mse, b.per_cell_mse)
+        assert a == b
 
     def test_estimator_optimality_spot_check(self, stats_4x4, problem_4x4):
         pattern = PilotPattern((0, 5, 10), stats_4x4.grid)

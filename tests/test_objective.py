@@ -11,7 +11,6 @@ from pilotopt import (
     best_lattice,
     build_A,
     compute_alpha,
-    error_covariance,
     greedy_design,
     local_swap,
     make_design_problem,
@@ -21,16 +20,17 @@ from pilotopt import (
     rank_one_update,
     swap_delta,
 )
-from pilotopt.channel import ScatteringSpec, build_statistics, full_covariance
+from pilotopt.channel import ScatteringSpec, build_statistics
 from pilotopt.errors import (
     BudgetError,
     CandidateError,
-    ComplexityGuardError,
     DegenerateUpdateError,
     InvalidSpecError,
 )
 from pilotopt.objective import swap_deltas
 from pilotopt.optimizers import project_capped_simplex
+
+from conftest import dense_lmmse
 
 
 def synthetic_problem(M, N, r, K, alpha, seed=0):
@@ -123,9 +123,9 @@ class TestObjectiveValue:
             1.0, rel=1e-9
         )
 
-    def test_designed_beats_best_rectangular_lattice(self, problem_rb, grid_rb):
+    def test_designed_beats_best_rectangular_lattice(self, problem_rb):
         designed = local_swap(problem_rb, greedy_design(problem_rb).pattern)
-        rect = best_lattice(problem_rb, grid_rb, "rect")
+        rect = best_lattice(problem_rb, "rect")
         assert designed.objective < rect.objective
 
 
@@ -298,25 +298,6 @@ class TestGradient:
 
 
 class TestErrorCovariance:
-    def test_no_pilots_recovers_prior(self, problem_rb, stats_rb):
-        C_e = error_covariance(problem_rb, PilotPattern((), problem_rb.grid))
-        prior = stats_rb.eigvecs @ np.diag(stats_rb.eigvals) @ stats_rb.eigvecs.conj().T
-        assert np.abs(C_e - prior).max() < 1e-9
-
-    def test_diagonal_bounded_by_prior_variance(self, problem_rb):
-        pattern = PilotPattern(tuple(range(0, 168, 12)), problem_rb.grid)
-        C_e = error_covariance(problem_rb, pattern)
-        d = np.diag(C_e).real
-        assert np.all(d >= -1e-12)
-        assert np.all(d <= 1 + 1e-9)
-
-    def test_trace_matches_objective(self, problem_rb):
-        pattern = PilotPattern(tuple(range(14)), problem_rb.grid)
-        C_e = error_covariance(problem_rb, pattern)
-        assert np.trace(C_e).real == pytest.approx(
-            objective_value(problem_rb, pattern), rel=1e-9
-        )
-
     def test_trace_matches_full_model_oracle_on_4x4(self):
         # Direct full-matrix oracle: C - C Bp^H (Bp C Bp^H + noise I)^-1 Bp C
         # with the untruncated covariance.
@@ -332,33 +313,9 @@ class TestErrorCovariance:
         stats = build_statistics(grid, spec)
         pr = make_design_problem(stats, K=4, snr_db=10.0)
         pattern = PilotPattern((0, 5, 10, 15), grid)
-        sigma_p2 = pr.pilot_power
-        C = full_covariance(stats)
-        x = np.zeros(16)
-        x[list(pattern.indices)] = np.sqrt(sigma_p2)
-        B = np.diag(x)
-        C_direct = C - C @ B @ np.linalg.solve(B @ C @ B + pr.noise_var * np.eye(16), B @ C)
+        _, C_direct = dense_lmmse(stats, pattern, np.sqrt(pr.pilot_power), pr.noise_var)
         obj = objective_value(pr, pattern)
         assert obj == pytest.approx(np.trace(C_direct).real, rel=1e-8)
-        C_e = error_covariance(pr, pattern)
-        assert np.abs(C_e - C_direct).max() < 1e-8
-
-    def test_memory_guard(self):
-        grid = GridConfig(65, 65)
-        rng = np.random.default_rng(0)
-        raw = rng.normal(size=(grid.size, 2)) + 1j * rng.normal(size=(grid.size, 2))
-        U, _ = np.linalg.qr(raw)
-        pr = DesignProblem(
-            grid=grid,
-            rows=U,
-            prior=np.array([2.0, 1.0]),
-            pilot_snr=compute_alpha(1.0, 65, 10, 0.1),
-            budget=10,
-            power_fraction=1.0,
-            noise_var=0.1,
-        )
-        with pytest.raises(ComplexityGuardError):
-            error_covariance(pr, PilotPattern((0, 1), grid))
 
 
 class TestPowerFractionWarning:

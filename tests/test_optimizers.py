@@ -437,8 +437,8 @@ class TestLatticePattern:
         grid = GridConfig(M, N)
         for f_sp, t_sp in itertools.product(range(1, M + 1), range(1, N + 1)):
             for f_off, t_off in itertools.product(range(f_sp), range(t_sp)):
-                for staggered, wrap in ((False, False), (True, False), (True, True)):
-                    params = LatticeParams(f_sp, t_sp, f_off, t_off, staggered, wrap)
+                for staggered in (False, True):
+                    params = LatticeParams(f_sp, t_sp, f_off, t_off, staggered)
                     count = lattice_count(grid, **dataclasses.asdict(params))
                     assert count == len(lattice_pattern(grid, params)), params
 
@@ -452,25 +452,25 @@ class TestLatticePattern:
 class TestBestLattice:
     def test_full_budget_unit_spacing(self, problem_rb):
         pr = problem_rb.with_budget(168)
-        report = best_lattice(pr, problem_rb.grid, "rect")
+        report = best_lattice(pr, "rect")
         assert len(report.pattern) == 168
         assert report.budget_used == 168
 
     def test_k4_candidate_family(self, problem_rb, grid_rb):
         pr = problem_rb.with_budget(4)
-        report = best_lattice(pr, grid_rb, "rect")
+        report = best_lattice(pr, "rect")
         assert report.budget_used == 4
         manual = objective_value(pr, lattice_pattern(grid_rb, LatticeParams(6, 7)))
         assert report.objective <= manual + 1e-12
 
-    def test_infeasible_budget_raises(self, problem_rb, grid_rb):
+    def test_infeasible_budget_raises(self, problem_rb):
         pr = problem_rb.with_budget(167)
         with pytest.raises(NoFeasibleLatticeError):
-            best_lattice(pr, grid_rb, "rect")
+            best_lattice(pr, "rect")
 
-    def test_fallback_recomputes_alpha(self, problem_rb, grid_rb):
+    def test_fallback_recomputes_alpha(self, problem_rb):
         pr = problem_rb.with_budget(13)  # 13 = prime, no 13-pilot rect exists
-        report = best_lattice(pr, grid_rb, "rect")
+        report = best_lattice(pr, "rect")
         assert report.budget_used == 12
         assert len(report.pattern) == 12
 
@@ -531,6 +531,6 @@ class TestPipelines:
         from pilotopt import make_design_problem
 
         pr = make_design_problem(stats_rb, K=8, snr_db=20.0)
-        rect = best_lattice(pr, stats_rb.grid, "rect")
-        diamond = best_lattice(pr, stats_rb.grid, "diamond")
+        rect = best_lattice(pr, "rect")
+        diamond = best_lattice(pr, "diamond")
         assert rect.objective > 0 and diamond.objective > 0
