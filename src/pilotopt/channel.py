@@ -70,11 +70,6 @@ class GridConfig:
     def size(self) -> int:
         return self.M * self.N
 
-    def flat_index(self, m: int, n: int) -> int:
-        if not (0 <= m < self.M and 0 <= n < self.N):
-            raise InvalidSpecError(f"cell ({m}, {n}) outside {self.M}x{self.N} grid")
-        return n * self.M + m
-
     def cell(self, k: int) -> tuple[int, int]:
         if not (0 <= k < self.size):
             raise InvalidSpecError(f"flat index {k} outside grid of size {self.size}")
@@ -221,7 +216,6 @@ class ChannelStatistics:
     ``full_eigvals``/``full_eigvecs`` extend it, in the same order, to every
     eigenpair above the ``EIGENVALUE_FLOOR``; the reported average MSE is
     evaluated on them, so it is the exact LMMSE error of the pattern.
-    ``total_power`` is ``trace(C_g) = M*N``.
     """
 
     grid: GridConfig
@@ -229,10 +223,22 @@ class ChannelStatistics:
     time_corr: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
-    effective_rank: int
-    total_power: float
     full_eigvals: np.ndarray
     full_eigvecs: np.ndarray
+
+    @property
+    def effective_rank(self) -> int:
+        """Size ``r`` of the reduced-rank design basis."""
+        return self.eigvals.size
+
+    @property
+    def total_power(self) -> float:
+        """``trace(C_g) = trace(C_t) * trace(C_f) = M*N``."""
+        return _trace_product(self.freq_corr, self.time_corr)
+
+
+def _trace_product(C_f: np.ndarray, C_t: np.ndarray) -> float:
+    return float(np.trace(C_f).real * np.trace(C_t).real)
 
 
 def _factor_eigh(matrix: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +274,7 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
     order = np.argsort(-products, kind="stable")
     sorted_vals = products[order]
 
-    total = float(np.trace(C_f).real * np.trace(C_t).real)
+    total = _trace_product(C_f, C_t)
     cumulative = np.cumsum(sorted_vals)
     # The float cumsum can land a hair under the analytic trace at eta = 1.
     target = min(spec.rank_energy_threshold * total, float(cumulative[-1]))
@@ -289,8 +295,6 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
         time_corr=C_t,
         eigvals=full_eigvals[:rank].copy(),
         eigvecs=full_eigvecs[:, :rank].copy(),
-        effective_rank=rank,
-        total_power=total,
         full_eigvals=full_eigvals,
         full_eigvecs=full_eigvecs,
     )

@@ -27,6 +27,7 @@ from .errors import BudgetError, ConfigError, PilotOptError
 from .objective import (
     average_mse,
     make_design_problem,
+    noise_var_from_snr_db,
     objective_value,
 )
 from .optimizers import (
@@ -40,6 +41,7 @@ from .optimizers import (
     METHOD_EXHAUSTIVE,
     DesignReport,
     best_lattice,
+    dependent_rounding,
     exhaustive_search,
     greedy_design,
     greedy_swap_design,
@@ -106,6 +108,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _gives_noise_var(snr_db) -> bool:
+    """True when ``10^(-snr_db/10)`` is a finite positive float."""
+    try:
+        return 0.0 < noise_var_from_snr_db(snr_db) < float("inf")
+    except OverflowError:
+        return False
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration file."""
     try:
@@ -167,6 +177,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     snr = _as_tuple(raw.get("snr_db", 10.0), "snr_db")
     for value in snr:
         _require(is_finite_number(value), f"field 'snr_db': {value!r} is not a finite number")
+        _require(_gives_noise_var(value),
+                 f"field 'snr_db': {value!r} gives a noise variance 10^(-snr_db/10) "
+                 "that is not a finite positive float")
 
     budget_raw = raw.get("pilot_budget")
     _require(budget_raw is not None, "field 'pilot_budget' is required")
@@ -280,42 +293,47 @@ def write_json(path: Path, payload: dict) -> None:
     )
 
 
-def render_pattern(grid: GridConfig, indices, footer: str) -> str:
-    """ASCII grid: rows are subcarriers, columns OFDM symbols."""
-    cells = [["." for _ in range(grid.N)] for _ in range(grid.M)]
-    for k in indices:
+def _render_grid(grid: GridConfig, marks, footer: str) -> str:
+    """ASCII grid, rows subcarriers and columns OFDM symbols, with a footer
+    line.  ``marks`` yields (flat index, character); other cells are '.'."""
+    cells = [["."] * grid.N for _ in range(grid.M)]
+    for k, mark in marks:
         m, n = grid.cell(int(k))
-        cells[m][n] = "X"
-    lines = [" ".join(row) for row in cells]
-    lines.append(footer)
-    return "\n".join(lines) + "\n"
+        cells[m][n] = mark
+    return "\n".join([" ".join(row) for row in cells] + [footer]) + "\n"
+
+
+def render_pattern(grid: GridConfig, indices, footer: str) -> str:
+    """ASCII grid with 'X' on the pilot cells."""
+    return _render_grid(grid, ((k, "X") for k in indices), footer)
 
 
 def render_weights(grid: GridConfig, weights, footer: str) -> str:
     """ASCII grid of fractional weights in deciles ('.' for ~0, 9 for ~1)."""
-    cells = [["." for _ in range(grid.N)] for _ in range(grid.M)]
-    for k, w in enumerate(weights):
-        m, n = grid.cell(k)
-        decile = int(round(float(w) * 9))
-        cells[m][n] = "." if decile == 0 else str(decile)
-    lines = [" ".join(row) for row in cells]
-    lines.append(footer)
-    return "\n".join(lines) + "\n"
+    deciles = (int(round(float(w) * 9)) for w in weights)
+    return _render_grid(
+        grid, ((k, "." if d == 0 else str(d)) for k, d in enumerate(deciles)), footer
+    )
 
 
 # --------------------------------------------------------------------------
 # one design point
 
 
-def _report_outcome(report: DesignReport) -> dict:
-    """The outcome fields of an integer pattern, at the budget actually used."""
+def _pattern_outcome(problem, pattern, objective, swap_iterations) -> dict:
+    """The outcome fields of an integer pattern scored on ``problem``, whose
+    budget is the one actually used."""
     return {
-        "indices": list(report.pattern.indices),
-        "objective": report.objective,
-        "average_mse": report.average_mse,
-        "K": report.budget_used,
-        "swap_iterations": report.swap_iterations,
+        "indices": list(pattern.indices),
+        "objective": objective,
+        "average_mse": average_mse(problem, pattern),
+        "K": problem.budget,
+        "swap_iterations": swap_iterations,
     }
+
+
+def _report_outcome(report: DesignReport) -> dict:
+    return _pattern_outcome(report.problem, report.pattern, report.objective, report.swap_iterations)
 
 
 def _run_relaxation(problem, allocation, seed, repeats) -> dict:
@@ -330,9 +348,8 @@ def _run_relaxation(problem, allocation, seed, repeats) -> dict:
 
 
 def _run_rounding(problem, allocation, seed, repeats) -> dict:
-    seeds = [derive_rounding_seed(seed, 0)]
-    best, _ = relax_round_swap_design(problem, seeds, refine=False, allocation=allocation)
-    return _report_outcome(best)
+    pattern = dependent_rounding(allocation, derive_rounding_seed(seed, 0), grid=problem.grid)
+    return _pattern_outcome(problem, pattern, objective_value(problem, pattern), 0)
 
 
 def _run_rounding_swap(problem, allocation, seed, repeats) -> dict:
@@ -468,6 +485,22 @@ def _axis_points(cfg: ExperimentConfig):
                 yield kind_value, snr_db, dd
 
 
+def _csv_row(base: dict, method: str, record: dict) -> str:
+    """One sweep CSV line: the point's ``base`` columns plus one outcome or
+    one rounding of its distribution."""
+    row = dict(
+        base,
+        method=method,
+        K=str(record["K"]),
+        objective=fmt_float(record["objective"]),
+        average_mse=fmt_float(record["average_mse"]),
+        swap_iterations=str(record["swap_iterations"]),
+        wall_time=format(record["wall_time"], ".3f"),
+        rounding_seed=str(record.get("rounding_seed", "")),
+    )
+    return ",".join(row[c] for c in CSV_COLUMNS)
+
+
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.list_axes:
         raise ConfigError("sweep needs a list-valued axis (pilot_budget, snr_db or spreading)")
@@ -489,35 +522,15 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             "snr_db": fmt_float(snr_db),
             "spreading_factor": fmt_float(dd),
             "seed": str(seed),
-            "rounding_seed": "",
         }
         for method in cfg.methods:
             outcome = outcomes[method]
             if "error" in outcome:
                 errors.append({"method": method, "seed": seed, "axis": axis_value, **outcome})
                 continue
-            row = dict(
-                base,
-                method=method,
-                K=str(outcome["K"]),
-                objective=fmt_float(outcome["objective"]),
-                average_mse=fmt_float(outcome["average_mse"]),
-                swap_iterations=str(outcome["swap_iterations"]),
-                wall_time=format(outcome["wall_time"], ".3f"),
-            )
-            lines.append(",".join(row[c] for c in CSV_COLUMNS))
+            lines.append(_csv_row(base, method, outcome))
             for dist in outcome.get("distribution", ()):
-                drow = dict(
-                    base,
-                    method=method + "-dist",
-                    K=str(outcome["K"]),
-                    objective=fmt_float(dist["objective"]),
-                    average_mse=fmt_float(dist["average_mse"]),
-                    swap_iterations=str(dist["swap_iterations"]),
-                    wall_time=format(dist["wall_time"], ".3f"),
-                    rounding_seed=str(dist["rounding_seed"]),
-                )
-                lines.append(",".join(drow[c] for c in CSV_COLUMNS))
+                lines.append(_csv_row(base, method + "-dist", dist))
     (out_dir / "sweep.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     if errors:
         write_json(out_dir / "sweep_errors.json", {"errors": errors})

@@ -71,12 +71,14 @@ class DesignProblem:
     ``full_prior`` hold every significant eigenpair (P x R and R, R >= r), on
     which ``average_mse`` is evaluated.  Without ``full_rows`` both default
     to ``rows`` and ``prior``: the design basis is then the whole model.
+    ``pilot_snr`` is not given but derived, ``alpha = beta*N/(K*noise_var)``
+    from the power fraction, ``grid.N``, the budget and the noise variance.
     """
 
     grid: GridConfig
     rows: np.ndarray
     prior: np.ndarray
-    pilot_snr: float
+    pilot_snr: float = field(init=False)
     budget: int
     power_fraction: float
     noise_var: float
@@ -100,12 +102,8 @@ class DesignProblem:
                 # 1 is here, 2 the generated __init__, 3 its caller.
                 stacklevel=3,
             )
-        expected = compute_alpha(self.power_fraction, self.grid.N, self.budget, self.noise_var)
-        if abs(self.pilot_snr - expected) > 1e-9 * max(expected, 1.0):
-            raise InvalidSpecError(
-                f"pilot_snr {self.pilot_snr:g} inconsistent with "
-                f"beta*N/(K*noise_var) = {expected:g}"
-            )
+        alpha = compute_alpha(self.power_fraction, self.grid.N, self.budget, self.noise_var)
+        object.__setattr__(self, "pilot_snr", alpha)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "full_rows", full_rows)
@@ -126,7 +124,6 @@ class DesignProblem:
             grid=self.grid,
             rows=self.rows,
             prior=self.prior,
-            pilot_snr=compute_alpha(self.power_fraction, self.grid.N, K, self.noise_var),
             budget=K,
             power_fraction=self.power_fraction,
             noise_var=self.noise_var,
@@ -138,20 +135,16 @@ class DesignProblem:
 def make_design_problem(
     stats: ChannelStatistics,
     K: int,
-    snr_db: float | None = None,
-    noise_var: float | None = None,
+    snr_db: float,
     beta: float | None = None,
 ) -> DesignProblem:
     """Assemble a design problem from channel statistics.
 
-    Exactly one of ``snr_db`` / ``noise_var`` must be given; SNR in dB is
-    mapped to ``noise_var = 10^(-SNR/10)`` at unit symbol power.  ``beta``
-    defaults to ``K/N`` so the per-pilot power is 1 (the block average).
+    SNR in dB is mapped to ``noise_var = 10^(-SNR/10)`` at unit symbol power.
+    ``beta`` defaults to ``K/N`` so the per-pilot power is 1 (the block
+    average).
     """
-    if (snr_db is None) == (noise_var is None):
-        raise InvalidSpecError("specify exactly one of snr_db or noise_var")
-    if noise_var is None:
-        noise_var = noise_var_from_snr_db(snr_db)
+    noise_var = noise_var_from_snr_db(snr_db)
     if noise_var <= 0:
         raise InvalidSpecError("noise_var must be positive")
     if beta is None:
@@ -160,7 +153,6 @@ def make_design_problem(
         grid=stats.grid,
         rows=stats.eigvecs,
         prior=stats.eigvals,
-        pilot_snr=compute_alpha(beta, stats.grid.N, K, noise_var),
         budget=K,
         power_fraction=beta,
         noise_var=noise_var,
@@ -259,7 +251,10 @@ def build_A(problem: DesignProblem, pattern, full: bool = False) -> np.ndarray:
 
 def information_inverse(problem: DesignProblem, pattern) -> np.ndarray:
     """Hermitian ``A^{-1}`` on the design basis for a pattern or allocation."""
-    A_inv = np.linalg.inv(build_A(problem, pattern))
+    try:
+        A_inv = np.linalg.inv(build_A(problem, pattern))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"information matrix is singular: {exc}") from exc
     return 0.5 * (A_inv + A_inv.conj().T)
 
 
@@ -293,18 +288,20 @@ class ObjectiveState:
 
     problem: DesignProblem
     A_inv: np.ndarray
-    value: float
     selected: set
 
     @classmethod
     def empty(cls, problem: DesignProblem) -> "ObjectiveState":
-        A_inv = np.diag(problem.prior).astype(np.complex128)
-        return cls(problem, A_inv, float(problem.prior.sum()), set())
+        return cls(problem, np.diag(problem.prior).astype(np.complex128), set())
 
     @classmethod
     def from_pattern(cls, problem: DesignProblem, pattern: PilotPattern) -> "ObjectiveState":
-        A_inv = information_inverse(problem, pattern)
-        return cls(problem, A_inv, float(np.trace(A_inv).real), set(pattern.indices))
+        return cls(problem, information_inverse(problem, pattern), set(pattern.indices))
+
+    @property
+    def value(self) -> float:
+        """The design objective ``trace(A^{-1})`` of the current selection."""
+        return float(np.trace(self.A_inv).real)
 
     def pattern(self) -> PilotPattern:
         return PilotPattern(tuple(sorted(self.selected)), self.problem.grid)
@@ -366,7 +363,6 @@ def rank_one_update(state: ObjectiveState, j: int, sign: str) -> ObjectiveState:
         state.selected.discard(j)
     else:
         raise ValueError(f"sign must be 'add' or 'remove', got {sign!r}")
-    state.value = float(np.trace(state.A_inv).real)
     return state
 
 

@@ -71,12 +71,15 @@ class DesignReport:
 
     pattern: PilotPattern
     objective: float
-    method: str
     initial_objective: float
     swap_iterations: int
     wall_time: float
-    budget_used: int
     problem: DesignProblem = field(repr=False, compare=False)
+
+    @property
+    def budget_used(self) -> int:
+        """Pilot count of the pattern: the budget, or a lattice's fallback."""
+        return self.problem.budget
 
     @cached_property
     def average_mse(self) -> float:
@@ -84,15 +87,13 @@ class DesignReport:
         return average_mse(self.problem, self.pattern)
 
 
-def _report(problem, pattern, objective, method, initial, swaps, t0):
+def _report(problem, pattern, objective, initial, swaps, t0):
     return DesignReport(
         pattern=pattern,
         objective=objective,
-        method=method,
         initial_objective=initial,
         swap_iterations=swaps,
         wall_time=time.perf_counter() - t0,
-        budget_used=problem.budget,
         problem=problem,
     )
 
@@ -285,7 +286,7 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
         j = int(np.argmax(gains))
         rank_one_update(state, j, "add")
         unselected[j] = False
-    return _report(problem, state.pattern(), state.value, METHOD_GREEDY, initial, 0, t0)
+    return _report(problem, state.pattern(), state.value, initial, 0, t0)
 
 
 def _best_swap(state: ObjectiveState, selected: list, candidates: np.ndarray):
@@ -355,7 +356,7 @@ def local_swap(
         rank_one_update(state, pair[0], "remove")
         rank_one_update(state, pair[1], "add")
         accepted += 1
-    return _report(problem, state.pattern(), state.value, "swap", initial, accepted, t0)
+    return _report(problem, state.pattern(), state.value, initial, accepted, t0)
 
 
 @dataclass(frozen=True)
@@ -456,7 +457,7 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
                 obj = objective_value(sub_problem, pattern)
                 if obj < best_obj:
                     best_obj, best_pattern = obj, pattern
-            return _report(sub_problem, best_pattern, best_obj, shape, best_obj, 0, t0)
+            return _report(sub_problem, best_pattern, best_obj, best_obj, 0, t0)
     raise NoFeasibleLatticeError(
         f"no {shape} lattice on {grid.M}x{grid.N} has {problem.budget - 2}"
         f"..{problem.budget} pilots"
@@ -469,23 +470,16 @@ def greedy_swap_design(problem: DesignProblem) -> DesignReport:
     seeded = greedy_design(problem)
     refined = local_swap(problem, seeded.pattern)
     return _report(
-        problem,
-        refined.pattern,
-        refined.objective,
-        METHOD_GREEDY_SWAP,
-        seeded.objective,
-        refined.swap_iterations,
-        t0,
+        problem, refined.pattern, refined.objective, seeded.objective, refined.swap_iterations, t0
     )
 
 
 def relax_round_swap_design(
     problem: DesignProblem,
     rounding_seeds,
-    refine: bool = True,
     allocation: FractionalAllocation | None = None,
 ) -> tuple[DesignReport, list[DesignReport]]:
-    """Relaxation, then one rounding per seed (each optionally swap-refined).
+    """Relaxation, then one swap-refined rounding per seed.
 
     Returns the best report together with the per-seed reports, so callers can
     record the rounding distribution.  A precomputed ``allocation`` can be
@@ -493,30 +487,22 @@ def relax_round_swap_design(
     """
     if allocation is None:
         allocation = solve_relaxation(problem)
-    method = METHOD_CR_ROUND_SWAP if refine else METHOD_CR_ROUND
     reports = []
     for seed in rounding_seeds:
         t0 = time.perf_counter()
         pattern = dependent_rounding(allocation, seed, grid=problem.grid)
-        if refine:
-            # The swap run's initial objective is the rounded pattern's.
-            refined = local_swap(problem, pattern)
-            reports.append(
-                _report(
-                    problem,
-                    refined.pattern,
-                    refined.objective,
-                    method,
-                    refined.initial_objective,
-                    refined.swap_iterations,
-                    t0,
-                )
+        # The swap run's initial objective is the rounded pattern's.
+        refined = local_swap(problem, pattern)
+        reports.append(
+            _report(
+                problem,
+                refined.pattern,
+                refined.objective,
+                refined.initial_objective,
+                refined.swap_iterations,
+                t0,
             )
-        else:
-            rounded_obj = objective_value(problem, pattern)
-            reports.append(
-                _report(problem, pattern, rounded_obj, method, rounded_obj, 0, t0)
-            )
+        )
     best = min(reports, key=lambda r: r.objective)
     return best, reports
 
@@ -536,8 +522,12 @@ def exhaustive_search(problem: DesignProblem) -> DesignReport:
     best_obj, best_subset = np.inf, None
     for subset in itertools.combinations(range(P), K):
         A = prior_inv + updates[list(subset)].sum(axis=0)
-        obj = float(np.trace(np.linalg.inv(A)).real)
+        try:
+            A_inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"information matrix of subset {subset} is singular: {exc}") from exc
+        obj = float(np.trace(A_inv).real)
         if obj < best_obj:
             best_obj, best_subset = obj, subset
     pattern = PilotPattern(best_subset, problem.grid)
-    return _report(problem, pattern, best_obj, METHOD_EXHAUSTIVE, best_obj, 0, t0)
+    return _report(problem, pattern, best_obj, best_obj, 0, t0)

@@ -36,7 +36,7 @@ from .optimizers import (
     solve_relaxation,
 )
 
-DEFAULT_DENSITIES = (0.05, 0.08, 0.1, 0.15, 0.2, 0.3)
+DENSITIES = (0.05, 0.08, 0.1, 0.15, 0.2, 0.3)
 ROUNDING_REPEATS = 50
 
 
@@ -62,7 +62,7 @@ def _finish(name, budget_s, t0, ok, details) -> CheckResult:
     return CheckResult(name=name, passed=bool(ok), runtime=runtime, budget_s=budget_s, details=details)
 
 
-def _oracle_grid_problem(K, snr_db=10.0):
+def _oracle_grid_problem(K):
     spec = ScatteringSpec(
         spreading_factor=0.09,
         normalized_delay_spread=0.3,
@@ -71,7 +71,7 @@ def _oracle_grid_problem(K, snr_db=10.0):
         doppler_spectrum="uniform",
     )
     stats = build_statistics(GridConfig(4, 4), spec)
-    return make_design_problem(stats, K=K, snr_db=snr_db)
+    return make_design_problem(stats, K=K, snr_db=10.0)
 
 
 def check_oracle_gap() -> CheckResult:
@@ -219,7 +219,7 @@ def check_monte_carlo() -> CheckResult:
     )
 
 
-def check_density_sweep_ordering(densities=DEFAULT_DENSITIES) -> CheckResult:
+def check_density_sweep_ordering() -> CheckResult:
     """Spreading 5e-3, SNR 20 dB: at every density the better designed pattern
     beats the best rectangular and best diamond lattice.  Densities where no
     lattice exists within the K-2 fallback are vacuous and recorded."""
@@ -227,7 +227,7 @@ def check_density_sweep_ordering(densities=DEFAULT_DENSITIES) -> CheckResult:
     grid = GridConfig(12, 14)
     stats = build_statistics(grid, ScatteringSpec(spreading_factor=0.005))
     ok, details = True, {}
-    for density in densities:
+    for density in DENSITIES:
         K = round(density * grid.size)
         problem = make_design_problem(stats, K=K, snr_db=20.0)
         designed = min(

@@ -151,7 +151,6 @@ class TestGridConfig:
         k = 0
         for n in range(5):
             for m in range(3):
-                assert grid.flat_index(m, n) == k
                 assert grid.cell(k) == (m, n)
                 k += 1
 

@@ -147,6 +147,9 @@ class TestConfigParsing:
             {"pilot_budget": [0.1], "snr_db": float("nan")},
             {"scattering": {"spreading_factor": 0.001, "rms_fraction": float("nan")}},
             {"scattering": {"spreading_factor": float("inf")}},
+            # Finite, but 10^(-snr_db/10) underflows to 0 or overflows.
+            {"snr_db": 4000},
+            {"snr_db": -4000},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path, capsys):
@@ -460,4 +463,15 @@ class TestRunPoint:
         for method, outcome in outcomes.items():
             expected = self.DOCUMENTED_KEYS.get(method, self.INTEGER_KEYS)
             assert set(outcome) in (expected, {"error", "K"}), method
+
+    def test_singular_information_matrix_is_a_method_error(self):
+        # At 200 dB the information matrices of the lattice and exhaustive
+        # searches are singular in floating point.
+        grid = GridConfig(4, 4)
+        stats = build_statistics(grid, ScatteringSpec(spreading_factor=0.01))
+        cfg = parse_config({**BASE_CONFIG, "grid": {"M": 4, "N": 4}, "pilot_budget": 3, "snr_db": 200})
+        outcomes = run_point(cfg, stats, 3, 200.0, 0, ("rect", "exhaustive"), repeats=1)
+        for method in ("rect", "exhaustive"):
+            assert outcomes[method]["error"].startswith("NumericError: "), method
+            assert outcomes[method]["K"] == 3
 

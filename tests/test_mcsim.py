@@ -10,10 +10,18 @@ from pilotopt import (
     build_statistics,
     greedy_design,
     local_swap,
+    make_design_problem,
     run_simulation,
 )
 from pilotopt.errors import InvalidSpecError
-from pilotopt.mcsim import _factor_sqrt, analytic_mse, lmmse_weights, sample_channels
+from pilotopt.mcsim import (
+    _BATCH,
+    SimResult,
+    _factor_sqrt,
+    analytic_mse,
+    lmmse_weights,
+    sample_channels,
+)
 
 from conftest import dense_lmmse, full_covariance
 
@@ -27,6 +35,33 @@ def received_block(g, pattern, sigma_p, data_power, noise_var, rng):
     x[list(pattern.indices)] = sigma_p
     noise = np.sqrt(noise_var / 2.0) * (parts[:, 1, 0] + 1j * parts[:, 1, 1])
     return x * g + noise
+
+
+def full_block_simulation(stats, problem, pattern, cfg):
+    """``run_simulation`` with the whole received block ``Y = X * G + noise``
+    formed on every cell before the estimator reads the pilot columns."""
+    P = stats.grid.size
+    sigma_p = float(np.sqrt(problem.pilot_power))
+    rng = np.random.default_rng(cfg.rng_seed)
+    W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
+    idx = list(pattern.indices)
+    per_real = []
+    done = 0
+    while done < cfg.realizations:
+        count = min(_BATCH, cfg.realizations - done)
+        G = sample_channels(stats, count, rng)
+        X = np.zeros((count, P), dtype=np.complex128)
+        X[:, idx] = sigma_p
+        parts = rng.standard_normal((count, P, 2))
+        Y = X * G + np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+        per_real.append((np.abs(G - Y[:, idx] @ W.T) ** 2).mean(axis=1))
+        done += count
+    per_real = np.concatenate(per_real)
+    return SimResult(
+        empirical_mse=float(per_real.mean()),
+        analytic_mse=analytic_mse(stats, pattern, sigma_p, cfg.noise_var),
+        standard_error=float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)),
+    )
 
 
 class TestSampleChannel:
@@ -144,11 +179,31 @@ class TestRunSimulation:
             worse = np.mean(np.abs(G - y_s @ (W * perturbation).T) ** 2)
             assert worse > base
 
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize(
+        "M, N, K, spreading, seed, realizations",
+        [
+            (4, 4, 3, 1e-3, 1, 5000),  # two batches
+            (12, 14, 14, 1e-3, 7, 400),
+            (12, 14, 17, 5e-3, 11, 400),
+            (48, 28, 134, 5e-3, 7, 50),
+        ],
+    )
+    def test_pilot_block_matches_full_block(self, M, N, K, spreading, seed, realizations):
+        stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=spreading))
+        problem = make_design_problem(stats, K=K, snr_db=20.0)
+        indices = np.random.default_rng(seed).choice(stats.grid.size, size=K, replace=False)
+        pattern = PilotPattern(tuple(indices), stats.grid)
+        cfg = SimConfig(realizations=realizations, rng_seed=seed, noise_var=problem.noise_var)
+        assert run_simulation(stats, problem, pattern, cfg) == full_block_simulation(
+            stats, problem, pattern, cfg
+        )
+
     def test_invalid_config(self):
         with pytest.raises(InvalidSpecError):
-            SimConfig(realizations=0)
+            SimConfig(realizations=0, rng_seed=0, noise_var=0.1)
         with pytest.raises(InvalidSpecError):
-            SimConfig(realizations=10, noise_var=0.0)
+            SimConfig(realizations=10, rng_seed=0, noise_var=0.0)
 
 
 class TestRankTruncationConsistency:

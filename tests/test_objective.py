@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotopt import (
     DesignProblem,
@@ -45,7 +47,6 @@ def synthetic_problem(M, N, r, K, alpha, seed=0):
         grid=grid,
         rows=U,
         prior=prior,
-        pilot_snr=compute_alpha(1.0, N, K, noise_var),
         budget=K,
         power_fraction=1.0,
         noise_var=noise_var,
@@ -77,6 +78,29 @@ class TestPatternTypes:
         p = PilotPattern((3, 1, 2), grid)
         assert p.indices == (1, 2, 3)
         assert p.cells() == [(1, 0), (2, 0), (3, 0)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_distinct_indices_give_a_sorted_pattern(self, data):
+        grid = GridConfig(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+        indices = data.draw(st.lists(st.integers(0, grid.size - 1), unique=True))
+        pattern = PilotPattern(tuple(indices), grid)
+        assert list(pattern.indices) == sorted(set(indices))
+        assert len(pattern) == len(indices)
+        assert pattern.mask().sum() == len(pattern)
+        assert tuple(n * grid.M + m for m, n in pattern.cells()) == pattern.indices
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_duplicate_or_outside_index_rejected(self, data):
+        grid = GridConfig(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+        indices = data.draw(st.lists(st.integers(0, grid.size - 1), unique=True))
+        bad = st.integers(-grid.size, -1) | st.integers(grid.size, 2 * grid.size)
+        if indices:
+            bad |= st.sampled_from(indices)
+        position = data.draw(st.integers(0, len(indices)))
+        with pytest.raises(InvalidSpecError):
+            PilotPattern(tuple(indices[:position] + [data.draw(bad)] + indices[position:]), grid)
 
     def test_allocation_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -154,7 +178,6 @@ class TestIncrementalUpdates:
             grid=pr.grid,
             rows=rows,
             prior=pr.prior,
-            pilot_snr=pr.pilot_snr,
             budget=pr.budget,
             power_fraction=pr.power_fraction,
             noise_var=pr.noise_var,
@@ -325,7 +348,6 @@ class TestPowerFractionWarning:
                 grid=problem_rb.grid,
                 rows=problem_rb.rows,
                 prior=problem_rb.prior,
-                pilot_snr=compute_alpha(2.0, 14, 14, 0.1),
                 budget=14,
                 power_fraction=2.0,
                 noise_var=0.1,
@@ -364,7 +386,6 @@ class TestObjectiveProperties:
             grid=problem_rb.grid,
             rows=problem_rb.rows[perm],
             prior=problem_rb.prior,
-            pilot_snr=problem_rb.pilot_snr,
             budget=problem_rb.budget,
             power_fraction=problem_rb.power_fraction,
             noise_var=problem_rb.noise_var,

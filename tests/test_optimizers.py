@@ -18,7 +18,6 @@ from pilotopt import (
     ScatteringSpec,
     best_lattice,
     build_statistics,
-    compute_alpha,
     dependent_rounding,
     exhaustive_search,
     greedy_design,
@@ -114,7 +113,6 @@ def dft_symmetric_problem(M=4, N=4, r=5, K=6, alpha=3.0):
         grid=grid,
         rows=U,
         prior=np.linspace(3.0, 1.0, r),
-        pilot_snr=compute_alpha(1.0, N, K, noise_var),
         budget=K,
         power_fraction=1.0,
         noise_var=noise_var,
@@ -325,7 +323,6 @@ class TestGreedy:
             grid=grid,
             rows=u,
             prior=np.array([2.0]),
-            pilot_snr=compute_alpha(1.0, 3, 1, 0.5),
             budget=1,
             power_fraction=1.0,
             noise_var=0.5,
@@ -354,8 +351,7 @@ class TestGreedy:
 
     def test_budget_and_report_fields(self, problem_rb):
         report = greedy_design(problem_rb)
-        assert len(report.pattern) == problem_rb.budget
-        assert report.method == "greedy"
+        assert len(report.pattern) == report.budget_used == problem_rb.budget
         assert report.swap_iterations == 0
         assert report.objective <= report.initial_objective
 
