@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .channel import GridConfig, ScatteringSpec, build_statistics, is_finite_number
-from .errors import BudgetError, ConfigError, PilotOptError
+from .errors import BudgetError, ConfigError, InvalidSpecError, PilotOptError
 from .objective import (
     average_mse,
+    compute_alpha,
     make_design_problem,
     noise_var_from_snr_db,
     objective_value,
@@ -199,6 +200,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
     beta = raw.get("beta")
     if beta is not None:
         _require(is_finite_number(beta) and beta > 0, "field 'beta' must be a finite positive number")
+    for kind, value in budgets:
+        try:
+            K = budget_pilots(grid, kind, value)
+        except BudgetError as exc:
+            raise ConfigError(f"field 'pilot_budget': {exc}") from exc
+        for snr_db in snr:
+            # The pilot SNR exactly as ``make_design_problem`` derives it.
+            try:
+                compute_alpha(K / grid.N if beta is None else beta, grid.N, K,
+                              noise_var_from_snr_db(snr_db))
+            except InvalidSpecError as exc:
+                raise ConfigError(f"fields 'snr_db' and 'beta': {exc}") from exc
 
     methods_raw = raw.get("methods", ["greedy-swap"])
     _require(isinstance(methods_raw, list) and len(methods_raw) >= 1,
@@ -320,20 +333,27 @@ def render_weights(grid: GridConfig, weights, footer: str) -> str:
 # one design point
 
 
-def _pattern_outcome(problem, pattern, objective, swap_iterations) -> dict:
+def _pattern_outcome(problem, pattern, objective, swap_iterations, mse_memo=None) -> dict:
     """The outcome fields of an integer pattern scored on ``problem``, whose
-    budget is the one actually used."""
+    budget is the one actually used.  ``mse_memo`` maps the indices of
+    patterns already scored on ``problem`` to their average MSE; a pattern
+    not in it is scored and added."""
+    memo = {} if mse_memo is None else mse_memo
+    if pattern.indices not in memo:
+        memo[pattern.indices] = average_mse(problem, pattern)
     return {
         "indices": list(pattern.indices),
         "objective": objective,
-        "average_mse": average_mse(problem, pattern),
+        "average_mse": memo[pattern.indices],
         "K": problem.budget,
         "swap_iterations": swap_iterations,
     }
 
 
-def _report_outcome(report: DesignReport) -> dict:
-    return _pattern_outcome(report.problem, report.pattern, report.objective, report.swap_iterations)
+def _report_outcome(report: DesignReport, mse_memo=None) -> dict:
+    return _pattern_outcome(
+        report.problem, report.pattern, report.objective, report.swap_iterations, mse_memo
+    )
 
 
 def _run_relaxation(problem, allocation, seed, repeats) -> dict:
@@ -355,11 +375,13 @@ def _run_rounding(problem, allocation, seed, repeats) -> dict:
 def _run_rounding_swap(problem, allocation, seed, repeats) -> dict:
     seeds = [derive_rounding_seed(seed, i) for i in range(repeats)]
     best, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+    # Refined roundings often coincide; each distinct pattern is scored once.
+    memo = {}
     distribution = [
-        {"rounding_seed": s, "wall_time": r.wall_time, **_report_outcome(r)}
+        {"rounding_seed": s, "wall_time": r.wall_time, **_report_outcome(r, memo)}
         for s, r in zip(seeds, reports)
     ]
-    return {**_report_outcome(best), "distribution": distribution}
+    return {**_report_outcome(best, memo), "distribution": distribution}
 
 
 # Each runner takes (problem, allocation, seed, repeats); ``allocation`` is the

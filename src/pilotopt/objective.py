@@ -14,6 +14,7 @@ updated by the Sherman-Morrison formula, which makes add/remove/swap deltas
 O(r^2) instead of a refactorization.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,12 +36,21 @@ def compute_alpha(beta: float, N: int, K: int, noise_var: float) -> float:
 
     ``beta`` is the fraction of block power given to pilots, so the per-pilot
     symbol power is ``beta * N / K`` and alpha is that power over the noise.
+    Alpha must be a positive float whose square is finite (at most about
+    1.3e154): the swap screen squares ``alpha / (1 - alpha q) >= alpha``.
     """
     if K < 1 or int(K) != K:
         raise BudgetError(f"pilot budget must be a positive integer, got {K}")
     if beta <= 0 or N < 1 or noise_var <= 0:
         raise InvalidSpecError("beta, N and noise_var must be positive")
-    return beta * N / (K * noise_var)
+    alpha = float(beta) * N / (K * noise_var)
+    if not (alpha > 0.0 and alpha * alpha < math.inf):
+        raise InvalidSpecError(
+            f"pilot SNR beta*N/(K*noise_var) = {alpha:g} (beta = {beta:g}, N = {N}, "
+            f"K = {K}, noise_var = {noise_var:g}) is not a positive float with a "
+            "finite square"
+        )
+    return alpha
 
 
 def noise_var_from_snr_db(snr_db: float) -> float:
@@ -307,15 +317,20 @@ class ObjectiveState:
         return PilotPattern(tuple(sorted(self.selected)), self.problem.grid)
 
 
-def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
-    """Sherman-Morrison terms of every row ``u_k`` of ``rows`` against ``A_inv``.
-
-    Returns ``Z``, whose k-th row is ``z_k = A^{-1} u_k^H``, the quadratic
-    forms ``u_k A^{-1} u_k^H`` and the squared norms ``|z_k|^2``.
-    """
+def _row_norms(A_inv: np.ndarray, rows: np.ndarray):
+    """``Z``, whose k-th row is ``z_k = A^{-1} u_k^H`` for row ``u_k`` of
+    ``rows``, and the squared norms ``|z_k|^2``."""
     Z = (rows @ A_inv).conj()
+    return Z, np.einsum("ij,ij->i", Z, Z.conj()).real
+
+
+def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
+    """Sherman-Morrison terms of every row ``u_k`` of ``rows`` against ``A_inv``:
+    ``_row_norms`` plus the quadratic forms ``u_k A^{-1} u_k^H``, returned as
+    ``Z, quad, norm2``.
+    """
+    Z, norm2 = _row_norms(A_inv, rows)
     quad = np.einsum("ij,ij->i", rows, Z).real
-    norm2 = np.einsum("ij,ij->i", Z, Z.conj()).real
     return Z, quad, norm2
 
 
@@ -428,7 +443,7 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
 def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarray:
     """Relaxed-objective gradient ``-alpha * u_i A^{-2} u_i^H`` per cell, from
     an ``A^{-1}`` already formed by ``information_inverse``."""
-    _, _, norm2 = _row_terms(A_inv, problem.rows)
+    _, norm2 = _row_norms(A_inv, problem.rows)
     return -problem.pilot_snr * norm2
 
 

@@ -47,7 +47,9 @@ from .objective import (
 EXHAUSTIVE_GUARD = 2_000_000
 SWAP_TOLERANCE = 1e-10
 # Screened swaps within this fraction of the objective of the best one are
-# refereed by the per-row arithmetic.
+# refereed by the per-row arithmetic.  The screen and the referee agree to
+# about 1e-16 of the objective, so a swap the band leaves alone is the one
+# the referee would pick.
 SWAP_SCREEN_BAND = 1e-9
 
 METHOD_CR = "cr"
@@ -296,17 +298,27 @@ def _best_swap(state: ObjectiveState, selected: list, candidates: np.ndarray):
     gain after removing i (lowest j on ties) and keeps the first i with the
     lowest delta.  Mirror-symmetric channels give exactly tied swaps, and the
     batched screen's arithmetic differs from the scan's by a few ulps, enough
-    to flip such a tie.  So the screen only shortlists the rows within
-    ``SWAP_SCREEN_BAND`` of its best delta, and the scan referees them.
+    to flip such a tie.  So a screened best swap that is alone within
+    ``SWAP_SCREEN_BAND`` of its delta, and improving by more than the band,
+    is taken as it stands; otherwise the scan referees the rows within the
+    band.
     """
     problem = state.problem
-    row_best = swap_deltas(state, selected, candidates).min(axis=1)
+    deltas = swap_deltas(state, selected, candidates)
+    row_best = deltas.min(axis=1)
+    best = row_best.min()
     band = SWAP_SCREEN_BAND * state.value
-    if row_best.min() > -SWAP_TOLERANCE + band:
+    if best > -SWAP_TOLERANCE + band:
         return None
+    near_rows = np.flatnonzero(row_best <= best + band)
+    if near_rows.size == 1 and best < -SWAP_TOLERANCE - band:
+        a = near_rows[0]
+        near_cols = np.flatnonzero(deltas[a] <= best + band)
+        if near_cols.size == 1:
+            return selected[a], int(candidates[near_cols[0]])
     cand_rows = problem.rows[candidates]
     best_delta, best_pair = 0.0, None
-    for a in np.flatnonzero(row_best <= row_best.min() + band):
+    for a in near_rows:
         i = selected[a]
         increase, A_inv_without = removal_terms(state, i)
         gains = gains_for_candidates(A_inv_without, cand_rows, problem.pilot_snr)
@@ -338,9 +350,9 @@ def local_swap(
     accepted = 0
     for passes in range(max_passes + 1):
         selected = sorted(state.selected)
-        candidates = np.array(
-            [j for j in range(problem.grid.size) if j not in state.selected]
-        )
+        unselected = np.ones(problem.grid.size, dtype=bool)
+        unselected[selected] = False
+        candidates = np.flatnonzero(unselected)
         if candidates.size == 0:
             break
         pair = _best_swap(state, selected, candidates)

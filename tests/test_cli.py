@@ -150,6 +150,9 @@ class TestConfigParsing:
             # Finite, but 10^(-snr_db/10) underflows to 0 or overflows.
             {"snr_db": 4000},
             {"snr_db": -4000},
+            # Finite noise variance, but the pilot SNR overflows or squares to inf.
+            {"snr_db": 3200},
+            {"beta": 1e300},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path, capsys):

@@ -67,6 +67,14 @@ class TestComputeAlpha:
         with pytest.raises(BudgetError):
             compute_alpha(1.0, 14, 0, 0.1)
 
+    @pytest.mark.parametrize(
+        "beta, noise_var",
+        [(1.0, 1e-320), (1e300, 0.1), (1e-300, 1e300)],  # inf, squares to inf, 0
+    )
+    def test_unrepresentable_pilot_snr_rejected(self, beta, noise_var):
+        with pytest.raises(InvalidSpecError, match="pilot SNR"):
+            compute_alpha(beta, 14, 14, noise_var)
+
 
 class TestPatternTypes:
     def test_pattern_validation(self):

@@ -37,8 +37,16 @@ from pilotopt.errors import (
     LatticeError,
     NoFeasibleLatticeError,
 )
+from pilotopt import optimizers
 from pilotopt.cli import derive_rounding_seed
-from pilotopt.optimizers import greedy_swap_design, lattice_count, relax_round_swap_design
+from pilotopt.objective import gains_for_candidates, removal_terms, swap_deltas
+from pilotopt.optimizers import (
+    SWAP_SCREEN_BAND,
+    SWAP_TOLERANCE,
+    greedy_swap_design,
+    lattice_count,
+    relax_round_swap_design,
+)
 
 # Hand enumeration of the diamond with spacing (4, 2) on the 12x14 grid:
 # even pilot columns n in {0,4,8,12} carry m in {0,4,8}; odd pilot columns
@@ -94,6 +102,29 @@ def list_rebuild_rounding(w, rng_seed):
             c[j] += d_minus
         fractional = [k for k in fractional if eps < c[k] < 1.0 - eps]
     return tuple(k for k, x in enumerate(c) if x > 0.5)
+
+
+def always_referee_best_swap(state, selected, candidates):
+    """Reference: the swap pass that referees every screened near-best row,
+    even when the screen has a single best swap."""
+    problem = state.problem
+    row_best = swap_deltas(state, selected, candidates).min(axis=1)
+    band = SWAP_SCREEN_BAND * state.value
+    if row_best.min() > -SWAP_TOLERANCE + band:
+        return None
+    cand_rows = problem.rows[candidates]
+    best_delta, best_pair = 0.0, None
+    for a in np.flatnonzero(row_best <= row_best.min() + band):
+        i = selected[a]
+        increase, A_inv_without = removal_terms(state, i)
+        gains = gains_for_candidates(A_inv_without, cand_rows, problem.pilot_snr)
+        pos = int(np.argmax(gains))
+        delta = increase - float(gains[pos])
+        if delta < best_delta:
+            best_delta, best_pair = delta, (i, int(candidates[pos]))
+    if best_delta >= -SWAP_TOLERANCE:
+        return None
+    return best_pair
 
 
 def criterion_4_allocation():
@@ -396,6 +427,45 @@ class TestLocalSwap:
         assert report.pattern.indices == (1, 22, 41, 72, 94, 113, 145, 153)
         assert report.swap_iterations == 15
         assert report.objective == 2.2383677162230255
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    def test_screen_decided_swaps_match_always_referee_reference(self, monkeypatch):
+        grid = GridConfig(12, 14)
+        for spreading in (1e-4, 1e-3, 5e-3, 1e-2):
+            stats = build_statistics(grid, ScatteringSpec(spreading_factor=spreading))
+            for K in (8, 17, 50):
+                problem = make_design_problem(stats, K=K, snr_db=20.0)
+                allocation = solve_relaxation(problem)
+                starts = [greedy_design(problem).pattern] + [
+                    dependent_rounding(allocation, seed, grid=grid) for seed in range(5)
+                ]
+                for init in starts:
+                    report = local_swap(problem, init)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(optimizers, "_best_swap", always_referee_best_swap)
+                        reference = local_swap(problem, init)
+                    assert report.pattern.indices == reference.pattern.indices
+                    assert report.swap_iterations == reference.swap_iterations
+                    assert report.initial_objective == reference.initial_objective
+                    assert report.objective == reference.objective
+
+    def test_referee_runs_only_on_near_ties(self, monkeypatch):
+        # The mirror-image tie instance below: its ties still need the
+        # referee, but most of its 15 passes have a single best swap.
+        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=0.01))
+        problem = make_design_problem(stats, K=8, snr_db=20.0)
+        init = greedy_design(problem).pattern
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return gains_for_candidates(*args)
+
+        monkeypatch.setattr(optimizers, "gains_for_candidates", counted)
+        report = local_swap(problem, init)
+        assert report.swap_iterations == 15
+        assert report.pattern.indices == (1, 22, 41, 72, 94, 113, 145, 153)
+        assert 1 <= len(calls) < report.swap_iterations
 
     def test_pass_cap_with_improving_swap_left_warns(self, problem_rb):
         poor = PilotPattern(tuple(range(problem_rb.budget)), problem_rb.grid)
