@@ -5,9 +5,10 @@ The channel is separable: the grid covariance factors as a Kronecker product
 ``C_g = C_t (x) C_f`` of a symbol-axis correlation ``C_t`` and a subcarrier-axis
 correlation ``C_f``, both Toeplitz with unit diagonal.  Eigendecomposing the
 two small factors gives the eigenpairs of the full ``MN x MN`` covariance at
-``O(M^3 + N^3)`` cost.  The dominant pairs form the reduced-rank basis used by
-the design objective; every significant pair is kept as well, so that the
-reported LMMSE error of a pattern is exact.
+``O(M^3 + N^3)`` cost.  Every significant pair is stored once.  The reported
+average MSE of a pattern is scored on all of them, which makes it the exact
+LMMSE error; their dominant prefix is the reduced-rank basis of the design
+problem.
 """
 
 import numbers
@@ -209,27 +210,31 @@ def build_time_correlation(spec: ScatteringSpec, N: int) -> np.ndarray:
 class ChannelStatistics:
     """Kronecker factors and eigenpairs of the grid covariance.
 
-    ``eigvecs`` has orthonormal columns spanning the dominant subspace of
-    ``C_g = C_t (x) C_f``; ``eigvals`` are the matching eigenvalues in
-    descending order.  This reduced-rank basis, cut by the energy threshold,
-    is what the design objective and the optimizers see.
-    ``full_eigvals``/``full_eigvecs`` extend it, in the same order, to every
-    eigenpair above the ``EIGENVALUE_FLOOR``; the reported average MSE is
-    evaluated on them, so it is the exact LMMSE error of the pattern.
+    ``significant_eigvals`` are the eigenvalues of ``C_g = C_t (x) C_f`` above
+    ``EIGENVALUE_FLOOR`` of the largest, in descending order, and the columns
+    of ``significant_eigvecs`` the matching orthonormal eigenvectors.  The
+    reported average MSE is evaluated on all of them, so it is the exact
+    LMMSE error of the pattern.  Their leading ``effective_rank`` pairs, cut
+    by the energy threshold, are ``eigvals``/``eigvecs``: the reduced-rank
+    basis that the design objective and the optimizers see.
     """
 
     grid: GridConfig
     freq_corr: np.ndarray
     time_corr: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-    full_eigvals: np.ndarray
-    full_eigvecs: np.ndarray
+    significant_eigvals: np.ndarray
+    significant_eigvecs: np.ndarray
+    effective_rank: int
 
     @property
-    def effective_rank(self) -> int:
-        """Size ``r`` of the reduced-rank design basis."""
-        return self.eigvals.size
+    def eigvals(self) -> np.ndarray:
+        """The ``r`` eigenvalues of the reduced-rank design basis."""
+        return self.significant_eigvals[: self.effective_rank]
+
+    @property
+    def eigvecs(self) -> np.ndarray:
+        """The ``r`` eigenvectors of the design basis, as columns (a view)."""
+        return self.significant_eigvecs[:, : self.effective_rank]
 
     @property
     def total_power(self) -> float:
@@ -261,9 +266,9 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
     The eigenvalues of ``C_t (x) C_f`` are all products of factor eigenvalues
     and the eigenvectors are Kronecker products of factor eigenvectors.
     Eigenvalues below ``1e-12`` of the largest are always dropped; the rest
-    form the full significant spectrum.  Its leading ``r`` pairs, for the
-    smallest ``r`` whose retained energy reaches the requested threshold, form
-    the reduced-rank design basis.
+    form the significant spectrum.  Its leading ``r`` pairs, for the smallest
+    ``r`` whose retained energy reaches the requested threshold, form the
+    reduced-rank design basis.
     """
     C_f = build_freq_correlation(spec, grid.M)
     C_t = build_time_correlation(spec, grid.N)
@@ -283,20 +288,16 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
     significant = int(np.sum(sorted_vals >= EIGENVALUE_FLOOR * sorted_vals[0]))
     rank = max(1, min(rank, significant))
 
-    full_eigvals = sorted_vals[:significant].copy()
-    full_eigvecs = np.empty((grid.size, significant), dtype=np.complex128)
-    for col, flat in enumerate(order[:significant]):
-        a, b = divmod(int(flat), grid.M)
-        full_eigvecs[:, col] = np.kron(t_vecs[:, a], f_vecs[:, b])
-
+    a, b = np.divmod(order[:significant], grid.M)
+    # Column c is kron(t_vecs[:, a[c]], f_vecs[:, b[c]]), cell n*M + m.
+    eigvecs = t_vecs[:, a][:, None, :] * f_vecs[:, b][None, :, :]
     return ChannelStatistics(
         grid=grid,
         freq_corr=C_f,
         time_corr=C_t,
-        eigvals=full_eigvals[:rank].copy(),
-        eigvecs=full_eigvecs[:, :rank].copy(),
-        full_eigvals=full_eigvals,
-        full_eigvecs=full_eigvecs,
+        significant_eigvals=sorted_vals[:significant],
+        significant_eigvecs=eigvecs.reshape(grid.size, significant),
+        effective_rank=rank,
     )
 
 

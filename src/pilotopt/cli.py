@@ -25,6 +25,7 @@ import numpy as np
 from .channel import GridConfig, ScatteringSpec, build_statistics, is_finite_number
 from .errors import BudgetError, ConfigError, InvalidSpecError, PilotOptError
 from .objective import (
+    FractionalAllocation,
     average_mse,
     compute_alpha,
     make_design_problem,
@@ -333,68 +334,88 @@ def render_weights(grid: GridConfig, weights, footer: str) -> str:
 # one design point
 
 
-def _pattern_outcome(problem, pattern, objective, swap_iterations, mse_memo=None) -> dict:
+def _mse_scorer(stats):
+    """``score(problem, pattern)``: the average MSE of a pattern or allocation
+    on ``stats`` at the pilot SNR of ``problem``, whose budget is the one the
+    pattern uses.  One scorer serves one design point; it scores each
+    distinct (budget, indices) pair of an integer pattern once."""
+    memo = {}
+
+    def score(problem, pattern):
+        if isinstance(pattern, FractionalAllocation):
+            return average_mse(stats, pattern, problem.pilot_snr)
+        key = (problem.budget, pattern.indices)
+        if key not in memo:
+            memo[key] = average_mse(stats, pattern, problem.pilot_snr)
+        return memo[key]
+
+    return score
+
+
+def _pattern_outcome(problem, pattern, objective, swap_iterations, score) -> dict:
     """The outcome fields of an integer pattern scored on ``problem``, whose
-    budget is the one actually used.  ``mse_memo`` maps the indices of
-    patterns already scored on ``problem`` to their average MSE; a pattern
-    not in it is scored and added."""
-    memo = {} if mse_memo is None else mse_memo
-    if pattern.indices not in memo:
-        memo[pattern.indices] = average_mse(problem, pattern)
+    budget is the one actually used."""
     return {
         "indices": list(pattern.indices),
         "objective": objective,
-        "average_mse": memo[pattern.indices],
+        "average_mse": score(problem, pattern),
         "K": problem.budget,
         "swap_iterations": swap_iterations,
     }
 
 
-def _report_outcome(report: DesignReport, mse_memo=None) -> dict:
+def _report_outcome(report: DesignReport, score) -> dict:
     return _pattern_outcome(
-        report.problem, report.pattern, report.objective, report.swap_iterations, mse_memo
+        report.problem, report.pattern, report.objective, report.swap_iterations, score
     )
 
 
-def _run_relaxation(problem, allocation, seed, repeats) -> dict:
+def _run_relaxation(problem, allocation, seed, repeats, score) -> dict:
     return {
         "weights": allocation.weights.tolist(),
         "objective": objective_value(problem, allocation),
-        "average_mse": average_mse(problem, allocation),
+        "average_mse": score(problem, allocation),
         "K": problem.budget,
         "converged": allocation.converged,
         "swap_iterations": 0,
     }
 
 
-def _run_rounding(problem, allocation, seed, repeats) -> dict:
+def _run_rounding(problem, allocation, seed, repeats, score) -> dict:
     pattern = dependent_rounding(allocation, derive_rounding_seed(seed, 0), grid=problem.grid)
-    return _pattern_outcome(problem, pattern, objective_value(problem, pattern), 0)
+    return _pattern_outcome(problem, pattern, objective_value(problem, pattern), 0, score)
 
 
-def _run_rounding_swap(problem, allocation, seed, repeats) -> dict:
+def _run_rounding_swap(problem, allocation, seed, repeats, score) -> dict:
     seeds = [derive_rounding_seed(seed, i) for i in range(repeats)]
     best, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
-    # Refined roundings often coincide; each distinct pattern is scored once.
-    memo = {}
     distribution = [
-        {"rounding_seed": s, "wall_time": r.wall_time, **_report_outcome(r, memo)}
+        {"rounding_seed": s, "wall_time": r.wall_time, **_report_outcome(r, score)}
         for s, r in zip(seeds, reports)
     ]
-    return {**_report_outcome(best, memo), "distribution": distribution}
+    return {**_report_outcome(best, score), "distribution": distribution}
 
 
-# Each runner takes (problem, allocation, seed, repeats); ``allocation`` is the
-# shared relaxation solve, present whenever a method starting with "cr" runs.
+# Each runner takes (problem, allocation, seed, repeats, score); ``allocation``
+# is the shared relaxation solve, present whenever a method starting with "cr"
+# runs, and ``score`` the point's ``_mse_scorer``.
 RUNNERS = {
     METHOD_CR: _run_relaxation,
     METHOD_CR_ROUND: _run_rounding,
     METHOD_CR_ROUND_SWAP: _run_rounding_swap,
-    METHOD_GREEDY: lambda problem, *_: _report_outcome(greedy_design(problem)),
-    METHOD_GREEDY_SWAP: lambda problem, *_: _report_outcome(greedy_swap_design(problem)),
-    METHOD_RECT: lambda problem, *_: _report_outcome(best_lattice(problem, METHOD_RECT)),
-    METHOD_DIAMOND: lambda problem, *_: _report_outcome(best_lattice(problem, METHOD_DIAMOND)),
-    METHOD_EXHAUSTIVE: lambda problem, *_: _report_outcome(exhaustive_search(problem)),
+    METHOD_GREEDY: lambda problem, *_, score: _report_outcome(greedy_design(problem), score),
+    METHOD_GREEDY_SWAP: lambda problem, *_, score: _report_outcome(
+        greedy_swap_design(problem), score
+    ),
+    METHOD_RECT: lambda problem, *_, score: _report_outcome(
+        best_lattice(problem, METHOD_RECT), score
+    ),
+    METHOD_DIAMOND: lambda problem, *_, score: _report_outcome(
+        best_lattice(problem, METHOD_DIAMOND), score
+    ),
+    METHOD_EXHAUSTIVE: lambda problem, *_, score: _report_outcome(
+        exhaustive_search(problem), score
+    ),
 }
 VALID_METHODS = tuple(RUNNERS)
 
@@ -408,16 +429,19 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     and ``cr`` has ``weights`` and ``converged`` in place of ``indices``.  A
     method infeasible at this point gets ``error`` and ``K`` instead.
 
-    ``objective`` is the design objective on the reduced-rank basis; for
-    ``cr`` it is the relaxation bound on it.  ``average_mse`` is the exact
-    LMMSE error of the pattern at the budget ``K`` actually used; for ``cr``
-    it is that of the weights read as per-cell pilot power, which is not a
-    bound, and it depends on which of the non-unique relaxed optima the
-    solver stops at far more than the objective does.  One relaxation solve
-    is shared by all relaxation-based methods; its time is attributed to the
-    first of them.
+    ``objective`` is the design objective on the design problem's one,
+    reduced-rank basis; for ``cr`` it is the relaxation bound on it.
+    ``average_mse`` is scored from the channel statistics ``stats``, on every
+    significant eigenpair: the exact LMMSE error of the pattern at the budget
+    ``K`` actually used.  Each distinct (K used, indices) pair is scored once
+    per point, across all methods and roundings.  For ``cr`` it is the error
+    of the weights read as per-cell pilot power, which is not a bound, and
+    it depends on which of the non-unique relaxed optima the solver stops at
+    far more than the objective does.  One relaxation solve is shared by all
+    relaxation-based methods; its time is attributed to the first of them.
     """
     problem = make_design_problem(stats, K=K, snr_db=snr_db, beta=cfg.beta)
+    score = _mse_scorer(stats)
     outcomes = {}
     allocation = None
     relax_time = 0.0
@@ -432,7 +456,7 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
         if method.startswith("cr"):
             shared, relax_time = relax_time, 0.0
         try:
-            outcome = RUNNERS[method](problem, allocation, seed, repeats)
+            outcome = RUNNERS[method](problem, allocation, seed, repeats, score=score)
         except PilotOptError as exc:
             outcomes[method] = {"error": f"{type(exc).__name__}: {exc}", "K": K}
             continue

@@ -3,11 +3,13 @@
 Placing pilots with per-pilot SNR ``alpha`` on a set S updates the information
 matrix ``A = diag(1/lambda) + alpha * sum_{i in S} u_i^H u_i`` where ``u_i`` is
 the i-th row of the dominant eigenbasis.  The design objective is
-``trace(A^{-1})``, the estimation MSE inside the retained subspace.  The
-reported average MSE evaluates the same form on every significant eigenpair
-of the channel covariance, which makes it the exact LMMSE error of the
-pattern: cutting the basis also perturbs the pilot observations, so the
-reduced-rank objective plus the discarded energy would not be.
+``trace(A^{-1})``, the estimation MSE inside the retained subspace.  A
+``DesignProblem`` holds this one basis.  The reported average MSE is scored
+from the channel statistics instead: ``average_mse`` evaluates the same form
+on every significant eigenpair of the channel covariance, which makes it the
+exact LMMSE error of the pattern.  Cutting the basis also perturbs the pilot
+observations, so the reduced-rank objective plus the discarded energy would
+not be.
 
 The inverse ``A^{-1}`` is maintained explicitly (it is r x r with r << M*N) and
 updated by the Sherman-Morrison formula, which makes add/remove/swap deltas
@@ -15,6 +17,7 @@ O(r^2) instead of a refactorization.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,31 +61,27 @@ def noise_var_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _basis(grid: GridConfig, rows, prior) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (P, r) eigenvector rows and their r positive eigenvalues."""
-    rows = np.asarray(rows, dtype=np.complex128)
-    prior = np.asarray(prior, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] != grid.size:
-        raise InvalidSpecError(f"rows must be (P, r) with P = {grid.size}, got {rows.shape}")
-    if prior.shape != (rows.shape[1],):
-        raise InvalidSpecError("prior length must match the subspace rank")
-    if np.any(prior <= 0):
-        raise InvalidSpecError("prior eigenvalues must be positive")
-    return rows, prior
+def _first_frame_outside() -> int:
+    """``stacklevel`` that makes a warning raised in this module name the
+    first frame outside it.  The dataclass-generated ``__init__`` runs in
+    this module's globals, so it is skipped like a function defined here."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals is globals():
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
 class DesignProblem:
     """Immutable inputs of one pilot design instance.
 
-    ``rows`` is the P x r matrix whose i-th row is the grid cell i restricted
-    to the dominant channel subspace; ``prior`` holds the r dominant
-    eigenvalues.  The optimizers read only these.  ``full_rows`` and
-    ``full_prior`` hold every significant eigenpair (P x R and R, R >= r), on
-    which ``average_mse`` is evaluated.  Without ``full_rows`` both default
-    to ``rows`` and ``prior``: the design basis is then the whole model.
-    ``pilot_snr`` is not given but derived, ``alpha = beta*N/(K*noise_var)``
-    from the power fraction, ``grid.N``, the budget and the noise variance.
+    The A-optimal sensor-selection problem and nothing more: ``rows`` is the
+    P x r matrix whose i-th row is the grid cell i restricted to the dominant
+    channel subspace, stored C-contiguous, and ``prior`` holds the r dominant
+    eigenvalues.  ``pilot_snr`` is not given but derived,
+    ``alpha = beta*N/(K*noise_var)`` from the power fraction, ``grid.N``, the
+    budget and the noise variance.  The reported average MSE is not scored
+    here but on the channel statistics (``average_mse``).
     """
 
     grid: GridConfig
@@ -92,15 +91,19 @@ class DesignProblem:
     budget: int
     power_fraction: float
     noise_var: float
-    full_rows: np.ndarray | None = None
-    full_prior: np.ndarray | None = None
 
     def __post_init__(self):
-        rows, prior = _basis(self.grid, self.rows, self.prior)
-        if self.full_rows is None:
-            full_rows, full_prior = rows, prior
-        else:
-            full_rows, full_prior = _basis(self.grid, self.full_rows, self.full_prior)
+        # The kernels multiply by rows and read single rows: keep them dense.
+        rows = np.ascontiguousarray(self.rows, dtype=np.complex128)
+        prior = np.asarray(self.prior, dtype=float)
+        if rows.ndim != 2 or rows.shape[0] != self.grid.size:
+            raise InvalidSpecError(
+                f"rows must be (P, r) with P = {self.grid.size}, got {rows.shape}"
+            )
+        if prior.shape != (rows.shape[1],):
+            raise InvalidSpecError("prior length must match the subspace rank")
+        if np.any(prior <= 0):
+            raise InvalidSpecError("prior eigenvalues must be positive")
         if not 1 <= self.budget <= self.grid.size:
             raise BudgetError(f"budget {self.budget} outside [1, {self.grid.size}]")
         if self.power_fraction <= 0:
@@ -109,15 +112,12 @@ class DesignProblem:
             warnings.warn(
                 f"power_fraction {self.power_fraction:g} > 1: pilot power exceeds "
                 "the block budget (happens when K > N with unit pilot power)",
-                # 1 is here, 2 the generated __init__, 3 its caller.
-                stacklevel=3,
+                stacklevel=_first_frame_outside(),
             )
         alpha = compute_alpha(self.power_fraction, self.grid.N, self.budget, self.noise_var)
         object.__setattr__(self, "pilot_snr", alpha)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "full_rows", full_rows)
-        object.__setattr__(self, "full_prior", full_prior)
 
     @property
     def rank(self) -> int:
@@ -137,8 +137,6 @@ class DesignProblem:
             budget=K,
             power_fraction=self.power_fraction,
             noise_var=self.noise_var,
-            full_rows=self.full_rows,
-            full_prior=self.full_prior,
         )
 
 
@@ -166,8 +164,6 @@ def make_design_problem(
         budget=K,
         power_fraction=beta,
         noise_var=noise_var,
-        full_rows=stats.full_eigvecs,
-        full_prior=stats.full_eigvals,
     )
 
 
@@ -226,37 +222,30 @@ class FractionalAllocation:
         object.__setattr__(self, "weights", w)
 
 
-def _weight_vector(problem: DesignProblem, pattern) -> np.ndarray:
-    if isinstance(pattern, PilotPattern):
-        if pattern.grid != problem.grid:
-            raise InvalidSpecError("pattern grid does not match the problem grid")
-        return pattern.mask()
-    if isinstance(pattern, FractionalAllocation):
-        w = pattern.weights
-    else:
-        w = np.asarray(pattern, dtype=float)
-    if w.shape != (problem.grid.size,):
-        raise InvalidSpecError(f"weights must have length {problem.grid.size}")
-    return w
-
-
-def build_A(problem: DesignProblem, pattern, full: bool = False) -> np.ndarray:
-    """Information matrix ``A = diag(1/prior) + alpha * rows^H diag(w) rows``.
-
-    ``full`` builds it on ``full_rows``/``full_prior`` instead of the design
-    basis.
-    """
-    U, prior = (problem.full_rows, problem.full_prior) if full else (problem.rows, problem.prior)
+def _information_matrix(grid: GridConfig, rows, prior, alpha: float, pattern) -> np.ndarray:
+    """``diag(1/prior) + alpha * rows^H diag(w) rows`` for a pattern or
+    allocation ``w`` on ``grid``."""
     A = np.diag(1.0 / prior).astype(np.complex128)
     if isinstance(pattern, PilotPattern):
-        if pattern.grid != problem.grid:
+        if pattern.grid != grid:
             raise InvalidSpecError("pattern grid does not match the problem grid")
-        U_sel = U[list(pattern.indices)]
-        A += problem.pilot_snr * U_sel.conj().T @ U_sel
+        U_sel = rows[list(pattern.indices)]
+        A += alpha * U_sel.conj().T @ U_sel
     else:
-        w = _weight_vector(problem, pattern)
-        A += problem.pilot_snr * (U.conj().T * w) @ U
+        w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
+        w = np.asarray(w, dtype=float)
+        if w.shape != (grid.size,):
+            raise InvalidSpecError(f"weights must have length {grid.size}")
+        A += alpha * (rows.conj().T * w) @ rows
     return 0.5 * (A + A.conj().T)
+
+
+def build_A(problem: DesignProblem, pattern) -> np.ndarray:
+    """Information matrix ``A = diag(1/prior) + alpha * rows^H diag(w) rows``
+    on the design basis."""
+    return _information_matrix(
+        problem.grid, problem.rows, problem.prior, problem.pilot_snr, pattern
+    )
 
 
 def information_inverse(problem: DesignProblem, pattern) -> np.ndarray:
@@ -273,23 +262,27 @@ def objective_value(problem: DesignProblem, pattern) -> float:
     return float(np.trace(information_inverse(problem, pattern)).real)
 
 
-def average_mse(problem: DesignProblem, pattern) -> float:
+def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
     """Exact per-cell LMMSE error ``trace(C_e) / (M*N)`` of a pattern.
 
     Evaluates ``trace((diag(1/lambda) + alpha * U_S^H U_S)^{-1}) / (M*N)`` on
-    the full significant spectrum at the problem's pilot SNR, so a lattice
-    scored at a reduced budget K' needs the problem for K'.  The covariance
+    every significant eigenpair of ``stats`` at pilot SNR ``alpha``, which is
+    that of the budget the pattern uses: a lattice scored at a reduced
+    budget K' takes the ``pilot_snr`` of the problem for K'.  The covariance
     energy below the eigenvalue floor is left out.  An allocation's weights
     are read as per-cell fractions of the pilot power.
     """
+    A = _information_matrix(
+        stats.grid, stats.significant_eigvecs, stats.significant_eigvals, pilot_snr, pattern
+    )
     # A is Hermitian positive definite; inverting through its Cholesky factor
     # takes half the time of a general inverse at the ranks of a sweep.
-    factor, info = lapack.zpotrf(build_A(problem, pattern, full=True), lower=True)
+    factor, info = lapack.zpotrf(A, lower=True)
     if info == 0:
         inverse, info = lapack.zpotri(factor, lower=True)
     if info != 0:
         raise NumericError(f"information matrix is not positive definite (LAPACK info {info})")
-    return float(np.diagonal(inverse).real.sum()) / problem.grid.size
+    return float(np.diagonal(inverse).real.sum()) / stats.grid.size
 
 
 @dataclass

@@ -15,7 +15,6 @@ import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -34,7 +33,6 @@ from .objective import (
     FractionalAllocation,
     ObjectiveState,
     PilotPattern,
-    average_mse,
     gains_for_candidates,
     gradient_from_inverse,
     information_inverse,
@@ -82,11 +80,6 @@ class DesignReport:
     def budget_used(self) -> int:
         """Pilot count of the pattern: the budget, or a lattice's fallback."""
         return self.problem.budget
-
-    @cached_property
-    def average_mse(self) -> float:
-        """Exact LMMSE error of the pattern, computed when first read."""
-        return average_mse(self.problem, self.pattern)
 
 
 def _report(problem, pattern, objective, initial, swaps, t0):

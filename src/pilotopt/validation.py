@@ -18,6 +18,7 @@ from .objective import (
     FractionalAllocation,
     ObjectiveState,
     PilotPattern,
+    average_mse,
     make_design_problem,
     marginal_gain,
     objective_gradient,
@@ -292,7 +293,8 @@ def check_spreading_monotonicity() -> CheckResult:
     for dd in (1e-4, 1e-3, 1e-2):
         stats = build_statistics(grid, ScatteringSpec(spreading_factor=dd))
         problem = make_design_problem(stats, K=K, snr_db=20.0)
-        values.append(greedy_swap_design(problem).average_mse)
+        pattern = greedy_swap_design(problem).pattern
+        values.append(average_mse(stats, pattern, problem.pilot_snr))
     ok = values[0] < values[1] < values[2]
     return _finish(
         "criterion 8: MSE monotone in spreading factor",

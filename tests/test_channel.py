@@ -10,6 +10,7 @@ from pilotopt import (
     build_freq_correlation,
     build_statistics,
     build_time_correlation,
+    make_design_problem,
 )
 from pilotopt.channel import delay_correlation, doppler_correlation
 from pilotopt.errors import InvalidSpecError
@@ -212,6 +213,29 @@ class TestBuildStatistics:
             ).ravel()
         )[::-1]
         assert np.abs(direct - factored).max() <= 1e-9 * direct[0]
+
+    @pytest.mark.parametrize("M,N", [(12, 14), (48, 28)])
+    def test_one_stored_basis(self, M, N):
+        # Each significant eigenpair is stored once, as the Kronecker product
+        # of the factor eigenvectors; the design basis is its leading prefix.
+        grid = GridConfig(M, N)
+        stats = build_statistics(grid, ScatteringSpec(spreading_factor=5e-3))
+        r, R = stats.effective_rank, stats.significant_eigvals.size
+        assert 1 <= r < R == stats.significant_eigvecs.shape[1]
+        assert np.array_equal(stats.eigvecs, stats.significant_eigvecs[:, :r])
+        assert np.array_equal(stats.eigvals, stats.significant_eigvals[:r])
+        t_vals, t_vecs = np.linalg.eigh(stats.time_corr)
+        f_vals, f_vecs = np.linalg.eigh(stats.freq_corr)
+        products = np.outer(np.clip(t_vals, 0, None), np.clip(f_vals, 0, None)).ravel()
+        order = np.argsort(-products, kind="stable")[:R]
+        assert np.array_equal(stats.significant_eigvals, products[order])
+        for col, flat in enumerate(order):
+            a, b = divmod(int(flat), M)
+            kron = np.kron(t_vecs[:, a], f_vecs[:, b])
+            assert np.array_equal(stats.significant_eigvecs[:, col], kron), col
+        problem = make_design_problem(stats, K=N, snr_db=20.0)
+        assert problem.rows.flags.c_contiguous
+        assert np.array_equal(problem.rows, stats.eigvecs)
 
     def test_rank_nondecreasing_in_spreading(self):
         grid = GridConfig(12, 14)

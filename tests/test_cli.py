@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotopt import GridConfig, PilotPattern, ScatteringSpec, build_statistics
+from pilotopt import cli
 from pilotopt.cli import (
     CSV_COLUMNS,
     EXIT_BAD_CONFIG,
@@ -419,23 +420,28 @@ class TestErrorPaths:
 
 
 class TestReportedMse:
-    def test_integer_patterns_report_the_exact_lmmse_error(self):
-        # Density-sweep point where the rank-10 basis keeps 10 of 34
-        # significant eigenpairs; the best rect lattice has K' = 12 pilots.
-        K, snr_db, spreading = 13, 20.0, 5e-3
-        methods = ["greedy-swap", "cr-round-swap", "rect", "diamond"]
+    # Density-sweep point where the rank-10 basis keeps 10 of 34 significant
+    # eigenpairs; the best rect lattice has K' = 12 pilots.
+    K, SNR_DB, SPREADING = 13, 20.0, 5e-3
+    METHODS = ["greedy-swap", "cr-round-swap", "rect", "diamond"]
+
+    def _point(self):
         cfg = parse_config(
             {
                 **BASE_CONFIG,
-                "scattering": {"spreading_factor": spreading},
-                "snr_db": snr_db,
-                "pilot_budget": K,
-                "methods": methods,
+                "scattering": {"spreading_factor": self.SPREADING},
+                "snr_db": self.SNR_DB,
+                "pilot_budget": self.K,
+                "methods": self.METHODS,
                 "rounding_repeats": 3,
             }
         )
-        stats = build_statistics(cfg.grid, ScatteringSpec(spreading_factor=spreading))
-        assert stats.effective_rank < len(stats.full_eigvals)
+        return cfg, build_statistics(cfg.grid, ScatteringSpec(spreading_factor=self.SPREADING))
+
+    def test_integer_patterns_report_the_exact_lmmse_error(self):
+        K, snr_db, methods = self.K, self.SNR_DB, self.METHODS
+        cfg, stats = self._point()
+        assert stats.effective_rank < len(stats.significant_eigvals)
         outcomes = run_point(cfg, stats, K, snr_db, 0, methods, repeats=3)
         assert outcomes["rect"]["K"] == K - 1
         noise_var = 10.0 ** (-snr_db / 10.0)
@@ -450,6 +456,26 @@ class TestReportedMse:
                 assert len(pattern) == outcome["K"]
                 exact = analytic_mse(stats, pattern, sigma_p, noise_var)
                 assert row["average_mse"] == pytest.approx(exact, rel=1e-6), method
+
+    def test_each_distinct_pattern_is_scored_once(self, monkeypatch):
+        cfg, stats = self._point()
+        scored, average_mse = [], cli.average_mse
+
+        def counting_average_mse(stats, pattern, pilot_snr):
+            scored.append((len(pattern), pattern.indices))
+            return average_mse(stats, pattern, pilot_snr)
+
+        monkeypatch.setattr(cli, "average_mse", counting_average_mse)
+        outcomes = run_point(cfg, stats, self.K, self.SNR_DB, 0, self.METHODS, repeats=3)
+        rows = [
+            (row["K"], tuple(row["indices"]))
+            for outcome in outcomes.values()
+            for row in (outcome, *outcome.get("distribution", ()))
+        ]
+        # Seven rows (cr-round-swap's best is one of its three roundings).
+        assert len(rows) == 7 > len(set(rows))
+        assert len(scored) == len(set(scored)) == len(set(rows))
+        assert set(scored) == set(rows)
 
 
 class TestRunPoint:

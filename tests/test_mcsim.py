@@ -215,7 +215,7 @@ class TestRankTruncationConsistency:
         # the report is computed on the full significant spectrum instead and
         # has to agree with the dense pilot-restricted error covariance.
         pattern = greedy_design(problem_rb).pattern
-        reported = average_mse(problem_rb, pattern)
+        reported = average_mse(stats_rb, pattern, problem_rb.pilot_snr)
         full = analytic_mse(
             stats_rb, pattern, np.sqrt(problem_rb.pilot_power), problem_rb.noise_var
         )

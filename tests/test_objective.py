@@ -151,7 +151,8 @@ class TestBuildA:
 
 class TestObjectiveValue:
     def test_no_pilots_average_mse_is_one(self, stats_rb, problem_rb):
-        assert average_mse(problem_rb, PilotPattern((), problem_rb.grid)) == pytest.approx(
+        no_pilots = PilotPattern((), problem_rb.grid)
+        assert average_mse(stats_rb, no_pilots, problem_rb.pilot_snr) == pytest.approx(
             1.0, rel=1e-9
         )
 
@@ -350,7 +351,9 @@ class TestErrorCovariance:
 
 
 class TestPowerFractionWarning:
-    def test_warning_names_the_caller(self, problem_rb):
+    def test_warning_names_the_caller(self, stats_rb, problem_rb):
+        # Direct construction, make_design_problem and with_budget (the
+        # lattice fallback) all name this file, not a library line.
         with pytest.warns(UserWarning, match="power_fraction 2 > 1") as caught:
             DesignProblem(
                 grid=problem_rb.grid,
@@ -360,6 +363,12 @@ class TestPowerFractionWarning:
                 power_fraction=2.0,
                 noise_var=0.1,
             )
+        assert caught[0].filename == __file__
+        with pytest.warns(UserWarning, match="power_fraction 2 > 1") as caught:
+            wide = make_design_problem(stats_rb, K=28, snr_db=10.0)  # beta = K/N
+        assert caught[0].filename == __file__
+        with pytest.warns(UserWarning, match="power_fraction 2 > 1") as caught:
+            wide.with_budget(27)
         assert caught[0].filename == __file__
 
 
