@@ -430,7 +430,8 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     method infeasible at this point gets ``error`` and ``K`` instead.
 
     ``objective`` is the design objective on the design problem's one,
-    reduced-rank basis; for ``cr`` it is the relaxation bound on it.
+    reduced-rank basis; for ``cr`` it is its value at the relaxation solver's
+    stopping iterate, an upper bound on the relaxed optimum.
     ``average_mse`` is scored from the channel statistics ``stats``, on every
     significant eigenpair: the exact LMMSE error of the pattern at the budget
     ``K`` actually used.  Each distinct (K used, indices) pair is scored once

@@ -11,9 +11,10 @@ exact LMMSE error of the pattern.  Cutting the basis also perturbs the pilot
 observations, so the reduced-rank objective plus the discarded energy would
 not be.
 
-The inverse ``A^{-1}`` is maintained explicitly (it is r x r with r << M*N) and
-updated by the Sherman-Morrison formula, which makes add/remove/swap deltas
-O(r^2) instead of a refactorization.
+The inverse ``A^{-1}`` is kept explicitly (it is r x r with r << M*N).  Greedy
+selection and the swap pass's near-tie referee update it by the
+Sherman-Morrison formula, which makes add/remove/swap deltas O(r^2) instead of
+a refactorization; a swap state's ``A^{-1}`` is computed from its pattern.
 """
 
 import math

@@ -328,40 +328,56 @@ def local_swap(
     problem: DesignProblem,
     init: PilotPattern,
     max_passes: int = 100,
+    visited: dict | None = None,
 ) -> DesignReport:
     """Fedorov exchange: apply the best improving (i out, j in) swap per pass.
 
     Stops when the best improvement falls below ``SWAP_TOLERANCE`` absolute,
     leaving a 1-swap locally optimal pattern, or after ``max_passes`` passes;
     a run the cap stops with an improving swap left warns.
+
+    Each state's ``A^{-1}`` is computed from its pattern alone, so a state's
+    objective and best swap are functions of its indices.  ``visited`` maps
+    the indices of every screened state to ``(objective, successor indices or
+    None)``; a run that reaches a recorded state follows its successors
+    instead of screening again.  Runs on one problem may share the map
+    (``relax_round_swap_design`` does so for one call's roundings).
     """
     if len(init) != problem.budget:
         raise BudgetError(f"initial pattern has {len(init)} pilots, budget is {problem.budget}")
     t0 = time.perf_counter()
-    state = ObjectiveState.from_pattern(problem, init)
-    initial = state.value
-    accepted = 0
-    for passes in range(max_passes + 1):
-        selected = sorted(state.selected)
-        unselected = np.ones(problem.grid.size, dtype=bool)
-        unselected[selected] = False
-        candidates = np.flatnonzero(unselected)
-        if candidates.size == 0:
-            break
-        pair = _best_swap(state, selected, candidates)
-        if pair is None:
-            break
-        if passes == max_passes:
+    if visited is None:
+        visited = {}
+    indices = init.indices
+    initial, successor = _swap_state(problem, indices, visited)
+    value, accepted = initial, 0
+    while successor is not None:
+        if accepted == max_passes:
             warnings.warn(
                 f"local_swap stopped at max_passes={max_passes} with an improving "
                 "swap left; the pattern is not 1-swap locally optimal",
                 stacklevel=2,
             )
             break
-        rank_one_update(state, pair[0], "remove")
-        rank_one_update(state, pair[1], "add")
+        indices = successor
+        value, successor = _swap_state(problem, indices, visited)
         accepted += 1
-    return _report(problem, state.pattern(), state.value, initial, accepted, t0)
+    return _report(problem, PilotPattern(indices, problem.grid), value, initial, accepted, t0)
+
+
+def _swap_state(problem: DesignProblem, indices: tuple, visited: dict):
+    """``(objective, indices after the best swap or None)`` of one swap state,
+    screened from the ``A^{-1}`` of its pattern unless ``visited`` has it."""
+    if indices not in visited:
+        state = ObjectiveState.from_pattern(problem, PilotPattern(indices, problem.grid))
+        selected = list(indices)
+        unselected = np.ones(problem.grid.size, dtype=bool)
+        unselected[selected] = False
+        candidates = np.flatnonzero(unselected)
+        pair = _best_swap(state, selected, candidates) if candidates.size else None
+        successor = None if pair is None else tuple(sorted(set(indices) - {pair[0]} | {pair[1]}))
+        visited[indices] = state.value, successor
+    return visited[indices]
 
 
 @dataclass(frozen=True)
@@ -488,16 +504,19 @@ def relax_round_swap_design(
 
     Returns the best report together with the per-seed reports, so callers can
     record the rounding distribution.  A precomputed ``allocation`` can be
-    supplied to share one relaxation solve across calls.
+    supplied to share one relaxation solve across calls.  The roundings share
+    one ``local_swap`` visited map, so a duplicate rounding, or a chain that
+    merges into an earlier one, screens no state twice.
     """
     if allocation is None:
         allocation = solve_relaxation(problem)
     reports = []
+    visited = {}
     for seed in rounding_seeds:
         t0 = time.perf_counter()
         pattern = dependent_rounding(allocation, seed, grid=problem.grid)
         # The swap run's initial objective is the rounded pattern's.
-        refined = local_swap(problem, pattern)
+        refined = local_swap(problem, pattern, visited=visited)
         reports.append(
             _report(
                 problem,

@@ -423,10 +423,11 @@ class TestLocalSwap:
         # batched screen alone returns the mirror image
         # (14, 22, 54, 73, 95, 126, 145, 166).
         stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=0.01))
-        report = greedy_swap_design(make_design_problem(stats, K=8, snr_db=20.0))
+        problem = make_design_problem(stats, K=8, snr_db=20.0)
+        report = greedy_swap_design(problem)
         assert report.pattern.indices == (1, 22, 41, 72, 94, 113, 145, 153)
         assert report.swap_iterations == 15
-        assert report.objective == 2.2383677162230255
+        assert report.objective == objective_value(problem, report.pattern)
 
     @pytest.mark.filterwarnings("ignore:power_fraction")
     def test_screen_decided_swaps_match_always_referee_reference(self, monkeypatch):
@@ -481,6 +482,105 @@ class TestLocalSwap:
             capped = local_swap(problem_rb, init, max_passes=report.swap_iterations)
         assert report.swap_iterations > 0
         assert capped.pattern.indices == report.pattern.indices
+
+
+def tied_roundings_problem():
+    """12x14, spreading 1e-3, K = 13: 50 roundings with duplicates, merging
+    chains and exactly tied optima."""
+    stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=1e-3))
+    problem = make_design_problem(stats, K=13, snr_db=20.0)
+    return problem, [derive_rounding_seed(0, i) for i in range(50)]
+
+
+def counting_best_swap(monkeypatch):
+    """Patch ``_best_swap`` to record the selection of every screened state."""
+    screened = []
+    original = optimizers._best_swap
+
+    def counted(state, selected, candidates):
+        screened.append(tuple(selected))
+        return original(state, selected, candidates)
+
+    monkeypatch.setattr(optimizers, "_best_swap", counted)
+    return screened
+
+
+class TestSwapMemo:
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    def test_shared_map_matches_unshared_runs(self, monkeypatch):
+        grid = GridConfig(12, 14)
+        screened = counting_best_swap(monkeypatch)
+        saved = 0
+        for spreading in (1e-4, 1e-3, 5e-3, 1e-2):
+            stats = build_statistics(grid, ScatteringSpec(spreading_factor=spreading))
+            for K in (8, 17, 50):
+                problem = make_design_problem(stats, K=K, snr_db=20.0)
+                allocation = solve_relaxation(problem)
+                seeds = range(10)
+                del screened[:]
+                _, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+                shared_screens = len(screened)
+                del screened[:]
+                for seed, report in zip(seeds, reports):
+                    init = dependent_rounding(allocation, seed, grid=grid)
+                    alone = local_swap(problem, init)
+                    assert report.pattern.indices == alone.pattern.indices
+                    assert report.objective == alone.objective
+                    assert report.initial_objective == alone.initial_objective
+                    assert report.swap_iterations == alone.swap_iterations
+                assert shared_screens <= len(screened)
+                saved += len(screened) - shared_screens
+        assert saved > 0  # the grid reaches recorded states
+
+    def test_each_recorded_pattern_is_screened_once(self, monkeypatch):
+        problem, seeds = tied_roundings_problem()
+        allocation = solve_relaxation(problem)
+        screened = counting_best_swap(monkeypatch)
+        _, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+        assert len(screened) == len(set(screened))
+        roundings = {dependent_rounding(allocation, s, grid=problem.grid).indices for s in seeds}
+        assert roundings | {r.pattern.indices for r in reports} <= set(screened)
+        assert len(roundings) < len(seeds)  # duplicate roundings cost no screen
+        assert len(screened) < sum(r.swap_iterations + 1 for r in reports)
+
+    def test_cap_inside_a_recorded_path_stops_and_warns_as_unshared(self, problem_rb):
+        poor = PilotPattern(tuple(range(problem_rb.budget)), problem_rb.grid)
+        visited = {}
+        full = local_swap(problem_rb, poor, visited=visited)
+        assert full.swap_iterations >= 4
+        entry = PilotPattern(visited[poor.indices][1], problem_rb.grid)
+        for init in (poor, entry):
+            for cap in (1, 2):
+                with pytest.warns(UserWarning, match=f"max_passes={cap}") as shared_warnings:
+                    shared = local_swap(problem_rb, init, max_passes=cap, visited=visited)
+                with pytest.warns(UserWarning, match=f"max_passes={cap}") as alone_warnings:
+                    alone = local_swap(problem_rb, init, max_passes=cap)
+                assert shared.pattern.indices == alone.pattern.indices
+                assert shared.swap_iterations == alone.swap_iterations == cap
+                assert [str(w.message) for w in shared_warnings] == [
+                    str(w.message) for w in alone_warnings
+                ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rest = local_swap(
+                problem_rb, entry, max_passes=full.swap_iterations - 1, visited=visited
+            )
+        assert rest.pattern.indices == full.pattern.indices
+
+    def test_objectives_are_evaluated_from_the_patterns(self, problem_rb):
+        problem, seeds = tied_roundings_problem()
+        allocation = solve_relaxation(problem)
+        seeds = seeds[:10]
+        _, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+        for seed, report in zip(seeds, reports):
+            init = dependent_rounding(allocation, seed, grid=problem.grid)
+            assert report.objective == objective_value(problem, report.pattern)
+            assert report.initial_objective == objective_value(problem, init)
+        greedy = greedy_design(problem_rb)
+        report = local_swap(problem_rb, greedy.pattern)
+        assert report.swap_iterations > 0
+        assert report.objective == objective_value(problem_rb, report.pattern)
+        assert report.initial_objective == objective_value(problem_rb, greedy.pattern)
 
 
 class TestLatticePattern:
@@ -581,15 +681,18 @@ class TestPipelines:
         assert gap <= 0.02 * min(greedy_refined.objective, rounded_refined.objective)
 
     def test_tied_roundings_keep_their_best_pattern(self):
-        # Refined roundings here tie to the last bits: single-row updates in
-        # row form (u_j A^-1 instead of A^-1 u_j^H) pick another best one,
-        # (0, 1, 10, 11, 76, 80, 84, 89, 95, 156, 157, 166, 167) after 6 swaps.
-        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=1e-3))
-        problem = make_design_problem(stats, K=13, snr_db=20.0)
-        seeds = [derive_rounding_seed(0, i) for i in range(50)]
-        best, _ = relax_round_swap_design(problem, seeds)
-        assert best.swap_iterations == 3
-        assert best.pattern.indices == (0, 1, 10, 11, 72, 77, 83, 88, 92, 156, 157, 166, 167)
+        # Refined roundings here tie to the last bits.  Swap states whose
+        # A^-1 is computed from the pattern pick the mirror tie below; a
+        # Sherman-Morrison chain picked
+        # (0, 1, 10, 11, 72, 77, 83, 88, 92, 156, 157, 166, 167) after 3 swaps.
+        problem, seeds = tied_roundings_problem()
+        best, reports = relax_round_swap_design(problem, seeds)
+        assert best.swap_iterations == 2
+        assert best.pattern.indices == (0, 1, 10, 11, 76, 80, 84, 89, 95, 156, 157, 166, 167)
+        mirror = (0, 1, 10, 11, 72, 77, 83, 88, 92, 156, 157, 166, 167)
+        tied = [r.objective for r in reports if r.pattern.indices == mirror]
+        assert tied
+        assert all(abs(v - best.objective) <= 1e-15 * best.objective for v in tied)
 
     def test_diamond_vs_rect_report(self, stats_rb):
         # The literature favors diamonds on infinite grids; on this finite
