@@ -15,6 +15,14 @@ The inverse ``A^{-1}`` is kept explicitly (it is r x r with r << M*N).  Greedy
 selection and the swap pass's near-tie referee update it by the
 Sherman-Morrison formula, which makes add/remove/swap deltas O(r^2) instead of
 a refactorization; a swap state's ``A^{-1}`` is computed from its pattern.
+
+``A^{-1}`` is formed by one kernel per input kind: ``pattern_inverse`` for a
+sorted ``np.intp`` index array and ``allocation_inverse`` for a weight vector
+of length P.  Both read the per-problem constants ``DesignProblem`` derives
+once (``prior_inv = diag(1/prior)`` and ``rows_conj``) and validate nothing;
+the public functions (``build_A``, ``information_inverse``,
+``objective_value``, ``average_mse``) validate their input and then run the
+same algebra.
 """
 
 import math
@@ -81,8 +89,10 @@ class DesignProblem:
     channel subspace, stored C-contiguous, and ``prior`` holds the r dominant
     eigenvalues.  ``pilot_snr`` is not given but derived,
     ``alpha = beta*N/(K*noise_var)`` from the power fraction, ``grid.N``, the
-    budget and the noise variance.  The reported average MSE is not scored
-    here but on the channel statistics (``average_mse``).
+    budget and the noise variance.  So are the read-only constants of the
+    ``A^{-1}`` kernels: ``prior_inv``, the complex ``diag(1/prior)``, and
+    ``rows_conj``, the conjugate of ``rows``.  The reported average MSE is not
+    scored here but on the channel statistics (``average_mse``).
     """
 
     grid: GridConfig
@@ -92,6 +102,8 @@ class DesignProblem:
     budget: int
     power_fraction: float
     noise_var: float
+    prior_inv: np.ndarray = field(init=False, compare=False, repr=False)
+    rows_conj: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # The kernels multiply by rows and read single rows: keep them dense.
@@ -119,6 +131,10 @@ class DesignProblem:
         object.__setattr__(self, "pilot_snr", alpha)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "prior", prior)
+        prior_inv, rows_conj = _prior_inverse(prior), rows.conj()
+        prior_inv.flags.writeable = rows_conj.flags.writeable = False
+        object.__setattr__(self, "prior_inv", prior_inv)
+        object.__setattr__(self, "rows_conj", rows_conj)
 
     @property
     def rank(self) -> int:
@@ -223,39 +239,82 @@ class FractionalAllocation:
         object.__setattr__(self, "weights", w)
 
 
-def _information_matrix(grid: GridConfig, rows, prior, alpha: float, pattern) -> np.ndarray:
-    """``diag(1/prior) + alpha * rows^H diag(w) rows`` for a pattern or
-    allocation ``w`` on ``grid``."""
-    A = np.diag(1.0 / prior).astype(np.complex128)
+def _prior_inverse(prior: np.ndarray) -> np.ndarray:
+    """The complex ``diag(1/prior)`` every information matrix starts from."""
+    return np.diag(1.0 / prior).astype(np.complex128)
+
+
+def _pattern_information(prior_inv, rows, rows_conj, alpha: float, idx) -> np.ndarray:
+    """Hermitian ``diag(1/prior) + alpha * U_S^H U_S`` for the rows ``idx``."""
+    A = prior_inv + (alpha * rows_conj[idx].T) @ rows[idx]
+    return 0.5 * (A + A.conj().T)
+
+
+def _allocation_information(prior_inv, rows, rows_conj, alpha: float, w) -> np.ndarray:
+    """Hermitian ``diag(1/prior) + alpha * rows^H diag(w) rows``."""
+    A = prior_inv + (alpha * (rows_conj.T * w)) @ rows
+    return 0.5 * (A + A.conj().T)
+
+
+def _hermitian_inverse(A: np.ndarray) -> np.ndarray:
+    try:
+        A_inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"information matrix is singular: {exc}") from exc
+    return 0.5 * (A_inv + A_inv.conj().T)
+
+
+def pattern_inverse(problem: DesignProblem, idx: np.ndarray) -> np.ndarray:
+    """Hermitian ``A^{-1}`` of the pattern with sorted ``np.intp`` indices
+    ``idx``; the indices are not checked."""
+    return _hermitian_inverse(
+        _pattern_information(
+            problem.prior_inv, problem.rows, problem.rows_conj, problem.pilot_snr, idx
+        )
+    )
+
+
+def allocation_inverse(problem: DesignProblem, w: np.ndarray) -> np.ndarray:
+    """Hermitian ``A^{-1}`` of the float weights ``w`` of length P; the
+    weights are not checked."""
+    return _hermitian_inverse(
+        _allocation_information(
+            problem.prior_inv, problem.rows, problem.rows_conj, problem.pilot_snr, w
+        )
+    )
+
+
+def _information_matrix(grid: GridConfig, prior_inv, rows, rows_conj, alpha: float, pattern):
+    """The information matrix of a pattern or allocation ``w`` on ``grid``,
+    after checking that it fits the grid."""
     if isinstance(pattern, PilotPattern):
         if pattern.grid != grid:
             raise InvalidSpecError("pattern grid does not match the problem grid")
-        U_sel = rows[list(pattern.indices)]
-        A += alpha * U_sel.conj().T @ U_sel
-    else:
-        w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
-        w = np.asarray(w, dtype=float)
-        if w.shape != (grid.size,):
-            raise InvalidSpecError(f"weights must have length {grid.size}")
-        A += alpha * (rows.conj().T * w) @ rows
-    return 0.5 * (A + A.conj().T)
+        idx = np.array(pattern.indices, dtype=np.intp)
+        return _pattern_information(prior_inv, rows, rows_conj, alpha, idx)
+    w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
+    w = np.asarray(w, dtype=float)
+    if w.shape != (grid.size,):
+        raise InvalidSpecError(f"weights must have length {grid.size}")
+    return _allocation_information(prior_inv, rows, rows_conj, alpha, w)
 
 
 def build_A(problem: DesignProblem, pattern) -> np.ndarray:
     """Information matrix ``A = diag(1/prior) + alpha * rows^H diag(w) rows``
     on the design basis."""
     return _information_matrix(
-        problem.grid, problem.rows, problem.prior, problem.pilot_snr, pattern
+        problem.grid,
+        problem.prior_inv,
+        problem.rows,
+        problem.rows_conj,
+        problem.pilot_snr,
+        pattern,
     )
 
 
 def information_inverse(problem: DesignProblem, pattern) -> np.ndarray:
     """Hermitian ``A^{-1}`` on the design basis for a pattern or allocation."""
-    try:
-        A_inv = np.linalg.inv(build_A(problem, pattern))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"information matrix is singular: {exc}") from exc
-    return 0.5 * (A_inv + A_inv.conj().T)
+    return _hermitian_inverse(build_A(problem, pattern))
 
 
 def objective_value(problem: DesignProblem, pattern) -> float:
@@ -273,8 +332,9 @@ def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
     energy below the eigenvalue floor is left out.  An allocation's weights
     are read as per-cell fractions of the pilot power.
     """
+    U = stats.significant_eigvecs
     A = _information_matrix(
-        stats.grid, stats.significant_eigvecs, stats.significant_eigvals, pilot_snr, pattern
+        stats.grid, _prior_inverse(stats.significant_eigvals), U, U.conj(), pilot_snr, pattern
     )
     # A is Hermitian positive definite; inverting through its Cholesky factor
     # takes half the time of a general inverse at the ranks of a sweep.
@@ -414,9 +474,9 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
     ``D_ij = u_i A^{-1} u_j^H`` and ``E_ij = z_i^H z_j``.  Two matrix
     products thus give all K x (P - K) deltas (the Fedorov exchange screen).
     """
-    alpha = state.problem.pilot_snr
-    U = state.problem.rows
-    Z, quad, norm2 = _row_terms(state.A_inv, U)
+    problem = state.problem
+    alpha = problem.pilot_snr
+    Z, quad, norm2 = _row_terms(state.A_inv, problem.rows)
     denom = 1.0 - alpha * quad[selected]
     if denom.min() <= 1e-12:
         a = int(np.argmin(denom))
@@ -426,7 +486,7 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
     t = (alpha / denom)[:, None]
     # The rows of Z_S are z_i^H = u_i A^{-1}.
     Z_S, norm2_S = Z[selected].conj(), norm2[selected][:, None]
-    D = Z_S @ U[candidates].conj().T
+    D = Z_S @ problem.rows_conj[candidates].T
     E = Z_S @ Z[candidates].T
     D2 = D.real**2 + D.imag**2
     quad_after = quad[candidates] + t * D2

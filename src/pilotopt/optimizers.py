@@ -33,10 +33,11 @@ from .objective import (
     FractionalAllocation,
     ObjectiveState,
     PilotPattern,
+    allocation_inverse,
     gains_for_candidates,
     gradient_from_inverse,
-    information_inverse,
     objective_value,
+    pattern_inverse,
     removal_terms,
     rank_one_update,
     swap_deltas,
@@ -115,12 +116,16 @@ def project_capped_simplex(v: np.ndarray, K: int) -> np.ndarray:
     if K == 0:
         return np.zeros(P)
     u = np.sort(v)
-    csum = np.concatenate(([0.0], np.cumsum(u)))
-    theta = np.sort(np.concatenate((u - 1.0, u)))
+    u_minus = u - 1.0
+    csum = np.empty(P + 1)
+    csum[0] = 0.0
+    np.cumsum(u, out=csum[1:])
+    theta = np.concatenate((u_minus, u))
+    theta.sort()
     # For theta just right of each breakpoint, sorted entries [lo, hi) are
     # free (0 < v - theta < 1) and the P - hi entries above them are capped.
-    lo = np.searchsorted(u, theta, side="right")
-    hi = np.searchsorted(u - 1.0, theta, side="right")
+    lo = u.searchsorted(theta, side="right")
+    hi = u_minus.searchsorted(theta, side="right")
     n_free = hi - lo
     total = (P - hi) + (csum[hi] - csum[lo]) - theta * n_free
     # The sum is P at theta[0] and 0 at theta[-1], so K lies on the segment
@@ -128,9 +133,16 @@ def project_capped_simplex(v: np.ndarray, K: int) -> np.ndarray:
     # The sum exceeds K on that segment's left end, so it is not flat there
     # and has at least one free entry.  The free sum is taken afresh, not
     # from the prefix sums, so the projection sums to K to rounding.
-    j = int(np.argmax(total <= K)) - 1
-    shift = (u[lo[j] : hi[j]].sum() + (P - hi[j]) - K) / n_free[j]
-    return np.clip(v - shift, 0.0, 1.0)
+    j = int((total <= K).argmax()) - 1
+    lo_j, hi_j = int(lo[j]), int(hi[j])
+    shift = (u[lo_j:hi_j].sum() + (P - hi_j) - K) / (hi_j - lo_j)
+    out = v - shift
+    return out.clip(0.0, 1.0, out=out)
+
+
+def _unit_step_residual(w: np.ndarray, grad: np.ndarray, K: int) -> float:
+    """Projected-gradient residual norm ``|P(w - grad) - w|`` of the unit step."""
+    return float(np.linalg.norm(w - project_capped_simplex(w - grad, K)))
 
 
 def solve_relaxation(
@@ -140,39 +152,52 @@ def solve_relaxation(
 ) -> FractionalAllocation:
     """Fractional A-optimal allocation by projected gradient descent.
 
-    Converged when the unit-step projected-gradient residual norm drops below
-    ``tol``; otherwise, after ``max_iters`` steps or when no step decreases
-    the objective, the best iterate is returned with ``converged=False`` and a
-    warning.  Steps use a Barzilai-Borwein guess safeguarded by Armijo
-    backtracking (constant 1e-4, shrink 0.5) along the projection arc.  Each
-    iterate's ``A^{-1}`` gives both its objective and its gradient.  The
-    allocation records the steps taken and the last iterate's residual.
+    Converged when the unit-step projected-gradient residual norm
+    ``r(1) = |P(w - grad) - w|`` drops below ``tol``; otherwise, after
+    ``max_iters`` steps or when no step decreases the objective, the best
+    iterate is returned with ``converged=False`` and a warning.  Steps use a
+    Barzilai-Borwein guess safeguarded by Armijo backtracking (constant 1e-4,
+    shrink 0.5) along the projection arc.  Each iterate's ``A^{-1}`` gives
+    both its objective and its gradient.  The allocation records the steps
+    taken and the last iterate's residual.
+
+    The residual costs a projection of its own, so it is formed only when
+    the iterate may have converged.  Along the projection arc,
+    ``|P(w - t grad) - w|`` is non-decreasing in t and divided by t
+    non-increasing (Calamai & More 1987, "Projected gradient methods for
+    linearly constrained problems", Math. Programming 39, Lemma 2.2), so the
+    first Armijo trial at step t bounds ``r(1) >= r(t) * min(1, 1/t)``.  When
+    that bound exceeds ``tol`` (with a 1e-9 relative margin for rounding) the
+    iterate cannot have converged and the residual is skipped; a run that
+    stops at an iterate without one forms it there.
     """
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
-    A_inv = information_inverse(problem, w)
+    A_inv = allocation_inverse(problem, w)
     f = float(np.trace(A_inv).real)
     grad = gradient_from_inverse(problem, A_inv)
     best_w, best_f = w.copy(), f
     step = 1.0 / max(float(np.abs(grad).max()), 1e-12)
-    converged = False
+    bound_tol = tol * (1.0 + 1e-9)
+    residual = None  # r(1) at the current iterate, once formed
 
     iterations = 0
-    while True:
-        residual = float(np.linalg.norm(w - project_capped_simplex(w - grad, K)))
-        if residual <= tol:
-            converged = True
-            break
-        if iterations == max_iters:
-            break
-        w_new = f_new = None
+    while iterations < max_iters:
         t = step
-        for _ in range(60):
-            cand = project_capped_simplex(w - t * grad, K)
-            move = cand - w
+        cand = project_capped_simplex(w - t * grad, K)
+        move = cand - w
+        if float(np.linalg.norm(move)) * min(1.0, 1.0 / t) <= bound_tol:
+            residual = _unit_step_residual(w, grad, K)
+            if residual <= tol:
+                break
+        w_new = f_new = None
+        for trial in range(60):
+            if trial:
+                cand = project_capped_simplex(w - t * grad, K)
+                move = cand - w
             if not move.any():
                 break
-            A_inv = information_inverse(problem, cand)
+            A_inv = allocation_inverse(problem, cand)
             f_cand = float(np.trace(A_inv).real)
             if f_cand <= f + 1e-4 * float(grad @ move):
                 w_new, f_new = cand, f_cand
@@ -185,10 +210,14 @@ def solve_relaxation(
         bb = float(dw @ dw) / float(dw @ dg) if float(dw @ dg) > 0 else 2.0 * t
         step = min(max(bb, 1e-12), 1e12)
         w, f, grad = w_new, f_new, grad_new
+        residual = None
         iterations += 1
         if f < best_f:
             best_w, best_f = w.copy(), f
 
+    if residual is None:
+        residual = _unit_step_residual(w, grad, K)
+    converged = residual <= tol
     if not converged:
         warnings.warn(
             f"relaxation stopped after {iterations} iterations at residual "
@@ -281,10 +310,14 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
         j = int(np.argmax(gains))
         rank_one_update(state, j, "add")
         unselected[j] = False
-    return _report(problem, state.pattern(), state.value, initial, 0, t0)
+    # Report the trace of the pattern's own A^{-1}, as every other method
+    # does, not the end of the update chain, which drifts in the last bits.
+    pattern = state.pattern()
+    A_inv = pattern_inverse(problem, np.array(pattern.indices, dtype=np.intp))
+    return _report(problem, pattern, float(np.trace(A_inv).real), initial, 0, t0)
 
 
-def _best_swap(state: ObjectiveState, selected: list, candidates: np.ndarray):
+def _best_swap(state: ObjectiveState, selected: np.ndarray, candidates: np.ndarray):
     """The improving swap (i out, j in) of the per-row scan, or None.
 
     The scan takes, per selected i in ascending order, the candidate of largest
@@ -308,11 +341,11 @@ def _best_swap(state: ObjectiveState, selected: list, candidates: np.ndarray):
         a = near_rows[0]
         near_cols = np.flatnonzero(deltas[a] <= best + band)
         if near_cols.size == 1:
-            return selected[a], int(candidates[near_cols[0]])
+            return int(selected[a]), int(candidates[near_cols[0]])
     cand_rows = problem.rows[candidates]
     best_delta, best_pair = 0.0, None
     for a in near_rows:
-        i = selected[a]
+        i = int(selected[a])
         increase, A_inv_without = removal_terms(state, i)
         gains = gains_for_candidates(A_inv_without, cand_rows, problem.pilot_snr)
         pos = int(np.argmax(gains))
@@ -369,8 +402,8 @@ def _swap_state(problem: DesignProblem, indices: tuple, visited: dict):
     """``(objective, indices after the best swap or None)`` of one swap state,
     screened from the ``A^{-1}`` of its pattern unless ``visited`` has it."""
     if indices not in visited:
-        state = ObjectiveState.from_pattern(problem, PilotPattern(indices, problem.grid))
-        selected = list(indices)
+        selected = np.array(indices, dtype=np.intp)
+        state = ObjectiveState(problem, pattern_inverse(problem, selected), set(indices))
         unselected = np.ones(problem.grid.size, dtype=bool)
         unselected[selected] = False
         candidates = np.flatnonzero(unselected)
@@ -458,8 +491,8 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
 
     All spacing/offset combinations with exactly K pilots are scored.  If no
     lattice hits K, the largest count K' in [K-2, K) with candidates is used
-    instead and alpha is recomputed for K'.  Only lattices whose closed-form
-    count lies in [K-2, K] are built.
+    instead and alpha is recomputed for K'.  Lattices are grouped by their
+    closed-form count, and only those of the count scored are built.
     """
     if shape not in (METHOD_RECT, METHOD_DIAMOND):
         raise LatticeError(f"shape must be 'rect' or 'diamond', got {shape!r}")
@@ -468,13 +501,14 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
     staggered = shape == METHOD_DIAMOND
     by_count: dict[int, list] = {}
     for count, params in _lattices(grid, staggered, range(problem.budget - 2, problem.budget + 1)):
-        by_count.setdefault(count, []).append(lattice_pattern(grid, params))
+        by_count.setdefault(count, []).append(params)
 
     for K_used in range(problem.budget, problem.budget - 3, -1):
         if K_used in by_count and K_used >= 1:
             sub_problem = problem if K_used == problem.budget else problem.with_budget(K_used)
             best_obj, best_pattern = np.inf, None
-            for pattern in by_count[K_used]:
+            for params in by_count[K_used]:
+                pattern = lattice_pattern(grid, params)
                 obj = objective_value(sub_problem, pattern)
                 if obj < best_obj:
                     best_obj, best_pattern = obj, pattern

@@ -1,11 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pilotopt import (
+    FractionalAllocation,
     GridConfig,
+    PilotPattern,
     ScatteringSpec,
     build_statistics,
     make_design_problem,
+)
+from pilotopt.objective import gradient_from_inverse
+
+# The design points of the benchmark's rb-sweep workload: 12x14 at 20 dB, the
+# density sweep at spreading 5e-3 and the spreading sweep at three more.
+RB_DENSITIES = (0.05, 0.08, 0.1, 0.15, 0.2, 0.3)
+RB_SWEEP_POINTS = tuple((0.005, d) for d in RB_DENSITIES) + tuple(
+    (s, d) for d in RB_DENSITIES for s in (0.0001, 0.001, 0.01)
 )
 
 
@@ -36,6 +48,98 @@ def dense_lmmse(stats, pattern, sigma_p, noise_var, data_power=0.0):
     C_y += np.diag(data_power * data * np.diag(C_g).real)
     W = np.linalg.solve(C_y.conj().T, C_gy.conj().T).conj().T
     return W, C_g - W @ C_gy.conj().T
+
+
+def reference_information_inverse(problem, pattern):
+    """``A^{-1}`` with the operation order of the information matrix as
+    first written: ``diag(1/prior)`` plus ``alpha * U^H diag(w) U``,
+    symmetrized before and after the inversion."""
+    A = np.diag(1.0 / problem.prior).astype(np.complex128)
+    if isinstance(pattern, PilotPattern):
+        U_sel = problem.rows[list(pattern.indices)]
+        A += problem.pilot_snr * U_sel.conj().T @ U_sel
+    else:
+        w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
+        A += problem.pilot_snr * (problem.rows.conj().T * w) @ problem.rows
+    A = 0.5 * (A + A.conj().T)
+    A_inv = np.linalg.inv(A)
+    return 0.5 * (A_inv + A_inv.conj().T)
+
+
+def reference_projection(v, K):
+    """The capped-simplex breakpoint projection as first written, with its
+    own temporaries; ``project_capped_simplex`` must match it bit for bit."""
+    v = np.asarray(v, dtype=float)
+    P = v.size
+    if K == P:
+        return np.ones(P)
+    if K == 0:
+        return np.zeros(P)
+    u = np.sort(v)
+    csum = np.concatenate(([0.0], np.cumsum(u)))
+    theta = np.sort(np.concatenate((u - 1.0, u)))
+    lo = np.searchsorted(u, theta, side="right")
+    hi = np.searchsorted(u - 1.0, theta, side="right")
+    n_free = hi - lo
+    total = (P - hi) + (csum[hi] - csum[lo]) - theta * n_free
+    j = int(np.argmax(total <= K)) - 1
+    shift = (u[lo[j] : hi[j]].sum() + (P - hi[j]) - K) / n_free[j]
+    return np.clip(v - shift, 0.0, 1.0)
+
+
+def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
+    """The projected-gradient loop that forms the unit-step residual at
+    every iterate, on the reference inverse and projection."""
+    P, K = problem.grid.size, problem.budget
+    w = np.full(P, K / P)
+    A_inv = reference_information_inverse(problem, w)
+    f = float(np.trace(A_inv).real)
+    grad = gradient_from_inverse(problem, A_inv)
+    best_w, best_f = w.copy(), f
+    step = 1.0 / max(float(np.abs(grad).max()), 1e-12)
+    converged = False
+
+    iterations = 0
+    while True:
+        residual = float(np.linalg.norm(w - reference_projection(w - grad, K)))
+        if residual <= tol:
+            converged = True
+            break
+        if iterations == max_iters:
+            break
+        w_new = f_new = None
+        t = step
+        for _ in range(60):
+            cand = reference_projection(w - t * grad, K)
+            move = cand - w
+            if not move.any():
+                break
+            A_inv = reference_information_inverse(problem, cand)
+            f_cand = float(np.trace(A_inv).real)
+            if f_cand <= f + 1e-4 * float(grad @ move):
+                w_new, f_new = cand, f_cand
+                break
+            t *= 0.5
+        if w_new is None:
+            break
+        grad_new = gradient_from_inverse(problem, A_inv)
+        dw, dg = w_new - w, grad_new - grad
+        bb = float(dw @ dw) / float(dw @ dg) if float(dw @ dg) > 0 else 2.0 * t
+        step = min(max(bb, 1e-12), 1e12)
+        w, f, grad = w_new, f_new, grad_new
+        iterations += 1
+        if f < best_f:
+            best_w, best_f = w.copy(), f
+
+    if not converged:
+        warnings.warn(
+            f"relaxation stopped after {iterations} iterations at residual "
+            f"{residual:.3g} > tol={tol:g}; returning best iterate",
+            stacklevel=2,
+        )
+    return FractionalAllocation(
+        weights=best_w, budget=K, converged=converged, iterations=iterations, residual=residual
+    )
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +188,31 @@ def problem_rb(stats_rb):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(scope="session")
+def stats_big():
+    """The 48x28 grid, where the scaling problems show."""
+    return build_statistics(GridConfig(48, 28), ScatteringSpec(spreading_factor=0.005))
+
+
+@pytest.fixture(scope="session")
+def problem_big(stats_big):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+        return make_design_problem(stats_big, K=134, snr_db=20.0)
+
+
+@pytest.fixture(scope="session")
+def rb_sweep_problems(grid_rb):
+    """``{(spreading, density): problem}`` of ``RB_SWEEP_POINTS``."""
+    stats = {
+        s: build_statistics(grid_rb, ScatteringSpec(spreading_factor=s))
+        for s in sorted({s for s, _ in RB_SWEEP_POINTS})
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+        return {
+            (s, d): make_design_problem(stats[s], K=round(d * grid_rb.size), snr_db=20.0)
+            for s, d in RB_SWEEP_POINTS
+        }

@@ -29,10 +29,15 @@ from pilotopt.errors import (
     DegenerateUpdateError,
     InvalidSpecError,
 )
-from pilotopt.objective import swap_deltas
+from pilotopt.objective import (
+    allocation_inverse,
+    information_inverse,
+    pattern_inverse,
+    swap_deltas,
+)
 from pilotopt.optimizers import project_capped_simplex
 
-from conftest import dense_lmmse
+from conftest import dense_lmmse, reference_information_inverse
 
 
 def synthetic_problem(M, N, r, K, alpha, seed=0):
@@ -147,6 +152,40 @@ class TestBuildA:
         pr = synthetic_problem(3, 3, 3, 9, alpha=1e9)
         pattern = PilotPattern(tuple(range(9)), pr.grid)
         assert objective_value(pr, pattern) < 1e-8
+
+
+class TestInverseKernels:
+    """The two ``A^{-1}`` kernels give ``information_inverse`` bit for bit,
+    in the operation order of the reference algebra."""
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize("fixture", ["problem_rb", "problem_big"])
+    @pytest.mark.parametrize("extra_pilots", [0, 3])
+    def test_kernels_match_information_inverse(self, request, fixture, extra_pilots):
+        problem = request.getfixturevalue(fixture)
+        if extra_pilots:
+            problem = problem.with_budget(problem.budget + extra_pilots)
+        rng = np.random.default_rng(problem.budget)
+        P = problem.grid.size
+        idx = np.sort(rng.choice(P, size=problem.budget, replace=False)).astype(np.intp)
+        pattern = PilotPattern(tuple(idx.tolist()), problem.grid)
+        w = project_capped_simplex(2.0 * rng.uniform(size=P), problem.budget)
+        allocation = FractionalAllocation(w, problem.budget)
+        for kernel, given, public in (
+            (pattern_inverse, idx, pattern),
+            (allocation_inverse, w, allocation),
+        ):
+            fast = kernel(problem, given)
+            assert np.array_equal(fast, information_inverse(problem, public))
+            assert np.array_equal(fast, reference_information_inverse(problem, public))
+
+    def test_kernel_constants_are_read_only(self, problem_rb):
+        assert np.array_equal(problem_rb.rows_conj, problem_rb.rows.conj())
+        assert np.array_equal(problem_rb.prior_inv, np.diag(1.0 / problem_rb.prior))
+        with pytest.raises(ValueError):
+            problem_rb.rows_conj[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            problem_rb.prior_inv[0, 0] = 0.0
 
 
 class TestObjectiveValue:
@@ -286,6 +325,8 @@ class TestSwapDeltas:
         candidates = [j for j in range(problem_rb.grid.size) if j not in state.selected]
         batched = swap_deltas(state, selected, candidates)
         assert batched.shape == (len(selected), len(candidates))
+        as_arrays = swap_deltas(state, np.array(selected, dtype=np.intp), np.array(candidates))
+        assert np.array_equal(as_arrays, batched)
         looped = np.array([[swap_delta(state, i, j) for j in candidates] for i in selected])
         assert np.abs(batched - looped).max() <= 1e-9 * state.value
 

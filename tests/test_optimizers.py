@@ -48,6 +48,12 @@ from pilotopt.optimizers import (
     relax_round_swap_design,
 )
 
+from conftest import (
+    RB_SWEEP_POINTS,
+    reference_projection,
+    reference_solve_relaxation,
+)
+
 # Hand enumeration of the diamond with spacing (4, 2) on the 12x14 grid:
 # even pilot columns n in {0,4,8,12} carry m in {0,4,8}; odd pilot columns
 # n in {2,6,10} are staggered by 2 and carry m in {2,6,10}.
@@ -229,6 +235,52 @@ class TestExactProjectionEdgeCases:
         out = project_capped_simplex(v, 0)
         assert np.array_equal(out, np.zeros(v.size))
 
+    @pytest.mark.parametrize("case", list(_large_projection_cases()))
+    def test_matches_reference_bit_for_bit_at_1344(self, case):
+        v, K = _large_projection_cases()[case]
+        assert np.array_equal(project_capped_simplex(v, K), reference_projection(v, K))
+
+
+def _projection_inputs():
+    """(v, K) with P in [2, 24] and K in [1, P - 1]."""
+    values = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    return st.integers(2, 24).flatmap(
+        lambda P: st.tuples(st.lists(values, min_size=P, max_size=P), st.integers(1, P - 1))
+    )
+
+
+class TestProjectionProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_projection_inputs())
+    def test_matches_reference_bit_for_bit(self, case):
+        v, K = np.array(case[0]), case[1]
+        assert np.array_equal(project_capped_simplex(v, K), reference_projection(v, K))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        case=_projection_inputs(),
+        g_seed=st.integers(0, 2**32 - 1),
+        t1=st.floats(1e-3, 10.0),
+        factor=st.floats(1.0, 100.0, exclude_min=True),
+    )
+    def test_residual_monotone_along_the_arc(self, case, g_seed, t1, factor):
+        """Calamai & More (1987), Lemma 2.2, which lets the relaxation skip
+        its residual: for feasible w, ``r(t) = |P(w - t g) - w|`` is
+        non-decreasing in t and ``r(t) / t`` non-increasing.  The absolute
+        slack covers the rounding of the projection itself."""
+        v, K = np.array(case[0]), case[1]
+        w = project_capped_simplex(v, K)
+        g = np.random.default_rng(g_seed).normal(scale=3.0, size=w.size)
+        t2 = t1 * factor
+
+        def r(t):
+            return float(np.linalg.norm(project_capped_simplex(w - t * g, K) - w))
+
+        r1, r2 = r(t1), r(t2)
+        slack = 1e-12 * (1.0 + t2 * float(np.abs(g).max()))
+        assert r1 <= r2 * (1 + 1e-12) + slack
+        assert r2 / t2 <= (r1 / t1) * (1 + 1e-12) + slack / t1
+
 
 class TestSolveRelaxation:
     def test_full_budget_unique_point(self, problem_4x4):
@@ -266,6 +318,48 @@ class TestSolveRelaxation:
         alloc = solve_relaxation(problem_rb)
         assert alloc.iterations > 0
         assert 0.0 <= alloc.residual <= 1e-6
+
+    def test_matches_reference_loop_on_rb_sweep(self, rb_sweep_problems):
+        """Skipping residuals the projection arc rules out changes nothing:
+        weights bit for bit, steps, residual and convergence."""
+        for point in RB_SWEEP_POINTS:
+            problem = rb_sweep_problems[point]
+            got = solve_relaxation(problem)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want = reference_solve_relaxation(problem)
+            assert np.array_equal(got.weights, want.weights), point
+            assert (got.iterations, got.residual, got.converged) == (
+                want.iterations,
+                want.residual,
+                want.converged,
+            ), point
+
+    def test_capped_run_matches_reference_loop(self, problem_rb):
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = solve_relaxation(problem_rb, max_iters=3)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = reference_solve_relaxation(problem_rb, max_iters=3)
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        assert len(got_warnings) == 1
+        assert np.array_equal(got.weights, want.weights)
+        assert (got.iterations, got.residual, got.converged) == (3, want.residual, False)
+
+    def test_forms_few_residuals_on_rb_sweep(self, rb_sweep_problems, monkeypatch):
+        """The residual projection runs about once per solve, at the
+        converged iterate, not once per step."""
+        calls = []
+        original = optimizers._unit_step_residual
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimizers, "_unit_step_residual", counted)
+        steps = sum(solve_relaxation(p).iterations for p in rb_sweep_problems.values())
+        assert len(calls) <= 2 * len(RB_SWEEP_POINTS) < steps
 
     def test_iteration_cap_warning_quotes_its_counts(self, problem_rb):
         with pytest.warns(UserWarning, match=r"relaxation stopped after 2 iterations at residual"):
@@ -385,6 +479,16 @@ class TestGreedy:
         assert len(report.pattern) == report.budget_used == problem_rb.budget
         assert report.swap_iterations == 0
         assert report.objective <= report.initial_objective
+
+    def test_reports_the_objective_of_its_pattern(self, rb_sweep_problems):
+        """The reported objective is the pattern's own trace, bit for bit,
+        and the greedy-swap start is the swap run's start."""
+        for point, problem in rb_sweep_problems.items():
+            report = greedy_design(problem)
+            assert report.objective == objective_value(problem, report.pattern), point
+        problem = rb_sweep_problems[(0.01, 0.1)]
+        start = local_swap(problem, greedy_design(problem).pattern).initial_objective
+        assert greedy_swap_design(problem).initial_objective == start
 
 
 class TestLocalSwap:
@@ -633,6 +737,27 @@ class TestBestLattice:
         pr = problem_rb.with_budget(167)
         with pytest.raises(NoFeasibleLatticeError):
             best_lattice(pr, "rect")
+
+    @pytest.mark.parametrize("shape", ["rect", "diamond"])
+    @pytest.mark.parametrize("K", [13, 17])
+    def test_builds_only_the_lattices_it_scores(self, problem_rb, monkeypatch, shape, K):
+        built, scored = [], []
+        build, score = optimizers.lattice_pattern, optimizers.objective_value
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        def counted_score(*args):
+            scored.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(optimizers, "lattice_pattern", counted_build)
+        monkeypatch.setattr(optimizers, "objective_value", counted_score)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+            best_lattice(problem_rb.with_budget(K), shape)
+        assert len(built) == len(scored) > 0
 
     def test_fallback_recomputes_alpha(self, problem_rb):
         pr = problem_rb.with_budget(13)  # 13 = prime, no 13-pilot rect exists
