@@ -12,7 +12,9 @@ cells only.  Noise is still drawn for every cell, which keeps the seeded
 streams of the channel and noise draws unchanged.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -25,19 +27,37 @@ from .objective import DesignProblem, PilotPattern
 _BATCH = 4096
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run parameters."""
+    """Monte Carlo run parameters: ``realizations`` is an integer >= 1,
+    ``rng_seed`` a non-negative integer seed of ``np.random.default_rng`` and
+    ``noise_var`` a finite positive noise variance."""
 
     realizations: int
     rng_seed: int
     noise_var: float
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise InvalidSpecError("realizations must be >= 1")
-        if self.noise_var <= 0:
-            raise InvalidSpecError("noise_var must be > 0")
+        if not (_is_integer(self.realizations) and self.realizations >= 1):
+            raise InvalidSpecError(
+                f"realizations must be an integer >= 1, got {self.realizations!r}"
+            )
+        if not (_is_integer(self.rng_seed) and self.rng_seed >= 0):
+            raise InvalidSpecError(
+                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}"
+            )
+        noise_var = self.noise_var
+        if not (
+            isinstance(noise_var, Real)
+            and not isinstance(noise_var, bool)
+            and math.isfinite(noise_var)
+            and noise_var > 0
+        ):
+            raise InvalidSpecError(f"noise_var must be finite and > 0, got {noise_var!r}")
 
 
 @dataclass(frozen=True)
@@ -66,18 +86,25 @@ def sample_channels(stats: ChannelStatistics, count: int, rng: np.random.Generat
 
     Each realization is ``vec(L_f Z L_t^T)`` with Z i.i.d. standard complex
     Gaussian, so the covariance is ``C_t (x) C_f`` under the column-major
-    vectorization.  The colouring is two batched matrix products, which cost
-    O(count*M*N*(M+N)) multiply-adds.
+    vectorization.  Z reads the generator's ``(count, M, N, 2)`` normal draws
+    as complex numbers in place (a view, no copy) and is scaled by
+    ``1/sqrt(2)`` in place.  The colouring is two batched matrix products,
+    which cost O(count*M*N*(M+N)) multiply-adds.
     """
     M, N = stats.grid.M, stats.grid.N
     L_f = _factor_sqrt(stats.freq_corr)
     L_t = _factor_sqrt(stats.time_corr.astype(np.complex128))
-    parts = rng.standard_normal((count, M, N, 2))
-    Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-    del parts
+    Z = _complex_normals(rng, (count, M, N))
+    Z /= np.sqrt(2.0)
     G = L_f @ Z @ L_t.T
     # Flatten (m, n) to k = n*M + m: symbol-major order.
     return G.transpose(0, 2, 1).reshape(count, M * N)
+
+
+def _complex_normals(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """``a + 1j*b`` from ``rng.standard_normal((*shape, 2))``, as a writable
+    complex view of that draw: real parts ``[..., 0]``, imaginary ``[..., 1]``."""
+    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
 def lmmse_weights(
@@ -133,9 +160,10 @@ def run_simulation(
     """
     P = stats.grid.size
     sigma_p = float(np.sqrt(problem.pilot_power))
+    noise_scale = np.sqrt(cfg.noise_var / 2.0)
     rng = np.random.default_rng(cfg.rng_seed)
     W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
-    idx = list(pattern.indices)
+    idx = np.array(pattern.indices, dtype=np.intp)
 
     per_real = np.empty(cfg.realizations)
     done = 0
@@ -143,11 +171,14 @@ def run_simulation(
         count = min(_BATCH, cfg.realizations - done)
         G = sample_channels(stats, count, rng)
         # Noise of every cell keeps the stream; the estimator reads the pilots'.
-        parts = rng.standard_normal((count, P, 2))[:, idx]
-        noise = np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
-        G_hat = (sigma_p * G[:, idx] + noise) @ W.T
-        err2 = np.abs(G - G_hat) ** 2
-        per_real[done : done + count] = err2.mean(axis=1)
+        noise = _complex_normals(rng, (count, P)).take(idx, axis=1)
+        noise *= noise_scale
+        y = G.take(idx, axis=1)
+        y *= sigma_p
+        y += noise
+        err = np.abs(np.subtract(G, y @ W.T, out=G))
+        err **= 2
+        per_real[done : done + count] = err.mean(axis=1)
         done += count
 
     empirical = float(per_real.mean())

@@ -29,6 +29,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -192,12 +193,12 @@ class PilotPattern:
     grid: GridConfig
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = sorted(map(int, self.indices))
         if len(set(idx)) != len(idx):
             raise InvalidSpecError("pilot indices must be distinct")
-        if idx and not all(0 <= i < self.grid.size for i in idx):
+        if idx and (idx[0] < 0 or idx[-1] >= self.grid.size):
             raise InvalidSpecError("pilot index outside the grid")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        object.__setattr__(self, "indices", tuple(idx))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -212,6 +213,39 @@ class PilotPattern:
         return [self.grid.cell(k) for k in self.indices]
 
 
+# Weights within this distance of 0 or 1 are pinned: dependent rounding
+# moves mass only between the others.
+ROUNDING_EPS = 1e-9
+
+
+class RoundingPlan(NamedTuple):
+    """The part of dependent rounding that depends on the weights alone.
+
+    ``total`` is the sum of the weights, ``fractional`` the indices of the
+    weights inside ``(eps, 1 - eps)`` in ascending order and ``values`` those
+    weights.  ``fixed_ones`` are the indices of the other weights above 0.5:
+    they are ones whatever the draws.
+    """
+
+    total: float
+    fractional: tuple
+    values: tuple
+    fixed_ones: tuple
+
+
+def rounding_plan(w: np.ndarray) -> RoundingPlan:
+    """The ``RoundingPlan`` of a 1-D float weight array; nothing is checked."""
+    fractional = np.flatnonzero((w > ROUNDING_EPS) & (w < 1.0 - ROUNDING_EPS))
+    fixed = w > 0.5
+    fixed[fractional] = False
+    return RoundingPlan(
+        total=float(w.sum()),
+        fractional=tuple(fractional.tolist()),
+        values=tuple(w[fractional].tolist()),
+        fixed_ones=tuple(np.flatnonzero(fixed).tolist()),
+    )
+
+
 @dataclass(frozen=True)
 class FractionalAllocation:
     """Box-constrained pilot weights summing to the budget K.
@@ -219,7 +253,9 @@ class FractionalAllocation:
     ``converged``, ``iterations`` and ``residual`` record how a solver
     obtained the weights: whether it reached its tolerance, the gradient
     steps it took and its final projected-gradient residual norm (NaN when
-    the weights were not solved for).
+    the weights were not solved for).  The weights are a read-only copy of
+    the given array, and ``plan``, the ``RoundingPlan`` that
+    ``dependent_rounding`` reads, is derived from them once.
     """
 
     weights: np.ndarray
@@ -227,16 +263,22 @@ class FractionalAllocation:
     converged: bool = field(default=True, compare=False)
     iterations: int = field(default=0, compare=False)
     residual: float = field(default=float("nan"), compare=False)
+    plan: RoundingPlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        # A private copy: the plan must not go stale under the caller's writes.
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1:
+            raise InvalidSpecError(f"allocation weights must be a 1-D array, got shape {w.shape}")
         if np.any(w < -1e-9) or np.any(w > 1 + 1e-9):
             raise InvalidSpecError("allocation weights must lie in [0, 1]")
         if abs(w.sum() - self.budget) > 1e-6:
             raise InvalidSpecError(
                 f"allocation weights sum to {w.sum():.9f}, expected {self.budget}"
             )
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "plan", rounding_plan(w))
 
 
 def _prior_inverse(prior: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .objective import (
     FractionalAllocation,
     ObjectiveState,
     PilotPattern,
+    ROUNDING_EPS,
     allocation_inverse,
     gains_for_candidates,
     gradient_from_inverse,
@@ -40,6 +41,7 @@ from .objective import (
     pattern_inverse,
     removal_terms,
     rank_one_update,
+    rounding_plan,
     swap_deltas,
 )
 
@@ -247,29 +249,35 @@ def dependent_rounding(
     i, otherwise move ``delta- = min(c[i], 1-c[j])`` from i to j.  Each step
     pins at least one of the pair to {0, 1}, marginals are preserved, and the
     budget holds almost surely.  ``rng_seed`` is an integer seed of
-    ``np.random.default_rng``; the uniforms of all steps are drawn at once.
+    ``np.random.default_rng``; the uniforms of all steps are drawn at once
+    (``random`` gives the same doubles as ``uniform(0, 1)``).
     ``grid`` defaults to a 1-symbol grid of matching size.
+
+    A ``FractionalAllocation`` brings its ``RoundingPlan`` and its checked
+    weights; a raw weight array is checked here and its plan derived per call.
     """
     if isinstance(allocation, FractionalAllocation):
-        w, K = allocation.weights, allocation.budget
+        w, K, plan = allocation.weights, allocation.budget, allocation.plan
+        total = plan.total
     else:
         w = np.asarray(allocation, dtype=float)
         K = int(round(w.sum()))
-    total = float(w.sum())
+        total, plan = float(w.sum()), None
     if abs(total - round(total)) > 1e-6:
         raise InfeasibleAllocationError(f"allocation sums to {total:.9f}, not an integer")
     if grid is None:
         grid = GridConfig(M=w.size, N=1)
     elif grid.size != w.size:
         raise InfeasibleAllocationError("allocation length does not match the grid")
-    if w.min() < -1e-9 or w.max() > 1 + 1e-9:
-        raise InfeasibleAllocationError("allocation entries outside [0, 1]")
+    if plan is None:
+        if w.min() < -1e-9 or w.max() > 1 + 1e-9:
+            raise InfeasibleAllocationError("allocation entries outside [0, 1]")
+        plan = rounding_plan(w)
 
     rng = np.random.default_rng(rng_seed)
-    eps = 1e-9
-    fractional = np.flatnonzero((w > eps) & (w < 1.0 - eps))
-    values = w[fractional].tolist()
-    draws = iter(rng.uniform(size=max(len(values) - 1, 0)).tolist())
+    eps = ROUNDING_EPS
+    values = list(plan.values)
+    draws = iter(rng.random(max(len(values) - 1, 0)).tolist())
     i = ci = None  # position in ``values`` and value of the fractional survivor
     for j, cj in enumerate(values):
         if i is None:
@@ -288,9 +296,7 @@ def dependent_rounding(
 
     # Entries outside (eps, 1 - eps) are already pinned; clipping them to
     # [0, 1] would not move them across 0.5.
-    ones = w > 0.5
-    ones[fractional] = [x > 0.5 for x in values]
-    indices = tuple(np.flatnonzero(ones).tolist())
+    indices = plan.fixed_ones + tuple(k for k, x in zip(plan.fractional, values) if x > 0.5)
     if len(indices) != K:
         raise InfeasibleAllocationError(
             f"rounding produced {len(indices)} pilots, expected {K}"

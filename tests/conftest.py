@@ -11,6 +11,7 @@ from pilotopt import (
     build_statistics,
     make_design_problem,
 )
+from pilotopt.mcsim import _BATCH, SimResult, _factor_sqrt, analytic_mse, lmmse_weights
 from pilotopt.objective import gradient_from_inverse
 
 # The design points of the benchmark's rb-sweep workload: 12x14 at 20 dB, the
@@ -139,6 +140,48 @@ def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
         )
     return FractionalAllocation(
         weights=best_w, budget=K, converged=converged, iterations=iterations, residual=residual
+    )
+
+
+def reference_sample_channels(stats, count, rng):
+    """The channel draw with Z assembled as first written, ``a + 1j*b`` from
+    the real and imaginary planes of the normal draw, then divided by
+    ``sqrt(2)``; ``sample_channels`` must match it bit for bit."""
+    M, N = stats.grid.M, stats.grid.N
+    L_f = _factor_sqrt(stats.freq_corr)
+    L_t = _factor_sqrt(stats.time_corr.astype(np.complex128))
+    parts = rng.standard_normal((count, M, N, 2))
+    Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+    G = L_f @ Z @ L_t.T
+    return G.transpose(0, 2, 1).reshape(count, M * N)
+
+
+def reference_run_simulation(stats, problem, pattern, cfg):
+    """``run_simulation`` as first written: the reference channel draw, the
+    pilot noise and channel gathered with list indexing and the noise
+    assembled as ``scale * (a + 1j*b)``."""
+    P = stats.grid.size
+    sigma_p = float(np.sqrt(problem.pilot_power))
+    rng = np.random.default_rng(cfg.rng_seed)
+    W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
+    idx = list(pattern.indices)
+    per_real = np.empty(cfg.realizations)
+    done = 0
+    while done < cfg.realizations:
+        count = min(_BATCH, cfg.realizations - done)
+        G = reference_sample_channels(stats, count, rng)
+        parts = rng.standard_normal((count, P, 2))[:, idx]
+        noise = np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
+        G_hat = (sigma_p * G[:, idx] + noise) @ W.T
+        err2 = np.abs(G - G_hat) ** 2
+        per_real[done : done + count] = err2.mean(axis=1)
+        done += count
+    empirical = float(per_real.mean())
+    se = float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)) if cfg.realizations > 1 else 0.0
+    return SimResult(
+        empirical_mse=empirical,
+        analytic_mse=analytic_mse(stats, pattern, sigma_p, cfg.noise_var),
+        standard_error=se,
     )
 
 

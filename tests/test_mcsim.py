@@ -23,7 +23,12 @@ from pilotopt.mcsim import (
     sample_channels,
 )
 
-from conftest import dense_lmmse, full_covariance
+from conftest import (
+    dense_lmmse,
+    full_covariance,
+    reference_run_simulation,
+    reference_sample_channels,
+)
 
 
 def received_block(g, pattern, sigma_p, data_power, noise_var, rng):
@@ -204,6 +209,69 @@ class TestRunSimulation:
             SimConfig(realizations=0, rng_seed=0, noise_var=0.1)
         with pytest.raises(InvalidSpecError):
             SimConfig(realizations=10, rng_seed=0, noise_var=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("realizations", 2.5),
+            ("realizations", True),
+            ("realizations", -1),
+            ("realizations", "10"),
+            ("rng_seed", -3),
+            ("rng_seed", 1.0),
+            ("rng_seed", False),
+            ("rng_seed", None),
+            ("noise_var", float("nan")),
+            ("noise_var", float("inf")),
+            ("noise_var", -0.1),
+            ("noise_var", True),
+            ("noise_var", "0.1"),
+        ],
+    )
+    def test_invalid_field_named(self, field, value):
+        values = {"realizations": 10, "rng_seed": 0, "noise_var": 0.1, field: value}
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+            SimConfig(**values)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SimConfig(realizations=np.int64(3), rng_seed=np.uint64(2**63), noise_var=np.float32(0.5))
+        assert cfg.realizations == 3
+        SimConfig(realizations=1, rng_seed=0, noise_var=2)
+
+
+class TestDrawAssembly:
+    """The complex views of the normal draws and the ``take`` gathers give
+    the bits of the list-indexed ``a + 1j*b`` reference."""
+
+    @pytest.mark.parametrize("stats", ["stats_4x4", "stats_rb", "stats_big"])
+    def test_sample_channels_matches_reference(self, stats, request):
+        stats = request.getfixturevalue(stats)
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for count in (1, 250):
+            assert np.array_equal(
+                sample_channels(stats, count, rng), reference_sample_channels(stats, count, ref_rng)
+            )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize(
+        "M, N, K, realizations",
+        [
+            (12, 14, 17, 1000),  # the benchmark's Monte Carlo shapes
+            (48, 28, 134, 250),
+            (4, 4, 3, _BATCH + 904),  # two batches
+            (4, 4, 0, 20),  # no pilots: empty gathers
+        ],
+    )
+    def test_run_simulation_matches_reference(self, M, N, K, realizations):
+        stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=5e-3))
+        problem = make_design_problem(stats, K=max(K, 1), snr_db=20.0)
+        pattern = greedy_design(problem).pattern if K else PilotPattern((), stats.grid)
+        for seed in (1, 2**40 + 3):
+            cfg = SimConfig(realizations=realizations, rng_seed=seed, noise_var=problem.noise_var)
+            assert run_simulation(stats, problem, pattern, cfg) == reference_run_simulation(
+                stats, problem, pattern, cfg
+            )
 
 
 class TestRankTruncationConsistency:

@@ -30,9 +30,11 @@ from pilotopt.errors import (
     InvalidSpecError,
 )
 from pilotopt.objective import (
+    RoundingPlan,
     allocation_inverse,
     information_inverse,
     pattern_inverse,
+    rounding_plan,
     swap_deltas,
 )
 from pilotopt.optimizers import project_capped_simplex
@@ -121,6 +123,44 @@ class TestPatternTypes:
         with pytest.raises(InvalidSpecError):
             FractionalAllocation(np.array([1.5, 0.5]), budget=2)
         FractionalAllocation(np.array([0.5, 0.5, 1.0]), budget=2)
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((1, 1, 2), "pilot indices must be distinct"),
+            ((0, 16), "pilot index outside the grid"),
+            ((-1, 3), "pilot index outside the grid"),
+            ((16, 3, 16), "pilot indices must be distinct"),  # both: distinct wins
+            ((-2, -2, 5), "pilot indices must be distinct"),
+        ],
+    )
+    def test_pattern_errors_and_their_precedence(self, indices, message):
+        with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+            PilotPattern(indices, GridConfig(4, 4))
+
+    def test_allocation_weights_are_a_read_only_copy(self):
+        w = np.array([0.5, 0.5, 1.0, 0.0])
+        alloc = FractionalAllocation(w, budget=2)
+        with pytest.raises(ValueError, match="read-only"):
+            alloc.weights[0] = 2.0
+        assert w.flags.writeable
+        w[0] = 0.25  # the caller's array stays theirs
+        assert alloc.weights[0] == 0.5
+        assert alloc.plan == rounding_plan(np.array([0.5, 0.5, 1.0, 0.0]))
+
+    def test_allocation_rejects_non_vector_weights(self):
+        with pytest.raises(InvalidSpecError, match="1-D"):
+            FractionalAllocation(np.full((2, 2), 0.5), budget=2)
+
+    def test_rounding_plan_splits_fixed_and_fractional(self):
+        w = np.array([1.0, 0.7, 0.3, 0.0, 1.0 - 1e-10, 1e-10, 0.6, 0.4])
+        assert rounding_plan(w) == RoundingPlan(
+            total=float(w.sum()),
+            fractional=(1, 2, 6, 7),
+            values=(0.7, 0.3, 0.6, 0.4),
+            fixed_ones=(0, 4),
+        )
+        assert FractionalAllocation(w, budget=4).plan == rounding_plan(w)
 
 
 class TestBuildA:

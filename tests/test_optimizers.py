@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import warnings
 from math import comb
 
@@ -137,6 +138,21 @@ def criterion_4_allocation():
     """The P=16, K=5 allocation of ``validation.check_dependent_rounding``."""
     rng = np.random.default_rng(99)
     return FractionalAllocation(project_capped_simplex(rng.uniform(0.05, 0.95, size=16), 5), 5)
+
+
+ROUNDING_CASES = ("12x14-K17", "criterion-4", "halves")
+
+
+def rounding_case(case):
+    """``(allocation, grid)`` of a named rounding case; the grid is None for
+    the 1-symbol default."""
+    if case == "12x14-K17":
+        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=5e-3))
+        problem = make_design_problem(stats, K=17, snr_db=20.0)
+        return solve_relaxation(problem), problem.grid
+    if case == "criterion-4":
+        return criterion_4_allocation(), None
+    return FractionalAllocation(np.full(8, 0.5), 4), None  # every step pins both of its pair
 
 
 def dft_symmetric_problem(M=4, N=4, r=5, K=6, alpha=3.0):
@@ -406,17 +422,48 @@ class TestDependentRounding:
         with pytest.raises(InfeasibleAllocationError):
             dependent_rounding(np.array([0.5, 0.2]), rng_seed=0)
 
-    @pytest.mark.parametrize("case", ["12x14-K17", "criterion-4", "halves"])
-    def test_matches_list_rebuild_reference(self, case):
-        grid = None
+    @pytest.mark.parametrize(
+        "w, size, message",
+        [
+            ([0.5, 0.2], None, "allocation sums to 0.700000000, not an integer"),
+            ([0.5, 0.5], 3, "allocation length does not match the grid"),
+            ([1.5, -0.5], None, "allocation entries outside [0, 1]"),
+            # Precedence: the sum, then the length, then the range.
+            ([1.5, 0.2], 3, "allocation sums to 1.700000000, not an integer"),
+            ([1.5, -0.5], 3, "allocation length does not match the grid"),
+        ],
+    )
+    def test_raw_weight_errors_and_their_precedence(self, w, size, message):
+        grid = None if size is None else GridConfig(size, 1)
+        with pytest.raises(InfeasibleAllocationError, match=f"^{re.escape(message)}$"):
+            dependent_rounding(np.array(w), rng_seed=0, grid=grid)
+
+    def test_allocation_length_checked_against_grid(self):
+        alloc = FractionalAllocation(np.array([0.5, 0.5]), budget=1)
+        with pytest.raises(InfeasibleAllocationError, match="does not match the grid"):
+            dependent_rounding(alloc, rng_seed=0, grid=GridConfig(3, 1))
+
+    def test_allocation_with_fractional_budget_rejected(self):
+        alloc = FractionalAllocation(np.array([1.0, 1.0, 0.5]), budget=2.5)
+        with pytest.raises(InfeasibleAllocationError, match="sums to 2.500000000"):
+            dependent_rounding(alloc, rng_seed=0)
+
+    @pytest.mark.parametrize("case", ROUNDING_CASES)
+    def test_allocation_and_raw_weights_round_alike(self, case):
+        """The plan an allocation derives once gives the patterns of the
+        per-call path of its raw weight array."""
+        alloc, grid = rounding_case(case)
         if case == "12x14-K17":
-            stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=5e-3))
-            problem = make_design_problem(stats, K=17, snr_db=20.0)
-            alloc, grid = solve_relaxation(problem), problem.grid
-        elif case == "criterion-4":
-            alloc = criterion_4_allocation()
-        else:  # every step pins both coordinates of its pair
-            alloc = FractionalAllocation(np.full(8, 0.5), 4)
+            # Fractional weights above 0.5 must not count as fixed ones.
+            assert any(x > 0.5 for x in alloc.plan.values)
+        raw = np.array(alloc.weights)
+        for seed in range(2000):
+            pattern = dependent_rounding(alloc, rng_seed=seed, grid=grid)
+            assert pattern == dependent_rounding(raw, rng_seed=seed, grid=grid), seed
+
+    @pytest.mark.parametrize("case", ROUNDING_CASES)
+    def test_matches_list_rebuild_reference(self, case):
+        alloc, grid = rounding_case(case)
         for seed in range(2000):
             pattern = dependent_rounding(alloc, rng_seed=seed, grid=grid)
             assert pattern.indices == list_rebuild_rounding(alloc.weights, seed), seed
