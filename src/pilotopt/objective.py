@@ -246,7 +246,7 @@ def rounding_plan(w: np.ndarray) -> RoundingPlan:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalAllocation:
     """Box-constrained pilot weights summing to the budget K.
 
@@ -255,21 +255,27 @@ class FractionalAllocation:
     steps it took and its final projected-gradient residual norm (NaN when
     the weights were not solved for).  The weights are a read-only copy of
     the given array, and ``plan``, the ``RoundingPlan`` that
-    ``dependent_rounding`` reads, is derived from them once.
+    ``dependent_rounding`` reads, is derived from them once.  Equality is
+    identity: allocations are never compared by value.
     """
 
     weights: np.ndarray
     budget: int
-    converged: bool = field(default=True, compare=False)
-    iterations: int = field(default=0, compare=False)
-    residual: float = field(default=float("nan"), compare=False)
-    plan: RoundingPlan = field(init=False, compare=False, repr=False)
+    converged: bool = True
+    iterations: int = 0
+    residual: float = float("nan")
+    plan: RoundingPlan = field(init=False, repr=False)
 
     def __post_init__(self):
         # A private copy: the plan must not go stale under the caller's writes.
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1:
             raise InvalidSpecError(f"allocation weights must be a 1-D array, got shape {w.shape}")
+        bad = int(np.count_nonzero(~np.isfinite(w)))
+        if bad:
+            raise InvalidSpecError(
+                f"allocation weights must be finite, got {bad} non-finite of {w.size}"
+            )
         if np.any(w < -1e-9) or np.any(w > 1 + 1e-9):
             raise InvalidSpecError("allocation weights must lie in [0, 1]")
         if abs(w.sum() - self.budget) > 1e-6:

@@ -261,6 +261,11 @@ def dependent_rounding(
         total = plan.total
     else:
         w = np.asarray(allocation, dtype=float)
+        bad = int(np.count_nonzero(~np.isfinite(w)))
+        if bad:
+            raise InfeasibleAllocationError(
+                f"allocation has non-finite entries ({bad} of {w.size})"
+            )
         K = int(round(w.sum()))
         total, plan = float(w.sum()), None
     if abs(total - round(total)) > 1e-6:
@@ -463,33 +468,51 @@ def lattice_pattern(grid: GridConfig, params: LatticeParams) -> PilotPattern:
 
 def lattice_count(
     grid: GridConfig,
-    freq_spacing: int,
-    time_spacing: int,
-    freq_offset: int = 0,
-    time_offset: int = 0,
+    freq_spacing: int | np.ndarray,
+    time_spacing: int | np.ndarray,
+    freq_offset: int | np.ndarray = 0,
+    time_offset: int | np.ndarray = 0,
     staggered: bool = False,
-) -> int:
+) -> int | np.ndarray:
     """``len(lattice_pattern(grid, LatticeParams(...)))`` in closed form, from
-    the ``LatticeParams`` fields."""
+    the ``LatticeParams`` fields; the integer fields may be broadcastable
+    numpy arrays, giving an array of counts."""
     rows = (grid.M - 1 - freq_offset) // freq_spacing + 1
     cols = (grid.N - 1 - time_offset) // time_spacing + 1
     if not staggered:
         return rows * cols
     # Every second column keeps the rows that stay on the grid when shifted.
-    shifted = max((grid.M - 1 - freq_offset - freq_spacing // 2) // freq_spacing + 1, 0)
+    shifted = np.maximum((grid.M - 1 - freq_offset - freq_spacing // 2) // freq_spacing + 1, 0)
     return rows * ((cols + 1) // 2) + shifted * (cols // 2)
+
+
+def _spacing_offsets(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (spacing, offset) with ``1 <= spacing <= size`` and
+    ``0 <= offset < spacing``, in (spacing, offset) order."""
+    spacings = np.arange(1, size + 1)
+    spacing = np.repeat(spacings, spacings)
+    # The run of spacing s starts at position s*(s-1)/2.
+    return spacing, np.arange(spacing.size) - spacing * (spacing - 1) // 2
 
 
 def _lattices(grid: GridConfig, staggered: bool, counts: range):
     """(count, params) of every lattice of one shape whose pilot count is in
-    ``counts``, in (freq_spacing, time_spacing, offsets) order."""
-    for f_sp in range(1, grid.M + 1):
-        for t_sp in range(1, grid.N + 1):
-            for f_off in range(f_sp):
-                for t_off in range(t_sp):
-                    count = lattice_count(grid, f_sp, t_sp, f_off, t_off, staggered)
-                    if count in counts:
-                        yield count, LatticeParams(f_sp, t_sp, f_off, t_off, staggered=staggered)
+    ``counts``, in (freq_spacing, time_spacing, offsets) order.
+
+    The counts of the whole (frequency pair) x (time pair) grid come from one
+    array evaluation of ``lattice_count``."""
+    f_sp, f_off = _spacing_offsets(grid.M)
+    t_sp, t_off = _spacing_offsets(grid.N)
+    count = lattice_count(
+        grid, f_sp[:, None], t_sp[None, :], f_off[:, None], t_off[None, :], staggered
+    )
+    f, t = np.nonzero(np.isin(count, counts))
+    order = np.lexsort((t_off[t], f_off[f], t_sp[t], f_sp[f]))
+    for a, b in zip(f[order].tolist(), t[order].tolist()):
+        params = LatticeParams(
+            int(f_sp[a]), int(t_sp[b]), int(f_off[a]), int(t_off[b]), staggered=staggered
+        )
+        yield int(count[a, b]), params
 
 
 def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:

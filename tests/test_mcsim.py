@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,11 +16,13 @@ from pilotopt import (
     make_design_problem,
     run_simulation,
 )
+from pilotopt.channel import covariance_columns
 from pilotopt.errors import InvalidSpecError
 from pilotopt.mcsim import (
     _BATCH,
     SimResult,
     _factor_sqrt,
+    _pilot_blocks,
     analytic_mse,
     lmmse_weights,
     sample_channels,
@@ -140,6 +145,78 @@ class TestAnalyticMse:
         _, C_e = dense_lmmse(stats_4x4, pattern, 1.7, 0.3)
         expected = np.trace(C_e).real / 16
         assert analytic_mse(stats_4x4, pattern, 1.7, 0.3) == pytest.approx(expected, rel=1e-10)
+
+
+def mp_analytic_mse(stats, pattern, sigma_p, noise_var):
+    """``analytic_mse`` at 40 significant digits on the same double factors:
+    ``(trace(C_g) - sigma_p^2 trace(obs^{-1} Gram)) / P`` with every entry of
+    ``obs`` and of the Gram summed in mpmath."""
+    with mpmath.workdps(40):
+        C_t = [[mpmath.mpf(float(x)) for x in row] for row in stats.time_corr]
+        C_f = [[mpmath.mpc(complex(x)) for x in row] for row in stats.freq_corr]
+
+        def gram_entry(C, a, b):
+            return mpmath.fsum(mpmath.conj(C[k][a]) * C[k][b] for k in range(len(C)))
+
+        M, K = stats.grid.M, len(pattern)
+        m = [i % M for i in pattern.indices]
+        n = [i // M for i in pattern.indices]
+        s2, nv = mpmath.mpf(sigma_p) ** 2, mpmath.mpf(noise_var)
+        obs, gram = mpmath.matrix(K, K), mpmath.matrix(K, K)
+        for a in range(K):
+            for b in range(K):
+                obs[a, b] = s2 * C_t[n[a]][n[b]] * C_f[m[a]][m[b]] + (nv if a == b else 0)
+                gram[a, b] = gram_entry(C_t, n[a], n[b]) * gram_entry(C_f, m[a], m[b])
+        obs_inv = mpmath.inverse(obs)
+        reduction = s2 * mpmath.fsum(obs_inv[a, b] * gram[b, a] for a in range(K) for b in range(K))
+        total = mpmath.fsum(C_t[i][i] for i in range(len(C_t))) * mpmath.fsum(
+            C_f[i][i] for i in range(len(C_f))
+        )
+        return mpmath.re((total - reduction) / stats.grid.size)
+
+
+class TestPilotSystem:
+    """The K x K pilot system built from the Kronecker factors."""
+
+    @pytest.mark.parametrize("stats, K", [("stats_4x4", 3), ("stats_rb", 17), ("stats_big", 134)])
+    def test_factor_blocks_match_dense_columns(self, stats, K, request):
+        stats = request.getfixturevalue(stats)
+        idx = np.sort(np.random.default_rng(K).choice(stats.grid.size, size=K, replace=False))
+        C_ss, gram = _pilot_blocks(stats, idx)
+        C_cols = covariance_columns(stats, idx)
+        dense_ss, dense_gram = C_cols[idx, :], C_cols.conj().T @ C_cols
+        assert np.linalg.norm(C_ss - dense_ss) <= 1e-13 * np.linalg.norm(dense_ss)
+        assert np.linalg.norm(gram - dense_gram) <= 1e-13 * np.linalg.norm(dense_gram)
+
+    @pytest.mark.parametrize(
+        "M, N, spreading, snr_db, K",
+        [
+            (12, 14, 5e-3, 20.0, 17),
+            (12, 14, 1e-2, 40.0, 17),
+            (24, 14, 5e-3, 20.0, 34),
+            (24, 14, 1e-3, 30.0, 34),
+        ],
+    )
+    def test_analytic_mse_matches_40_digit_reference(self, M, N, spreading, snr_db, K):
+        stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=spreading))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+            problem = make_design_problem(stats, K=K, snr_db=snr_db)
+        pattern = greedy_design(problem).pattern
+        sigma_p = float(np.sqrt(problem.pilot_power))
+        reference = mp_analytic_mse(stats, pattern, sigma_p, problem.noise_var)
+        got = analytic_mse(stats, pattern, sigma_p, problem.noise_var)
+        assert abs(got - reference) <= 1e-8 * reference
+
+    def test_weights_solve_the_pilot_system(self, stats_rb, problem_rb):
+        # W is the LMMSE solution: W obs = sigma_p C_g[:, S].
+        pattern = greedy_design(problem_rb).pattern
+        idx = np.array(pattern.indices)
+        sigma_p, noise_var = float(np.sqrt(problem_rb.pilot_power)), problem_rb.noise_var
+        W = lmmse_weights(stats_rb, pattern, sigma_p, noise_var)
+        C_cols = covariance_columns(stats_rb, idx)
+        obs = sigma_p**2 * C_cols[idx, :] + noise_var * np.eye(idx.size)
+        assert np.abs(W @ obs - sigma_p * C_cols).max() <= 1e-12 * sigma_p
 
 
 class TestRunSimulation:

@@ -152,6 +152,24 @@ class TestPatternTypes:
         with pytest.raises(InvalidSpecError, match="1-D"):
             FractionalAllocation(np.full((2, 2), 0.5), budget=2)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([np.nan, 1.0], "allocation weights must be finite, got 1 non-finite of 2"),
+            ([np.inf, -np.inf, 1.0], "allocation weights must be finite, got 2 non-finite of 3"),
+        ],
+    )
+    def test_allocation_rejects_non_finite_weights(self, weights, message):
+        with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+            FractionalAllocation(np.array(weights), budget=1)
+
+    def test_allocation_equality_is_identity(self):
+        w = np.array([0.5, 0.5, 1.0, 0.0])
+        a, b = FractionalAllocation(w, budget=2), FractionalAllocation(w, budget=2)
+        assert (a == b) is False
+        assert (a == a) is True
+        assert len({a, b}) == 2
+
     def test_rounding_plan_splits_fixed_and_fractional(self):
         w = np.array([1.0, 0.7, 0.3, 0.0, 1.0 - 1e-10, 1e-10, 0.6, 0.4])
         assert rounding_plan(w) == RoundingPlan(

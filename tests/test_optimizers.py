@@ -44,6 +44,7 @@ from pilotopt.objective import gains_for_candidates, removal_terms, swap_deltas
 from pilotopt.optimizers import (
     SWAP_SCREEN_BAND,
     SWAP_TOLERANCE,
+    _lattices,
     greedy_swap_design,
     lattice_count,
     relax_round_swap_design,
@@ -438,6 +439,17 @@ class TestDependentRounding:
         with pytest.raises(InfeasibleAllocationError, match=f"^{re.escape(message)}$"):
             dependent_rounding(np.array(w), rng_seed=0, grid=grid)
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            ([np.nan, 1.0], "allocation has non-finite entries (1 of 2)"),
+            ([np.inf, 0.0, np.nan], "allocation has non-finite entries (2 of 3)"),
+        ],
+    )
+    def test_raw_non_finite_weights_rejected(self, w, message):
+        with pytest.raises(InfeasibleAllocationError, match=f"^{re.escape(message)}$"):
+            dependent_rounding(np.array(w), rng_seed=0)
+
     def test_allocation_length_checked_against_grid(self):
         alloc = FractionalAllocation(np.array([0.5, 0.5]), budget=1)
         with pytest.raises(InfeasibleAllocationError, match="does not match the grid"):
@@ -764,6 +776,43 @@ class TestLatticePattern:
             LatticeParams(0, 1)
         with pytest.raises(LatticeError):
             LatticeParams(4, 2, freq_offset=4)
+
+
+def nested_loop_lattices(grid, staggered, counts):
+    """The lattice enumeration as first written: four nested loops over the
+    (spacing, offset) grid, each count from the scalar closed form."""
+    out = []
+    for f_sp in range(1, grid.M + 1):
+        for t_sp in range(1, grid.N + 1):
+            for f_off in range(f_sp):
+                for t_off in range(t_sp):
+                    rows = (grid.M - 1 - f_off) // f_sp + 1
+                    cols = (grid.N - 1 - t_off) // t_sp + 1
+                    count = rows * cols
+                    if staggered:
+                        shifted = max((grid.M - 1 - f_off - f_sp // 2) // f_sp + 1, 0)
+                        count = rows * ((cols + 1) // 2) + shifted * (cols // 2)
+                    if count in counts:
+                        out.append((count, LatticeParams(f_sp, t_sp, f_off, t_off, staggered)))
+    return out
+
+
+class TestLatticeEnumeration:
+    @pytest.mark.parametrize("staggered", [False, True])
+    @pytest.mark.parametrize(
+        "M, N, budgets",
+        [(4, 4, (1, 3, 4, 8, 16)), (12, 14, (4, 13, 14, 17, 50, 168)), (48, 28, (134,))],
+    )
+    def test_matches_nested_loops(self, M, N, budgets, staggered):
+        grid = GridConfig(M, N)
+        for K in budgets:
+            counts = range(K - 2, K + 1)
+            enumerated = list(_lattices(grid, staggered, counts))
+            reference = nested_loop_lattices(grid, staggered, counts)
+            assert enumerated == reference
+            # Python ints, in the counts and the params alike.
+            assert repr(enumerated) == repr(reference)
+            assert all(type(count) is int for count, _ in enumerated)
 
 
 class TestBestLattice:
