@@ -7,9 +7,10 @@ Both trees hold the files written by ``design``, ``sweep``, ``structure`` and
 ``validate``.  Timing fields (``wall_time``, ``runtime_s``) are ignored.
 JSON files are compared field by field; a numeric array is summarized as
 "n of m differ, max abs ...".  CSV files are compared row by row with the
-timing columns dropped.  Any other file is compared line by line.  Prints one
-line per difference and exits 1 if there is any, 0 otherwise.  Standard
-library only.
+timing columns dropped.  Any other file is compared line by line, and each
+changed line is printed as ``line N: -old`` or ``line N: +new``, numbered in
+the parent's or the change's file.  Prints one line per difference and exits 1
+if there is any, 0 otherwise.  Standard library only.
 """
 
 import csv
@@ -92,9 +93,12 @@ def diff_csv(a_text, b_text):
 
 
 def diff_text(a_text, b_text):
-    for line in difflib.unified_diff(a_text.splitlines(), b_text.splitlines(), lineterm="", n=0):
-        if not line.startswith(("---", "+++", "@@")):
-            yield line
+    """Yield ``line N: -old`` / ``line N: +new`` for every changed line."""
+    a, b = a_text.splitlines(), b_text.splitlines()
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            yield from (f"line {n + 1}: -{a[n]}" for n in range(i1, i2))
+            yield from (f"line {n + 1}: +{b[n]}" for n in range(j1, j2))
 
 
 def diff_file(a_path, b_path):

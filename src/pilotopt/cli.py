@@ -17,7 +17,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +118,10 @@ def _gives_noise_var(snr_db) -> bool:
         return False
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an experiment configuration file."""
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and validate an experiment configuration file.  ``overrides``
+    replaces top-level fields of the file before validation, so an override
+    passes the same checks as the field it replaces."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -130,6 +132,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return parse_config(raw)
 
 
@@ -698,30 +702,27 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config, help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seeds")
         p.add_argument("--out", default=None, help="override the config output directory")
-        p.add_argument(
-            "--method",
-            action="append",
-            default=None,
-            help="override config methods (repeatable)",
-        )
+        if needs_config:  # validate runs fixed checks: no seeds or methods to override
+            p.add_argument("--seed", type=int, default=None, help="override the config seeds")
+            p.add_argument(
+                "--method",
+                action="append",
+                default=None,
+                help="override config methods (repeatable)",
+            )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else None
-        if cfg is not None:
-            if args.seed is not None:
-                _require(args.seed >= 0, f"--seed {args.seed} is not a non-negative integer")
-                cfg = replace(cfg, seeds=(args.seed,))
-            if args.method:
-                for m in args.method:
-                    if m not in VALID_METHODS:
-                        raise ConfigError(f"--method {m!r} unknown; valid: {VALID_METHODS}")
-                cfg = replace(cfg, methods=tuple(args.method))
+        overrides = {}
+        if getattr(args, "seed", None) is not None:
+            overrides["seeds"] = [args.seed]
+        if getattr(args, "method", None):
+            overrides["methods"] = args.method
+        cfg = load_config(args.config, overrides) if args.config else None
         out_dir = Path(args.out) if args.out else Path(cfg.output_dir if cfg else "out")
         out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -178,6 +178,13 @@ def analytic_mse(
     ``obs = sigma_p^2 C_SS + noise I`` and the Gram ``C_g[:, S]^H C_g[:, S]``
     both built from the Kronecker factors: O(N^3 + M^3 + K^3), and the
     P x K columns are never formed.
+
+    Accuracy: the subtraction takes a number of size P*MSE from two of size
+    P, so digits cancel as the SNR grows, and above about 20 dB not all of
+    the 12 digits the CLI prints are significant.  Against a 45-digit
+    evaluation of the same formula on 12x14, spreading 5e-3, K = 17 (greedy
+    pattern), the relative error is 2.1e-11 at 20 dB, 3.9e-8 at 40 dB and
+    1.5e-3 at 80 dB.
     """
     idx = np.array(pattern.indices, dtype=np.intp)
     return _pilot_system(stats, idx, sigma_p, noise_var)[1]

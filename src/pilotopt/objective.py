@@ -12,9 +12,12 @@ observations, so the reduced-rank objective plus the discarded energy would
 not be.
 
 The inverse ``A^{-1}`` is kept explicitly (it is r x r with r << M*N).  Greedy
-selection and the swap pass's near-tie referee update it by the
-Sherman-Morrison formula, which makes add/remove/swap deltas O(r^2) instead of
-a refactorization; a swap state's ``A^{-1}`` is computed from its pattern.
+selection updates it by the Sherman-Morrison formula, which makes
+add/remove/swap deltas O(r^2) instead of a refactorization; a swap state's
+``A^{-1}`` is computed from its pattern.  The Sherman-Morrison terms of one row
+and of all P rows come from the same kernel, ``_row_terms``.  No arithmetic
+path decides which of two exactly tied choices wins: the optimizers take the
+lowest index within ``optimizers.TIE_BAND`` of the best.
 
 ``A^{-1}`` is formed by one kernel per input kind: ``pattern_inverse`` for a
 sorted ``np.intp`` index array and ``allocation_inverse`` for a weight vector
@@ -379,6 +382,13 @@ def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
     budget K' takes the ``pilot_snr`` of the problem for K'.  The covariance
     energy below the eigenvalue floor is left out.  An allocation's weights
     are read as per-cell fractions of the pilot power.
+
+    Accuracy: the inversion is exact to rounding, but the basis carries the
+    rounding of the double-precision eigenpairs and drops the pairs below the
+    floor, so above about 20 dB not all of the 12 digits the CLI prints are
+    significant.  Against a 45-digit evaluation of the pilot-restricted
+    LMMSE error on 12x14, spreading 5e-3, K = 14 (greedy pattern), the
+    relative error is 5.8e-10 at 20 dB, 1.9e-8 at 40 dB and 1.1e-6 at 100 dB.
     """
     U = stats.significant_eigvecs
     A = _information_matrix(
@@ -436,23 +446,13 @@ def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
     return Z, quad, norm2
 
 
-def _update_terms(state: ObjectiveState, j: int):
-    """``_row_terms`` of index j in column form ``z = A^{-1} u_j^H``; the row
-    form differs in the last bits, enough to flip exactly tied swaps."""
-    w = state.problem.rows[j].conj()
-    z = state.A_inv @ w
-    quad = float(np.real(w.conj() @ z))
-    return z, quad, float(np.real(np.vdot(z, z)))
-
-
 def marginal_gain(state: ObjectiveState, j: int) -> float:
     """Objective decrease from adding candidate j:
     ``alpha * u_j A^{-2} u_j^H / (1 + alpha * u_j A^{-1} u_j^H)``."""
     if j in state.selected:
         raise CandidateError(f"index {j} is already selected")
-    alpha = state.problem.pilot_snr
-    _, quad, norm2 = _update_terms(state, j)
-    return alpha * norm2 / (1.0 + alpha * quad)
+    problem = state.problem
+    return float(gains_for_candidates(state.A_inv, problem.rows[j : j + 1], problem.pilot_snr)[0])
 
 
 def gains_for_candidates(A_inv: np.ndarray, rows: np.ndarray, alpha: float) -> np.ndarray:
@@ -467,9 +467,9 @@ def rank_one_update(state: ObjectiveState, j: int, sign: str) -> ObjectiveState:
     if sign == "add":
         if j in state.selected:
             raise CandidateError(f"cannot add {j}: already selected")
-        z, quad, _ = _update_terms(state, j)
-        denom = 1.0 + alpha * quad
-        state.A_inv -= (alpha / denom) * np.outer(z, z.conj())
+        Z, quad, _ = _row_terms(state.A_inv, state.problem.rows[j : j + 1])
+        denom = 1.0 + alpha * quad[0]
+        state.A_inv -= (alpha / denom) * np.outer(Z[0], Z[0].conj())
         # Symmetrize to suppress drift over long update chains.
         state.A_inv = 0.5 * (state.A_inv + state.A_inv.conj().T)
         state.selected.add(j)
@@ -486,12 +486,12 @@ def rank_one_update(state: ObjectiveState, j: int, sign: str) -> ObjectiveState:
 def removal_terms(state: ObjectiveState, i: int):
     """Objective increase and downdated inverse for removing selected index i."""
     alpha = state.problem.pilot_snr
-    z, quad, norm2 = _update_terms(state, i)
-    denom = 1.0 - alpha * quad
+    Z, quad, norm2 = _row_terms(state.A_inv, state.problem.rows[i : i + 1])
+    denom = float(1.0 - alpha * quad[0])
     if denom <= 1e-12:
         raise DegenerateUpdateError(f"removal of {i} hit denominator {denom:g}")
-    increase = alpha * norm2 / denom
-    A_inv_without = state.A_inv + (alpha / denom) * np.outer(z, z.conj())
+    increase = float(alpha * norm2[0] / denom)
+    A_inv_without = state.A_inv + (alpha / denom) * np.outer(Z[0], Z[0].conj())
     return increase, 0.5 * (A_inv_without + A_inv_without.conj().T)
 
 

@@ -39,7 +39,6 @@ from .objective import (
     gradient_from_inverse,
     objective_value,
     pattern_inverse,
-    removal_terms,
     rank_one_update,
     rounding_plan,
     swap_deltas,
@@ -47,11 +46,12 @@ from .objective import (
 
 EXHAUSTIVE_GUARD = 2_000_000
 SWAP_TOLERANCE = 1e-10
-# Screened swaps within this fraction of the objective of the best one are
-# refereed by the per-row arithmetic.  The screen and the referee agree to
-# about 1e-16 of the objective, so a swap the band leaves alone is the one
-# the referee would pick.
-SWAP_SCREEN_BAND = 1e-9
+# Exact ties are broken by index, not by arithmetic: the swap pass, greedy
+# selection and the choice of best rounding each take the lowest index (the
+# earliest seed) among the choices within this fraction of the objective of
+# the best one.  Mirror-symmetric channels give ties whose values differ in
+# the last bits, far inside the band.
+TIE_BAND = 1e-9
 
 METHOD_CR = "cr"
 METHOD_CR_ROUND = "cr-round"
@@ -310,7 +310,8 @@ def dependent_rounding(
 
 
 def greedy_design(problem: DesignProblem) -> DesignReport:
-    """Select K pilots by repeated largest marginal gain (ties: lowest index)."""
+    """Select K pilots by repeated largest marginal gain; the lowest index
+    within ``TIE_BAND`` of the largest gain wins."""
     t0 = time.perf_counter()
     state = ObjectiveState.empty(problem)
     initial = state.value
@@ -318,7 +319,7 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     for _ in range(problem.budget):
         gains = gains_for_candidates(state.A_inv, problem.rows, problem.pilot_snr)
         gains[~unselected] = -1.0
-        j = int(np.argmax(gains))
+        j = int(np.argmax(gains >= gains.max() - TIE_BAND * state.value))
         rank_one_update(state, j, "add")
         unselected[j] = False
     # Report the trace of the pattern's own A^{-1}, as every other method
@@ -329,43 +330,24 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
 
 
 def _best_swap(state: ObjectiveState, selected: np.ndarray, candidates: np.ndarray):
-    """The improving swap (i out, j in) of the per-row scan, or None.
+    """The swap (i out, j in) the screen accepts, or None.
 
-    The scan takes, per selected i in ascending order, the candidate of largest
-    gain after removing i (lowest j on ties) and keeps the first i with the
-    lowest delta.  Mirror-symmetric channels give exactly tied swaps, and the
-    batched screen's arithmetic differs from the scan's by a few ulps, enough
-    to flip such a tie.  So a screened best swap that is alone within
-    ``SWAP_SCREEN_BAND`` of its delta, and improving by more than the band,
-    is taken as it stands; otherwise the scan referees the rows within the
-    band.
+    None when no swap improves by more than ``SWAP_TOLERANCE``.  Otherwise a
+    swap ties with the best when its delta is within ``TIE_BAND`` times the
+    objective of the best delta and still improves by more than
+    ``SWAP_TOLERANCE``: the lowest selected i with a tied swap goes out, and
+    the lowest tied candidate j of its row comes in.  ``selected`` and
+    ``candidates`` are ascending.
     """
-    problem = state.problem
     deltas = swap_deltas(state, selected, candidates)
     row_best = deltas.min(axis=1)
     best = row_best.min()
-    band = SWAP_SCREEN_BAND * state.value
-    if best > -SWAP_TOLERANCE + band:
+    if best >= -SWAP_TOLERANCE:
         return None
-    near_rows = np.flatnonzero(row_best <= best + band)
-    if near_rows.size == 1 and best < -SWAP_TOLERANCE - band:
-        a = near_rows[0]
-        near_cols = np.flatnonzero(deltas[a] <= best + band)
-        if near_cols.size == 1:
-            return int(selected[a]), int(candidates[near_cols[0]])
-    cand_rows = problem.rows[candidates]
-    best_delta, best_pair = 0.0, None
-    for a in near_rows:
-        i = int(selected[a])
-        increase, A_inv_without = removal_terms(state, i)
-        gains = gains_for_candidates(A_inv_without, cand_rows, problem.pilot_snr)
-        pos = int(np.argmax(gains))
-        delta = increase - float(gains[pos])
-        if delta < best_delta:
-            best_delta, best_pair = delta, (i, int(candidates[pos]))
-    if best_delta >= -SWAP_TOLERANCE:
-        return None
-    return best_pair
+    limit = min(best + TIE_BAND * state.value, -SWAP_TOLERANCE)
+    a = int(np.argmax(row_best <= limit))
+    b = int(np.argmax(deltas[a] <= limit))
+    return int(selected[a]), int(candidates[b])
 
 
 def local_swap(
@@ -566,10 +548,12 @@ def relax_round_swap_design(
     """Relaxation, then one swap-refined rounding per seed.
 
     Returns the best report together with the per-seed reports, so callers can
-    record the rounding distribution.  A precomputed ``allocation`` can be
-    supplied to share one relaxation solve across calls.  The roundings share
-    one ``local_swap`` visited map, so a duplicate rounding, or a chain that
-    merges into an earlier one, screens no state twice.
+    record the rounding distribution.  The best is the earliest seed whose
+    objective is within ``TIE_BAND`` of the lowest.  A precomputed
+    ``allocation`` can be supplied to share one relaxation solve across calls.
+    The roundings share one ``local_swap`` visited map, so a duplicate
+    rounding, or a chain that merges into an earlier one, screens no state
+    twice.
     """
     if allocation is None:
         allocation = solve_relaxation(problem)
@@ -590,7 +574,8 @@ def relax_round_swap_design(
                 t0,
             )
         )
-    best = min(reports, key=lambda r: r.objective)
+    lowest = min(r.objective for r in reports)
+    best = next(r for r in reports if r.objective <= lowest * (1.0 + TIE_BAND))
     return best, reports
 
 
@@ -603,12 +588,10 @@ def exhaustive_search(problem: DesignProblem) -> DesignReport:
             f"C({P},{K}) = {n_subsets} subsets exceeds the {EXHAUSTIVE_GUARD} guard"
         )
     t0 = time.perf_counter()
-    alpha = problem.pilot_snr
-    prior_inv = np.diag(1.0 / problem.prior).astype(np.complex128)
-    updates = alpha * np.einsum("ia,ib->iab", problem.rows.conj(), problem.rows)
+    updates = problem.pilot_snr * np.einsum("ia,ib->iab", problem.rows_conj, problem.rows)
     best_obj, best_subset = np.inf, None
     for subset in itertools.combinations(range(P), K):
-        A = prior_inv + updates[list(subset)].sum(axis=0)
+        A = problem.prior_inv + updates[list(subset)].sum(axis=0)
         try:
             A_inv = np.linalg.inv(A)
         except np.linalg.LinAlgError as exc:

@@ -369,6 +369,12 @@ class TestValidateCommand:
         report = json.loads((out / "validate.json").read_text())
         assert report["all_passed"] is False
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--method", "greedy"]])
+    def test_fixed_checks_take_no_seed_or_method(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--out", str(tmp_path / "out"), *flag])
+        assert exit_info.value.code == EXIT_BAD_CONFIG
+
 
 class TestErrorPaths:
     def test_corrupted_config_reports_location(self, tmp_path, capsys):
@@ -418,6 +424,24 @@ class TestErrorPaths:
         assert not (out / "design_greedy-swap_seed0.json").exists()
         assert main(["design", "--config", str(cfg_path), "--seed", "-1"]) == EXIT_BAD_CONFIG
 
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--method", "greedy", "--method", "greedy"], "'methods' lists a method twice"),
+            (["--method", "bogus"], "unknown method 'bogus'"),
+            (["--seed", "-1"], "'seeds': -1 is not a non-negative integer"),
+        ],
+    )
+    def test_bad_override_exits_2_with_one_line(self, tmp_path, capsys, flags, field):
+        """``--method`` and ``--seed`` replace config fields before the
+        config's checks run, so they are rejected as the fields would be."""
+        cfg_path = write_config(tmp_path, {"pilot_budget": [0.05]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out), *flags]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+        assert not (out / "sweep.csv").exists()
 
 class TestReportedMse:
     # Density-sweep point where the rank-10 basis keeps 10 of 34 significant

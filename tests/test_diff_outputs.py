@@ -47,5 +47,19 @@ def test_every_difference_is_listed_and_exits_1(parent, tmp_path, capsys):
     ]
 
 
+def test_text_lines_are_listed_with_their_numbers(parent, tmp_path, capsys):
+    (parent / "art.txt").write_text("X . .\n. X .\n. . X\nfooter\n")
+    change = _tree(tmp_path / "b", json.loads((parent / "design" / "report.json").read_text()), [])
+    (change / "sweep.csv").write_text((parent / "sweep.csv").read_text())
+    (change / "art.txt").write_text("X . .\nX . .\n. . X\nfooter\nnote\n")
+    assert diff_outputs.main([str(parent), str(change)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "art.txt: line 2: -. X .",
+        "art.txt: line 2: +X . .",
+        "art.txt: line 5: +note",
+        "3 difference(s)",
+    ]
+
+
 def test_missing_directory_is_a_usage_error(parent, tmp_path):
     assert diff_outputs.main([str(parent), str(tmp_path / "absent")]) == 2
