@@ -10,13 +10,16 @@ JSON files are compared field by field; a numeric array is summarized as
 timing columns dropped.  Any other file is compared line by line, and each
 changed line is printed as ``line N: -old`` or ``line N: +new``, numbered in
 the parent's or the change's file.  Prints one line per difference and exits 1
-if there is any, 0 otherwise.  Standard library only.
+if there is any, 0 otherwise; a reader that closes the pipe early (``| head``)
+ends the printing quietly but not the count behind the exit status.  Standard
+library only.
 """
 
 import csv
 import difflib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -113,6 +116,29 @@ def diff_file(a_path, b_path):
         yield from diff_text(a_text, b_text)
 
 
+def differences(roots):
+    """Yield one line per difference between the trees at ``roots``."""
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in roots]
+    for rel in sorted(files[0] | files[1]):
+        if rel not in files[0] or rel not in files[1]:
+            side = "parent" if rel in files[0] else "change"
+            yield f"{rel}: only in {side}"
+            continue
+        for line in diff_file(roots[0] / rel, roots[1] / rel):
+            yield f"{rel}: {line}"
+
+
+def _emit(line):
+    """Print ``line``; False once the reader has closed standard output."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # Point stdout at the null device, or the flush at exit fails again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -123,19 +149,13 @@ def main(argv=None):
         if not root.is_dir():
             print(f"error: {root} is not a directory", file=sys.stderr)
             return 2
-    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in roots]
-    differences = 0
-    for rel in sorted(files[0] | files[1]):
-        if rel not in files[0] or rel not in files[1]:
-            side = "parent" if rel in files[0] else "change"
-            print(f"{rel}: only in {side}")
-            differences += 1
-            continue
-        for line in diff_file(roots[0] / rel, roots[1] / rel):
-            print(f"{rel}: {line}")
-            differences += 1
-    print(f"{differences} difference(s)")
-    return 1 if differences else 0
+    count, printing = 0, True
+    for line in differences(roots):
+        count += 1
+        printing = printing and _emit(line)
+    if printing:
+        _emit(f"{count} difference(s)")
+    return 1 if count else 0
 
 
 if __name__ == "__main__":

@@ -19,13 +19,15 @@ and of all P rows come from the same kernel, ``_row_terms``.  No arithmetic
 path decides which of two exactly tied choices wins: the optimizers take the
 lowest index within ``optimizers.TIE_BAND`` of the best.
 
-``A^{-1}`` is formed by one kernel per input kind: ``pattern_inverse`` for a
-sorted ``np.intp`` index array and ``allocation_inverse`` for a weight vector
-of length P.  Both read the per-problem constants ``DesignProblem`` derives
-once (``prior_inv = diag(1/prior)`` and ``rows_conj``) and validate nothing;
-the public functions (``build_A``, ``information_inverse``,
-``objective_value``, ``average_mse``) validate their input and then run the
-same algebra.
+Every ``A^{-1}`` formed, not updated, comes from one Cholesky kernel,
+``_hermitian_inverse``: LAPACK ``zpotrf`` factors the lower triangle of ``A``
+(which is therefore not symmetrized first), ``zpotri`` inverts the factor into
+the lower triangle, and that triangle is mirrored; an ``A`` that is not
+positive definite in floating point raises ``NumericError``.
+``pattern_inverse`` feeds it a sorted ``np.intp`` index array and
+``allocation_inverse`` a weight vector of length P, from the constants
+``DesignProblem`` derives once (``prior_inv`` and ``rows_conj``), validating
+nothing; the public functions validate their input and then run the same algebra.
 """
 
 import math
@@ -253,10 +255,11 @@ def rounding_plan(w: np.ndarray) -> RoundingPlan:
 class FractionalAllocation:
     """Box-constrained pilot weights summing to the budget K.
 
-    ``converged``, ``iterations`` and ``residual`` record how a solver
-    obtained the weights: whether it reached its tolerance, the gradient
-    steps it took and its final projected-gradient residual norm (NaN when
-    the weights were not solved for).  The weights are a read-only copy of
+    ``converged``, ``iterations``, ``residual`` and ``evaluations`` record how
+    a solver obtained the weights: whether it reached its tolerance, the
+    gradient steps it took, its final projected-gradient residual norm (NaN
+    when the weights were not solved for) and the objective evaluations it
+    made.  The weights are a read-only copy of
     the given array, and ``plan``, the ``RoundingPlan`` that
     ``dependent_rounding`` reads, is derived from them once.  Equality is
     identity: allocations are never compared by value.
@@ -267,6 +270,7 @@ class FractionalAllocation:
     converged: bool = True
     iterations: int = 0
     residual: float = float("nan")
+    evaluations: int = field(default=0, compare=False)
     plan: RoundingPlan = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -296,23 +300,27 @@ def _prior_inverse(prior: np.ndarray) -> np.ndarray:
 
 
 def _pattern_information(prior_inv, rows, rows_conj, alpha: float, idx) -> np.ndarray:
-    """Hermitian ``diag(1/prior) + alpha * U_S^H U_S`` for the rows ``idx``."""
-    A = prior_inv + (alpha * rows_conj[idx].T) @ rows[idx]
-    return 0.5 * (A + A.conj().T)
+    """``diag(1/prior) + alpha * U_S^H U_S`` for the rows ``idx``."""
+    return prior_inv + (alpha * rows_conj[idx].T) @ rows[idx]
 
 
 def _allocation_information(prior_inv, rows, rows_conj, alpha: float, w) -> np.ndarray:
-    """Hermitian ``diag(1/prior) + alpha * rows^H diag(w) rows``."""
-    A = prior_inv + (alpha * (rows_conj.T * w)) @ rows
-    return 0.5 * (A + A.conj().T)
+    """``diag(1/prior) + alpha * rows^H diag(w) rows``."""
+    return prior_inv + (alpha * (rows_conj.T * w)) @ rows
 
 
 def _hermitian_inverse(A: np.ndarray) -> np.ndarray:
-    try:
-        A_inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"information matrix is singular: {exc}") from exc
-    return 0.5 * (A_inv + A_inv.conj().T)
+    """Hermitian ``A^{-1}`` of a positive definite ``A`` through its Cholesky
+    factor; only the lower triangle of ``A`` is read."""
+    factor, info = lapack.zpotrf(A, lower=True)
+    if info == 0:
+        inverse, info = lapack.zpotri(factor, lower=True, overwrite_c=True)
+    if info != 0:
+        raise NumericError(f"information matrix is not positive definite (LAPACK info {info})")
+    # zpotri fills the lower triangle; zpotrf zeroed the upper one.
+    mirrored = inverse + inverse.conj().T
+    mirrored.flat[:: len(inverse) + 1] = inverse.diagonal()
+    return mirrored
 
 
 def pattern_inverse(problem: DesignProblem, idx: np.ndarray) -> np.ndarray:
@@ -350,9 +358,8 @@ def _information_matrix(grid: GridConfig, prior_inv, rows, rows_conj, alpha: flo
     return _allocation_information(prior_inv, rows, rows_conj, alpha, w)
 
 
-def build_A(problem: DesignProblem, pattern) -> np.ndarray:
-    """Information matrix ``A = diag(1/prior) + alpha * rows^H diag(w) rows``
-    on the design basis."""
+def _problem_information(problem: DesignProblem, pattern) -> np.ndarray:
+    """``_information_matrix`` on the constants of ``problem``."""
     return _information_matrix(
         problem.grid,
         problem.prior_inv,
@@ -363,9 +370,16 @@ def build_A(problem: DesignProblem, pattern) -> np.ndarray:
     )
 
 
+def build_A(problem: DesignProblem, pattern) -> np.ndarray:
+    """Hermitian information matrix
+    ``A = diag(1/prior) + alpha * rows^H diag(w) rows`` on the design basis."""
+    A = _problem_information(problem, pattern)
+    return 0.5 * (A + A.conj().T)
+
+
 def information_inverse(problem: DesignProblem, pattern) -> np.ndarray:
     """Hermitian ``A^{-1}`` on the design basis for a pattern or allocation."""
-    return _hermitian_inverse(build_A(problem, pattern))
+    return _hermitian_inverse(_problem_information(problem, pattern))
 
 
 def objective_value(problem: DesignProblem, pattern) -> float:
@@ -394,14 +408,7 @@ def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
     A = _information_matrix(
         stats.grid, _prior_inverse(stats.significant_eigvals), U, U.conj(), pilot_snr, pattern
     )
-    # A is Hermitian positive definite; inverting through its Cholesky factor
-    # takes half the time of a general inverse at the ranks of a sweep.
-    factor, info = lapack.zpotrf(A, lower=True)
-    if info == 0:
-        inverse, info = lapack.zpotri(factor, lower=True)
-    if info != 0:
-        raise NumericError(f"information matrix is not positive definite (LAPACK info {info})")
-    return float(np.diagonal(inverse).real.sum()) / stats.grid.size
+    return float(np.diagonal(_hermitian_inverse(A)).real.sum()) / stats.grid.size
 
 
 @dataclass
@@ -511,20 +518,21 @@ def swap_delta(state: ObjectiveState, i: int, j: int) -> float:
     return increase - float(gain)
 
 
-def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
-    """Objective change of every swap at once: entry (a, b) is
-    ``swap_delta(state, selected[a], candidates[b])`` up to rounding.
+def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates) -> np.ndarray:
+    """Objective change of every swap at once: entry (a, b) is the change of
+    swapping selected ``selected[a]`` for unselected ``candidates[b]`` in the
+    pattern whose inverse is ``A_inv``, up to rounding.
 
     With ``z_k = A^{-1} u_k^H``, removing i adds ``t_i z_i z_i^H`` to
     ``A^{-1}`` (``t_i = alpha / (1 - alpha q_i)``), which shifts each
     candidate's quadratic form by ``t_i |D_ij|^2`` and its squared norm by
     ``2 t_i Re(D_ij conj(E_ij)) + t_i^2 |D_ij|^2 n_i``, where
     ``D_ij = u_i A^{-1} u_j^H`` and ``E_ij = z_i^H z_j``.  Two matrix
-    products thus give all K x (P - K) deltas (the Fedorov exchange screen).
+    products thus give all K x (P - K) deltas (the Fedorov exchange screen),
+    and the terms are then formed in place.
     """
-    problem = state.problem
     alpha = problem.pilot_snr
-    Z, quad, norm2 = _row_terms(state.A_inv, problem.rows)
+    Z, quad, norm2 = _row_terms(A_inv, problem.rows)
     denom = 1.0 - alpha * quad[selected]
     if denom.min() <= 1e-12:
         a = int(np.argmin(denom))
@@ -536,10 +544,23 @@ def swap_deltas(state: ObjectiveState, selected, candidates) -> np.ndarray:
     Z_S, norm2_S = Z[selected].conj(), norm2[selected][:, None]
     D = Z_S @ problem.rows_conj[candidates].T
     E = Z_S @ Z[candidates].T
-    D2 = D.real**2 + D.imag**2
-    quad_after = quad[candidates] + t * D2
-    norm2_after = norm2[candidates] + 2.0 * t * (D * E.conj()).real + t**2 * D2 * norm2_S
-    return t * norm2_S - alpha * norm2_after / (1.0 + alpha * quad_after)
+    # The terms in place, each in the operation order of its formula.
+    E.imag *= -1.0
+    E *= D
+    norm2_after = E.real * (2.0 * t)
+    norm2_after += norm2[candidates]
+    D2 = D.real**2
+    D2 += D.imag**2
+    quad_after = t * D2
+    quad_after += quad[candidates]
+    D2 *= t**2
+    D2 *= norm2_S
+    norm2_after += D2
+    quad_after *= alpha
+    quad_after += 1.0
+    norm2_after *= alpha
+    norm2_after /= quad_after
+    return np.subtract(t * norm2_S, norm2_after, out=norm2_after)
 
 
 def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarray:

@@ -7,13 +7,14 @@ swaps.  Rectangular and diamond lattices serve as baselines, and an exhaustive
 oracle covers tiny instances.
 
 The relaxed problem min trace(A(w)^{-1}) over {w in [0,1]^P, sum w = K} is
-smooth and convex on its feasible set, so it is solved by projected gradient
-descent with Armijo backtracking instead of the equivalent SDP.
+smooth and convex on its feasible set, so it is solved by a nonmonotone
+spectral projected gradient method instead of the equivalent SDP.
 """
 
 import itertools
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from math import comb
 
@@ -37,7 +38,6 @@ from .objective import (
     allocation_inverse,
     gains_for_candidates,
     gradient_from_inverse,
-    objective_value,
     pattern_inverse,
     rank_one_update,
     rounding_plan,
@@ -152,66 +152,77 @@ def solve_relaxation(
     tol: float = 1e-6,
     max_iters: int = 5000,
 ) -> FractionalAllocation:
-    """Fractional A-optimal allocation by projected gradient descent.
+    """Fractional A-optimal allocation by the nonmonotone spectral projected
+    gradient method SPG2 (Birgin, Martinez & Raydan 2000, "Nonmonotone
+    spectral projected gradient methods on convex sets", SIAM J. Optim.
+    10(4)).
+
+    Each iteration projects once, for the direction ``d = P(w - lam grad) - w``
+    at the Barzilai-Borwein step ``lam`` (BB1, clamped to [1e-12, 1e12]), and
+    backtracks ``s <- s/2`` along ``w + s d`` with no further projection.  A
+    trial is accepted when its objective is at most the largest of the last
+    10 objectives plus ``1e-4 * s * grad.d`` (the Grippo-Lampariello-Lucidi
+    rule).  Each trial's ``A^{-1}`` gives its
+    objective and, once accepted, its gradient.
 
     Converged when the unit-step projected-gradient residual norm
     ``r(1) = |P(w - grad) - w|`` drops below ``tol``; otherwise, after
-    ``max_iters`` steps or when no step decreases the objective, the best
-    iterate is returned with ``converged=False`` and a warning.  Steps use a
-    Barzilai-Borwein guess safeguarded by Armijo backtracking (constant 1e-4,
-    shrink 0.5) along the projection arc.  Each iterate's ``A^{-1}`` gives
-    both its objective and its gradient.  The allocation records the steps
-    taken and the last iterate's residual.
+    ``max_iters`` steps or when no trial is accepted, the best iterate is
+    returned with ``converged=False`` and a warning.  The allocation records
+    the steps taken, the last iterate's residual and the objective
+    evaluations made.
 
     The residual costs a projection of its own, so it is formed only when
     the iterate may have converged.  Along the projection arc,
     ``|P(w - t grad) - w|`` is non-decreasing in t and divided by t
     non-increasing (Calamai & More 1987, "Projected gradient methods for
-    linearly constrained problems", Math. Programming 39, Lemma 2.2), so the
-    first Armijo trial at step t bounds ``r(1) >= r(t) * min(1, 1/t)``.  When
-    that bound exceeds ``tol`` (with a 1e-9 relative margin for rounding) the
-    iterate cannot have converged and the residual is skipped; a run that
-    stops at an iterate without one forms it there.
+    linearly constrained problems", Math. Programming 39, Lemma 2.2).  ``d``
+    is the arc point at ``t = lam``, so ``r(1) >= |d| * min(1, 1/lam)``.
+    When that bound exceeds ``tol`` (with a 1e-9 relative margin for
+    rounding) the iterate cannot have converged and the residual is skipped;
+    a run that stops at an iterate without one forms it there.
     """
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
     A_inv = allocation_inverse(problem, w)
+    evaluations = 1
     f = float(np.trace(A_inv).real)
     grad = gradient_from_inverse(problem, A_inv)
     best_w, best_f = w.copy(), f
-    step = 1.0 / max(float(np.abs(grad).max()), 1e-12)
+    recent = deque([f], maxlen=10)
+    lam = 1.0 / max(float(np.abs(grad).max()), 1e-12)
     bound_tol = tol * (1.0 + 1e-9)
     residual = None  # r(1) at the current iterate, once formed
 
     iterations = 0
     while iterations < max_iters:
-        t = step
-        cand = project_capped_simplex(w - t * grad, K)
-        move = cand - w
-        if float(np.linalg.norm(move)) * min(1.0, 1.0 / t) <= bound_tol:
+        cand = project_capped_simplex(w - lam * grad, K)
+        d = cand - w
+        if float(np.linalg.norm(d)) * min(1.0, 1.0 / lam) <= bound_tol:
             residual = _unit_step_residual(w, grad, K)
             if residual <= tol:
                 break
-        w_new = f_new = None
+        if not d.any():
+            break  # no feasible decrease left at machine precision
+        f_ref, slope = max(recent), 1e-4 * float(grad @ d)
+        s = 1.0
         for trial in range(60):
             if trial:
-                cand = project_capped_simplex(w - t * grad, K)
-                move = cand - w
-            if not move.any():
-                break
+                s *= 0.5
+                cand = w + s * d
             A_inv = allocation_inverse(problem, cand)
+            evaluations += 1
             f_cand = float(np.trace(A_inv).real)
-            if f_cand <= f + 1e-4 * float(grad @ move):
-                w_new, f_new = cand, f_cand
+            if f_cand <= f_ref + s * slope:
                 break
-            t *= 0.5
-        if w_new is None:
+        else:
             break  # no feasible decrease left at machine precision
         grad_new = gradient_from_inverse(problem, A_inv)
-        dw, dg = w_new - w, grad_new - grad
-        bb = float(dw @ dw) / float(dw @ dg) if float(dw @ dg) > 0 else 2.0 * t
-        step = min(max(bb, 1e-12), 1e12)
-        w, f, grad = w_new, f_new, grad_new
+        dw, dg = cand - w, grad_new - grad
+        curvature = float(dw @ dg)
+        lam = min(max(float(dw @ dw) / curvature, 1e-12), 1e12) if curvature > 0 else 1e12
+        w, f, grad = cand, f_cand, grad_new
+        recent.append(f)
         residual = None
         iterations += 1
         if f < best_f:
@@ -232,6 +243,7 @@ def solve_relaxation(
         converged=converged,
         iterations=iterations,
         residual=residual,
+        evaluations=evaluations,
     )
 
 
@@ -329,8 +341,9 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     return _report(problem, pattern, float(np.trace(A_inv).real), initial, 0, t0)
 
 
-def _best_swap(state: ObjectiveState, selected: np.ndarray, candidates: np.ndarray):
-    """The swap (i out, j in) the screen accepts, or None.
+def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates):
+    """The swap (i out, j in) the screen accepts for the pattern ``selected``
+    whose inverse is ``A_inv``, or None.
 
     None when no swap improves by more than ``SWAP_TOLERANCE``.  Otherwise a
     swap ties with the best when its delta is within ``TIE_BAND`` times the
@@ -339,12 +352,12 @@ def _best_swap(state: ObjectiveState, selected: np.ndarray, candidates: np.ndarr
     the lowest tied candidate j of its row comes in.  ``selected`` and
     ``candidates`` are ascending.
     """
-    deltas = swap_deltas(state, selected, candidates)
+    deltas = swap_deltas(problem, A_inv, selected, candidates)
     row_best = deltas.min(axis=1)
     best = row_best.min()
     if best >= -SWAP_TOLERANCE:
         return None
-    limit = min(best + TIE_BAND * state.value, -SWAP_TOLERANCE)
+    limit = min(best + TIE_BAND * float(np.trace(A_inv).real), -SWAP_TOLERANCE)
     a = int(np.argmax(row_best <= limit))
     b = int(np.argmax(deltas[a] <= limit))
     return int(selected[a]), int(candidates[b])
@@ -396,13 +409,13 @@ def _swap_state(problem: DesignProblem, indices: tuple, visited: dict):
     screened from the ``A^{-1}`` of its pattern unless ``visited`` has it."""
     if indices not in visited:
         selected = np.array(indices, dtype=np.intp)
-        state = ObjectiveState(problem, pattern_inverse(problem, selected), set(indices))
+        A_inv = pattern_inverse(problem, selected)
         unselected = np.ones(problem.grid.size, dtype=bool)
         unselected[selected] = False
         candidates = np.flatnonzero(unselected)
-        pair = _best_swap(state, selected, candidates) if candidates.size else None
+        pair = _best_swap(problem, A_inv, selected, candidates) if candidates.size else None
         successor = None if pair is None else tuple(sorted(set(indices) - {pair[0]} | {pair[1]}))
-        visited[indices] = state.value, successor
+        visited[indices] = float(np.trace(A_inv).real), successor
     return visited[indices]
 
 
@@ -520,7 +533,8 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
             best_obj, best_pattern = np.inf, None
             for params in by_count[K_used]:
                 pattern = lattice_pattern(grid, params)
-                obj = objective_value(sub_problem, pattern)
+                idx = np.array(pattern.indices, dtype=np.intp)
+                obj = float(np.trace(pattern_inverse(sub_problem, idx)).real)
                 if obj < best_obj:
                     best_obj, best_pattern = obj, pattern
             return _report(sub_problem, best_pattern, best_obj, best_obj, 0, t0)
@@ -588,15 +602,9 @@ def exhaustive_search(problem: DesignProblem) -> DesignReport:
             f"C({P},{K}) = {n_subsets} subsets exceeds the {EXHAUSTIVE_GUARD} guard"
         )
     t0 = time.perf_counter()
-    updates = problem.pilot_snr * np.einsum("ia,ib->iab", problem.rows_conj, problem.rows)
     best_obj, best_subset = np.inf, None
     for subset in itertools.combinations(range(P), K):
-        A = problem.prior_inv + updates[list(subset)].sum(axis=0)
-        try:
-            A_inv = np.linalg.inv(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"information matrix of subset {subset} is singular: {exc}") from exc
-        obj = float(np.trace(A_inv).real)
+        obj = float(np.trace(pattern_inverse(problem, np.array(subset, dtype=np.intp))).real)
         if obj < best_obj:
             best_obj, best_subset = obj, subset
     pattern = PilotPattern(best_subset, problem.grid)

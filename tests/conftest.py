@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from pilotopt import (
     FractionalAllocation,
@@ -53,8 +54,10 @@ def dense_lmmse(stats, pattern, sigma_p, noise_var, data_power=0.0):
 
 def reference_information_inverse(problem, pattern):
     """``A^{-1}`` with the operation order of the information matrix as
-    first written: ``diag(1/prior)`` plus ``alpha * U^H diag(w) U``,
-    symmetrized before and after the inversion."""
+    first written, ``diag(1/prior)`` plus ``alpha * U^H diag(w) U``, inverted
+    by LAPACK's Cholesky routines: ``zpotrf`` factors the lower triangle,
+    ``zpotri`` fills the lower triangle of the inverse, and that triangle is
+    mirrored."""
     A = np.diag(1.0 / problem.prior).astype(np.complex128)
     if isinstance(pattern, PilotPattern):
         U_sel = problem.rows[list(pattern.indices)]
@@ -62,9 +65,11 @@ def reference_information_inverse(problem, pattern):
     else:
         w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
         A += problem.pilot_snr * (problem.rows.conj().T * w) @ problem.rows
-    A = 0.5 * (A + A.conj().T)
-    A_inv = np.linalg.inv(A)
-    return 0.5 * (A_inv + A_inv.conj().T)
+    factor, info = lapack.zpotrf(A, lower=True)
+    assert info == 0, info
+    inverse, info = lapack.zpotri(factor, lower=True)
+    assert info == 0, info
+    return np.tril(inverse) + np.tril(inverse, -1).conj().T
 
 
 def reference_projection(v, K):
@@ -89,15 +94,18 @@ def reference_projection(v, K):
 
 
 def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
-    """The projected-gradient loop that forms the unit-step residual at
-    every iterate, on the reference inverse and projection."""
+    """The SPG2 loop that forms the unit-step residual at every iterate, on
+    the reference inverse and projection: one projection per iteration,
+    halving backtracking along it, acceptance against the largest of the
+    last 10 objectives."""
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
     A_inv = reference_information_inverse(problem, w)
     f = float(np.trace(A_inv).real)
     grad = gradient_from_inverse(problem, A_inv)
     best_w, best_f = w.copy(), f
-    step = 1.0 / max(float(np.abs(grad).max()), 1e-12)
+    history = [f]
+    lam = 1.0 / max(float(np.abs(grad).max()), 1e-12)
     converged = False
 
     iterations = 0
@@ -108,26 +116,31 @@ def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
             break
         if iterations == max_iters:
             break
+        proj = reference_projection(w - lam * grad, K)
+        d = proj - w
+        if not d.any():
+            break
+        f_ref = max(history[-10:])
         w_new = f_new = None
-        t = step
+        s = 1.0
         for _ in range(60):
-            cand = reference_projection(w - t * grad, K)
-            move = cand - w
-            if not move.any():
-                break
+            cand = proj if s == 1.0 else w + s * d
             A_inv = reference_information_inverse(problem, cand)
             f_cand = float(np.trace(A_inv).real)
-            if f_cand <= f + 1e-4 * float(grad @ move):
+            if f_cand <= f_ref + s * (1e-4 * float(grad @ d)):
                 w_new, f_new = cand, f_cand
                 break
-            t *= 0.5
+            s *= 0.5
         if w_new is None:
             break
         grad_new = gradient_from_inverse(problem, A_inv)
         dw, dg = w_new - w, grad_new - grad
-        bb = float(dw @ dw) / float(dw @ dg) if float(dw @ dg) > 0 else 2.0 * t
-        step = min(max(bb, 1e-12), 1e12)
+        if float(dw @ dg) > 0:
+            lam = min(max(float(dw @ dw) / float(dw @ dg), 1e-12), 1e12)
+        else:
+            lam = 1e12
         w, f, grad = w_new, f_new, grad_new
+        history.append(f)
         iterations += 1
         if f < best_f:
             best_w, best_f = w.copy(), f

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,23 @@ def test_text_lines_are_listed_with_their_numbers(parent, tmp_path, capsys):
 
 def test_missing_directory_is_a_usage_error(parent, tmp_path):
     assert diff_outputs.main([str(parent), str(tmp_path / "absent")]) == 2
+
+
+def test_reader_closing_the_pipe_ends_the_listing_quietly(parent, tmp_path):
+    change = _tree(tmp_path / "b", json.loads((parent / "design" / "report.json").read_text()), [])
+    (change / "sweep.csv").write_text((parent / "sweep.csv").read_text())
+    # More output than a pipe buffers, so the writer is still listing when
+    # the reader goes.
+    (parent / "long.txt").write_text("".join(f"a{n}\n" for n in range(20000)))
+    (change / "long.txt").write_text("".join(f"b{n}\n" for n in range(20000)))
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPT), str(parent), str(change)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert first == b"long.txt: line 1: -a0\n"

@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,16 +31,18 @@ from pilotopt.errors import (
     CandidateError,
     DegenerateUpdateError,
     InvalidSpecError,
+    NumericError,
 )
 from pilotopt.objective import (
     RoundingPlan,
+    _hermitian_inverse,
     allocation_inverse,
     information_inverse,
     pattern_inverse,
     rounding_plan,
     swap_deltas,
 )
-from pilotopt.optimizers import project_capped_simplex
+from pilotopt.optimizers import greedy_swap_design, project_capped_simplex
 
 from conftest import dense_lmmse, reference_information_inverse
 
@@ -237,6 +242,41 @@ class TestInverseKernels:
             assert np.array_equal(fast, information_inverse(problem, public))
             assert np.array_equal(fast, reference_information_inverse(problem, public))
 
+    @pytest.mark.parametrize("spreading", [1e-3, 5e-3])
+    def test_trace_matches_a_40_digit_reference_at_full_rank(self, spreading):
+        """On greedy-swap patterns of 12x14, K = 17, 20 dB with every
+        eigenpair above the floor kept (prior spread up to 1e12), the
+        kernel's trace is within 1e-12 of the trace of A^{-1} formed from the
+        same double inputs in 40-digit arithmetic."""
+        stats = build_statistics(
+            GridConfig(12, 14),
+            ScatteringSpec(spreading_factor=spreading, rank_energy_threshold=1.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+            problem = make_design_problem(stats, K=17, snr_db=20.0)
+        idx = np.array(greedy_swap_design(problem).pattern.indices, dtype=np.intp)
+        got = float(np.trace(pattern_inverse(problem, idx)).real)
+        r = problem.rank
+        with mpmath.workdps(40):
+            U = [[mpmath.mpc(complex(x)) for x in row] for row in problem.rows[idx]]
+            alpha = mpmath.mpf(problem.pilot_snr)
+            A = mpmath.matrix(r, r)
+            for a in range(r):
+                for b in range(r):
+                    A[a, b] = alpha * mpmath.fsum(mpmath.conj(u[a]) * u[b] for u in U)
+                A[a, a] += 1 / mpmath.mpf(float(problem.prior[a]))
+            A_inv = mpmath.inverse(A)
+            want = mpmath.fsum(A_inv[a, a].real for a in range(r))
+        assert problem.prior.max() / problem.prior.min() > 1e11
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_not_positive_definite_is_a_labelled_error(self, problem_rb):
+        A = build_A(problem_rb, PilotPattern((0, 1), problem_rb.grid))
+        A[3, 3] = -1.0
+        with pytest.raises(NumericError, match=r"not positive definite \(LAPACK info 4\)"):
+            _hermitian_inverse(A)
+
     def test_kernel_constants_are_read_only(self, problem_rb):
         assert np.array_equal(problem_rb.rows_conj, problem_rb.rows.conj())
         assert np.array_equal(problem_rb.prior_inv, np.diag(1.0 / problem_rb.prior))
@@ -381,18 +421,20 @@ class TestSwapDeltas:
         state = ObjectiveState.from_pattern(problem_rb, pattern)
         selected = sorted(state.selected)
         candidates = [j for j in range(problem_rb.grid.size) if j not in state.selected]
-        batched = swap_deltas(state, selected, candidates)
+        batched = swap_deltas(problem_rb, state.A_inv, selected, candidates)
         assert batched.shape == (len(selected), len(candidates))
-        as_arrays = swap_deltas(state, np.array(selected, dtype=np.intp), np.array(candidates))
+        as_arrays = swap_deltas(
+            problem_rb, state.A_inv, np.array(selected, dtype=np.intp), np.array(candidates)
+        )
         assert np.array_equal(as_arrays, batched)
         looped = np.array([[swap_delta(state, i, j) for j in candidates] for i in selected])
         assert np.abs(batched - looped).max() <= 1e-9 * state.value
 
     def test_nonpositive_removal_denominator_raises(self, problem_rb):
-        state = ObjectiveState.from_pattern(problem_rb, PilotPattern((0, 50), problem_rb.grid))
-        state.A_inv = 1e6 * state.A_inv  # no longer the inverse of A
+        A_inv = information_inverse(problem_rb, PilotPattern((0, 50), problem_rb.grid))
         with pytest.raises(DegenerateUpdateError):
-            swap_deltas(state, [0, 50], [1, 2, 3])
+            # 1e6 A^{-1} is no longer the inverse of A.
+            swap_deltas(problem_rb, 1e6 * A_inv, [0, 50], [1, 2, 3])
 
 
 class TestGradient:

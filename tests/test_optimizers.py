@@ -373,6 +373,29 @@ class TestSolveRelaxation:
         steps = sum(solve_relaxation(p).iterations for p in rb_sweep_problems.values())
         assert len(calls) <= 2 * len(RB_SWEEP_POINTS) < steps
 
+    def test_counts_its_objective_evaluations(self, rb_sweep_problems, monkeypatch):
+        """``evaluations`` is the number of ``A^{-1}`` kernel calls, the
+        starting point's included; the backtracking makes it exceed the
+        steps taken."""
+        calls = []
+        original = optimizers.allocation_inverse
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimizers, "allocation_inverse", counted)
+        total_steps = 0
+        for point in RB_SWEEP_POINTS:
+            del calls[:]
+            alloc = solve_relaxation(rb_sweep_problems[point])
+            assert alloc.evaluations == len(calls) >= alloc.iterations + 1, point
+            total_steps += alloc.iterations
+        del calls[:]
+        with pytest.warns(UserWarning, match="relaxation"):
+            alloc = solve_relaxation(rb_sweep_problems[RB_SWEEP_POINTS[0]], max_iters=3)
+        assert alloc.evaluations == len(calls) > 3
+
     def test_iteration_cap_warning_quotes_its_counts(self, problem_rb):
         with pytest.warns(UserWarning, match=r"relaxation stopped after 2 iterations at residual"):
             alloc = solve_relaxation(problem_rb, tol=1e-14, max_iters=2)
@@ -656,8 +679,9 @@ class TestLocalSwap:
             selected = np.array(indices, dtype=np.intp)
             candidates = np.setdiff1d(np.arange(grid.size), selected)
             pair = lowest_pair_within_band(state)
-            assert optimizers._best_swap(state, selected, candidates) == pair, indices
-            deltas = swap_deltas(state, selected, candidates)
+            screened = optimizers._best_swap(problem, state.A_inv, selected, candidates)
+            assert screened == pair, indices
+            deltas = swap_deltas(problem, state.A_inv, selected, candidates)
             a, b = np.unravel_index(np.argmin(deltas), deltas.shape)
             split += pair is not None and pair != (selected[a], candidates[b])
         assert split > 0
@@ -672,7 +696,7 @@ class TestLocalSwap:
 
         def pick(rows):
             monkeypatch.setattr(optimizers, "swap_deltas", lambda *args: np.array(rows))
-            return optimizers._best_swap(state, selected, candidates)
+            return optimizers._best_swap(problem_rb, state.A_inv, selected, candidates)
 
         # Row 11 holds the best delta and row 10 a tie in the band: the lowest
         # row wins, then the lowest column of it within the band.
@@ -712,9 +736,9 @@ def counting_best_swap(monkeypatch):
     screened = []
     original = optimizers._best_swap
 
-    def counted(state, selected, candidates):
+    def counted(problem, A_inv, selected, candidates):
         screened.append(tuple(selected))
-        return original(state, selected, candidates)
+        return original(problem, A_inv, selected, candidates)
 
     monkeypatch.setattr(optimizers, "_best_swap", counted)
     return screened
@@ -890,7 +914,7 @@ class TestBestLattice:
     @pytest.mark.parametrize("K", [13, 17])
     def test_builds_only_the_lattices_it_scores(self, problem_rb, monkeypatch, shape, K):
         built, scored = [], []
-        build, score = optimizers.lattice_pattern, optimizers.objective_value
+        build, score = optimizers.lattice_pattern, optimizers.pattern_inverse
 
         def counted_build(*args):
             built.append(args)
@@ -901,11 +925,18 @@ class TestBestLattice:
             return score(*args)
 
         monkeypatch.setattr(optimizers, "lattice_pattern", counted_build)
-        monkeypatch.setattr(optimizers, "objective_value", counted_score)
+        monkeypatch.setattr(optimizers, "pattern_inverse", counted_score)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # K > N exceeds the block power budget
             best_lattice(problem_rb.with_budget(K), shape)
         assert len(built) == len(scored) > 0
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize("shape", ["rect", "diamond"])
+    @pytest.mark.parametrize("K", [12, 13, 17])
+    def test_objective_is_that_of_its_pattern(self, problem_rb, shape, K):
+        report = best_lattice(problem_rb.with_budget(K), shape)
+        assert report.objective == objective_value(report.problem, report.pattern)
 
     def test_fallback_recomputes_alpha(self, problem_rb):
         pr = problem_rb.with_budget(13)  # 13 = prime, no 13-pilot rect exists
