@@ -14,17 +14,13 @@ from .mcsim import SimConfig, run_simulation
 from .objective import (
     DesignProblem,
     FractionalAllocation,
-    ObjectiveState,
     PilotPattern,
     average_mse,
     build_A,
     compute_alpha,
     make_design_problem,
-    marginal_gain,
     objective_gradient,
     objective_value,
-    rank_one_update,
-    swap_delta,
 )
 from .optimizers import (
     LatticeParams,
@@ -47,7 +43,6 @@ __all__ = [
     "FractionalAllocation",
     "GridConfig",
     "LatticeParams",
-    "ObjectiveState",
     "PilotPattern",
     "ScatteringSpec",
     "SimConfig",
@@ -64,12 +59,9 @@ __all__ = [
     "lattice_pattern",
     "local_swap",
     "make_design_problem",
-    "marginal_gain",
     "objective_gradient",
     "objective_value",
     "project_capped_simplex",
-    "rank_one_update",
     "run_simulation",
     "solve_relaxation",
-    "swap_delta",
 ]

@@ -13,12 +13,8 @@ class BudgetError(PilotOptError, ValueError):
     """The pilot budget K is outside [1, M*N] or otherwise unusable."""
 
 
-class CandidateError(PilotOptError, ValueError):
-    """An add/remove/swap refers to an index in the wrong selection state."""
-
-
 class InfeasibleAllocationError(PilotOptError, ValueError):
-    """A fractional allocation cannot be rounded (sum is not an integer)."""
+    """A fractional allocation cannot be rounded onto the given grid."""
 
 
 class DegenerateUpdateError(PilotOptError, ArithmeticError):

@@ -113,6 +113,14 @@ def _complex_normals(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
+def _pilot_indices(stats: ChannelStatistics, pattern: PilotPattern) -> np.ndarray:
+    """The pattern's indices as a ``np.intp`` array, once it is checked to lie
+    on the grid of ``stats``."""
+    if pattern.grid != stats.grid:
+        raise InvalidSpecError("pattern grid does not match the statistics grid")
+    return np.array(pattern.indices, dtype=np.intp)
+
+
 def _pilot_blocks(stats: ChannelStatistics, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``C_SS = C_g[S, S]`` and the Gram ``C_g[:, S]^H C_g[:, S]`` of the
     pilot indices ``idx``, from the Kronecker factors.
@@ -160,7 +168,7 @@ def lmmse_weights(
     pilot system costs O(N^3 + M^3 + K^3), then W is one P x K by K x K
     product, P*K^2 multiply-adds.
     """
-    idx = np.array(pattern.indices, dtype=np.intp)
+    idx = _pilot_indices(stats, pattern)
     gain, _ = _pilot_system(stats, idx, sigma_p, noise_var)
     return covariance_columns(stats, idx) @ gain
 
@@ -186,7 +194,7 @@ def analytic_mse(
     pattern), the relative error is 2.1e-11 at 20 dB, 3.9e-8 at 40 dB and
     1.5e-3 at 80 dB.
     """
-    idx = np.array(pattern.indices, dtype=np.intp)
+    idx = _pilot_indices(stats, pattern)
     return _pilot_system(stats, idx, sigma_p, noise_var)[1]
 
 
@@ -203,11 +211,13 @@ def run_simulation(
     the empirical average MSE, its standard error and the analytic value for
     the same parameters, both from one K x K pilot system.
     """
+    if problem.grid != stats.grid:
+        raise InvalidSpecError("problem grid does not match the statistics grid")
     P = stats.grid.size
     sigma_p = float(np.sqrt(problem.pilot_power))
     noise_scale = np.sqrt(cfg.noise_var / 2.0)
     rng = np.random.default_rng(cfg.rng_seed)
-    idx = np.array(pattern.indices, dtype=np.intp)
+    idx = _pilot_indices(stats, pattern)
     gain, analytic = _pilot_system(stats, idx, sigma_p, cfg.noise_var)
     W = covariance_columns(stats, idx) @ gain
 

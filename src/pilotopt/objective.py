@@ -11,13 +11,15 @@ exact LMMSE error of the pattern.  Cutting the basis also perturbs the pilot
 observations, so the reduced-rank objective plus the discarded energy would
 not be.
 
-The inverse ``A^{-1}`` is kept explicitly (it is r x r with r << M*N).  Greedy
-selection updates it by the Sherman-Morrison formula, which makes
-add/remove/swap deltas O(r^2) instead of a refactorization; a swap state's
-``A^{-1}`` is computed from its pattern.  The Sherman-Morrison terms of one row
-and of all P rows come from the same kernel, ``_row_terms``.  No arithmetic
-path decides which of two exactly tied choices wins: the optimizers take the
-lowest index within ``optimizers.TIE_BAND`` of the best.
+An optimizer's state is a sorted index array and its ``A^{-1}``, a plain
+r x r array (r << M*N).  Greedy selection screens every row at once with
+``gains_for_candidates`` and adds the best one by a Sherman-Morrison update,
+``rank_one_update``; the swap pass computes a state's ``A^{-1}`` from its
+pattern and screens every swap at once with ``swap_deltas``, whose removal
+coefficients come from ``removal_terms``.  All of them read the terms of
+``_row_terms``.  No arithmetic path decides which of two exactly tied choices
+wins: the optimizers take the lowest index within ``optimizers.TIE_BAND`` of
+the best.
 
 Every ``A^{-1}`` formed, not updated, comes from one Cholesky kernel,
 ``_hermitian_inverse``: LAPACK ``zpotrf`` factors the lower triangle of ``A``
@@ -40,13 +42,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .channel import ChannelStatistics, GridConfig
-from .errors import (
-    BudgetError,
-    CandidateError,
-    DegenerateUpdateError,
-    InvalidSpecError,
-    NumericError,
-)
+from .errors import BudgetError, DegenerateUpdateError, InvalidSpecError, NumericError
 
 
 def compute_alpha(beta: float, N: int, K: int, noise_var: float) -> float:
@@ -226,13 +222,11 @@ ROUNDING_EPS = 1e-9
 class RoundingPlan(NamedTuple):
     """The part of dependent rounding that depends on the weights alone.
 
-    ``total`` is the sum of the weights, ``fractional`` the indices of the
-    weights inside ``(eps, 1 - eps)`` in ascending order and ``values`` those
-    weights.  ``fixed_ones`` are the indices of the other weights above 0.5:
-    they are ones whatever the draws.
+    ``fractional`` holds the indices of the weights inside ``(eps, 1 - eps)``
+    in ascending order and ``values`` those weights.  ``fixed_ones`` are the
+    indices of the other weights above 0.5: they are ones whatever the draws.
     """
 
-    total: float
     fractional: tuple
     values: tuple
     fixed_ones: tuple
@@ -244,7 +238,6 @@ def rounding_plan(w: np.ndarray) -> RoundingPlan:
     fixed = w > 0.5
     fixed[fractional] = False
     return RoundingPlan(
-        total=float(w.sum()),
         fractional=tuple(fractional.tolist()),
         values=tuple(w[fractional].tolist()),
         fixed_ones=tuple(np.flatnonzero(fixed).tolist()),
@@ -253,7 +246,7 @@ def rounding_plan(w: np.ndarray) -> RoundingPlan:
 
 @dataclass(frozen=True, eq=False)
 class FractionalAllocation:
-    """Box-constrained pilot weights summing to the budget K.
+    """Box-constrained pilot weights summing to the integer budget K.
 
     ``converged``, ``iterations``, ``residual`` and ``evaluations`` record how
     a solver obtained the weights: whether it reached its tolerance, the
@@ -274,6 +267,8 @@ class FractionalAllocation:
     plan: RoundingPlan = field(init=False, repr=False)
 
     def __post_init__(self):
+        if int(self.budget) != self.budget:
+            raise InvalidSpecError(f"allocation budget must be an integer, got {self.budget!r}")
         # A private copy: the plan must not go stale under the caller's writes.
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1:
@@ -411,31 +406,6 @@ def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
     return float(np.diagonal(_hermitian_inverse(A)).real.sum()) / stats.grid.size
 
 
-@dataclass
-class ObjectiveState:
-    """Mutable objective bookkeeping owned by a single optimizer run."""
-
-    problem: DesignProblem
-    A_inv: np.ndarray
-    selected: set
-
-    @classmethod
-    def empty(cls, problem: DesignProblem) -> "ObjectiveState":
-        return cls(problem, np.diag(problem.prior).astype(np.complex128), set())
-
-    @classmethod
-    def from_pattern(cls, problem: DesignProblem, pattern: PilotPattern) -> "ObjectiveState":
-        return cls(problem, information_inverse(problem, pattern), set(pattern.indices))
-
-    @property
-    def value(self) -> float:
-        """The design objective ``trace(A^{-1})`` of the current selection."""
-        return float(np.trace(self.A_inv).real)
-
-    def pattern(self) -> PilotPattern:
-        return PilotPattern(tuple(sorted(self.selected)), self.problem.grid)
-
-
 def _row_norms(A_inv: np.ndarray, rows: np.ndarray):
     """``Z``, whose k-th row is ``z_k = A^{-1} u_k^H`` for row ``u_k`` of
     ``rows``, and the squared norms ``|z_k|^2``."""
@@ -453,69 +423,40 @@ def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
     return Z, quad, norm2
 
 
-def marginal_gain(state: ObjectiveState, j: int) -> float:
-    """Objective decrease from adding candidate j:
-    ``alpha * u_j A^{-2} u_j^H / (1 + alpha * u_j A^{-1} u_j^H)``."""
-    if j in state.selected:
-        raise CandidateError(f"index {j} is already selected")
-    problem = state.problem
-    return float(gains_for_candidates(state.A_inv, problem.rows[j : j + 1], problem.pilot_snr)[0])
-
-
 def gains_for_candidates(A_inv: np.ndarray, rows: np.ndarray, alpha: float) -> np.ndarray:
     """Vectorized marginal gains for every row in ``rows`` against ``A_inv``."""
     _, quad, norm2 = _row_terms(A_inv, rows)
     return alpha * norm2 / (1.0 + alpha * quad)
 
 
-def rank_one_update(state: ObjectiveState, j: int, sign: str) -> ObjectiveState:
-    """Sherman-Morrison add ('add') or remove ('remove') of index j, in place."""
-    alpha = state.problem.pilot_snr
-    if sign == "add":
-        if j in state.selected:
-            raise CandidateError(f"cannot add {j}: already selected")
-        Z, quad, _ = _row_terms(state.A_inv, state.problem.rows[j : j + 1])
-        denom = 1.0 + alpha * quad[0]
-        state.A_inv -= (alpha / denom) * np.outer(Z[0], Z[0].conj())
-        # Symmetrize to suppress drift over long update chains.
-        state.A_inv = 0.5 * (state.A_inv + state.A_inv.conj().T)
-        state.selected.add(j)
-    elif sign == "remove":
-        if j not in state.selected:
-            raise CandidateError(f"cannot remove {j}: not selected")
-        _, state.A_inv = removal_terms(state, j)
-        state.selected.discard(j)
-    else:
-        raise ValueError(f"sign must be 'add' or 'remove', got {sign!r}")
-    return state
+def rank_one_update(problem: DesignProblem, A_inv: np.ndarray, j: int) -> np.ndarray:
+    """Hermitian ``A^{-1}`` after adding row j to the pattern whose inverse is
+    ``A_inv``, by Sherman-Morrison: ``A_inv - alpha z_j z_j^H / (1 + alpha q_j)``
+    with ``z_j = A^{-1} u_j^H`` and ``q_j = u_j A^{-1} u_j^H``."""
+    alpha = problem.pilot_snr
+    Z, quad, _ = _row_terms(A_inv, problem.rows[j : j + 1])
+    denom = 1.0 + alpha * quad[0]
+    A_inv = A_inv - (alpha / denom) * np.outer(Z[0], Z[0].conj())
+    # Symmetrize to suppress drift over long update chains.
+    return 0.5 * (A_inv + A_inv.conj().T)
 
 
-def removal_terms(state: ObjectiveState, i: int):
-    """Objective increase and downdated inverse for removing selected index i."""
-    alpha = state.problem.pilot_snr
-    Z, quad, norm2 = _row_terms(state.A_inv, state.problem.rows[i : i + 1])
-    denom = float(1.0 - alpha * quad[0])
-    if denom <= 1e-12:
-        raise DegenerateUpdateError(f"removal of {i} hit denominator {denom:g}")
-    increase = float(alpha * norm2[0] / denom)
-    A_inv_without = state.A_inv + (alpha / denom) * np.outer(Z[0], Z[0].conj())
-    return increase, 0.5 * (A_inv_without + A_inv_without.conj().T)
+def removal_terms(problem: DesignProblem, quad: np.ndarray, selected) -> np.ndarray:
+    """Removal coefficients ``t_i = alpha / (1 - alpha q_i)`` of the selected
+    rows, from the quadratic forms ``quad`` of all P rows: removing row i adds
+    ``t_i z_i z_i^H`` to ``A^{-1}``.
 
-
-def swap_delta(state: ObjectiveState, i: int, j: int) -> float:
-    """Exact objective change of swapping selected i for unselected j.
-
-    Negative means the swap improves.  Composed from two rank-one updates, no
-    refactorization.
+    A denominator at or below 1e-12 raises ``DegenerateUpdateError`` naming
+    the row: ``A^{-1}`` cannot be downdated by it in floating point.
     """
-    if i not in state.selected:
-        raise CandidateError(f"swap source {i} is not selected")
-    if j in state.selected:
-        raise CandidateError(f"swap target {j} is already selected")
-    problem = state.problem
-    increase, A_inv_without = removal_terms(state, i)
-    gain = gains_for_candidates(A_inv_without, problem.rows[j : j + 1], problem.pilot_snr)[0]
-    return increase - float(gain)
+    alpha = problem.pilot_snr
+    denom = 1.0 - alpha * quad[selected]
+    if denom.min() <= 1e-12:
+        a = int(np.argmin(denom))
+        raise DegenerateUpdateError(
+            f"removal of {selected[a]} hit denominator {denom[a]:g}"
+        )
+    return alpha / denom
 
 
 def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates) -> np.ndarray:
@@ -524,8 +465,8 @@ def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates)
     pattern whose inverse is ``A_inv``, up to rounding.
 
     With ``z_k = A^{-1} u_k^H``, removing i adds ``t_i z_i z_i^H`` to
-    ``A^{-1}`` (``t_i = alpha / (1 - alpha q_i)``), which shifts each
-    candidate's quadratic form by ``t_i |D_ij|^2`` and its squared norm by
+    ``A^{-1}`` (``removal_terms``), which shifts each candidate's quadratic
+    form by ``t_i |D_ij|^2`` and its squared norm by
     ``2 t_i Re(D_ij conj(E_ij)) + t_i^2 |D_ij|^2 n_i``, where
     ``D_ij = u_i A^{-1} u_j^H`` and ``E_ij = z_i^H z_j``.  Two matrix
     products thus give all K x (P - K) deltas (the Fedorov exchange screen),
@@ -533,13 +474,7 @@ def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates)
     """
     alpha = problem.pilot_snr
     Z, quad, norm2 = _row_terms(A_inv, problem.rows)
-    denom = 1.0 - alpha * quad[selected]
-    if denom.min() <= 1e-12:
-        a = int(np.argmin(denom))
-        raise DegenerateUpdateError(
-            f"removal of {selected[a]} hit denominator {denom[a]:g}"
-        )
-    t = (alpha / denom)[:, None]
+    t = removal_terms(problem, quad, selected)[:, None]
     # The rows of Z_S are z_i^H = u_i A^{-1}.
     Z_S, norm2_S = Z[selected].conj(), norm2[selected][:, None]
     D = Z_S @ problem.rows_conj[candidates].T

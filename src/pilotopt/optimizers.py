@@ -32,7 +32,6 @@ from .errors import (
 from .objective import (
     DesignProblem,
     FractionalAllocation,
-    ObjectiveState,
     PilotPattern,
     ROUNDING_EPS,
     allocation_inverse,
@@ -40,7 +39,6 @@ from .objective import (
     gradient_from_inverse,
     pattern_inverse,
     rank_one_update,
-    rounding_plan,
     swap_deltas,
 )
 
@@ -263,33 +261,14 @@ def dependent_rounding(
     budget holds almost surely.  ``rng_seed`` is an integer seed of
     ``np.random.default_rng``; the uniforms of all steps are drawn at once
     (``random`` gives the same doubles as ``uniform(0, 1)``).
-    ``grid`` defaults to a 1-symbol grid of matching size.
-
-    A ``FractionalAllocation`` brings its ``RoundingPlan`` and its checked
-    weights; a raw weight array is checked here and its plan derived per call.
+    ``grid`` defaults to a 1-symbol grid of matching size.  The allocation
+    brings its checked weights and its ``RoundingPlan``.
     """
-    if isinstance(allocation, FractionalAllocation):
-        w, K, plan = allocation.weights, allocation.budget, allocation.plan
-        total = plan.total
-    else:
-        w = np.asarray(allocation, dtype=float)
-        bad = int(np.count_nonzero(~np.isfinite(w)))
-        if bad:
-            raise InfeasibleAllocationError(
-                f"allocation has non-finite entries ({bad} of {w.size})"
-            )
-        K = int(round(w.sum()))
-        total, plan = float(w.sum()), None
-    if abs(total - round(total)) > 1e-6:
-        raise InfeasibleAllocationError(f"allocation sums to {total:.9f}, not an integer")
+    w, plan = allocation.weights, allocation.plan
     if grid is None:
         grid = GridConfig(M=w.size, N=1)
     elif grid.size != w.size:
         raise InfeasibleAllocationError("allocation length does not match the grid")
-    if plan is None:
-        if w.min() < -1e-9 or w.max() > 1 + 1e-9:
-            raise InfeasibleAllocationError("allocation entries outside [0, 1]")
-        plan = rounding_plan(w)
 
     rng = np.random.default_rng(rng_seed)
     eps = ROUNDING_EPS
@@ -314,9 +293,9 @@ def dependent_rounding(
     # Entries outside (eps, 1 - eps) are already pinned; clipping them to
     # [0, 1] would not move them across 0.5.
     indices = plan.fixed_ones + tuple(k for k, x in zip(plan.fractional, values) if x > 0.5)
-    if len(indices) != K:
+    if len(indices) != allocation.budget:
         raise InfeasibleAllocationError(
-            f"rounding produced {len(indices)} pilots, expected {K}"
+            f"rounding produced {len(indices)} pilots, expected {allocation.budget}"
         )
     return PilotPattern(indices, grid)
 
@@ -325,19 +304,20 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     """Select K pilots by repeated largest marginal gain; the lowest index
     within ``TIE_BAND`` of the largest gain wins."""
     t0 = time.perf_counter()
-    state = ObjectiveState.empty(problem)
-    initial = state.value
+    A_inv = np.diag(problem.prior).astype(np.complex128)
+    initial = float(np.trace(A_inv).real)
     unselected = np.ones(problem.grid.size, dtype=bool)
     for _ in range(problem.budget):
-        gains = gains_for_candidates(state.A_inv, problem.rows, problem.pilot_snr)
+        gains = gains_for_candidates(A_inv, problem.rows, problem.pilot_snr)
         gains[~unselected] = -1.0
-        j = int(np.argmax(gains >= gains.max() - TIE_BAND * state.value))
-        rank_one_update(state, j, "add")
+        j = int(np.argmax(gains >= gains.max() - TIE_BAND * float(np.trace(A_inv).real)))
+        A_inv = rank_one_update(problem, A_inv, j)
         unselected[j] = False
     # Report the trace of the pattern's own A^{-1}, as every other method
     # does, not the end of the update chain, which drifts in the last bits.
-    pattern = state.pattern()
-    A_inv = pattern_inverse(problem, np.array(pattern.indices, dtype=np.intp))
+    selected = np.flatnonzero(~unselected)
+    A_inv = pattern_inverse(problem, selected)
+    pattern = PilotPattern(tuple(selected.tolist()), problem.grid)
     return _report(problem, pattern, float(np.trace(A_inv).real), initial, 0, t0)
 
 

@@ -13,7 +13,8 @@ from pilotopt import (
     make_design_problem,
 )
 from pilotopt.mcsim import _BATCH, SimResult, _factor_sqrt, analytic_mse, lmmse_weights
-from pilotopt.objective import gradient_from_inverse
+from pilotopt.errors import DegenerateUpdateError
+from pilotopt.objective import _row_terms, gains_for_candidates, gradient_from_inverse
 
 # The design points of the benchmark's rb-sweep workload: 12x14 at 20 dB, the
 # density sweep at spreading 5e-3 and the spreading sweep at three more.
@@ -70,6 +71,34 @@ def reference_information_inverse(problem, pattern):
     inverse, info = lapack.zpotri(factor, lower=True)
     assert info == 0, info
     return np.tril(inverse) + np.tril(inverse, -1).conj().T
+
+
+def reference_marginal_gain(problem, A_inv, j):
+    """Objective decrease from adding row j to the pattern whose inverse is
+    ``A_inv``, from that row's own Sherman-Morrison terms: the per-pair
+    reference of the gains greedy screens."""
+    return float(gains_for_candidates(A_inv, problem.rows[j : j + 1], problem.pilot_snr)[0])
+
+
+def reference_removal(problem, A_inv, i):
+    """Objective increase and Hermitian downdated ``A^{-1}`` of removing the
+    selected row i, from that row's own Sherman-Morrison terms."""
+    alpha = problem.pilot_snr
+    Z, quad, norm2 = _row_terms(A_inv, problem.rows[i : i + 1])
+    denom = float(1.0 - alpha * quad[0])
+    if denom <= 1e-12:
+        raise DegenerateUpdateError(f"removal of {i} hit denominator {denom:g}")
+    increase = float(alpha * norm2[0] / denom)
+    A_inv_without = A_inv + (alpha / denom) * np.outer(Z[0], Z[0].conj())
+    return increase, 0.5 * (A_inv_without + A_inv_without.conj().T)
+
+
+def reference_swap_delta(problem, A_inv, i, j):
+    """Objective change of swapping selected i for unselected j, negative when
+    it improves, from two single-row updates: remove i, then add j.  The
+    per-pair reference of the swap screen."""
+    increase, A_inv_without = reference_removal(problem, A_inv, i)
+    return increase - reference_marginal_gain(problem, A_inv_without, j)
 
 
 def reference_projection(v, K):

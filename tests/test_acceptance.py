@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from pilotopt import validation
 from pilotopt.cli import main
 from pilotopt.validation import (
     check_dependent_rounding,
@@ -33,6 +34,20 @@ def test_criterion_01_oracle_optimality_gap():
 
 def test_criterion_02_incremental_updates():
     _assert_check(check_incremental_updates())
+
+
+@pytest.mark.parametrize(
+    "kernel, error",
+    [("swap_deltas", "worst_swap_rel_err"), ("gains_for_candidates", "worst_gain_rel_err")],
+)
+def test_criterion_02_checks_the_batched_kernels(monkeypatch, kernel, error):
+    """Criterion 2 reads the kernels the optimizers run: a relative error of
+    1e-7 in either one fails it, in that kernel's figure."""
+    original = getattr(validation, kernel)
+    monkeypatch.setattr(validation, kernel, lambda *args: original(*args) * (1.0 + 1e-7))
+    result = check_incremental_updates()
+    assert not result.passed
+    assert result.details[error] > 1e-9
 
 
 def test_criterion_03_gradient_check():

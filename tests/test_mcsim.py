@@ -315,6 +315,22 @@ class TestRunSimulation:
         assert cfg.realizations == 3
         SimConfig(realizations=1, rng_seed=0, noise_var=2)
 
+    def test_grid_mismatch_rejected(self, stats_rb, problem_rb, problem_4x4):
+        """A pattern or problem from another grid is refused, not scored: the
+        flat indices of a 4x4 pattern are cells of 12x14 too."""
+        foreign = PilotPattern((0, 5, 10, 15), GridConfig(4, 4))
+        cfg = SimConfig(realizations=10, rng_seed=0, noise_var=0.1)
+        wrong_pattern = "^pattern grid does not match the statistics grid$"
+        with pytest.raises(InvalidSpecError, match=wrong_pattern):
+            analytic_mse(stats_rb, foreign, 1.0, 0.1)
+        with pytest.raises(InvalidSpecError, match=wrong_pattern):
+            lmmse_weights(stats_rb, foreign, 1.0, 0.1)
+        with pytest.raises(InvalidSpecError, match=wrong_pattern):
+            run_simulation(stats_rb, problem_rb, foreign, cfg)
+        own = PilotPattern((0, 5, 10, 15), stats_rb.grid)
+        with pytest.raises(InvalidSpecError, match="^problem grid does not match the statistics grid$"):
+            run_simulation(stats_rb, problem_4x4, own, cfg)
+
 
 class TestDrawAssembly:
     """The complex views of the normal draws and the ``take`` gathers give

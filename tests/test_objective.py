@@ -10,7 +10,6 @@ from pilotopt import (
     DesignProblem,
     FractionalAllocation,
     GridConfig,
-    ObjectiveState,
     PilotPattern,
     average_mse,
     best_lattice,
@@ -19,16 +18,12 @@ from pilotopt import (
     greedy_design,
     local_swap,
     make_design_problem,
-    marginal_gain,
     objective_gradient,
     objective_value,
-    rank_one_update,
-    swap_delta,
 )
 from pilotopt.channel import ScatteringSpec, build_statistics
 from pilotopt.errors import (
     BudgetError,
-    CandidateError,
     DegenerateUpdateError,
     InvalidSpecError,
     NumericError,
@@ -37,14 +32,21 @@ from pilotopt.objective import (
     RoundingPlan,
     _hermitian_inverse,
     allocation_inverse,
+    gains_for_candidates,
     information_inverse,
     pattern_inverse,
+    rank_one_update,
     rounding_plan,
     swap_deltas,
 )
 from pilotopt.optimizers import greedy_swap_design, project_capped_simplex
 
-from conftest import dense_lmmse, reference_information_inverse
+from conftest import (
+    dense_lmmse,
+    reference_information_inverse,
+    reference_removal,
+    reference_swap_delta,
+)
 
 
 def synthetic_problem(M, N, r, K, alpha, seed=0):
@@ -127,6 +129,8 @@ class TestPatternTypes:
             FractionalAllocation(np.array([0.5, 0.6]), budget=2)
         with pytest.raises(InvalidSpecError):
             FractionalAllocation(np.array([1.5, 0.5]), budget=2)
+        with pytest.raises(InvalidSpecError, match="^allocation budget must be an integer, got 2.5$"):
+            FractionalAllocation(np.array([1.0, 1.0, 0.5]), budget=2.5)
         FractionalAllocation(np.array([0.5, 0.5, 1.0]), budget=2)
 
     @pytest.mark.parametrize(
@@ -178,7 +182,6 @@ class TestPatternTypes:
     def test_rounding_plan_splits_fixed_and_fractional(self):
         w = np.array([1.0, 0.7, 0.3, 0.0, 1.0 - 1e-10, 1e-10, 0.6, 0.4])
         assert rounding_plan(w) == RoundingPlan(
-            total=float(w.sum()),
             fractional=(1, 2, 6, 7),
             values=(0.7, 0.3, 0.6, 0.4),
             fixed_ones=(0, 4),
@@ -306,9 +309,9 @@ class TestIncrementalUpdates:
         for _ in range(25):
             S = rng.choice(P, size=10, replace=False)
             pattern = PilotPattern(tuple(int(i) for i in S), problem_rb.grid)
-            state = ObjectiveState.from_pattern(problem_rb, pattern)
-            j = int(rng.choice([k for k in range(P) if k not in state.selected]))
-            gain = marginal_gain(state, j)
+            A_inv = information_inverse(problem_rb, pattern)
+            j = int(rng.choice([k for k in range(P) if k not in pattern.indices]))
+            gain = gains_for_candidates(A_inv, problem_rb.rows, problem_rb.pilot_snr)[j]
             assert gain >= 0
             obj_before = objective_value(problem_rb, pattern)
             obj_after = objective_value(
@@ -328,89 +331,69 @@ class TestIncrementalUpdates:
             power_fraction=pr.power_fraction,
             noise_var=pr.noise_var,
         )
-        state = ObjectiveState.empty(pr_zero)
-        assert marginal_gain(state, 7) == 0.0
-
-    def test_adding_selected_index_rejected(self, problem_rb):
-        state = ObjectiveState.from_pattern(
-            problem_rb, PilotPattern((0, 1), problem_rb.grid)
-        )
-        with pytest.raises(CandidateError):
-            marginal_gain(state, 0)
-        with pytest.raises(CandidateError):
-            rank_one_update(state, 1, "add")
+        A_inv = information_inverse(pr_zero, PilotPattern((), pr_zero.grid))
+        assert gains_for_candidates(A_inv, pr_zero.rows, pr_zero.pilot_snr)[7] == 0.0
 
     def test_add_then_remove_restores_inverse(self, problem_rb):
-        state = ObjectiveState.from_pattern(
-            problem_rb, PilotPattern((5, 40, 100), problem_rb.grid)
+        original = information_inverse(problem_rb, PilotPattern((5, 40, 100), problem_rb.grid))
+        _, restored = reference_removal(
+            problem_rb, rank_one_update(problem_rb, original, 77), 77
         )
-        original = state.A_inv.copy()
-        rank_one_update(state, 77, "add")
-        rank_one_update(state, 77, "remove")
-        assert np.abs(state.A_inv - original).max() < 1e-9
+        assert np.abs(restored - original).max() < 1e-9
 
     def test_sequential_adds_match_oneshot_build(self, problem_rb):
         rng = np.random.default_rng(2)
         indices = rng.choice(problem_rb.grid.size, size=20, replace=False)
-        state = ObjectiveState.empty(problem_rb)
+        A_inv = np.diag(problem_rb.prior).astype(np.complex128)
         for j in indices:
-            rank_one_update(state, int(j), "add")
+            A_inv = rank_one_update(problem_rb, A_inv, int(j))
         oneshot = np.linalg.inv(
             build_A(problem_rb, PilotPattern(tuple(int(i) for i in indices), problem_rb.grid))
         )
-        assert np.abs(state.A_inv - oneshot).max() < 1e-8
-        assert state.value == pytest.approx(np.trace(oneshot).real, rel=1e-8)
-
-    def test_remove_from_empty_rejected(self, problem_rb):
-        state = ObjectiveState.empty(problem_rb)
-        with pytest.raises(CandidateError):
-            rank_one_update(state, 3, "remove")
+        assert np.abs(A_inv - oneshot).max() < 1e-8
+        assert np.trace(A_inv).real == pytest.approx(np.trace(oneshot).real, rel=1e-8)
 
     def test_state_invariants(self, problem_rb):
-        state = ObjectiveState.from_pattern(
-            problem_rb, PilotPattern(tuple(range(14)), problem_rb.grid)
-        )
-        rank_one_update(state, 50, "add")
-        rank_one_update(state, 3, "remove")
-        assert np.abs(state.A_inv - state.A_inv.conj().T).max() < 1e-10
-        assert state.value == pytest.approx(np.trace(state.A_inv).real, abs=1e-10)
+        """``rank_one_update`` returns a Hermitian inverse and leaves its input
+        alone."""
+        A_inv = information_inverse(problem_rb, PilotPattern(tuple(range(14)), problem_rb.grid))
+        before = A_inv.copy()
+        added = rank_one_update(problem_rb, A_inv, 50)
+        assert np.array_equal(A_inv, before)
+        assert np.array_equal(added, added.conj().T)
+        _, removed = reference_removal(problem_rb, added, 3)
+        assert np.abs(removed - removed.conj().T).max() < 1e-10
 
 
 class TestSwapDelta:
     def test_matches_full_recomputation(self, problem_rb):
+        """Screen entries and the per-pair reference both match two
+        reinversions."""
         rng = np.random.default_rng(3)
         P = problem_rb.grid.size
         for _ in range(25):
             S = [int(i) for i in rng.choice(P, size=14, replace=False)]
-            state = ObjectiveState.from_pattern(
-                problem_rb, PilotPattern(tuple(S), problem_rb.grid)
-            )
+            selected = np.array(sorted(S), dtype=np.intp)
+            A_inv = pattern_inverse(problem_rb, selected)
             i = int(rng.choice(S))
             j = int(rng.choice([k for k in range(P) if k not in S]))
-            delta = swap_delta(state, i, j)
             swapped = tuple(sorted(set(S) - {i} | {j}))
             direct = objective_value(
                 problem_rb, PilotPattern(swapped, problem_rb.grid)
             ) - objective_value(problem_rb, PilotPattern(tuple(S), problem_rb.grid))
+            screened = swap_deltas(problem_rb, A_inv, selected, [j])[selected.searchsorted(i), 0]
+            assert screened == pytest.approx(direct, rel=1e-9, abs=1e-12)
+            delta = reference_swap_delta(problem_rb, A_inv, i, j)
             assert delta == pytest.approx(direct, rel=1e-9, abs=1e-12)
-
-    def test_swap_preconditions(self, problem_rb):
-        state = ObjectiveState.from_pattern(problem_rb, PilotPattern((0, 1), problem_rb.grid))
-        with pytest.raises(CandidateError):
-            swap_delta(state, 5, 7)  # 5 not selected
-        with pytest.raises(CandidateError):
-            swap_delta(state, 0, 1)  # 1 already selected
-        with pytest.raises(CandidateError):
-            swap_delta(state, 0, 0)  # i = j unsatisfiable
 
     def test_local_optimum_has_no_improving_swap(self, problem_rb):
         report = local_swap(problem_rb, greedy_design(problem_rb).pattern)
-        state = ObjectiveState.from_pattern(problem_rb, report.pattern)
+        A_inv = information_inverse(problem_rb, report.pattern)
         deltas = [
-            swap_delta(state, i, j)
+            reference_swap_delta(problem_rb, A_inv, i, j)
             for i in report.pattern.indices
             for j in range(problem_rb.grid.size)
-            if j not in state.selected
+            if j not in report.pattern.indices
         ]
         assert min(deltas) >= -1e-10
 
@@ -418,21 +401,23 @@ class TestSwapDelta:
 class TestSwapDeltas:
     def test_every_pair_matches_swap_delta(self, problem_rb):
         pattern = PilotPattern(tuple(range(0, 168, 12)), problem_rb.grid)
-        state = ObjectiveState.from_pattern(problem_rb, pattern)
-        selected = sorted(state.selected)
-        candidates = [j for j in range(problem_rb.grid.size) if j not in state.selected]
-        batched = swap_deltas(problem_rb, state.A_inv, selected, candidates)
+        A_inv = information_inverse(problem_rb, pattern)
+        selected = list(pattern.indices)
+        candidates = [j for j in range(problem_rb.grid.size) if j not in selected]
+        batched = swap_deltas(problem_rb, A_inv, selected, candidates)
         assert batched.shape == (len(selected), len(candidates))
         as_arrays = swap_deltas(
-            problem_rb, state.A_inv, np.array(selected, dtype=np.intp), np.array(candidates)
+            problem_rb, A_inv, np.array(selected, dtype=np.intp), np.array(candidates)
         )
         assert np.array_equal(as_arrays, batched)
-        looped = np.array([[swap_delta(state, i, j) for j in candidates] for i in selected])
-        assert np.abs(batched - looped).max() <= 1e-9 * state.value
+        looped = np.array(
+            [[reference_swap_delta(problem_rb, A_inv, i, j) for j in candidates] for i in selected]
+        )
+        assert np.abs(batched - looped).max() <= 1e-9 * np.trace(A_inv).real
 
     def test_nonpositive_removal_denominator_raises(self, problem_rb):
         A_inv = information_inverse(problem_rb, PilotPattern((0, 50), problem_rb.grid))
-        with pytest.raises(DegenerateUpdateError):
+        with pytest.raises(DegenerateUpdateError, match="^removal of 50 hit denominator -6"):
             # 1e6 A^{-1} is no longer the inverse of A.
             swap_deltas(problem_rb, 1e6 * A_inv, [0, 50], [1, 2, 3])
 
