@@ -129,8 +129,6 @@ class TestPatternTypes:
             FractionalAllocation(np.array([0.5, 0.6]), budget=2)
         with pytest.raises(InvalidSpecError):
             FractionalAllocation(np.array([1.5, 0.5]), budget=2)
-        with pytest.raises(InvalidSpecError, match="^allocation budget must be an integer, got 2.5$"):
-            FractionalAllocation(np.array([1.0, 1.0, 0.5]), budget=2.5)
         FractionalAllocation(np.array([0.5, 0.5, 1.0]), budget=2)
 
     @pytest.mark.parametrize(

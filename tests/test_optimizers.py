@@ -31,6 +31,7 @@ from pilotopt import (
 from pilotopt.errors import (
     ComplexityGuardError,
     InfeasibleAllocationError,
+    InvalidSpecError,
     LatticeError,
     NoFeasibleLatticeError,
 )
@@ -434,6 +435,11 @@ class TestDependentRounding:
         p2 = dependent_rounding(alloc, rng_seed=5)
         assert len(p1) == 11
         assert p1.indices == p2.indices
+
+    def test_allocation_with_fractional_budget_rejected(self):
+        # A non-integer budget never reaches the rounding: the allocation refuses it.
+        with pytest.raises(InvalidSpecError, match="^allocation budget must be an integer, got 2.5$"):
+            FractionalAllocation(np.array([1.0, 1.0, 0.5]), budget=2.5)
 
     def test_allocation_length_checked_against_grid(self):
         alloc = FractionalAllocation(np.array([0.5, 0.5]), budget=1)
