@@ -12,7 +12,8 @@ from pilotopt import (
     build_statistics,
     make_design_problem,
 )
-from pilotopt.mcsim import _BATCH, SimResult, _factor_sqrt, analytic_mse, lmmse_weights
+from pilotopt.channel import EIGENVALUE_FLOOR
+from pilotopt.mcsim import _BATCH, SimResult, analytic_mse, lmmse_weights
 from pilotopt.errors import DegenerateUpdateError
 from pilotopt.objective import _row_terms, gains_for_candidates, gradient_from_inverse
 
@@ -185,24 +186,33 @@ def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
     )
 
 
+def reference_factor_roots(stats):
+    """``(F, T)``: the square roots ``V * sqrt(lam)`` of ``C_f`` and ``C_t`` on
+    the factor eigenvalues above ``EIGENVALUE_FLOOR`` of the largest, from
+    ``np.linalg.eigh`` of each factor."""
+    roots = []
+    for C in (stats.freq_corr, stats.time_corr):
+        vals, vecs = np.linalg.eigh(C)
+        keep = vals > EIGENVALUE_FLOOR * vals[-1]
+        roots.append(vecs[:, keep] * np.sqrt(vals[keep]))
+    return tuple(roots)
+
+
 def reference_sample_channels(stats, count, rng):
-    """The channel draw with Z assembled as first written, ``a + 1j*b`` from
-    the real and imaginary planes of the normal draw, then divided by
-    ``sqrt(2)``; ``sample_channels`` must match it bit for bit."""
-    M, N = stats.grid.M, stats.grid.N
-    L_f = _factor_sqrt(stats.freq_corr)
-    L_t = _factor_sqrt(stats.time_corr.astype(np.complex128))
-    parts = rng.standard_normal((count, M, N, 2))
+    """The channel draw coloured densely: ``Z`` assembled as ``a + 1j*b`` from
+    the planes of a ``(count, r_t, r_f, 2)`` normal draw and divided by
+    ``sqrt(2)``, then multiplied by the P x (r_t*r_f) Kronecker root
+    ``T (x) F``; ``sample_channels`` must match it to 1e-12."""
+    F, T = reference_factor_roots(stats)
+    parts = rng.standard_normal((count, T.shape[1], F.shape[1], 2))
     Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-    G = L_f @ Z @ L_t.T
-    return G.transpose(0, 2, 1).reshape(count, M * N)
+    return Z.reshape(count, -1) @ np.kron(T, F).T
 
 
 def reference_run_simulation(stats, problem, pattern, cfg):
-    """``run_simulation`` as first written: the reference channel draw, the
-    pilot noise and channel gathered with list indexing and the noise
-    assembled as ``scale * (a + 1j*b)``."""
-    P = stats.grid.size
+    """``run_simulation`` written plainly: the reference channel draw, the
+    pilot noise assembled as ``scale * (a + 1j*b)`` from a ``(count, K, 2)``
+    draw and the pilot channel gathered with list indexing."""
     sigma_p = float(np.sqrt(problem.pilot_power))
     rng = np.random.default_rng(cfg.rng_seed)
     W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
@@ -212,7 +222,7 @@ def reference_run_simulation(stats, problem, pattern, cfg):
     while done < cfg.realizations:
         count = min(_BATCH, cfg.realizations - done)
         G = reference_sample_channels(stats, count, rng)
-        parts = rng.standard_normal((count, P, 2))[:, idx]
+        parts = rng.standard_normal((count, len(idx), 2))
         noise = np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
         G_hat = (sigma_p * G[:, idx] + noise) @ W.T
         err2 = np.abs(G - G_hat) ** 2

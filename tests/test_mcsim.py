@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import mpmath
@@ -17,11 +18,10 @@ from pilotopt import (
     run_simulation,
 )
 from pilotopt.channel import covariance_columns
-from pilotopt.errors import InvalidSpecError
+from pilotopt.errors import InvalidSpecError, NumericError
 from pilotopt.mcsim import (
     _BATCH,
     SimResult,
-    _factor_sqrt,
     _pilot_blocks,
     analytic_mse,
     lmmse_weights,
@@ -31,6 +31,7 @@ from pilotopt.mcsim import (
 from conftest import (
     dense_lmmse,
     full_covariance,
+    reference_factor_roots,
     reference_run_simulation,
     reference_sample_channels,
 )
@@ -49,10 +50,15 @@ def received_block(g, pattern, sigma_p, data_power, noise_var, rng):
 
 def full_block_simulation(stats, problem, pattern, cfg):
     """``run_simulation`` with the whole received block ``Y = X * G + noise``
-    formed on every cell before the estimator reads the pilot columns."""
+    formed on every cell before the estimator reads the pilot columns.  The
+    pilot cells' noise comes from the simulation's generator, drawn where
+    ``run_simulation`` draws it; every other cell's noise comes from a
+    generator of its own, so an estimator that read those cells would not
+    match."""
     P = stats.grid.size
     sigma_p = float(np.sqrt(problem.pilot_power))
     rng = np.random.default_rng(cfg.rng_seed)
+    data_cell_rng = np.random.default_rng([cfg.rng_seed, 1])
     W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
     idx = list(pattern.indices)
     per_real = []
@@ -62,7 +68,8 @@ def full_block_simulation(stats, problem, pattern, cfg):
         G = sample_channels(stats, count, rng)
         X = np.zeros((count, P), dtype=np.complex128)
         X[:, idx] = sigma_p
-        parts = rng.standard_normal((count, P, 2))
+        parts = data_cell_rng.standard_normal((count, P, 2))
+        parts[:, idx] = rng.standard_normal((count, len(idx), 2))
         Y = X * G + np.sqrt(cfg.noise_var / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
         per_real.append((np.abs(G - Y[:, idx] @ W.T) ** 2).mean(axis=1))
         done += count
@@ -72,6 +79,28 @@ def full_block_simulation(stats, problem, pattern, cfg):
         analytic_mse=analytic_mse(stats, pattern, sigma_p, cfg.noise_var),
         standard_error=float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)),
     )
+
+
+def assert_same_result(got, ref):
+    """The same analytic MSE, and the empirical MSE and its standard error
+    to 1e-12 relative."""
+    assert got.analytic_mse == ref.analytic_mse
+    assert got.empirical_mse == pytest.approx(ref.empirical_mse, rel=1e-12)
+    assert got.standard_error == pytest.approx(ref.standard_error, rel=1e-12)
+
+
+class UnitDraws:
+    """A stand-in generator whose ``(count, ..., 2)`` normal draw puts draw c
+    on the c-th real unit vector; it records the shapes it is asked for."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        parts = np.zeros(shape)
+        parts.reshape(shape[0], -1, 2)[..., 0] = np.eye(shape[0])
+        return parts
 
 
 class TestSampleChannel:
@@ -95,15 +124,36 @@ class TestSampleChannel:
     def test_matches_einsum_colouring(self, stats, request):
         # Reference: the same draws coloured by one einsum over both factors.
         stats = request.getfixturevalue(stats)
-        M, N = stats.grid.M, stats.grid.N
+        F, T = reference_factor_roots(stats)
         draws = sample_channels(stats, 50, np.random.default_rng(3))
-        parts = np.random.default_rng(3).standard_normal((50, M, N, 2))
+        parts = np.random.default_rng(3).standard_normal((50, T.shape[1], F.shape[1], 2))
         Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-        L_f = _factor_sqrt(stats.freq_corr)
-        L_t = _factor_sqrt(stats.time_corr.astype(np.complex128))
-        G = np.einsum("ma,zab,nb->zmn", L_f, Z, L_t)
-        ref = G.transpose(0, 2, 1).reshape(50, M * N)
+        G = np.einsum("na,zab,mb->znm", T, Z, F)
+        ref = G.reshape(50, stats.grid.size)
         assert np.abs(draws - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("M, N, r_f, r_t", [(12, 14, 7, 7), (48, 28, 11, 9)])
+    def test_colouring_covariance_matches_kronecker(self, M, N, r_f, r_t):
+        # Deterministic: draw c is the c-th real unit vector, so the draws
+        # are the columns of the colouring root T (x) F over sqrt(2), and
+        # root root^H = (T T^T) (x) (F F^H).  It misses C_t (x) C_f by the
+        # factor eigenvalues below the floor: a relative trace of 1.0e-13 at
+        # 12x14 and 5.5e-13 at 48x28.
+        stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=5e-3))
+        draws = UnitDraws()
+        root = np.sqrt(2.0) * sample_channels(stats, r_f * r_t, draws).T
+        assert draws.shapes == [(r_f * r_t, r_t, r_f, 2)]
+        C_sampled, C = root @ root.conj().T, full_covariance(stats)
+        dropped = 1.0 - np.trace(C_sampled).real / np.trace(C).real
+        assert abs(dropped) <= 1e-10
+        assert np.linalg.norm(C_sampled - C) <= 1e-10 * np.linalg.norm(C)
+
+    @pytest.mark.parametrize("field, label", [("freq_corr", "frequency"), ("time_corr", "time")])
+    def test_non_psd_factor_raises(self, stats_4x4, field, label):
+        factor = getattr(stats_4x4, field) - 2.0 * np.eye(4)
+        bad = dataclasses.replace(stats_4x4, **{field: factor})
+        with pytest.raises(NumericError, match=f"^{label} correlation has eigenvalue"):
+            sample_channels(bad, 1, np.random.default_rng(0))
 
     def test_sample_covariance_matches(self, stats_4x4):
         draws = sample_channels(stats_4x4, 10_000, np.random.default_rng(2))
@@ -277,8 +327,8 @@ class TestRunSimulation:
         indices = np.random.default_rng(seed).choice(stats.grid.size, size=K, replace=False)
         pattern = PilotPattern(tuple(indices), stats.grid)
         cfg = SimConfig(realizations=realizations, rng_seed=seed, noise_var=problem.noise_var)
-        assert run_simulation(stats, problem, pattern, cfg) == full_block_simulation(
-            stats, problem, pattern, cfg
+        assert_same_result(
+            run_simulation(stats, problem, pattern, cfg), full_block_simulation(stats, problem, pattern, cfg)
         )
 
     def test_invalid_config(self):
@@ -333,17 +383,18 @@ class TestRunSimulation:
 
 
 class TestDrawAssembly:
-    """The complex views of the normal draws and the ``take`` gathers give
-    the bits of the list-indexed ``a + 1j*b`` reference."""
+    """The complex views of the normal draws, the factor colouring and the
+    ``take`` gathers match the list-indexed ``a + 1j*b`` reference coloured
+    by the dense Kronecker root, to 1e-12, and leave the generator where it
+    leaves it."""
 
     @pytest.mark.parametrize("stats", ["stats_4x4", "stats_rb", "stats_big"])
     def test_sample_channels_matches_reference(self, stats, request):
         stats = request.getfixturevalue(stats)
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
         for count in (1, 250):
-            assert np.array_equal(
-                sample_channels(stats, count, rng), reference_sample_channels(stats, count, ref_rng)
-            )
+            got, ref = sample_channels(stats, count, rng), reference_sample_channels(stats, count, ref_rng)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.filterwarnings("ignore:power_fraction")
@@ -362,9 +413,33 @@ class TestDrawAssembly:
         pattern = greedy_design(problem).pattern if K else PilotPattern((), stats.grid)
         for seed in (1, 2**40 + 3):
             cfg = SimConfig(realizations=realizations, rng_seed=seed, noise_var=problem.noise_var)
-            assert run_simulation(stats, problem, pattern, cfg) == reference_run_simulation(
-                stats, problem, pattern, cfg
+            assert_same_result(
+                run_simulation(stats, problem, pattern, cfg),
+                reference_run_simulation(stats, problem, pattern, cfg),
             )
+
+    @pytest.mark.parametrize("K, realizations", [(14, _BATCH + 100), (0, 20)])
+    def test_draws_factor_ranks_then_pilot_noise(self, stats_rb, K, realizations, monkeypatch):
+        # Per batch, exactly count*r_f*r_t channel normals and count*K pilot
+        # noise normals, all complex, so two real normals each.
+        problem = make_design_problem(stats_rb, K=max(K, 1), snr_db=10.0)
+        pattern = greedy_design(problem).pattern if K else PilotPattern((), stats_rb.grid)
+        made, default_rng = [], np.random.default_rng
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        run_simulation(stats_rb, problem, pattern, SimConfig(realizations, 5, problem.noise_var))
+        F, T = reference_factor_roots(stats_rb)
+        ref = default_rng(5)
+        for start in range(0, realizations, _BATCH):
+            count = min(_BATCH, realizations - start)
+            ref.standard_normal(2 * count * F.shape[1] * T.shape[1])
+            ref.standard_normal(2 * count * K)
+        assert len(made) == 1
+        assert made[0].bit_generator.state == ref.bit_generator.state
 
 
 class TestRankTruncationConsistency:
