@@ -5,23 +5,27 @@ observations ``y_S = sigma_p * g_S + noise``, runs the LMMSE estimator and
 compares the empirical MSE against ``trace(C_e)/(M*N)`` from the closed-form
 error covariance.
 
-Each realization draws ``r_f*r_t + K`` complex normals: ``r_f*r_t`` for the
-channel, coloured by the square roots of ``C_f`` and ``C_t`` trimmed to the
-factor eigenvalues above ``EIGENVALUE_FLOOR`` of the largest (see
-``sample_channels``; the trimmed eigenvalues hold a relative 1.0e-13 of the
-covariance trace at 12x14 and 5.5e-13 at 48x28, spreading 5e-3), and ``K``
-for the noise on the pilot cells.  The LMMSE estimate depends on the pilot
-observations only (data symbols are zero-mean and sit on other cells), so
-the estimator is evaluated on the K x K pilot-restricted system, the
-received block is formed on the pilot cells only and no other cell's noise
-is drawn.  The estimate and its error stay on the grid: ``g_hat = W y_S``
-and ``|g - g_hat|^2`` over all P cells.
+Each realization draws ``r_f*r_t + K`` complex normals: ``r_f*r_t`` latent
+normals z for the channel ``g = (T (x) F) z``, with ``F`` and ``T`` the square
+roots of ``C_f`` and ``C_t`` trimmed to the factor eigenvalues above
+``EIGENVALUE_FLOOR`` of the largest (see ``sample_channels``; the trimmed
+eigenvalues hold a relative 1.0e-13 of the covariance trace at 12x14 and
+5.5e-13 at 48x28, spreading 5e-3), and ``K`` for the noise on the pilot
+cells.  The LMMSE estimate depends on the pilot observations only (data
+symbols are zero-mean and sit on other cells), so the estimator is evaluated
+on the K x K pilot-restricted system and no other cell's noise is drawn.
 
 The pilot system is built once per simulation from the Kronecker factors
 ``C_t`` and ``C_f``: ``C_SS`` and the Gram of the pilot columns are entrywise
-products of factor blocks, and one K x K inverse gives both the analytic MSE
-and the weights, O(N^3 + M^3 + K^3) in all.  The weights are then one
-P x K by K x K product, P*K^2 multiply-adds.
+products of factor blocks, and one K x K Cholesky inverse gives the analytic
+MSE and the estimator gain, O(N^3 + M^3 + K^3) in all.
+
+``run_simulation`` never forms a grid-sized array: the columns of
+``T (x) F`` are orthogonal, so the estimate and its error are computed
+exactly on the latent z (see ``_latent_system``), O(r_f r_t K) per
+realization.  ``sample_channels`` and ``lmmse_weights`` (the P x K grid
+weights ``W``, ``g_hat = W y_S``) are the dense reference the tests hold it
+to.
 """
 
 import math
@@ -29,11 +33,10 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.linalg.blas import zgemm
 
 from .channel import EIGENVALUE_FLOOR, ChannelStatistics, _factor_eigh, covariance_columns
 from .errors import InvalidSpecError
-from .objective import DesignProblem, PilotPattern
+from .objective import DesignProblem, PilotPattern, _hermitian_inverse
 
 # Realizations are simulated in fixed-size batches to bound memory; the batch
 # size is an implementation constant so seeded runs stay bit-identical.
@@ -160,11 +163,17 @@ def _pilot_system(
     ``sigma_p (sigma_p^2 C_SS + noise I)^{-1}`` and the average MSE.
 
     The LMMSE weights are ``W = C_g[:, S] @ gain`` and the error is
-    ``(trace(C_g) - sigma_p trace(gain Gram)) / P``.  One K x K inverse on
-    the factor-built blocks, O(N^3 + M^3 + K^3) in all.
+    ``(trace(C_g) - sigma_p trace(gain Gram)) / P``.  One K x K Cholesky
+    inverse (``objective._hermitian_inverse``) on the factor-built blocks,
+    O(N^3 + M^3 + K^3) in all; LAPACK rejects a 0 x 0 matrix, so an empty
+    pattern gets its empty gain directly.
     """
     C_ss, gram = _pilot_blocks(stats, idx)
-    gain = sigma_p * np.linalg.inv(sigma_p**2 * C_ss + noise_var * np.eye(idx.size))
+    if idx.size:
+        obs = sigma_p**2 * C_ss + noise_var * np.eye(idx.size)
+        gain = sigma_p * _hermitian_inverse(obs, "pilot observation covariance")
+    else:
+        gain = np.zeros((0, 0), dtype=np.complex128)
     # trace(gain @ gram) as an entrywise sum, O(K^2).
     reduction = sigma_p * float(np.sum(gain * gram.T).real)
     return gain, (stats.total_power - reduction) / stats.grid.size
@@ -180,7 +189,8 @@ def lmmse_weights(
 
     ``W = sigma_p C_g[:, S] (sigma_p^2 C_g[S, S] + noise I)^{-1}``: the K x K
     pilot system costs O(N^3 + M^3 + K^3), then W is one P x K by K x K
-    product, P*K^2 multiply-adds.
+    product, P*K^2 multiply-adds.  ``run_simulation`` does not use it; it is
+    the grid-form reference for the latent estimate.
     """
     idx = _pilot_indices(stats, pattern)
     gain, _ = _pilot_system(stats, idx, sigma_p, noise_var)
@@ -205,11 +215,69 @@ def analytic_mse(
     P, so digits cancel as the SNR grows, and above about 20 dB not all of
     the 12 digits the CLI prints are significant.  Against a 45-digit
     evaluation of the same formula on 12x14, spreading 5e-3, K = 17 (greedy
-    pattern), the relative error is 2.1e-11 at 20 dB, 3.9e-8 at 40 dB and
+    pattern), the relative error is 5.5e-12 at 20 dB, 1.6e-8 at 40 dB and
     1.5e-3 at 80 dB.
     """
     idx = _pilot_indices(stats, pattern)
     return _pilot_system(stats, idx, sigma_p, noise_var)[1]
+
+
+def _latent_system(
+    stats: ChannelStatistics, idx: np.ndarray, gain: np.ndarray, sigma_p: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LMMSE estimator in the latent coordinates of ``sample_channels``.
+
+    The channel is ``g = L z`` with ``L = T (x) F`` (P x r, ``r = r_t*r_f``)
+    and z the latent draw flattened as ``a*r_f + b``.  Returns the scaled
+    pilot rows ``sigma_p B`` with ``B = L[S, :]`` (K x r,
+    ``B[k, a*r_f + b] = T[n_k, a] F[m_k, b]``), the latent gain
+    ``Q = B^H gain`` (r x K) and the variance of each float component of z
+    (``d = lam_t (x) lam_f``, the squared column norms of L, each repeated
+    for the real and the imaginary part).
+
+    Then ``y_S = sigma_p z B^T + noise`` and ``|g - g_hat|^2 = sum_j d_j
+    |e_j|^2`` with ``e = z - Q y_S``, because the columns of L are
+    orthogonal.  In exact arithmetic ``L Q y_S`` is the grid estimate
+    ``W y_S`` projected onto the range of L, where the drawn channel lies,
+    and the grid error exceeds this one only by the estimate's part along
+    the trimmed eigenvectors, of second order.  In doubles Q is built on
+    ``L L^H``, which misses ``C_g`` by 1.3e-13 (12x14) and 6.4e-13 (48x28)
+    Frobenius-relative (spreading 5e-3, trimmed and rounded eigenpairs):
+    against the grid form, the empirical MSE moves by about 2e-14 relative
+    and a single realization by up to 1.7e-12.  Costs
+    O(N^3 + M^3 + r K^2) and forms no P x K matrix.
+    """
+    F = _factor_root(stats.freq_corr, "frequency")
+    T = _factor_root(stats.time_corr, "time")
+    m, n = idx % stats.grid.M, idx // stats.grid.M
+    # An explicit shape: reshape(-1) cannot size an empty pattern's rows.
+    B = (T[n][:, :, None] * F[m][:, None, :]).reshape(idx.size, T.shape[1] * F.shape[1])
+    Q = B.conj().T @ gain
+    B *= sigma_p
+    variances = np.kron(np.sum(T**2, axis=0), np.sum(np.abs(F) ** 2, axis=0))
+    return B, Q, np.repeat(variances, 2)
+
+
+def _batch_errors(
+    rng: np.random.Generator,
+    count: int,
+    B: np.ndarray,
+    Q: np.ndarray,
+    variances: np.ndarray,
+    noise_scale: float,
+) -> np.ndarray:
+    """``|g - g_hat|^2`` of ``count`` realizations from the system of
+    ``_latent_system``.  Draws what ``sample_channels`` draws, then the
+    ``(count, K)`` pilot noise; O(count r K) multiply-adds."""
+    z = _complex_normals(rng, (count, Q.shape[0]))
+    z /= np.sqrt(2.0)
+    y = _complex_normals(rng, (count, B.shape[0]))
+    y *= noise_scale
+    y += z @ B.T
+    z -= y @ Q.T
+    err = z.view(np.float64)
+    err **= 2
+    return err @ variances
 
 
 def run_simulation(
@@ -223,7 +291,9 @@ def run_simulation(
     The pilot amplitude follows the problem's power budget
     (``sigma_p^2 = beta*N/K``); the noise level comes from ``cfg``.  Returns
     the empirical average MSE, its standard error and the analytic value for
-    the same parameters, both from one K x K pilot system.
+    the same parameters, both from one K x K pilot system.  The estimate and
+    its error are computed on the latent channel draw (``_latent_system``),
+    O(r_f r_t K) per realization.
     """
     if problem.grid != stats.grid:
         raise InvalidSpecError("problem grid does not match the statistics grid")
@@ -232,25 +302,13 @@ def run_simulation(
     rng = np.random.default_rng(cfg.rng_seed)
     idx = _pilot_indices(stats, pattern)
     gain, analytic = _pilot_system(stats, idx, sigma_p, cfg.noise_var)
-    W = covariance_columns(stats, idx) @ gain
+    B, Q, variances = _latent_system(stats, idx, gain, sigma_p)
 
     per_real = np.empty(cfg.realizations)
     done = 0
     while done < cfg.realizations:
         count = min(_BATCH, cfg.realizations - done)
-        G = sample_channels(stats, count, rng)
-        noise = _complex_normals(rng, (count, idx.size))
-        noise *= noise_scale
-        y = G.take(idx, axis=1)
-        y *= sigma_p
-        y += noise
-        # G - y W^T, into G's buffer: zgemm on the transposed (Fortran-order)
-        # views computes G^T - W y^T in place.
-        err = zgemm(-1.0, W.T, y.T, beta=1.0, c=G.T, trans_a=1, overwrite_c=1).T
-        # |g - g_hat|^2 summed over the cells: the squares of the real view.
-        err = err.view(np.float64)
-        err **= 2
-        np.sum(err, axis=1, out=per_real[done : done + count])
+        per_real[done : done + count] = _batch_errors(rng, count, B, Q, variances, noise_scale)
         done += count
     per_real /= stats.grid.size
 

@@ -304,14 +304,15 @@ def _allocation_information(prior_inv, rows, rows_conj, alpha: float, w) -> np.n
     return prior_inv + (alpha * (rows_conj.T * w)) @ rows
 
 
-def _hermitian_inverse(A: np.ndarray) -> np.ndarray:
+def _hermitian_inverse(A: np.ndarray, name: str = "information matrix") -> np.ndarray:
     """Hermitian ``A^{-1}`` of a positive definite ``A`` through its Cholesky
-    factor; only the lower triangle of ``A`` is read."""
+    factor; only the lower triangle of ``A`` is read.  A failure raises
+    ``NumericError`` naming the matrix as ``name``."""
     factor, info = lapack.zpotrf(A, lower=True)
     if info == 0:
         inverse, info = lapack.zpotri(factor, lower=True, overwrite_c=True)
     if info != 0:
-        raise NumericError(f"information matrix is not positive definite (LAPACK info {info})")
+        raise NumericError(f"{name} is not positive definite (LAPACK info {info})")
     # zpotri fills the lower triangle; zpotrf zeroed the upper one.
     mirrored = inverse + inverse.conj().T
     mirrored.flat[:: len(inverse) + 1] = inverse.diagonal()
@@ -501,8 +502,10 @@ def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates)
 def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarray:
     """Relaxed-objective gradient ``-alpha * u_i A^{-2} u_i^H`` per cell, from
     an ``A^{-1}`` already formed by ``information_inverse``."""
-    _, norm2 = _row_norms(A_inv, problem.rows)
-    return -problem.pilot_snr * norm2
+    # The squared row norms of rows @ A^{-1}, the conjugate of _row_norms'
+    # Z: the same bits without its conjugate copy.
+    Y = problem.rows @ A_inv
+    return -problem.pilot_snr * np.einsum("ij,ij->i", Y, Y.conj()).real
 
 
 def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:

@@ -17,12 +17,16 @@ from pilotopt import (
     make_design_problem,
     run_simulation,
 )
+from pilotopt import channel, mcsim
 from pilotopt.channel import covariance_columns
 from pilotopt.errors import InvalidSpecError, NumericError
 from pilotopt.mcsim import (
     _BATCH,
     SimResult,
+    _batch_errors,
+    _latent_system,
     _pilot_blocks,
+    _pilot_system,
     analytic_mse,
     lmmse_weights,
     sample_channels,
@@ -440,6 +444,50 @@ class TestDrawAssembly:
             ref.standard_normal(2 * count * K)
         assert len(made) == 1
         assert made[0].bit_generator.state == ref.bit_generator.state
+
+
+class TestLatentEstimate:
+    """``run_simulation`` estimates and scores the error on the latent draw;
+    the grid-form estimate ``W y_S`` and its error over all P cells are the
+    reference."""
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize("M, N, K, count", [(12, 14, 17, 1000), (48, 28, 134, 250)])
+    def test_batch_errors_match_grid_errors(self, M, N, K, count):
+        stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=5e-3))
+        problem = make_design_problem(stats, K=K, snr_db=20.0)
+        pattern = greedy_design(problem).pattern
+        idx = np.array(pattern.indices, dtype=np.intp)
+        sigma_p, noise_var = float(np.sqrt(problem.pilot_power)), problem.noise_var
+        noise_scale = np.sqrt(noise_var / 2.0)
+        gain, _ = _pilot_system(stats, idx, sigma_p, noise_var)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        got = _batch_errors(rng, count, *_latent_system(stats, idx, gain, sigma_p), noise_scale)
+        g = sample_channels(stats, count, ref_rng)
+        parts = ref_rng.standard_normal((count, K, 2))
+        y = sigma_p * g[:, idx] + noise_scale * (parts[..., 0] + 1j * parts[..., 1])
+        W = lmmse_weights(stats, pattern, sigma_p, noise_var)
+        ref = np.sum(np.abs(g - y @ W.T) ** 2, axis=1)
+        # Relative over the batch: single realizations differ by up to
+        # 1.7e-12 at 48x28, because the latent estimator is built on the
+        # covariance of the drawn channel, which misses C_g by 6.4e-13
+        # relative (the trimmed and the rounded factor eigenpairs); in long
+        # double each form reproduces its own double value to 7e-15.
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_no_grid_form_is_used(self, stats_rb, problem_rb, monkeypatch):
+        pattern = greedy_design(problem_rb).pattern
+        cfg = SimConfig(realizations=300, rng_seed=4, noise_var=problem_rb.noise_var)
+        expected = run_simulation(stats_rb, problem_rb, pattern, cfg)
+
+        def grid_form(*args, **kwargs):
+            raise AssertionError("run_simulation formed a grid-sized array")
+
+        monkeypatch.setattr(channel, "covariance_columns", grid_form)
+        for name in ("covariance_columns", "sample_channels", "lmmse_weights"):
+            monkeypatch.setattr(mcsim, name, grid_form)
+        assert run_simulation(stats_rb, problem_rb, pattern, cfg) == expected
 
 
 class TestRankTruncationConsistency:
