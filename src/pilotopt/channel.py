@@ -23,8 +23,11 @@ from scipy.special import j0
 
 from .errors import InvalidSpecError, NumericError
 
-# Eigenvalues below this fraction of the largest one are always dropped from
-# the reduced-rank basis, regardless of the energy threshold.
+# Eigenpairs of C_g below this fraction of the largest eigenvalue are dropped;
+# the rest are the one spectral model of the channel: the reported MSE, the
+# design basis and the Monte Carlo draw all read them.  At spreading 5e-3 the
+# dropped pairs hold a relative 1.6e-12 of the trace at 12x14 (34 of 168
+# kept) and 8.6e-13 at 48x28 (82 of 1344 kept).
 EIGENVALUE_FLOOR = 1e-12
 
 
@@ -214,9 +217,11 @@ class ChannelStatistics:
     ``EIGENVALUE_FLOOR`` of the largest, in descending order, and the columns
     of ``significant_eigvecs`` the matching orthonormal eigenvectors.  The
     reported average MSE is evaluated on all of them, so it is the exact
-    LMMSE error of the pattern.  Their leading ``effective_rank`` pairs, cut
-    by the energy threshold, are ``eigvals``/``eigvecs``: the reduced-rank
-    basis that the design objective and the optimizers see.
+    LMMSE error of the pattern, and the Monte Carlo draws the channel on
+    them.  Their leading ``effective_rank`` pairs, cut by the energy
+    threshold, are ``eigvals``/``eigvecs``: the reduced-rank basis that the
+    design objective and the optimizers see.  The factor and eigenpair
+    arrays are read-only, since these readers share them.
     """
 
     grid: GridConfig
@@ -265,10 +270,10 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
 
     The eigenvalues of ``C_t (x) C_f`` are all products of factor eigenvalues
     and the eigenvectors are Kronecker products of factor eigenvectors.
-    Eigenvalues below ``1e-12`` of the largest are always dropped; the rest
-    form the significant spectrum.  Its leading ``r`` pairs, for the smallest
-    ``r`` whose retained energy reaches the requested threshold, form the
-    reduced-rank design basis.
+    Eigenvalues below ``EIGENVALUE_FLOOR`` of the largest are always
+    dropped; the rest form the significant spectrum.  Its leading ``r``
+    pairs, for the smallest ``r`` whose retained energy reaches the requested
+    threshold, form the reduced-rank design basis.
     """
     C_f = build_freq_correlation(spec, grid.M)
     C_t = build_time_correlation(spec, grid.N)
@@ -290,13 +295,16 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
 
     a, b = np.divmod(order[:significant], grid.M)
     # Column c is kron(t_vecs[:, a[c]], f_vecs[:, b[c]]), cell n*M + m.
-    eigvecs = t_vecs[:, a][:, None, :] * f_vecs[:, b][None, :, :]
+    eigvecs = (t_vecs[:, a][:, None, :] * f_vecs[:, b][None, :, :]).reshape(grid.size, -1)
+    eigvals = sorted_vals[:significant]
+    for array in (C_f, C_t, eigvals, eigvecs):
+        array.flags.writeable = False
     return ChannelStatistics(
         grid=grid,
         freq_corr=C_f,
         time_corr=C_t,
-        significant_eigvals=sorted_vals[:significant],
-        significant_eigvecs=eigvecs.reshape(grid.size, significant),
+        significant_eigvals=eigvals,
+        significant_eigvecs=eigvecs,
         effective_rank=rank,
     )
 

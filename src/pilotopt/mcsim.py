@@ -5,27 +5,28 @@ observations ``y_S = sigma_p * g_S + noise``, runs the LMMSE estimator and
 compares the empirical MSE against ``trace(C_e)/(M*N)`` from the closed-form
 error covariance.
 
-Each realization draws ``r_f*r_t + K`` complex normals: ``r_f*r_t`` latent
-normals z for the channel ``g = (T (x) F) z``, with ``F`` and ``T`` the square
-roots of ``C_f`` and ``C_t`` trimmed to the factor eigenvalues above
-``EIGENVALUE_FLOOR`` of the largest (see ``sample_channels``; the trimmed
-eigenvalues hold a relative 1.0e-13 of the covariance trace at 12x14 and
-5.5e-13 at 48x28, spreading 5e-3), and ``K`` for the noise on the pilot
-cells.  The LMMSE estimate depends on the pilot observations only (data
-symbols are zero-mean and sit on other cells), so the estimator is evaluated
-on the K x K pilot-restricted system and no other cell's noise is drawn.
+The channel model is the spectrum ``channel.build_statistics`` already
+holds: ``g = L z`` with ``L = V sqrt(lambda)`` on the r significant
+eigenpairs of ``C_g`` (the ones the reported average MSE is scored on; they
+miss the covariance trace by a relative 1.6e-12 at 12x14 and 8.6e-13 at
+48x28, spreading 5e-3) and z r i.i.d. standard complex normals.  Each
+realization draws ``r + K`` complex normals: r for z (34 at 12x14, 82 at
+48x28) and K for the noise on the pilot cells.  The LMMSE estimate depends
+on the pilot observations only (data symbols are zero-mean and sit on other
+cells), so the estimator is evaluated on the K x K pilot-restricted system
+and no other cell's noise is drawn.  No eigendecomposition runs here.
 
 The pilot system is built once per simulation from the Kronecker factors
-``C_t`` and ``C_f``: ``C_SS`` and the Gram of the pilot columns are entrywise
-products of factor blocks, and one K x K Cholesky inverse gives the analytic
-MSE and the estimator gain, O(N^3 + M^3 + K^3) in all.
+``C_t`` and ``C_f``, exact and untrimmed: ``C_SS`` and the Gram of the pilot
+columns are entrywise products of factor blocks, and one K x K Cholesky
+inverse gives the analytic MSE and the estimator gain,
+O(N^3 + M^3 + K^3) in all.
 
-``run_simulation`` never forms a grid-sized array: the columns of
-``T (x) F`` are orthogonal, so the estimate and its error are computed
-exactly on the latent z (see ``_latent_system``), O(r_f r_t K) per
-realization.  ``sample_channels`` and ``lmmse_weights`` (the P x K grid
-weights ``W``, ``g_hat = W y_S``) are the dense reference the tests hold it
-to.
+``run_simulation`` never forms a grid-sized array: the columns of L are
+orthogonal, so the estimate and its error are computed exactly on z (see
+``_latent_system``), O(r K) per realization.  ``sample_channels`` (the
+dense ``z L^T``) and ``lmmse_weights`` (the P x K grid weights ``W``,
+``g_hat = W y_S``) are the reference the tests hold it to.
 """
 
 import math
@@ -34,7 +35,7 @@ from numbers import Real
 
 import numpy as np
 
-from .channel import EIGENVALUE_FLOOR, ChannelStatistics, _factor_eigh, covariance_columns
+from .channel import ChannelStatistics, covariance_columns
 from .errors import InvalidSpecError
 from .objective import DesignProblem, PilotPattern, _hermitian_inverse
 
@@ -85,43 +86,24 @@ class SimResult:
     standard_error: float
 
 
-def _factor_root(matrix: np.ndarray, label: str) -> np.ndarray:
-    """Square root ``V[:, keep] * sqrt(lam[keep])`` of a PSD correlation
-    factor, trimmed to its rank: ``keep`` holds the eigenvalues above
-    ``EIGENVALUE_FLOOR`` of the largest.  A factor that is not PSD raises
-    ``NumericError`` from ``channel._factor_eigh``."""
-    vals, vecs = _factor_eigh(matrix, label)
-    keep = vals > EIGENVALUE_FLOOR * vals[-1]
-    return vecs[:, keep] * np.sqrt(vals[keep])
-
-
 def sample_channels(stats: ChannelStatistics, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` correlated channel realizations, shape (count, M*N).
 
-    Each realization is ``vec(F Z T^T)`` with ``F`` (M x r_f) and ``T``
-    (N x r_t) the rank-trimmed square roots of ``C_f`` and ``C_t`` and Z an
-    r_f x r_t matrix of i.i.d. standard complex Gaussians, so the covariance
-    is ``(T T^T) (x) (F F^H)``: ``C_t (x) C_f`` under the column-major
-    vectorization, less the factor eigenvalues below ``EIGENVALUE_FLOOR`` of
-    the largest (a relative trace of 1.0e-13 at 12x14 and 5.5e-13 at 48x28,
-    spreading 5e-3).  One realization costs ``r_f*r_t`` complex normals
-    (49 at 12x14 and 99 at 48x28, spreading 5e-3) instead of ``M*N``.
+    Each realization is ``g = L z`` with ``L = V sqrt(lambda)`` on the r
+    significant eigenpairs of the statistics and z r i.i.d. standard complex
+    Gaussians, so the covariance is ``L L^H``: ``C_t (x) C_f`` less the
+    eigenpairs ``build_statistics`` drops (a relative trace of 1.6e-12 at
+    12x14 and 8.6e-13 at 48x28, spreading 5e-3).  One realization costs r
+    complex normals (34 at 12x14 and 82 at 48x28) instead of ``M*N``.
 
-    The generator's ``(count, r_t, r_f, 2)`` normal draw is read as complex
-    ``Z^T`` in place (a view, no copy) and scaled by ``1/sqrt(2)`` in place.
-    ``T`` is real, so it is applied to the real view of Z in one batched real
-    product; ``F`` then acts on the subcarrier axis in one complex product,
-    whose ``(count, N, M)`` result is already symbol-major.  The colouring
-    costs O(count*N*r_f*(r_t + M)) multiply-adds.
+    The generator's ``(count, r, 2)`` normal draw is read as complex z in
+    place, as ``run_simulation`` reads it; the plain dense ``z L^T``,
+    O(count P r), is the grid-form reference of the tests.
     """
-    F = _factor_root(stats.freq_corr, "frequency")
-    T = _factor_root(stats.time_corr, "time")
-    Z = _complex_normals(rng, (count, T.shape[1], F.shape[1]))
-    Z /= np.sqrt(2.0)
-    # (count, N, r_f): T on the real and imaginary parts at once.
-    TZ = (T @ Z.view(np.float64)).view(np.complex128)
-    # Row c*N + n of the product is symbol n of draw c: k = n*M + m.
-    return (TZ.reshape(-1, F.shape[1]) @ F.T).reshape(count, stats.grid.size)
+    L = stats.significant_eigvecs * np.sqrt(stats.significant_eigvals)
+    z = _complex_normals(rng, (count, L.shape[1]))
+    z /= np.sqrt(2.0)
+    return z @ L.T
 
 
 def _complex_normals(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -227,35 +209,32 @@ def _latent_system(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The LMMSE estimator in the latent coordinates of ``sample_channels``.
 
-    The channel is ``g = L z`` with ``L = T (x) F`` (P x r, ``r = r_t*r_f``)
-    and z the latent draw flattened as ``a*r_f + b``.  Returns the scaled
-    pilot rows ``sigma_p B`` with ``B = L[S, :]`` (K x r,
-    ``B[k, a*r_f + b] = T[n_k, a] F[m_k, b]``), the latent gain
+    The channel is ``g = L z`` with ``L = V sqrt(lambda)`` (P x r) on the
+    significant eigenpairs of the statistics.  Returns the scaled pilot rows
+    ``sigma_p B`` with ``B = L[S, :]`` (K x r), the latent gain
     ``Q = B^H gain`` (r x K) and the variance of each float component of z
-    (``d = lam_t (x) lam_f``, the squared column norms of L, each repeated
-    for the real and the imaginary part).
+    (``d = lambda``, the squared column norms of L, each repeated for the
+    real and the imaginary part).
 
     Then ``y_S = sigma_p z B^T + noise`` and ``|g - g_hat|^2 = sum_j d_j
     |e_j|^2`` with ``e = z - Q y_S``, because the columns of L are
     orthogonal.  In exact arithmetic ``L Q y_S`` is the grid estimate
     ``W y_S`` projected onto the range of L, where the drawn channel lies,
     and the grid error exceeds this one only by the estimate's part along
-    the trimmed eigenvectors, of second order.  In doubles Q is built on
-    ``L L^H``, which misses ``C_g`` by 1.3e-13 (12x14) and 6.4e-13 (48x28)
-    Frobenius-relative (spreading 5e-3, trimmed and rounded eigenpairs):
-    against the grid form, the empirical MSE moves by about 2e-14 relative
-    and a single realization by up to 1.7e-12.  Costs
-    O(N^3 + M^3 + r K^2) and forms no P x K matrix.
+    the dropped eigenvectors, of second order.  In doubles Q is built on
+    ``L L^H``, which misses ``C_g`` by 1.2e-12 (12x14) and 8.4e-13 (48x28)
+    Frobenius-relative (spreading 5e-3, dropped and rounded eigenpairs):
+    against the grid form, over 30 seeds, the empirical MSE moves by up to
+    8.9e-15 (12x14, K = 17 x 1000) and 7.0e-14 (48x28, K = 134 x 250)
+    relative and a single realization by up to 9.6e-13 and 2.1e-12.
+    Gathers K rows of the stored eigenvectors, O(r K^2) in all; no
+    eigendecomposition and no P x K matrix.
     """
-    F = _factor_root(stats.freq_corr, "frequency")
-    T = _factor_root(stats.time_corr, "time")
-    m, n = idx % stats.grid.M, idx // stats.grid.M
-    # An explicit shape: reshape(-1) cannot size an empty pattern's rows.
-    B = (T[n][:, :, None] * F[m][:, None, :]).reshape(idx.size, T.shape[1] * F.shape[1])
+    B = stats.significant_eigvecs.take(idx, axis=0)
+    B *= np.sqrt(stats.significant_eigvals)
     Q = B.conj().T @ gain
     B *= sigma_p
-    variances = np.kron(np.sum(T**2, axis=0), np.sum(np.abs(F) ** 2, axis=0))
-    return B, Q, np.repeat(variances, 2)
+    return B, Q, np.repeat(stats.significant_eigvals, 2)
 
 
 def _batch_errors(
@@ -293,7 +272,7 @@ def run_simulation(
     the empirical average MSE, its standard error and the analytic value for
     the same parameters, both from one K x K pilot system.  The estimate and
     its error are computed on the latent channel draw (``_latent_system``),
-    O(r_f r_t K) per realization.
+    O(r K) per realization.
     """
     if problem.grid != stats.grid:
         raise InvalidSpecError("problem grid does not match the statistics grid")

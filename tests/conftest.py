@@ -12,7 +12,6 @@ from pilotopt import (
     build_statistics,
     make_design_problem,
 )
-from pilotopt.channel import EIGENVALUE_FLOOR
 from pilotopt.mcsim import _BATCH, SimResult, analytic_mse, lmmse_weights
 from pilotopt.errors import DegenerateUpdateError
 from pilotopt.objective import _row_terms, gains_for_candidates, gradient_from_inverse
@@ -186,27 +185,16 @@ def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
     )
 
 
-def reference_factor_roots(stats):
-    """``(F, T)``: the square roots ``V * sqrt(lam)`` of ``C_f`` and ``C_t`` on
-    the factor eigenvalues above ``EIGENVALUE_FLOOR`` of the largest, from
-    ``np.linalg.eigh`` of each factor."""
-    roots = []
-    for C in (stats.freq_corr, stats.time_corr):
-        vals, vecs = np.linalg.eigh(C)
-        keep = vals > EIGENVALUE_FLOOR * vals[-1]
-        roots.append(vecs[:, keep] * np.sqrt(vals[keep]))
-    return tuple(roots)
-
-
 def reference_sample_channels(stats, count, rng):
-    """The channel draw coloured densely: ``Z`` assembled as ``a + 1j*b`` from
-    the planes of a ``(count, r_t, r_f, 2)`` normal draw and divided by
-    ``sqrt(2)``, then multiplied by the P x (r_t*r_f) Kronecker root
-    ``T (x) F``; ``sample_channels`` must match it to 1e-12."""
-    F, T = reference_factor_roots(stats)
-    parts = rng.standard_normal((count, T.shape[1], F.shape[1], 2))
-    Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-    return Z.reshape(count, -1) @ np.kron(T, F).T
+    """The channel draw coloured densely: z assembled as ``a + 1j*b`` from the
+    planes of a ``(count, r, 2)`` normal draw and divided by ``sqrt(2)``, then
+    multiplied by the P x r root ``L = V sqrt(lambda)`` on the significant
+    eigenpairs of the statistics; ``sample_channels`` must match it to
+    1e-12."""
+    L = stats.significant_eigvecs * np.sqrt(stats.significant_eigvals)
+    parts = rng.standard_normal((count, L.shape[1], 2))
+    z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+    return z @ L.T
 
 
 def reference_run_simulation(stats, problem, pattern, cfg):

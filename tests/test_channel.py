@@ -191,6 +191,17 @@ class TestBuildStatistics:
             assert stats.total_power == pytest.approx(35.0, abs=1e-12)
             assert np.trace(full_covariance(stats)).real == pytest.approx(35.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "name", ["freq_corr", "time_corr", "significant_eigvals", "significant_eigvecs", "eigvals", "eigvecs"]
+    )
+    def test_arrays_are_read_only(self, name):
+        # The design basis, the scorer and the Monte Carlo share these
+        # arrays.  Statistics of its own, so a write that lands harms no
+        # shared fixture.
+        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=1e-3))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stats, name)[0] = 0.0
+
     def test_eigvecs_orthonormal(self, stats_rb):
         r = stats_rb.effective_rank
         gram = stats_rb.eigvecs.conj().T @ stats_rb.eigvecs

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import mpmath
@@ -35,7 +34,6 @@ from pilotopt.mcsim import (
 from conftest import (
     dense_lmmse,
     full_covariance,
-    reference_factor_roots,
     reference_run_simulation,
     reference_sample_channels,
 )
@@ -126,38 +124,41 @@ class TestSampleChannel:
 
     @pytest.mark.parametrize("stats", ["stats_4x4", "stats_rb"])
     def test_matches_einsum_colouring(self, stats, request):
-        # Reference: the same draws coloured by one einsum over both factors.
+        # Reference: the same draws coloured by one einsum over the
+        # eigenvectors and the square roots of the eigenvalues.
         stats = request.getfixturevalue(stats)
-        F, T = reference_factor_roots(stats)
+        V, lam = stats.significant_eigvecs, stats.significant_eigvals
         draws = sample_channels(stats, 50, np.random.default_rng(3))
-        parts = np.random.default_rng(3).standard_normal((50, T.shape[1], F.shape[1], 2))
-        Z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
-        G = np.einsum("na,zab,mb->znm", T, Z, F)
-        ref = G.reshape(50, stats.grid.size)
+        parts = np.random.default_rng(3).standard_normal((50, lam.size, 2))
+        z = (parts[..., 0] + 1j * parts[..., 1]) / np.sqrt(2.0)
+        ref = np.einsum("pj,j,cj->cp", V, np.sqrt(lam), z)
         assert np.abs(draws - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("M, N, r_f, r_t", [(12, 14, 7, 7), (48, 28, 11, 9)])
-    def test_colouring_covariance_matches_kronecker(self, M, N, r_f, r_t):
+    @pytest.mark.parametrize("M, N, r", [(12, 14, 34), (48, 28, 82)])
+    def test_colouring_covariance_matches_kronecker(self, M, N, r):
         # Deterministic: draw c is the c-th real unit vector, so the draws
-        # are the columns of the colouring root T (x) F over sqrt(2), and
-        # root root^H = (T T^T) (x) (F F^H).  It misses C_t (x) C_f by the
-        # factor eigenvalues below the floor: a relative trace of 1.0e-13 at
-        # 12x14 and 5.5e-13 at 48x28.
+        # are the columns of the colouring root L = V sqrt(lambda) over
+        # sqrt(2), r of them.  L L^H misses C_t (x) C_f by the eigenpairs
+        # below the floor: a relative trace of 1.6e-12 at 12x14 and 8.6e-13
+        # at 48x28.
         stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=5e-3))
         draws = UnitDraws()
-        root = np.sqrt(2.0) * sample_channels(stats, r_f * r_t, draws).T
-        assert draws.shapes == [(r_f * r_t, r_t, r_f, 2)]
+        root = np.sqrt(2.0) * sample_channels(stats, r, draws).T
+        assert draws.shapes == [(r, r, 2)]
         C_sampled, C = root @ root.conj().T, full_covariance(stats)
         dropped = 1.0 - np.trace(C_sampled).real / np.trace(C).real
         assert abs(dropped) <= 1e-10
         assert np.linalg.norm(C_sampled - C) <= 1e-10 * np.linalg.norm(C)
 
     @pytest.mark.parametrize("field, label", [("freq_corr", "frequency"), ("time_corr", "time")])
-    def test_non_psd_factor_raises(self, stats_4x4, field, label):
-        factor = getattr(stats_4x4, field) - 2.0 * np.eye(4)
-        bad = dataclasses.replace(stats_4x4, **{field: factor})
+    def test_non_psd_factor_raises(self, grid_4x4, spec_4x4, field, label, monkeypatch):
+        # The draw decomposes nothing: the statistics it reads are the only
+        # decomposition, and build_statistics refuses a factor C - 2I.
+        builder = {"freq_corr": "build_freq_correlation", "time_corr": "build_time_correlation"}[field]
+        build = getattr(channel, builder)
+        monkeypatch.setattr(channel, builder, lambda spec, n: build(spec, n) - 2.0 * np.eye(n))
         with pytest.raises(NumericError, match=f"^{label} correlation has eigenvalue"):
-            sample_channels(bad, 1, np.random.default_rng(0))
+            build_statistics(grid_4x4, spec_4x4)
 
     def test_sample_covariance_matches(self, stats_4x4):
         draws = sample_channels(stats_4x4, 10_000, np.random.default_rng(2))
@@ -387,9 +388,9 @@ class TestRunSimulation:
 
 
 class TestDrawAssembly:
-    """The complex views of the normal draws, the factor colouring and the
-    ``take`` gathers match the list-indexed ``a + 1j*b`` reference coloured
-    by the dense Kronecker root, to 1e-12, and leave the generator where it
+    """The complex views of the normal draws and the ``take`` gathers match
+    the list-indexed ``a + 1j*b`` reference coloured by the dense root
+    ``L = V sqrt(lambda)``, to 1e-12, and leave the generator where it
     leaves it."""
 
     @pytest.mark.parametrize("stats", ["stats_4x4", "stats_rb", "stats_big"])
@@ -424,8 +425,9 @@ class TestDrawAssembly:
 
     @pytest.mark.parametrize("K, realizations", [(14, _BATCH + 100), (0, 20)])
     def test_draws_factor_ranks_then_pilot_noise(self, stats_rb, K, realizations, monkeypatch):
-        # Per batch, exactly count*r_f*r_t channel normals and count*K pilot
-        # noise normals, all complex, so two real normals each.
+        # Per batch, exactly count*r channel normals, r the number of
+        # significant eigenpairs, and count*K pilot noise normals, all
+        # complex, so two real normals each.
         problem = make_design_problem(stats_rb, K=max(K, 1), snr_db=10.0)
         pattern = greedy_design(problem).pattern if K else PilotPattern((), stats_rb.grid)
         made, default_rng = [], np.random.default_rng
@@ -436,11 +438,10 @@ class TestDrawAssembly:
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         run_simulation(stats_rb, problem, pattern, SimConfig(realizations, 5, problem.noise_var))
-        F, T = reference_factor_roots(stats_rb)
         ref = default_rng(5)
         for start in range(0, realizations, _BATCH):
             count = min(_BATCH, realizations - start)
-            ref.standard_normal(2 * count * F.shape[1] * T.shape[1])
+            ref.standard_normal(2 * count * stats_rb.significant_eigvals.size)
             ref.standard_normal(2 * count * K)
         assert len(made) == 1
         assert made[0].bit_generator.state == ref.bit_generator.state
@@ -468,11 +469,10 @@ class TestLatentEstimate:
         y = sigma_p * g[:, idx] + noise_scale * (parts[..., 0] + 1j * parts[..., 1])
         W = lmmse_weights(stats, pattern, sigma_p, noise_var)
         ref = np.sum(np.abs(g - y @ W.T) ** 2, axis=1)
-        # Relative over the batch: single realizations differ by up to
-        # 1.7e-12 at 48x28, because the latent estimator is built on the
-        # covariance of the drawn channel, which misses C_g by 6.4e-13
-        # relative (the trimmed and the rounded factor eigenpairs); in long
-        # double each form reproduces its own double value to 7e-15.
+        # Relative over the batch (3.7e-13 at 48x28): single realizations
+        # differ by up to 2.1e-12, because the latent estimator is built on
+        # the covariance of the drawn channel, which misses C_g by 8.4e-13
+        # relative (the dropped and the rounded eigenpairs).
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -487,6 +487,19 @@ class TestLatentEstimate:
         monkeypatch.setattr(channel, "covariance_columns", grid_form)
         for name in ("covariance_columns", "sample_channels", "lmmse_weights"):
             monkeypatch.setattr(mcsim, name, grid_form)
+        assert run_simulation(stats_rb, problem_rb, pattern, cfg) == expected
+
+    def test_no_eigendecomposition_is_run(self, stats_rb, problem_rb, monkeypatch):
+        # The draw runs on the eigenpairs the statistics hold.
+        pattern = greedy_design(problem_rb).pattern
+        cfg = SimConfig(realizations=300, rng_seed=4, noise_var=problem_rb.noise_var)
+        expected = run_simulation(stats_rb, problem_rb, pattern, cfg)
+
+        def decomposition(*args, **kwargs):
+            raise AssertionError("run_simulation ran an eigendecomposition")
+
+        monkeypatch.setattr(np.linalg, "eigh", decomposition)
+        monkeypatch.setattr(channel, "_factor_eigh", decomposition)
         assert run_simulation(stats_rb, problem_rb, pattern, cfg) == expected
 
 
