@@ -25,11 +25,16 @@ Every ``A^{-1}`` formed, not updated, comes from one Cholesky kernel,
 ``_hermitian_inverse``: LAPACK ``zpotrf`` factors the lower triangle of ``A``
 (which is therefore not symmetrized first), ``zpotri`` inverts the factor into
 the lower triangle, and that triangle is mirrored; an ``A`` that is not
-positive definite in floating point raises ``NumericError``.
-``pattern_inverse`` feeds it a sorted ``np.intp`` index array and
-``allocation_inverse`` a weight vector of length P, from the constants
-``DesignProblem`` derives once (``prior_inv`` and ``rows_conj``), validating
-nothing; the public functions validate their input and then run the same algebra.
+positive definite in floating point raises ``NumericError``.  A caller that
+reads only the trace sums the diagonal of the unmirrored triangle
+(``_lower_inverse``), which gives the mirrored trace bit for bit.
+``pattern_inverse`` and its trace-only form ``pattern_objective`` feed the
+kernel a sorted ``np.intp`` index array, and ``allocation_lower_inverse``
+(the relaxation's, which mirrors only accepted steps) a weight vector of
+length P, from the constants ``DesignProblem`` derives once (``prior_inv``
+and ``rows_conj``), validating nothing.  The public functions validate their
+input and then run the same algebra.  ``_face_hessian`` gives the relaxed
+objective's Hessian on a set of weights, for the relaxation's Newton steps.
 """
 
 import math
@@ -248,11 +253,13 @@ def rounding_plan(w: np.ndarray) -> RoundingPlan:
 class FractionalAllocation:
     """Box-constrained pilot weights summing to the integer budget K.
 
-    ``converged``, ``iterations``, ``residual`` and ``evaluations`` record how
-    a solver obtained the weights: whether it reached its tolerance, the
-    gradient steps it took, its final projected-gradient residual norm (NaN
-    when the weights were not solved for) and the objective evaluations it
-    made.  The weights are a read-only copy of
+    ``converged``, ``iterations``, ``residual``, ``evaluations``,
+    ``face_steps`` and ``face_fallbacks`` record how a solver obtained the
+    weights: whether it reached its tolerance, the steps it took, its final
+    projected-gradient residual norm (NaN when the weights were not solved
+    for), the objective evaluations it made, the Newton steps on a face among
+    its steps and the times its face phase handed back to the gradient
+    phase.  The weights are a read-only copy of
     the given array, and ``plan``, the ``RoundingPlan`` that
     ``dependent_rounding`` reads, is derived from them once.  Equality is
     identity: allocations are never compared by value.
@@ -264,6 +271,8 @@ class FractionalAllocation:
     iterations: int = 0
     residual: float = float("nan")
     evaluations: int = field(default=0, compare=False)
+    face_steps: int = field(default=0, compare=False)
+    face_fallbacks: int = field(default=0, compare=False)
     plan: RoundingPlan = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -304,19 +313,32 @@ def _allocation_information(prior_inv, rows, rows_conj, alpha: float, w) -> np.n
     return prior_inv + (alpha * (rows_conj.T * w)) @ rows
 
 
-def _hermitian_inverse(A: np.ndarray, name: str = "information matrix") -> np.ndarray:
-    """Hermitian ``A^{-1}`` of a positive definite ``A`` through its Cholesky
-    factor; only the lower triangle of ``A`` is read.  A failure raises
-    ``NumericError`` naming the matrix as ``name``."""
+def _lower_inverse(A: np.ndarray, name: str = "information matrix") -> np.ndarray:
+    """The lower triangle of ``A^{-1}`` for a positive definite ``A``, through
+    its Cholesky factor, with zeros above the diagonal; only the lower
+    triangle of ``A`` is read.  Its trace is that of ``A^{-1}``.  A failure
+    raises ``NumericError`` naming the matrix as ``name``."""
     factor, info = lapack.zpotrf(A, lower=True)
     if info == 0:
         inverse, info = lapack.zpotri(factor, lower=True, overwrite_c=True)
     if info != 0:
         raise NumericError(f"{name} is not positive definite (LAPACK info {info})")
     # zpotri fills the lower triangle; zpotrf zeroed the upper one.
-    mirrored = inverse + inverse.conj().T
-    mirrored.flat[:: len(inverse) + 1] = inverse.diagonal()
+    return inverse
+
+
+def hermitian_from_lower(lower: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with the lower triangle of ``lower``, a matrix
+    whose entries above the diagonal are zero."""
+    mirrored = lower + lower.conj().T
+    mirrored.flat[:: len(lower) + 1] = lower.diagonal()
     return mirrored
+
+
+def _hermitian_inverse(A: np.ndarray, name: str = "information matrix") -> np.ndarray:
+    """Hermitian ``A^{-1}`` of a positive definite ``A``: ``_lower_inverse``
+    mirrored."""
+    return hermitian_from_lower(_lower_inverse(A, name))
 
 
 def pattern_inverse(problem: DesignProblem, idx: np.ndarray) -> np.ndarray:
@@ -329,10 +351,20 @@ def pattern_inverse(problem: DesignProblem, idx: np.ndarray) -> np.ndarray:
     )
 
 
-def allocation_inverse(problem: DesignProblem, w: np.ndarray) -> np.ndarray:
-    """Hermitian ``A^{-1}`` of the float weights ``w`` of length P; the
-    weights are not checked."""
-    return _hermitian_inverse(
+def pattern_objective(problem: DesignProblem, idx: np.ndarray) -> float:
+    """``trace(A^{-1})`` of the pattern with sorted ``np.intp`` indices
+    ``idx``, the trace of ``pattern_inverse`` without mirroring it; the
+    indices are not checked."""
+    A = _pattern_information(
+        problem.prior_inv, problem.rows, problem.rows_conj, problem.pilot_snr, idx
+    )
+    return float(np.trace(_lower_inverse(A)).real)
+
+
+def allocation_lower_inverse(problem: DesignProblem, w: np.ndarray) -> np.ndarray:
+    """The lower triangle of ``A^{-1}`` (``_lower_inverse``) of the float
+    weights ``w`` of length P; the weights are not checked."""
+    return _lower_inverse(
         _allocation_information(
             problem.prior_inv, problem.rows, problem.rows_conj, problem.pilot_snr, w
         )
@@ -380,7 +412,7 @@ def information_inverse(problem: DesignProblem, pattern) -> np.ndarray:
 
 def objective_value(problem: DesignProblem, pattern) -> float:
     """The design objective ``trace(A^{-1})`` for a pattern or allocation."""
-    return float(np.trace(information_inverse(problem, pattern)).real)
+    return float(np.trace(_lower_inverse(_problem_information(problem, pattern))).real)
 
 
 def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
@@ -404,7 +436,7 @@ def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
     A = _information_matrix(
         stats.grid, _prior_inverse(stats.significant_eigvals), U, U.conj(), pilot_snr, pattern
     )
-    return float(np.diagonal(_hermitian_inverse(A)).real.sum()) / stats.grid.size
+    return float(np.diagonal(_lower_inverse(A)).real.sum()) / stats.grid.size
 
 
 def _row_norms(A_inv: np.ndarray, rows: np.ndarray):
@@ -511,3 +543,18 @@ def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarr
 def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:
     """Gradient of the relaxed objective: ``-alpha * u_i A^{-2} u_i^H`` per cell."""
     return gradient_from_inverse(problem, information_inverse(problem, allocation))
+
+
+def _face_hessian(problem: DesignProblem, A_inv: np.ndarray, face: np.ndarray) -> np.ndarray:
+    """Hessian of the relaxed objective on the weights ``face``, from an
+    ``A^{-1}`` already formed: ``2 alpha^2 Re(G o conj(B))`` with
+    ``Y = U_F A^{-1}``, ``G = Y U_F^H = U_F A^{-1} U_F^H`` and
+    ``B = Y Y^H = U_F A^{-2} U_F^H``, whose diagonal ``B_ii`` the gradient
+    reads as ``-alpha B_ii``."""
+    Y = problem.rows[face] @ A_inv
+    G = Y @ problem.rows_conj[face].T
+    B = Y @ Y.conj().T
+    H = G.real * B.real
+    H += G.imag * B.imag
+    H *= 2.0 * problem.pilot_snr**2
+    return H

@@ -7,8 +7,13 @@ swaps.  Rectangular and diamond lattices serve as baselines, and an exhaustive
 oracle covers tiny instances.
 
 The relaxed problem min trace(A(w)^{-1}) over {w in [0,1]^P, sum w = K} is
-smooth and convex on its feasible set, so it is solved by a nonmonotone
-spectral projected gradient method instead of the equivalent SDP.
+smooth and convex on its feasible set, so it is solved directly instead of
+as the equivalent SDP, in two phases: the nonmonotone spectral projected
+gradient method SPG2 finds the face of weights pinned at 0 or 1, and once
+that face has held for a few steps, Newton steps on its free weights
+converge (Bertsekas 1982).  A Newton step is cut at the first bound it hits,
+a solved face releases its KKT violators, and a failed step hands back to
+SPG2.  Both phases stop on the same unit-step projected-gradient residual.
 """
 
 import itertools
@@ -34,10 +39,13 @@ from .objective import (
     FractionalAllocation,
     PilotPattern,
     ROUNDING_EPS,
-    allocation_inverse,
+    _face_hessian,
+    allocation_lower_inverse,
     gains_for_candidates,
     gradient_from_inverse,
+    hermitian_from_lower,
     pattern_inverse,
+    pattern_objective,
     rank_one_update,
     swap_deltas,
 )
@@ -50,6 +58,16 @@ SWAP_TOLERANCE = 1e-10
 # the best one.  Mirror-symmetric channels give ties whose values differ in
 # the last bits, far inside the band.
 TIE_BAND = 1e-9
+# The relaxation turns from SPG2 to Newton steps on the free weights once
+# this many accepted SPG2 steps in a row leave the weights pinned at 0 or 1
+# unchanged.  A Newton step halves at most FACE_HALVINGS times before the
+# face phase hands back to SPG2; the face Hessian takes a ridge of
+# FACE_RIDGE times its largest diagonal entry; and a face is solved when its
+# reduced gradient is at most FACE_TOL times the relaxation's tolerance.
+FACE_SWITCH = 3
+FACE_HALVINGS = 10
+FACE_RIDGE = 1e-10
+FACE_TOL = 1e-3
 
 METHOD_CR = "cr"
 METHOD_CR_ROUND = "cr-round"
@@ -150,71 +168,132 @@ def solve_relaxation(
     tol: float = 1e-6,
     max_iters: int = 5000,
 ) -> FractionalAllocation:
-    """Fractional A-optimal allocation by the nonmonotone spectral projected
+    """Fractional A-optimal allocation: the nonmonotone spectral projected
     gradient method SPG2 (Birgin, Martinez & Raydan 2000, "Nonmonotone
     spectral projected gradient methods on convex sets", SIAM J. Optim.
-    10(4)).
+    10(4)) finds the optimal face, and Newton steps on that face converge.
 
-    Each iteration projects once, for the direction ``d = P(w - lam grad) - w``
-    at the Barzilai-Borwein step ``lam`` (BB1, clamped to [1e-12, 1e12]), and
-    backtracks ``s <- s/2`` along ``w + s d`` with no further projection.  A
-    trial is accepted when its objective is at most the largest of the last
-    10 objectives plus ``1e-4 * s * grad.d`` (the Grippo-Lampariello-Lucidi
-    rule).  Each trial's ``A^{-1}`` gives its
-    objective and, once accepted, its gradient.
+    Each SPG2 iteration projects once, for the direction
+    ``d = P(w - lam grad) - w`` at the Barzilai-Borwein step ``lam`` (BB1,
+    clamped to [1e-12, 1e12]), and backtracks ``s <- s/2`` along ``w + s d``
+    with no further projection.  A trial is accepted when its objective is at
+    most the largest of the last 10 objectives plus ``1e-4 * s * grad.d``
+    (the Grippo-Lampariello-Lucidi rule).
+
+    Once ``FACE_SWITCH`` accepted SPG2 steps in a row leave the set of weights
+    pinned at 0 or 1 unchanged, with at least two weights free and one
+    pinned, the free weights F take Newton steps under ``sum w = K``
+    (``_face_direction``), on the face Hessian ``objective._face_hessian``
+    plus a ridge of ``FACE_RIDGE`` times its largest diagonal entry, since
+    the relaxed optimum is not unique.  A step that would leave the box is
+    cut at the first bound it hits (``_face_line_search``), which pins that
+    weight; the step is never projected, since projecting it undoes it.
+    When the reduced gradient ``grad_F - nu``, ``nu = mean(grad_F)``, is at
+    most ``FACE_TOL * tol`` the face is solved, and every KKT violator is
+    released into F: a weight at 0 with ``grad_i < nu`` or at 1 with
+    ``grad_i > nu`` (the active-set finish of Bertsekas 1982, "Projected
+    Newton methods for optimization problems with simple constraints", SIAM
+    J. Control Optim. 20(2)).  A released weight whose Newton direction
+    points out of the box stays pinned; when none is left to release, the
+    residual is formed.  A step that is not a descent, a line search that
+    fails within ``FACE_HALVINGS`` halvings, a singular solve, a residual
+    above ``tol`` at a solved face, or a face that shrinks below two weights
+    hands back to SPG2 from the current iterate.  Each trial's ``A^{-1}``
+    gives its objective as the trace of its lower triangle
+    (``objective.allocation_lower_inverse``), and, once accepted, the
+    mirrored inverse gives its gradient and face Hessian.
 
     Converged when the unit-step projected-gradient residual norm
     ``r(1) = |P(w - grad) - w|`` drops below ``tol``; otherwise, after
-    ``max_iters`` steps or when no trial is accepted, the best iterate is
-    returned with ``converged=False`` and a warning.  The allocation records
-    the steps taken, the last iterate's residual and the objective
-    evaluations made.
+    ``max_iters`` accepted steps of either kind or when no trial is accepted,
+    the best iterate is returned with ``converged=False`` and a warning.
+    The allocation records the steps taken, the last iterate's residual, the
+    objective evaluations made, the Newton steps among the steps and the
+    hand-backs to SPG2.
 
     The residual costs a projection of its own, so it is formed only when
     the iterate may have converged.  Along the projection arc,
     ``|P(w - t grad) - w|`` is non-decreasing in t and divided by t
     non-increasing (Calamai & More 1987, "Projected gradient methods for
-    linearly constrained problems", Math. Programming 39, Lemma 2.2).  ``d``
-    is the arc point at ``t = lam``, so ``r(1) >= |d| * min(1, 1/lam)``.
-    When that bound exceeds ``tol`` (with a 1e-9 relative margin for
-    rounding) the iterate cannot have converged and the residual is skipped;
-    a run that stops at an iterate without one forms it there.
+    linearly constrained problems", Math. Programming 39, Lemma 2.2).  In
+    SPG2, ``d`` is the arc point at ``t = lam``, so
+    ``r(1) >= |d| * min(1, 1/lam)``; when that bound exceeds ``tol`` (with a
+    1e-9 relative margin for rounding) the residual is skipped.  On a face,
+    it is formed only at a solved face with nothing to release; a run that
+    stops at an iterate without one forms it there.
     """
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
-    A_inv = allocation_inverse(problem, w)
+    lower = allocation_lower_inverse(problem, w)
     evaluations = 1
-    f = float(np.trace(A_inv).real)
+    f = float(np.trace(lower).real)
+    A_inv = hermitian_from_lower(lower)
     grad = gradient_from_inverse(problem, A_inv)
     best_w, best_f = w.copy(), f
     recent = deque([f], maxlen=10)
     lam = 1.0 / max(float(np.abs(grad).max()), 1e-12)
     bound_tol = tol * (1.0 + 1e-9)
     residual = None  # r(1) at the current iterate, once formed
+    bounds, unchanged = _bound_pattern(w), 0
+    face = None  # the free weights while Newton steps run
+    face_steps = face_fallbacks = 0
 
     iterations = 0
     while iterations < max_iters:
-        cand = project_capped_simplex(w - lam * grad, K)
-        d = cand - w
-        if float(np.linalg.norm(d)) * min(1.0, 1.0 / lam) <= bound_tol:
-            residual = _unit_step_residual(w, grad, K)
-            if residual <= tol:
-                break
-        if not d.any():
-            break  # no feasible decrease left at machine precision
-        f_ref, slope = max(recent), 1e-4 * float(grad @ d)
-        s = 1.0
-        for trial in range(60):
-            if trial:
-                s *= 0.5
-                cand = w + s * d
-            A_inv = allocation_inverse(problem, cand)
-            evaluations += 1
-            f_cand = float(np.trace(A_inv).real)
-            if f_cand <= f_ref + s * slope:
-                break
+        if face is not None:
+            reduced = grad[face]
+            nu = reduced.mean()
+            solved = 0  # the size of a solved face before its violators enter
+            if float(np.linalg.norm(reduced - nu)) <= FACE_TOL * tol:
+                violators = ((w == 0.0) & (grad < nu)) | ((w == 1.0) & (grad > nu))
+                solved, face = face.size, np.union1d(face, np.flatnonzero(violators))
+            d, face = _face_direction(problem, w, grad, A_inv, face)
+            if face.size == solved:
+                # Optimal on its face, and no violator can enter it.
+                residual = _unit_step_residual(w, grad, K)
+                if residual <= tol:
+                    break
+                d = None
+            cand = None
+            if d is not None:
+                cand, lower, f_cand, trials = _face_line_search(problem, w, f, grad, d, face)
+                evaluations += trials
+            if cand is not None:
+                face_steps += 1
+                face = face[(cand[face] > 0.0) & (cand[face] < 1.0)]
+            if cand is None or face.size < 2:
+                face, unchanged = None, 0
+                face_fallbacks += 1
+                if cand is None:
+                    continue
         else:
-            break  # no feasible decrease left at machine precision
+            cand = project_capped_simplex(w - lam * grad, K)
+            d = cand - w
+            if float(np.linalg.norm(d)) * min(1.0, 1.0 / lam) <= bound_tol:
+                residual = _unit_step_residual(w, grad, K)
+                if residual <= tol:
+                    break
+            if not d.any():
+                break  # no feasible decrease left at machine precision
+            f_ref, slope = max(recent), 1e-4 * float(grad @ d)
+            s = 1.0
+            for trial in range(60):
+                if trial:
+                    s *= 0.5
+                    cand = w + s * d
+                lower = allocation_lower_inverse(problem, cand)
+                evaluations += 1
+                f_cand = float(np.trace(lower).real)
+                if f_cand <= f_ref + s * slope:
+                    break
+            else:
+                break  # no feasible decrease left at machine precision
+            cand_bounds = _bound_pattern(cand)
+            unchanged = unchanged + 1 if np.array_equal(cand_bounds, bounds) else 0
+            bounds = cand_bounds
+            if unchanged >= FACE_SWITCH and 2 <= np.count_nonzero(bounds == 0) < P:
+                face = np.flatnonzero(bounds == 0)
+        A_inv = hermitian_from_lower(lower)
         grad_new = gradient_from_inverse(problem, A_inv)
         dw, dg = cand - w, grad_new - grad
         curvature = float(dw @ dg)
@@ -242,7 +321,77 @@ def solve_relaxation(
         iterations=iterations,
         residual=residual,
         evaluations=evaluations,
+        face_steps=face_steps,
+        face_fallbacks=face_fallbacks,
     )
+
+
+def _bound_pattern(w: np.ndarray) -> np.ndarray:
+    """Which weights are pinned: 1 at 1, -1 at 0 and 0 for a free weight."""
+    return (w == 1.0).view(np.int8) - (w == 0.0).view(np.int8)
+
+
+def _face_direction(problem: DesignProblem, w, grad, A_inv, face):
+    """Newton direction on the weights ``face`` of ``w`` under ``sum w = K``:
+    ``(d, face)``, with d None when the bordered system is singular.
+
+    The direction solves ``[[H, 1], [1^T, 0]] (d, mu) = (-grad_F, 0)``.  A
+    weight of ``face`` on a bound whose direction points out of the box is
+    dropped from the face and the system solved again.
+    """
+    H = _face_hessian(problem, A_inv, face)
+    while True:
+        n = face.size
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = H
+        kkt[n, n] = 0.0
+        kkt.flat[: n * (n + 1) : n + 2] += FACE_RIDGE * H.diagonal().max()
+        rhs = np.zeros(n + 1)
+        rhs[:n] = -grad[face]
+        try:
+            d = np.linalg.solve(kkt, rhs)[:n]
+        except np.linalg.LinAlgError:
+            return None, face
+        d -= d.mean()
+        w_face = w[face]
+        out = ((w_face == 0.0) & (d < 0.0)) | ((w_face == 1.0) & (d > 0.0))
+        if not out.any():
+            return d, face
+        keep = ~out
+        face, H = face[keep], H[np.ix_(keep, keep)]
+
+
+def _face_line_search(problem: DesignProblem, w, f: float, grad, d, face):
+    """``(weights, lower inverse, objective, trials)`` of the step along the
+    Newton direction ``d`` on ``face``, with None for the first three when it
+    fails.
+
+    The step length starts at 1, cut at the first bound the step hits (the
+    ratio test; that weight lands on its bound), and halves until the
+    objective falls by ``1e-4 * t * grad_F.d`` (Armijo), at most
+    ``FACE_HALVINGS`` times.  A direction that is not a descent fails.
+    """
+    slope = float(grad[face] @ d)
+    w_face = w[face]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = np.where(d > 0.0, (1.0 - w_face) / d, -w_face / d)
+    room[d == 0.0] = np.inf
+    b = int(np.argmin(room))
+    if not (slope < 0.0 and room[b] > 0.0):
+        return None, None, None, 0
+    t = min(float(room[b]), 1.0)
+    for trial in range(FACE_HALVINGS + 1):
+        cand = w.copy()
+        moved = w_face + t * d
+        cand[face] = moved.clip(0.0, 1.0, out=moved)
+        if t == room[b]:
+            cand[face[b]] = 1.0 if d[b] > 0.0 else 0.0
+        lower = allocation_lower_inverse(problem, cand)
+        f_cand = float(np.trace(lower).real)
+        if f_cand <= f + 1e-4 * t * slope:
+            return cand, lower, f_cand, trial + 1
+        t *= 0.5
+    return None, None, None, FACE_HALVINGS + 1
 
 
 def dependent_rounding(
@@ -316,9 +465,8 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     # Report the trace of the pattern's own A^{-1}, as every other method
     # does, not the end of the update chain, which drifts in the last bits.
     selected = np.flatnonzero(~unselected)
-    A_inv = pattern_inverse(problem, selected)
     pattern = PilotPattern(tuple(selected.tolist()), problem.grid)
-    return _report(problem, pattern, float(np.trace(A_inv).real), initial, 0, t0)
+    return _report(problem, pattern, pattern_objective(problem, selected), initial, 0, t0)
 
 
 def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates):
@@ -513,8 +661,7 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
             best_obj, best_pattern = np.inf, None
             for params in by_count[K_used]:
                 pattern = lattice_pattern(grid, params)
-                idx = np.array(pattern.indices, dtype=np.intp)
-                obj = float(np.trace(pattern_inverse(sub_problem, idx)).real)
+                obj = pattern_objective(sub_problem, np.array(pattern.indices, dtype=np.intp))
                 if obj < best_obj:
                     best_obj, best_pattern = obj, pattern
             return _report(sub_problem, best_pattern, best_obj, best_obj, 0, t0)
@@ -584,7 +731,7 @@ def exhaustive_search(problem: DesignProblem) -> DesignReport:
     t0 = time.perf_counter()
     best_obj, best_subset = np.inf, None
     for subset in itertools.combinations(range(P), K):
-        obj = float(np.trace(pattern_inverse(problem, np.array(subset, dtype=np.intp))).real)
+        obj = pattern_objective(problem, np.array(subset, dtype=np.intp))
         if obj < best_obj:
             best_obj, best_subset = obj, subset
     pattern = PilotPattern(best_subset, problem.grid)

@@ -30,16 +30,28 @@ from pilotopt.errors import (
 )
 from pilotopt.objective import (
     RoundingPlan,
+    _face_hessian,
     _hermitian_inverse,
-    allocation_inverse,
+    _information_matrix,
+    _lower_inverse,
+    _prior_inverse,
+    allocation_lower_inverse,
     gains_for_candidates,
+    gradient_from_inverse,
+    hermitian_from_lower,
     information_inverse,
     pattern_inverse,
+    pattern_objective,
     rank_one_update,
     rounding_plan,
     swap_deltas,
 )
-from pilotopt.optimizers import greedy_swap_design, project_capped_simplex
+from pilotopt.optimizers import (
+    exhaustive_search,
+    greedy_swap_design,
+    project_capped_simplex,
+    solve_relaxation,
+)
 
 from conftest import (
     dense_lmmse,
@@ -237,7 +249,7 @@ class TestInverseKernels:
         allocation = FractionalAllocation(w, problem.budget)
         for kernel, given, public in (
             (pattern_inverse, idx, pattern),
-            (allocation_inverse, w, allocation),
+            (lambda p, w: hermitian_from_lower(allocation_lower_inverse(p, w)), w, allocation),
         ):
             fast = kernel(problem, given)
             assert np.array_equal(fast, information_inverse(problem, public))
@@ -540,3 +552,196 @@ class TestObjectiveProperties:
         a = objective_value(problem_rb, PilotPattern(S, problem_rb.grid))
         b = objective_value(permuted, PilotPattern(S_perm, problem_rb.grid))
         assert a == pytest.approx(b, rel=1e-10)
+
+
+def random_positive_definite(rng, r):
+    """A well-conditioned random Hermitian positive definite r x r matrix."""
+    X = rng.normal(size=(r, 2 * r)) + 1j * rng.normal(size=(r, 2 * r))
+    return X @ X.conj().T / (2 * r) + 0.1 * np.eye(r)
+
+
+class TestTraceOnlyInverse:
+    """Callers that read only the trace of ``A^{-1}`` take it from the lower
+    triangle ``zpotri`` fills, unmirrored, and get the mirrored trace bit
+    for bit."""
+
+    @pytest.mark.parametrize("r", [3, 10, 34, 82])
+    def test_lower_triangle_trace_is_the_mirrored_trace(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(20):
+            A = random_positive_definite(rng, r)
+            lower, mirrored = _lower_inverse(A), _hermitian_inverse(A)
+            assert np.trace(lower) == np.trace(mirrored)
+            assert np.diagonal(lower).real.sum() == np.diagonal(mirrored).real.sum()
+            assert np.array_equal(np.triu(lower, 1), np.zeros((r, r)))
+            assert np.array_equal(hermitian_from_lower(lower), mirrored)
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize("fixture", ["problem_rb", "problem_big"])
+    def test_callers_match_the_mirrored_trace(self, request, fixture):
+        problem = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(problem.rank)
+        P = problem.grid.size
+        idx = np.sort(rng.choice(P, size=problem.budget, replace=False)).astype(np.intp)
+        pattern = PilotPattern(tuple(idx.tolist()), problem.grid)
+        w = project_capped_simplex(2.0 * rng.uniform(size=P), problem.budget)
+        mirrored = float(np.trace(pattern_inverse(problem, idx)).real)
+        assert pattern_objective(problem, idx) == mirrored
+        assert objective_value(problem, pattern) == mirrored
+        assert objective_value(problem, w) == float(np.trace(information_inverse(problem, w)).real)
+        lattice_problem = problem.with_budget(P // 8)  # spacing (4, 2) has P/8 pilots
+        for shape in ("rect", "diamond"):
+            report = best_lattice(lattice_problem, shape)
+            at = np.array(report.pattern.indices, dtype=np.intp)
+            assert report.objective == float(np.trace(pattern_inverse(report.problem, at)).real)
+
+    def test_average_mse_matches_the_mirrored_trace(self, stats_rb, problem_rb):
+        idx = greedy_design(problem_rb).pattern
+        U = stats_rb.significant_eigvecs
+        A = _information_matrix(
+            stats_rb.grid,
+            _prior_inverse(stats_rb.significant_eigvals),
+            U,
+            U.conj(),
+            problem_rb.pilot_snr,
+            idx,
+        )
+        want = float(np.diagonal(_hermitian_inverse(A)).real.sum()) / stats_rb.grid.size
+        assert average_mse(stats_rb, idx, problem_rb.pilot_snr) == want
+
+    def test_exhaustive_search_matches_the_mirrored_trace(self, problem_4x4):
+        report = exhaustive_search(problem_4x4)
+        idx = np.array(report.pattern.indices, dtype=np.intp)
+        assert report.objective == float(np.trace(pattern_inverse(problem_4x4, idx)).real)
+
+
+def central_difference_hessian(problem, w, face, h=1e-5):
+    """Central differences of ``gradient_from_inverse`` on the weights
+    ``face`` of ``w``, column by column."""
+    H = np.empty((face.size, face.size))
+    for col, j in enumerate(face):
+        up, down = w.copy(), w.copy()
+        up[j] += h
+        down[j] -= h
+        g_up = gradient_from_inverse(problem, information_inverse(problem, up))
+        g_down = gradient_from_inverse(problem, information_inverse(problem, down))
+        H[:, col] = (g_up[face] - g_down[face]) / (2.0 * h)
+    return H
+
+
+class TestFaceHessian:
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    def test_matches_central_differences_on_a_relaxed_face(self):
+        """On the optimal face of 12x14, spreading 5e-3, K = 17, 20 dB."""
+        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=0.005))
+        problem = make_design_problem(stats, K=17, snr_db=20.0)
+        w = np.array(solve_relaxation(problem).weights)
+        face = np.flatnonzero((w > 0.0) & (w < 1.0))
+        assert face.size >= 10
+        H = _face_hessian(problem, information_inverse(problem, w), face)
+        assert np.abs(H - central_difference_hessian(problem, w, face)).max() <= 1e-8 * np.abs(H).max()
+        assert np.abs(H - H.T).max() <= 1e-14 * np.abs(H).max()
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    def test_matches_central_differences_at_48x28(self, problem_big):
+        rng = np.random.default_rng(5)
+        P = problem_big.grid.size
+        w = project_capped_simplex(2.0 * rng.uniform(size=P), problem_big.budget)
+        face = np.sort(rng.choice(np.flatnonzero((w > 0.0) & (w < 1.0)), size=40, replace=False))
+        H = _face_hessian(problem_big, information_inverse(problem_big, w), face)
+        assert np.abs(H - central_difference_hessian(problem_big, w, face)).max() <= 1e-8 * np.abs(H).max()
+
+    def test_diagonal_reads_the_gradient_terms(self, problem_rb):
+        """``H_ii = 2 alpha^2 (u_i A^{-1} u_i^H)(u_i A^{-2} u_i^H)``."""
+        w = np.full(problem_rb.grid.size, problem_rb.budget / problem_rb.grid.size)
+        A_inv = information_inverse(problem_rb, w)
+        face = np.arange(problem_rb.grid.size, dtype=np.intp)
+        H = _face_hessian(problem_rb, A_inv, face)
+        quad = np.einsum("ij,jk,ik->i", problem_rb.rows, A_inv, problem_rb.rows.conj()).real
+        grad = gradient_from_inverse(problem_rb, A_inv)
+        want = -2.0 * problem_rb.pilot_snr * quad * grad
+        assert np.allclose(H.diagonal(), want, rtol=1e-12, atol=0.0)
+
+
+def reflection(grid, axis):
+    """Flat index map of the grid reflected in m, in n, or in both."""
+    m = np.arange(grid.size) % grid.M
+    n = np.arange(grid.size) // grid.M
+    if axis in ("m", "both"):
+        m = grid.M - 1 - m
+    if axis in ("n", "both"):
+        n = grid.N - 1 - n
+    return (n * grid.M + m).astype(np.intp)
+
+
+@pytest.fixture(scope="module", params=[(12, 14), (48, 28)], ids=["12x14", "48x28"])
+def reflected_case(request):
+    """Statistics, problem, a random pattern and random weights of one grid
+    at spreading 5e-3, 20 dB, K = 10% of the cells."""
+    M, N = request.param
+    stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=0.005))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+        problem = make_design_problem(stats, K=round(0.1 * M * N), snr_db=20.0)
+    rng = np.random.default_rng(M)
+    P = problem.grid.size
+    idx = np.sort(rng.choice(P, size=problem.budget, replace=False)).astype(np.intp)
+    w = project_capped_simplex(2.0 * rng.uniform(size=P), problem.budget)
+    return stats, problem, idx, w
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestReflectionInvariance:
+    """The Doppler and delay correlations are Hermitian Toeplitz, so
+    reflecting the grid in m or n conjugates the channel covariance and
+    leaves every objective, gain and gradient unchanged up to the index
+    permutation: a metamorphic check of the index bookkeeping, no oracle."""
+
+    @pytest.mark.parametrize("axis", ["m", "n", "both"])
+    def test_objectives_gains_and_gradients(self, reflected_case, axis):
+        stats, problem, idx, w = reflected_case
+        perm = reflection(problem.grid, axis)
+        w_ref = np.empty_like(w)
+        w_ref[perm] = w
+        idx_ref = np.sort(perm[idx])
+        pattern = PilotPattern(tuple(idx.tolist()), problem.grid)
+        pattern_ref = PilotPattern(tuple(idx_ref.tolist()), problem.grid)
+        alpha = problem.pilot_snr
+
+        assert_close(objective_value(problem, pattern_ref), objective_value(problem, pattern))
+        assert_close(objective_value(problem, w_ref), objective_value(problem, w))
+        assert_close(average_mse(stats, pattern_ref, alpha), average_mse(stats, pattern, alpha))
+        assert_close(average_mse(stats, w_ref, alpha), average_mse(stats, w, alpha))
+
+        A_inv, A_inv_ref = pattern_inverse(problem, idx), pattern_inverse(problem, idx_ref)
+        gains = gains_for_candidates(A_inv, problem.rows, alpha)
+        assert_close(gains_for_candidates(A_inv_ref, problem.rows, alpha)[perm], gains)
+
+        B_inv, B_inv_ref = information_inverse(problem, w), information_inverse(problem, w_ref)
+        grad = gradient_from_inverse(problem, B_inv)
+        assert_close(gradient_from_inverse(problem, B_inv_ref)[perm], grad)
+
+    @pytest.mark.parametrize("axis", ["m", "n", "both"])
+    def test_swap_deltas_and_face_hessian(self, reflected_case, axis):
+        _, problem, idx, w = reflected_case
+        perm = reflection(problem.grid, axis)
+        unselected = np.ones(problem.grid.size, dtype=bool)
+        unselected[idx] = False
+        candidates = np.flatnonzero(unselected)
+        deltas = swap_deltas(problem, pattern_inverse(problem, idx), idx, candidates)
+        idx_ref = np.sort(perm[idx])
+        deltas_ref = swap_deltas(
+            problem, pattern_inverse(problem, idx_ref), perm[idx], perm[candidates]
+        )
+        assert_close(deltas_ref, deltas)
+
+        w_ref = np.empty_like(w)
+        w_ref[perm] = w
+        face = np.flatnonzero((w > 0.0) & (w < 1.0))[:60]
+        H = _face_hessian(problem, information_inverse(problem, w), face)
+        H_ref = _face_hessian(problem, information_inverse(problem, w_ref), perm[face])
+        assert_close(H_ref, H)
