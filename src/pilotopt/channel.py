@@ -308,10 +308,3 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
         effective_rank=rank,
     )
 
-
-def covariance_columns(stats: ChannelStatistics, indices) -> np.ndarray:
-    """Columns ``C_g[:, indices]`` assembled from the Kronecker factors."""
-    idx = np.asarray(indices, dtype=int)
-    m_idx, n_idx = idx % stats.grid.M, idx // stats.grid.M
-    cols = stats.time_corr[:, n_idx][:, None, :] * stats.freq_corr[:, m_idx][None, :, :]
-    return cols.reshape(stats.grid.size, len(idx))

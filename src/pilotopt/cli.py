@@ -608,9 +608,11 @@ def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.list_axes not in (("snr_db",), ("spreading_factor",)):
         raise ConfigError("structure needs exactly one list axis: snr_db or spreading factor")
     axis = cfg.list_axes[0]
+    methods = [m for m in cfg.methods if m != METHOD_CR]
+    if not methods:
+        raise ConfigError("structure needs a method that places pilots; cr gives only weights")
     K = budget_pilots(cfg.grid, kind, value)
     cache = _statistics_cache(cfg)
-    methods = [m for m in cfg.methods if m != METHOD_CR]
     resolved = resolved_config_dict(cfg)
 
     summary = {"config": resolved, "axis": axis, "patterns": []}

@@ -1,32 +1,35 @@
 """Monte Carlo validation of the analytic estimation error.
 
-Draws channel realizations from the grid covariance, forms received pilot
+Draws channel realizations from the channel statistics, forms received pilot
 observations ``y_S = sigma_p * g_S + noise``, runs the LMMSE estimator and
-compares the empirical MSE against ``trace(C_e)/(M*N)`` from the closed-form
-error covariance.
+compares the empirical MSE against the analytic ``trace(C_e)/(M*N)``.
 
-The channel model is the spectrum ``channel.build_statistics`` already
-holds: ``g = L z`` with ``L = V sqrt(lambda)`` on the r significant
-eigenpairs of ``C_g`` (the ones the reported average MSE is scored on; they
-miss the covariance trace by a relative 1.6e-12 at 12x14 and 8.6e-13 at
-48x28, spreading 5e-3) and z r i.i.d. standard complex normals.  Each
-realization draws ``r + K`` complex normals: r for z (34 at 12x14, 82 at
-48x28) and K for the noise on the pilot cells.  The LMMSE estimate depends
-on the pilot observations only (data symbols are zero-mean and sit on other
-cells), so the estimator is evaluated on the K x K pilot-restricted system
-and no other cell's noise is drawn.  No eigendecomposition runs here.
+One LMMSE algebra serves the estimator, the analytic value and the reported
+MSE: the r x r information form of ``objective.average_mse``.  The channel
+is ``g = L z`` with ``L = U sqrt(lambda)`` on the r significant eigenpairs of
+``C_g`` that ``channel.build_statistics`` holds (they miss the covariance
+trace by a relative 1.6e-12 at 12x14 and 8.6e-13 at 48x28, spreading 5e-3)
+and z r i.i.d. standard complex normals.  With U_S the pilot rows of U and
+``alpha = sigma_p^2 / noise_var``, the information matrix is
+``A = diag(1/lambda) + alpha U_S^H U_S``; the LMMSE estimate of the
+coordinates ``sqrt(lambda) z`` is ``(sigma_p / noise_var) A^{-1} U_S^H y_S``,
+its error covariance is ``A^{-1}`` and the average MSE ``trace(A^{-1})/(M*N)``,
+which is ``average_mse`` at alpha bit for bit.  One r x r Cholesky inverse
+(``objective._error_covariance``) gives both, O(r^2 K + r^3).  No K x K
+pilot system is solved, and no error is formed as the difference of two
+numbers of size M*N, which cancels at high SNR.
 
-The pilot system is built once per simulation from the Kronecker factors
-``C_t`` and ``C_f``, exact and untrimmed: ``C_SS`` and the Gram of the pilot
-columns are entrywise products of factor blocks, and one K x K Cholesky
-inverse gives the analytic MSE and the estimator gain,
-O(N^3 + M^3 + K^3) in all.
+Each realization draws ``r + K`` complex normals: r for z (34 at 12x14, 82
+at 48x28) and K for the noise on the pilot cells.  The LMMSE estimate
+depends on the pilot observations only (data symbols are zero-mean and sit
+on other cells), so no other cell's noise is drawn.  No eigendecomposition
+runs here.
 
 ``run_simulation`` never forms a grid-sized array: the columns of L are
 orthogonal, so the estimate and its error are computed exactly on z (see
 ``_latent_system``), O(r K) per realization.  ``sample_channels`` (the
-dense ``z L^T``) and ``lmmse_weights`` (the P x K grid weights ``W``,
-``g_hat = W y_S``) are the reference the tests hold it to.
+dense ``z L^T``) and ``lmmse_weights`` (the P x K grid weights ``W = L Q``,
+``g_hat = W y_S``) are the grid form the tests hold it to.
 """
 
 import math
@@ -35,9 +38,9 @@ from numbers import Real
 
 import numpy as np
 
-from .channel import ChannelStatistics, covariance_columns
+from .channel import ChannelStatistics
 from .errors import InvalidSpecError
-from .objective import DesignProblem, PilotPattern, _hermitian_inverse
+from .objective import DesignProblem, PilotPattern, _error_covariance, hermitian_from_lower
 
 # Realizations are simulated in fixed-size batches to bound memory; the batch
 # size is an implementation constant so seeded runs stay bit-identical.
@@ -89,7 +92,7 @@ class SimResult:
 def sample_channels(stats: ChannelStatistics, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` correlated channel realizations, shape (count, M*N).
 
-    Each realization is ``g = L z`` with ``L = V sqrt(lambda)`` on the r
+    Each realization is ``g = L z`` with ``L = U sqrt(lambda)`` on the r
     significant eigenpairs of the statistics and z r i.i.d. standard complex
     Gaussians, so the covariance is ``L L^H``: ``C_t (x) C_f`` less the
     eigenpairs ``build_statistics`` drops (a relative trace of 1.6e-12 at
@@ -112,55 +115,6 @@ def _complex_normals(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
-def _pilot_indices(stats: ChannelStatistics, pattern: PilotPattern) -> np.ndarray:
-    """The pattern's indices as a ``np.intp`` array, once it is checked to lie
-    on the grid of ``stats``."""
-    if pattern.grid != stats.grid:
-        raise InvalidSpecError("pattern grid does not match the statistics grid")
-    return np.array(pattern.indices, dtype=np.intp)
-
-
-def _pilot_blocks(stats: ChannelStatistics, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``C_SS = C_g[S, S]`` and the Gram ``C_g[:, S]^H C_g[:, S]`` of the
-    pilot indices ``idx``, from the Kronecker factors.
-
-    With n and m the pilots' symbol and subcarrier indices,
-    ``C_SS = C_t[n, n] * C_f[m, m]`` entrywise; since
-    ``C_g^H C_g = C_t^H C_t (x) C_f^H C_f``, the Gram is
-    ``(C_t^H C_t)[n, n] * (C_f^H C_f)[m, m]``.  Costs O(N^3 + M^3 + K^2);
-    the P x K columns are never formed.
-    """
-    m, n = idx % stats.grid.M, idx // stats.grid.M
-    mm, nn = np.ix_(m, m), np.ix_(n, n)
-    C_t, C_f = stats.time_corr, stats.freq_corr
-    C_ss = C_t[nn] * C_f[mm]
-    gram = (C_t.conj().T @ C_t)[nn] * (C_f.conj().T @ C_f)[mm]
-    return C_ss, gram
-
-
-def _pilot_system(
-    stats: ChannelStatistics, idx: np.ndarray, sigma_p: float, noise_var: float
-) -> tuple[np.ndarray, float]:
-    """The K x K pilot system of the pilot indices ``idx``: the gain
-    ``sigma_p (sigma_p^2 C_SS + noise I)^{-1}`` and the average MSE.
-
-    The LMMSE weights are ``W = C_g[:, S] @ gain`` and the error is
-    ``(trace(C_g) - sigma_p trace(gain Gram)) / P``.  One K x K Cholesky
-    inverse (``objective._hermitian_inverse``) on the factor-built blocks,
-    O(N^3 + M^3 + K^3) in all; LAPACK rejects a 0 x 0 matrix, so an empty
-    pattern gets its empty gain directly.
-    """
-    C_ss, gram = _pilot_blocks(stats, idx)
-    if idx.size:
-        obs = sigma_p**2 * C_ss + noise_var * np.eye(idx.size)
-        gain = sigma_p * _hermitian_inverse(obs, "pilot observation covariance")
-    else:
-        gain = np.zeros((0, 0), dtype=np.complex128)
-    # trace(gain @ gram) as an entrywise sum, O(K^2).
-    reduction = sigma_p * float(np.sum(gain * gram.T).real)
-    return gain, (stats.total_power - reduction) / stats.grid.size
-
-
 def lmmse_weights(
     stats: ChannelStatistics,
     pattern: PilotPattern,
@@ -169,14 +123,14 @@ def lmmse_weights(
 ) -> np.ndarray:
     """LMMSE combining matrix W (P x K): ``g_hat = W y_S``.
 
-    ``W = sigma_p C_g[:, S] (sigma_p^2 C_g[S, S] + noise I)^{-1}``: the K x K
-    pilot system costs O(N^3 + M^3 + K^3), then W is one P x K by K x K
-    product, P*K^2 multiply-adds.  ``run_simulation`` does not use it; it is
-    the grid-form reference for the latent estimate.
+    The grid form of the latent estimator, ``W = L Q``, which is
+    ``(sigma_p / noise_var) U A^{-1} U_S^H`` at ``alpha = sigma_p^2 /
+    noise_var``: one P x r by r x K product after the r x r system.
+    ``run_simulation`` does not use it; it is the grid-form reference for the
+    latent estimate.
     """
-    idx = _pilot_indices(stats, pattern)
-    gain, _ = _pilot_system(stats, idx, sigma_p, noise_var)
-    return covariance_columns(stats, idx) @ gain
+    Q = _latent_system(stats, pattern, sigma_p**2, noise_var)[1]
+    return (stats.significant_eigvecs * np.sqrt(stats.significant_eigvals)) @ Q
 
 
 def analytic_mse(
@@ -185,56 +139,45 @@ def analytic_mse(
     sigma_p: float,
     noise_var: float,
 ) -> float:
-    """Average MSE ``trace(C_e)/(M*N)`` from the exact error covariance,
-    evaluated on the pilot-restricted system without rank truncation.
-
-    ``trace(C_e) = trace(C_g) - sigma_p^2 trace(obs^{-1} Gram)`` with
-    ``obs = sigma_p^2 C_SS + noise I`` and the Gram ``C_g[:, S]^H C_g[:, S]``
-    both built from the Kronecker factors: O(N^3 + M^3 + K^3), and the
-    P x K columns are never formed.
-
-    Accuracy: the subtraction takes a number of size P*MSE from two of size
-    P, so digits cancel as the SNR grows, and above about 20 dB not all of
-    the 12 digits the CLI prints are significant.  Against a 45-digit
-    evaluation of the same formula on 12x14, spreading 5e-3, K = 17 (greedy
-    pattern), the relative error is 5.5e-12 at 20 dB, 1.6e-8 at 40 dB and
-    1.5e-3 at 80 dB.
+    """Average MSE ``trace(A^{-1})/(M*N)`` of the LMMSE estimator at pilot
+    amplitude ``sigma_p`` and noise variance ``noise_var``: ``average_mse``
+    at ``alpha = sigma_p^2 / noise_var``, from the same r x r inverse
+    (``objective._error_covariance``) that ``run_simulation`` reads.
     """
-    idx = _pilot_indices(stats, pattern)
-    return _pilot_system(stats, idx, sigma_p, noise_var)[1]
+    return _error_covariance(stats, pattern, sigma_p**2 / noise_var)[1]
 
 
 def _latent_system(
-    stats: ChannelStatistics, idx: np.ndarray, gain: np.ndarray, sigma_p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The LMMSE estimator in the latent coordinates of ``sample_channels``.
+    stats: ChannelStatistics, pattern: PilotPattern, pilot_power: float, noise_var: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The LMMSE estimator in the latent coordinates of ``sample_channels``,
+    and its analytic MSE, at pilot SNR ``alpha = pilot_power / noise_var``.
 
-    The channel is ``g = L z`` with ``L = V sqrt(lambda)`` (P x r) on the
+    The channel is ``g = L z`` with ``L = U sqrt(lambda)`` (P x r) on the
     significant eigenpairs of the statistics.  Returns the scaled pilot rows
     ``sigma_p B`` with ``B = L[S, :]`` (K x r), the latent gain
-    ``Q = B^H gain`` (r x K) and the variance of each float component of z
-    (``d = lambda``, the squared column norms of L, each repeated for the
-    real and the imaginary part).
+    ``Q = (sigma_p / noise_var) Lambda^{-1/2} A^{-1} U_S^H`` (r x K), the
+    variance of each float component of z (``d = lambda``, the squared
+    column norms of L, each repeated for the real and the imaginary part) and
+    ``trace(A^{-1}) / (M*N)``, with ``A^{-1}`` and the trace both from
+    ``objective._error_covariance``, which checks the pattern's grid.
 
     Then ``y_S = sigma_p z B^T + noise`` and ``|g - g_hat|^2 = sum_j d_j
     |e_j|^2`` with ``e = z - Q y_S``, because the columns of L are
-    orthogonal.  In exact arithmetic ``L Q y_S`` is the grid estimate
-    ``W y_S`` projected onto the range of L, where the drawn channel lies,
-    and the grid error exceeds this one only by the estimate's part along
-    the dropped eigenvectors, of second order.  In doubles Q is built on
-    ``L L^H``, which misses ``C_g`` by 1.2e-12 (12x14) and 8.4e-13 (48x28)
-    Frobenius-relative (spreading 5e-3, dropped and rounded eigenpairs):
-    against the grid form, over 30 seeds, the empirical MSE moves by up to
-    8.9e-15 (12x14, K = 17 x 1000) and 7.0e-14 (48x28, K = 134 x 250)
-    relative and a single realization by up to 9.6e-13 and 2.1e-12.
-    Gathers K rows of the stored eigenvectors, O(r K^2) in all; no
+    orthogonal; the grid estimate is ``W y_S`` with ``W = L Q``.  Gathers K
+    rows of the stored eigenvectors, O(r^2 K + r^3) in all; no
     eigendecomposition and no P x K matrix.
     """
-    B = stats.significant_eigvecs.take(idx, axis=0)
-    B *= np.sqrt(stats.significant_eigvals)
-    Q = B.conj().T @ gain
+    lower, analytic = _error_covariance(stats, pattern, pilot_power / noise_var)
+    sigma_p = float(np.sqrt(pilot_power))
+    root = np.sqrt(stats.significant_eigvals)
+    B = stats.significant_eigvecs.take(np.array(pattern.indices, dtype=np.intp), axis=0)
+    Q = hermitian_from_lower(lower) @ B.conj().T
+    Q /= root[:, None]
+    Q *= sigma_p / noise_var
+    B *= root
     B *= sigma_p
-    return B, Q, np.repeat(stats.significant_eigvals, 2)
+    return B, Q, np.repeat(stats.significant_eigvals, 2), analytic
 
 
 def _batch_errors(
@@ -269,19 +212,17 @@ def run_simulation(
 
     The pilot amplitude follows the problem's power budget
     (``sigma_p^2 = beta*N/K``); the noise level comes from ``cfg``.  Returns
-    the empirical average MSE, its standard error and the analytic value for
-    the same parameters, both from one K x K pilot system.  The estimate and
-    its error are computed on the latent channel draw (``_latent_system``),
-    O(r K) per realization.
+    the empirical average MSE, its standard error and the analytic value,
+    ``average_mse`` at ``alpha = sigma_p^2 / cfg.noise_var``, from the r x r
+    inverse the estimator is built on.  The estimate and its error are
+    computed on the latent channel draw (``_latent_system``), O(r K) per
+    realization.
     """
     if problem.grid != stats.grid:
         raise InvalidSpecError("problem grid does not match the statistics grid")
-    sigma_p = float(np.sqrt(problem.pilot_power))
+    B, Q, variances, analytic = _latent_system(stats, pattern, problem.pilot_power, cfg.noise_var)
     noise_scale = np.sqrt(cfg.noise_var / 2.0)
     rng = np.random.default_rng(cfg.rng_seed)
-    idx = _pilot_indices(stats, pattern)
-    gain, analytic = _pilot_system(stats, idx, sigma_p, cfg.noise_var)
-    B, Q, variances = _latent_system(stats, idx, gain, sigma_p)
 
     per_real = np.empty(cfg.realizations)
     done = 0

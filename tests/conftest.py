@@ -12,9 +12,15 @@ from pilotopt import (
     build_statistics,
     make_design_problem,
 )
-from pilotopt.mcsim import _BATCH, SimResult, analytic_mse, lmmse_weights
+from pilotopt.mcsim import _BATCH, SimResult, lmmse_weights
 from pilotopt.errors import DegenerateUpdateError
-from pilotopt.objective import _row_terms, gains_for_candidates, gradient_from_inverse
+from pilotopt.objective import (
+    _hermitian_inverse,
+    _row_terms,
+    average_mse,
+    gains_for_candidates,
+    gradient_from_inverse,
+)
 
 # The design points of the benchmark's rb-sweep workload: 12x14 at 20 dB, the
 # density sweep at spreading 5e-3 and the spreading sweep at three more.
@@ -51,6 +57,73 @@ def dense_lmmse(stats, pattern, sigma_p, noise_var, data_power=0.0):
     C_y += np.diag(data_power * data * np.diag(C_g).real)
     W = np.linalg.solve(C_y.conj().T, C_gy.conj().T).conj().T
     return W, C_g - W @ C_gy.conj().T
+
+
+def covariance_columns(stats, indices):
+    """Columns ``C_g[:, indices]`` assembled from the Kronecker factors."""
+    idx = np.asarray(indices, dtype=int)
+    m_idx, n_idx = idx % stats.grid.M, idx // stats.grid.M
+    cols = stats.time_corr[:, n_idx][:, None, :] * stats.freq_corr[:, m_idx][None, :, :]
+    return cols.reshape(stats.grid.size, len(idx))
+
+
+def reference_pilot_blocks(stats, idx):
+    """``C_SS = C_g[S, S]`` and the Gram ``C_g[:, S]^H C_g[:, S]`` of the
+    pilot indices ``idx``, from the Kronecker factors.
+
+    With n and m the pilots' symbol and subcarrier indices,
+    ``C_SS = C_t[n, n] * C_f[m, m]`` entrywise; since
+    ``C_g^H C_g = C_t^H C_t (x) C_f^H C_f``, the Gram is
+    ``(C_t^H C_t)[n, n] * (C_f^H C_f)[m, m]``.  Costs O(N^3 + M^3 + K^2);
+    the P x K columns are never formed.
+    """
+    m, n = idx % stats.grid.M, idx // stats.grid.M
+    mm, nn = np.ix_(m, m), np.ix_(n, n)
+    C_t, C_f = stats.time_corr, stats.freq_corr
+    C_ss = C_t[nn] * C_f[mm]
+    gram = (C_t.conj().T @ C_t)[nn] * (C_f.conj().T @ C_f)[mm]
+    return C_ss, gram
+
+
+def reference_pilot_system(stats, idx, sigma_p, noise_var):
+    """The K x K pilot-domain LMMSE system of the pilot indices ``idx``, the
+    dense reference of the information form: the gain
+    ``sigma_p (sigma_p^2 C_SS + noise I)^{-1}`` and the average MSE.
+
+    The LMMSE weights are ``W = C_g[:, S] @ gain`` and the error is
+    ``(trace(C_g) - sigma_p trace(gain Gram)) / P``.  One K x K Cholesky
+    inverse on the factor-built blocks, O(N^3 + M^3 + K^3) in all; LAPACK
+    rejects a 0 x 0 matrix, so an empty pattern gets its empty gain
+    directly.  The subtraction takes a number of size P*MSE from two of size
+    P, so digits cancel as the SNR grows: against a 45-digit evaluation on
+    12x14, spreading 5e-3, K = 17 (greedy pattern), the relative error is
+    5.5e-12 at 20 dB, 1.6e-8 at 40 dB and 1.5e-3 at 80 dB, and on 48x28,
+    K = 134 the value turns negative by 80 dB.
+    """
+    C_ss, gram = reference_pilot_blocks(stats, idx)
+    if idx.size:
+        obs = sigma_p**2 * C_ss + noise_var * np.eye(idx.size)
+        gain = sigma_p * _hermitian_inverse(obs, "pilot observation covariance")
+    else:
+        gain = np.zeros((0, 0), dtype=np.complex128)
+    # trace(gain @ gram) as an entrywise sum, O(K^2).
+    reduction = sigma_p * float(np.sum(gain * gram.T).real)
+    return gain, (stats.total_power - reduction) / stats.grid.size
+
+
+def reference_lmmse_weights(stats, pattern, sigma_p, noise_var):
+    """``W = sigma_p C_g[:, S] (sigma_p^2 C_g[S, S] + noise I)^{-1}`` (P x K)
+    from the K x K pilot system."""
+    idx = np.array(pattern.indices, dtype=np.intp)
+    gain, _ = reference_pilot_system(stats, idx, sigma_p, noise_var)
+    return covariance_columns(stats, idx) @ gain
+
+
+def reference_analytic_mse(stats, pattern, sigma_p, noise_var):
+    """``trace(C_e)/(M*N)`` from the K x K pilot system, without rank
+    truncation."""
+    idx = np.array(pattern.indices, dtype=np.intp)
+    return reference_pilot_system(stats, idx, sigma_p, noise_var)[1]
 
 
 def reference_information_inverse(problem, pattern):
@@ -200,7 +273,9 @@ def reference_sample_channels(stats, count, rng):
 def reference_run_simulation(stats, problem, pattern, cfg):
     """``run_simulation`` written plainly: the reference channel draw, the
     pilot noise assembled as ``scale * (a + 1j*b)`` from a ``(count, K, 2)``
-    draw and the pilot channel gathered with list indexing."""
+    draw, the pilot channel gathered with list indexing and the grid weights
+    of ``lmmse_weights``; the analytic value is ``average_mse`` at the
+    simulation's pilot SNR."""
     sigma_p = float(np.sqrt(problem.pilot_power))
     rng = np.random.default_rng(cfg.rng_seed)
     W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
@@ -220,7 +295,7 @@ def reference_run_simulation(stats, problem, pattern, cfg):
     se = float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)) if cfg.realizations > 1 else 0.0
     return SimResult(
         empirical_mse=empirical,
-        analytic_mse=analytic_mse(stats, pattern, sigma_p, cfg.noise_var),
+        analytic_mse=average_mse(stats, pattern, problem.pilot_power / cfg.noise_var),
         standard_error=se,
     )
 

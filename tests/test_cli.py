@@ -27,8 +27,9 @@ from pilotopt.cli import (
     run_point,
 )
 from pilotopt.errors import ConfigError
-from pilotopt.mcsim import analytic_mse
 from pilotopt.validation import CheckResult
+
+from conftest import reference_analytic_mse
 
 BASE_CONFIG = {
     "grid": {"M": 12, "N": 14},
@@ -347,6 +348,19 @@ class TestStructureCommand:
         )
         assert main(["structure", "--config", str(cfg_path)]) == EXIT_BAD_CONFIG
 
+    def test_cr_alone_is_a_config_error(self, tmp_path, capsys):
+        # cr places no pilots, so a structure run of it alone has nothing to
+        # write.
+        cfg_path = write_config(
+            tmp_path,
+            {"grid": {"M": 4, "N": 4}, "pilot_budget": 4, "snr_db": [3.0, 20.0], "methods": ["cr"]},
+        )
+        out = tmp_path / "out"
+        assert main(["structure", "--config", str(cfg_path), "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "structure needs a method that places pilots" in err
+        assert not (out / "structure_summary.json").exists()
+
 
 class TestValidateCommand:
     def _stub(self, monkeypatch, passed):
@@ -478,7 +492,7 @@ class TestReportedMse:
             for row in rows:
                 pattern = PilotPattern(tuple(row["indices"]), cfg.grid)
                 assert len(pattern) == outcome["K"]
-                exact = analytic_mse(stats, pattern, sigma_p, noise_var)
+                exact = reference_analytic_mse(stats, pattern, sigma_p, noise_var)
                 assert row["average_mse"] == pytest.approx(exact, rel=1e-6), method
 
     def test_each_distinct_pattern_is_scored_once(self, monkeypatch):

@@ -17,23 +17,24 @@ from pilotopt import (
     run_simulation,
 )
 from pilotopt import channel, mcsim
-from pilotopt.channel import covariance_columns
 from pilotopt.errors import InvalidSpecError, NumericError
 from pilotopt.mcsim import (
     _BATCH,
     SimResult,
     _batch_errors,
     _latent_system,
-    _pilot_blocks,
-    _pilot_system,
     analytic_mse,
     lmmse_weights,
     sample_channels,
 )
 
 from conftest import (
+    covariance_columns,
     dense_lmmse,
     full_covariance,
+    reference_analytic_mse,
+    reference_lmmse_weights,
+    reference_pilot_blocks,
     reference_run_simulation,
     reference_sample_channels,
 )
@@ -56,7 +57,8 @@ def full_block_simulation(stats, problem, pattern, cfg):
     pilot cells' noise comes from the simulation's generator, drawn where
     ``run_simulation`` draws it; every other cell's noise comes from a
     generator of its own, so an estimator that read those cells would not
-    match."""
+    match.  The analytic value is ``average_mse`` at the simulation's pilot
+    SNR."""
     P = stats.grid.size
     sigma_p = float(np.sqrt(problem.pilot_power))
     rng = np.random.default_rng(cfg.rng_seed)
@@ -78,7 +80,7 @@ def full_block_simulation(stats, problem, pattern, cfg):
     per_real = np.concatenate(per_real)
     return SimResult(
         empirical_mse=float(per_real.mean()),
-        analytic_mse=analytic_mse(stats, pattern, sigma_p, cfg.noise_var),
+        analytic_mse=average_mse(stats, pattern, problem.pilot_power / cfg.noise_var),
         standard_error=float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)),
     )
 
@@ -203,7 +205,8 @@ class TestAnalyticMse:
 
 
 def mp_analytic_mse(stats, pattern, sigma_p, noise_var):
-    """``analytic_mse`` at 40 significant digits on the same double factors:
+    """The K x K pilot-system MSE at 40 significant digits on the same double
+    factors:
     ``(trace(C_g) - sigma_p^2 trace(obs^{-1} Gram)) / P`` with every entry of
     ``obs`` and of the Gram summed in mpmath."""
     with mpmath.workdps(40):
@@ -231,28 +234,38 @@ def mp_analytic_mse(stats, pattern, sigma_p, noise_var):
 
 
 class TestPilotSystem:
-    """The K x K pilot system built from the Kronecker factors."""
+    """The K x K pilot system built from the Kronecker factors, the dense
+    reference of the information form, and the program against it."""
 
     @pytest.mark.parametrize("stats, K", [("stats_4x4", 3), ("stats_rb", 17), ("stats_big", 134)])
     def test_factor_blocks_match_dense_columns(self, stats, K, request):
         stats = request.getfixturevalue(stats)
         idx = np.sort(np.random.default_rng(K).choice(stats.grid.size, size=K, replace=False))
-        C_ss, gram = _pilot_blocks(stats, idx)
+        C_ss, gram = reference_pilot_blocks(stats, idx)
         C_cols = covariance_columns(stats, idx)
         dense_ss, dense_gram = C_cols[idx, :], C_cols.conj().T @ C_cols
         assert np.linalg.norm(C_ss - dense_ss) <= 1e-13 * np.linalg.norm(dense_ss)
         assert np.linalg.norm(gram - dense_gram) <= 1e-13 * np.linalg.norm(dense_gram)
 
     @pytest.mark.parametrize(
-        "M, N, spreading, snr_db, K",
+        "M, N, spreading, snr_db, K, analytic",
         [
-            (12, 14, 5e-3, 20.0, 17),
-            (12, 14, 1e-2, 40.0, 17),
-            (24, 14, 5e-3, 20.0, 34),
-            (24, 14, 1e-3, 30.0, 34),
+            # The pilot-system reference under the plain case ids, the
+            # program's information form under the same ids plus a suffix.
+            pytest.param(*case, analytic, id="-".join(map(str, case)) + suffix)
+            for analytic, suffix in ((reference_analytic_mse, ""), (analytic_mse, "-information"))
+            for case in (
+                (12, 14, 5e-3, 20.0, 17),
+                (12, 14, 1e-2, 40.0, 17),
+                (24, 14, 5e-3, 20.0, 34),
+                (24, 14, 1e-3, 30.0, 34),
+            )
         ],
     )
-    def test_analytic_mse_matches_40_digit_reference(self, M, N, spreading, snr_db, K):
+    def test_analytic_mse_matches_40_digit_reference(self, M, N, spreading, snr_db, K, analytic):
+        # Measured: the pilot system within 2.6e-12 to 2.0e-9, the
+        # information form, which carries the rounding of the double
+        # eigenpairs, within 2.7e-10 to 8.3e-9 (12x14, spreading 1e-2, 40 dB).
         stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=spreading))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # K > N exceeds the block power budget
@@ -260,7 +273,7 @@ class TestPilotSystem:
         pattern = greedy_design(problem).pattern
         sigma_p = float(np.sqrt(problem.pilot_power))
         reference = mp_analytic_mse(stats, pattern, sigma_p, problem.noise_var)
-        got = analytic_mse(stats, pattern, sigma_p, problem.noise_var)
+        got = analytic(stats, pattern, sigma_p, problem.noise_var)
         assert abs(got - reference) <= 1e-8 * reference
 
     def test_weights_solve_the_pilot_system(self, stats_rb, problem_rb):
@@ -268,10 +281,29 @@ class TestPilotSystem:
         pattern = greedy_design(problem_rb).pattern
         idx = np.array(pattern.indices)
         sigma_p, noise_var = float(np.sqrt(problem_rb.pilot_power)), problem_rb.noise_var
-        W = lmmse_weights(stats_rb, pattern, sigma_p, noise_var)
+        W = reference_lmmse_weights(stats_rb, pattern, sigma_p, noise_var)
         C_cols = covariance_columns(stats_rb, idx)
         obs = sigma_p**2 * C_cols[idx, :] + noise_var * np.eye(idx.size)
         assert np.abs(W @ obs - sigma_p * C_cols).max() <= 1e-12 * sigma_p
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize(
+        "M, N, K, spreading, snr_db",
+        [(12, 14, 14, 1e-3, 10.0), (12, 14, 17, 5e-3, 20.0), (48, 28, 134, 5e-3, 20.0)],
+    )
+    def test_information_weights_match_the_pilot_system(self, M, N, K, spreading, snr_db):
+        # The grid weights of the information form against the K x K
+        # reference, relative to the largest weight: measured 2.4e-10,
+        # 8.8e-10 and 1.3e-9.  The forms differ by the eigenpairs below the
+        # floor and by their own rounding, which grow with the SNR (up to
+        # 9.4e-8 on 12x14 at 40 dB).
+        stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=spreading))
+        problem = make_design_problem(stats, K=K, snr_db=snr_db)
+        pattern = greedy_design(problem).pattern
+        sigma_p, noise_var = float(np.sqrt(problem.pilot_power)), problem.noise_var
+        W = lmmse_weights(stats, pattern, sigma_p, noise_var)
+        W_ref = reference_lmmse_weights(stats, pattern, sigma_p, noise_var)
+        assert np.abs(W - W_ref).max() <= 1e-8 * np.abs(W_ref).max()
 
 
 class TestRunSimulation:
@@ -335,6 +367,33 @@ class TestRunSimulation:
         assert_same_result(
             run_simulation(stats, problem, pattern, cfg), full_block_simulation(stats, problem, pattern, cfg)
         )
+
+    @pytest.mark.parametrize("snr_db", [80.0, 120.0])
+    def test_high_snr_analytic_stays_positive_and_tracked_on_48x28(
+        self, stats_big, problem_big, snr_db
+    ):
+        # The K x K form's subtraction cancels here: it read -5.8e-8 at
+        # 80 dB (732 SE from the empirical MSE) and -3.1e-4 at 120 dB.
+        pattern = greedy_design(problem_big).pattern
+        cfg = SimConfig(realizations=2000, rng_seed=7, noise_var=10.0 ** (-snr_db / 10.0))
+        res = run_simulation(stats_big, problem_big, pattern, cfg)
+        assert res.analytic_mse > 0
+        gap = abs(res.empirical_mse - res.analytic_mse)
+        assert gap <= 4 * res.standard_error and gap <= 0.02 * res.analytic_mse
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize("M, N, K", [(12, 14, 17), (48, 28, 134)])
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0])
+    def test_analytic_value_is_the_reported_mse(self, M, N, K, snr_db):
+        # Criterion 5 checks what the CLI reports: the analytic value is
+        # average_mse at the simulation's pilot SNR, bit for bit, also when
+        # the simulated noise is not the problem's.
+        stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=5e-3))
+        problem = make_design_problem(stats, K=K, snr_db=20.0)
+        pattern = greedy_design(problem).pattern
+        cfg = SimConfig(realizations=10, rng_seed=3, noise_var=10.0 ** (-snr_db / 10.0))
+        res = run_simulation(stats, problem, pattern, cfg)
+        assert res.analytic_mse == average_mse(stats, pattern, problem.pilot_power / cfg.noise_var)
 
     def test_invalid_config(self):
         with pytest.raises(InvalidSpecError):
@@ -461,18 +520,17 @@ class TestLatentEstimate:
         idx = np.array(pattern.indices, dtype=np.intp)
         sigma_p, noise_var = float(np.sqrt(problem.pilot_power)), problem.noise_var
         noise_scale = np.sqrt(noise_var / 2.0)
-        gain, _ = _pilot_system(stats, idx, sigma_p, noise_var)
+        B, Q, variances, _ = _latent_system(stats, pattern, problem.pilot_power, noise_var)
         rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-        got = _batch_errors(rng, count, *_latent_system(stats, idx, gain, sigma_p), noise_scale)
+        got = _batch_errors(rng, count, B, Q, variances, noise_scale)
         g = sample_channels(stats, count, ref_rng)
         parts = ref_rng.standard_normal((count, K, 2))
         y = sigma_p * g[:, idx] + noise_scale * (parts[..., 0] + 1j * parts[..., 1])
         W = lmmse_weights(stats, pattern, sigma_p, noise_var)
         ref = np.sum(np.abs(g - y @ W.T) ** 2, axis=1)
-        # Relative over the batch (3.7e-13 at 48x28): single realizations
-        # differ by up to 2.1e-12, because the latent estimator is built on
-        # the covariance of the drawn channel, which misses C_g by 8.4e-13
-        # relative (the dropped and the rounded eigenpairs).
+        # Relative over the batch: W = L Q, so the two differ by rounding
+        # only (over 30 seeds at most 1.9e-15 per batch and 1.2e-14 per
+        # realization, on both grids).
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -484,8 +542,7 @@ class TestLatentEstimate:
         def grid_form(*args, **kwargs):
             raise AssertionError("run_simulation formed a grid-sized array")
 
-        monkeypatch.setattr(channel, "covariance_columns", grid_form)
-        for name in ("covariance_columns", "sample_channels", "lmmse_weights"):
+        for name in ("sample_channels", "lmmse_weights"):
             monkeypatch.setattr(mcsim, name, grid_form)
         assert run_simulation(stats_rb, problem_rb, pattern, cfg) == expected
 
@@ -513,7 +570,7 @@ class TestRankTruncationConsistency:
         # has to agree with the dense pilot-restricted error covariance.
         pattern = greedy_design(problem_rb).pattern
         reported = average_mse(stats_rb, pattern, problem_rb.pilot_snr)
-        full = analytic_mse(
+        full = reference_analytic_mse(
             stats_rb, pattern, np.sqrt(problem_rb.pilot_power), problem_rb.noise_var
         )
         assert reported == pytest.approx(full, rel=1e-6)

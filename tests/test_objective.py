@@ -306,6 +306,16 @@ class TestObjectiveValue:
             1.0, rel=1e-9
         )
 
+    def test_foreign_pattern_error_names_the_grid_it_misses(self, stats_rb, problem_rb):
+        # average_mse takes no problem: its error names the statistics grid.
+        foreign = PilotPattern((0, 5, 10, 15), GridConfig(4, 4))
+        with pytest.raises(
+            InvalidSpecError, match="^pattern grid does not match the statistics grid$"
+        ):
+            average_mse(stats_rb, foreign, problem_rb.pilot_snr)
+        with pytest.raises(InvalidSpecError, match="^pattern grid does not match the problem grid$"):
+            objective_value(problem_rb, foreign)
+
     def test_designed_beats_best_rectangular_lattice(self, problem_rb):
         designed = local_swap(problem_rb, greedy_design(problem_rb).pattern)
         rect = best_lattice(problem_rb, "rect")
@@ -605,6 +615,7 @@ class TestTraceOnlyInverse:
             U.conj(),
             problem_rb.pilot_snr,
             idx,
+            "statistics",
         )
         want = float(np.diagonal(_hermitian_inverse(A)).real.sum()) / stats_rb.grid.size
         assert average_mse(stats_rb, idx, problem_rb.pilot_snr) == want
