@@ -356,70 +356,58 @@ def _mse_scorer(stats):
     return score
 
 
-def _pattern_outcome(problem, pattern, objective, swap_iterations, score) -> dict:
-    """The outcome fields of an integer pattern scored on ``problem``, whose
-    budget is the one actually used."""
-    return {
-        "indices": list(pattern.indices),
+def _outcome(problem, result, score) -> dict:
+    """The outcome record of what a runner produced at ``problem``: a
+    ``DesignReport``, the ``PilotPattern`` of a rounding, the shared
+    ``FractionalAllocation``, or ``(best report, [(rounding seed, report),
+    ...])`` for the per-rounding ``distribution``.  A report is scored on its
+    own problem, at the budget actually used, so a lattice that fell back to
+    K' is scored at K'."""
+    if isinstance(result, tuple):
+        best, rounds = result
+        distribution = [
+            {"rounding_seed": s, "wall_time": r.wall_time, **_outcome(problem, r, score)}
+            for s, r in rounds
+        ]
+        return {**_outcome(problem, best, score), "distribution": distribution}
+    if isinstance(result, DesignReport):
+        problem, pattern = result.problem, result.pattern
+        objective, swaps = result.objective, result.swap_iterations
+    else:
+        pattern, objective, swaps = result, objective_value(problem, result), 0
+    record = {
         "objective": objective,
         "average_mse": score(problem, pattern),
         "K": problem.budget,
-        "swap_iterations": swap_iterations,
+        "swap_iterations": swaps,
     }
+    if isinstance(pattern, FractionalAllocation):
+        record.update(weights=pattern.weights.tolist(), converged=pattern.converged)
+    else:
+        record["indices"] = list(pattern.indices)
+    return record
 
 
-def _report_outcome(report: DesignReport, score) -> dict:
-    return _pattern_outcome(
-        report.problem, report.pattern, report.objective, report.swap_iterations, score
-    )
-
-
-def _run_relaxation(problem, allocation, seed, repeats, score) -> dict:
-    return {
-        "weights": allocation.weights.tolist(),
-        "objective": objective_value(problem, allocation),
-        "average_mse": score(problem, allocation),
-        "K": problem.budget,
-        "converged": allocation.converged,
-        "swap_iterations": 0,
-    }
-
-
-def _run_rounding(problem, allocation, seed, repeats, score) -> dict:
-    pattern = dependent_rounding(allocation, derive_rounding_seed(seed, 0), grid=problem.grid)
-    return _pattern_outcome(problem, pattern, objective_value(problem, pattern), 0, score)
-
-
-def _run_rounding_swap(problem, allocation, seed, repeats, score) -> dict:
+def _run_rounding_swap(problem, allocation, seed, repeats):
     seeds = [derive_rounding_seed(seed, i) for i in range(repeats)]
     best, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
-    distribution = [
-        {"rounding_seed": s, "wall_time": r.wall_time, **_report_outcome(r, score)}
-        for s, r in zip(seeds, reports)
-    ]
-    return {**_report_outcome(best, score), "distribution": distribution}
+    return best, list(zip(seeds, reports))
 
 
-# Each runner takes (problem, allocation, seed, repeats, score); ``allocation``
-# is the shared relaxation solve, present whenever a method starting with "cr"
-# runs, and ``score`` the point's ``_mse_scorer``.
+# Each runner takes (problem, allocation, seed, repeats) and returns what
+# ``_outcome`` builds the record from; ``allocation`` is the shared
+# relaxation solve, present whenever a method starting with "cr" runs.
 RUNNERS = {
-    METHOD_CR: _run_relaxation,
-    METHOD_CR_ROUND: _run_rounding,
+    METHOD_CR: lambda problem, allocation, *_: allocation,
+    METHOD_CR_ROUND: lambda problem, allocation, seed, _: dependent_rounding(
+        allocation, derive_rounding_seed(seed, 0), grid=problem.grid
+    ),
     METHOD_CR_ROUND_SWAP: _run_rounding_swap,
-    METHOD_GREEDY: lambda problem, *_, score: _report_outcome(greedy_design(problem), score),
-    METHOD_GREEDY_SWAP: lambda problem, *_, score: _report_outcome(
-        greedy_swap_design(problem), score
-    ),
-    METHOD_RECT: lambda problem, *_, score: _report_outcome(
-        best_lattice(problem, METHOD_RECT), score
-    ),
-    METHOD_DIAMOND: lambda problem, *_, score: _report_outcome(
-        best_lattice(problem, METHOD_DIAMOND), score
-    ),
-    METHOD_EXHAUSTIVE: lambda problem, *_, score: _report_outcome(
-        exhaustive_search(problem), score
-    ),
+    METHOD_GREEDY: lambda problem, *_: greedy_design(problem),
+    METHOD_GREEDY_SWAP: lambda problem, *_: greedy_swap_design(problem),
+    METHOD_RECT: lambda problem, *_: best_lattice(problem, METHOD_RECT),
+    METHOD_DIAMOND: lambda problem, *_: best_lattice(problem, METHOD_DIAMOND),
+    METHOD_EXHAUSTIVE: lambda problem, *_: exhaustive_search(problem),
 }
 VALID_METHODS = tuple(RUNNERS)
 
@@ -444,6 +432,12 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     it depends on which of the non-unique relaxed optima the solver stops at
     far more than the objective does.  One relaxation solve is shared by all
     relaxation-based methods; its time is attributed to the first of them.
+
+    The record is built by ``_outcome`` from what the method's runner
+    returns.  The runners call the optimizers inside their bodies, so each
+    call looks the name up in this module when it runs: a wrapper installed
+    on the module afterwards (the benchmark's tracer and hooks) sees every
+    call, which a table of functions bound at import would bypass.
     """
     problem = make_design_problem(stats, K=K, snr_db=snr_db, beta=cfg.beta)
     score = _mse_scorer(stats)
@@ -461,7 +455,8 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
         if method.startswith("cr"):
             shared, relax_time = relax_time, 0.0
         try:
-            outcome = RUNNERS[method](problem, allocation, seed, repeats, score=score)
+            result = RUNNERS[method](problem, allocation, seed, repeats)
+            outcome = _outcome(problem, result, score)
         except PilotOptError as exc:
             outcomes[method] = {"error": f"{type(exc).__name__}: {exc}", "K": K}
             continue
@@ -471,60 +466,65 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
 
 
 def _statistics_cache(cfg: ExperimentConfig) -> dict:
-    cache = {}
-    for dd in cfg.spreading_factors:
-        spec = ScatteringSpec(spreading_factor=dd, **cfg.scattering)
-        cache[dd] = build_statistics(cfg.grid, spec)
-    return cache
+    return {
+        dd: build_statistics(cfg.grid, ScatteringSpec(spreading_factor=dd, **cfg.scattering))
+        for dd in cfg.spreading_factors
+    }
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
+# The record fields a pattern file carries: ``indices``, or ``weights`` for
+# ``cr``, and what they score.
+PATTERN_FIELDS = ("K", "objective", "average_mse", "indices", "weights")
+# The fields of a structure pattern file that its summary entry repeats.
+STRUCTURE_SUMMARY_FIELDS = (
+    "axis_value", "method", "seed", "K", "objective", "average_mse", "dispersion"
+)
+
+
+def _write_pattern(out_dir: Path, stem: str, cfg, method, seed, outcome, **extras) -> dict:
+    """Write one outcome record's pattern file ``stem.json`` and its ASCII
+    art ``stem.txt``, and return the file's payload.  ``extras`` are payload
+    fields outside the record: structure's ``axis``, ``axis_value`` and
+    ``dispersion``, which the art's footer also shows."""
+    record = {k: outcome[k] for k in PATTERN_FIELDS if k in outcome}
+    payload = {"config": resolved_config_dict(cfg), "M": cfg.grid.M, "N": cfg.grid.N,
+               "method": method, "seed": seed, **record, **extras}
+    write_json(out_dir / f"{stem}.json", payload)
+    footer = f"avg MSE = {outcome['average_mse']:.2f}"
+    if "dispersion" in extras:
+        dispersion = extras["dispersion"]
+        footer += f" | dispersion = {'n/a' if dispersion is None else format(dispersion, '.2f')}"
+    if "weights" in record:
+        art = render_weights(cfg.grid, record["weights"], footer)
+    else:
+        art = render_pattern(cfg.grid, record["indices"], footer)
+    (out_dir / f"{stem}.txt").write_text(art, encoding="utf-8")
+    return payload
+
+
 def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.list_axes:
         raise ConfigError(f"design needs scalar parameters; {cfg.list_axes[0]!r} is a list")
-    dd = cfg.spreading_factors[0]
-    snr_db = cfg.snr_dbs[0]
     kind, value = cfg.budgets[0]
     K = budget_pilots(cfg.grid, kind, value)
-    stats = _statistics_cache(cfg)[dd]
-    resolved = resolved_config_dict(cfg)
+    stats = _statistics_cache(cfg)[cfg.spreading_factors[0]]
 
-    summary = {"config": resolved, "runs": []}
+    summary = {"config": resolved_config_dict(cfg), "runs": []}
     for seed in cfg.seeds:
         # Panels stay consistent: the swap-refined rounding refines the same
         # single rounding that the unrefined panel displays.
-        outcomes = run_point(cfg, stats, K, snr_db, seed, cfg.methods, repeats=1)
+        outcomes = run_point(cfg, stats, K, cfg.snr_dbs[0], seed, cfg.methods, repeats=1)
         for method, outcome in outcomes.items():
-            stem = f"design_{method}_seed{seed}"
-            entry = {"method": method, "seed": seed, **outcome}
-            entry.pop("distribution", None)
+            run = {k: v for k, v in outcome.items() if k != "distribution"}
+            summary["runs"].append({"method": method, "seed": seed, **run})
             if "error" in outcome:
-                summary["runs"].append(entry)
                 print(f"[design] {method} seed={seed}: {outcome['error']}", file=sys.stderr)
-                continue
-            payload = {
-                "config": resolved,
-                "M": cfg.grid.M,
-                "N": cfg.grid.N,
-                "K": outcome["K"],
-                "method": method,
-                "seed": seed,
-                "objective": outcome["objective"],
-                "average_mse": outcome["average_mse"],
-            }
-            footer = f"avg MSE = {outcome['average_mse']:.2f}"
-            if method == METHOD_CR:
-                payload["weights"] = outcome["weights"]
-                art = render_weights(cfg.grid, outcome["weights"], footer)
             else:
-                payload["indices"] = outcome["indices"]
-                art = render_pattern(cfg.grid, outcome["indices"], footer)
-            write_json(out_dir / f"{stem}.json", payload)
-            (out_dir / f"{stem}.txt").write_text(art, encoding="utf-8")
-            summary["runs"].append(entry)
+                _write_pattern(out_dir, f"design_{method}_seed{seed}", cfg, method, seed, outcome)
     write_json(out_dir / "design_summary.json", summary)
     return EXIT_OK
 
@@ -537,18 +537,16 @@ def _axis_points(cfg: ExperimentConfig):
 
 
 def _csv_row(base: dict, method: str, record: dict) -> str:
-    """One sweep CSV line: the point's ``base`` columns plus one outcome or
-    one rounding of its distribution."""
-    row = dict(
-        base,
-        method=method,
-        K=str(record["K"]),
-        objective=fmt_float(record["objective"]),
-        average_mse=fmt_float(record["average_mse"]),
-        swap_iterations=str(record["swap_iterations"]),
-        wall_time=format(record["wall_time"], ".3f"),
-        rounding_seed=str(record.get("rounding_seed", "")),
-    )
+    """One sweep CSV line: the point's ``base`` columns plus the columns of
+    one outcome record or one rounding of its distribution.  Record floats
+    take 12 significant digits; ``wall_time``, telemetry, takes three
+    decimals."""
+    row = {**base, "method": method, "rounding_seed": ""}
+    for column, value in record.items():
+        if column == "wall_time":
+            row[column] = format(value, ".3f")
+        elif column in CSV_COLUMNS:
+            row[column] = fmt_float(value) if isinstance(value, float) else str(value)
     return ",".join(row[c] for c in CSV_COLUMNS)
 
 
@@ -613,55 +611,20 @@ def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("structure needs a method that places pilots; cr gives only weights")
     K = budget_pilots(cfg.grid, kind, value)
     cache = _statistics_cache(cfg)
-    resolved = resolved_config_dict(cfg)
 
-    summary = {"config": resolved, "axis": axis, "patterns": []}
-    for snr_db in cfg.snr_dbs:
-        for dd in cfg.spreading_factors:
-            axis_value = snr_db if axis == "snr_db" else dd
-            for seed in cfg.seeds:
-                outcomes = run_point(
-                    cfg, cache[dd], K, snr_db, seed, methods, cfg.rounding_repeats
-                )
-                for method, outcome in outcomes.items():
-                    if "error" in outcome:
-                        print(f"[structure] {method}: {outcome['error']}", file=sys.stderr)
-                        continue
-                    dispersion = nearest_neighbor_dispersion(cfg.grid, outcome["indices"])
-                    stem = f"structure_{axis}_{fmt_float(axis_value)}_{method}_seed{seed}"
-                    payload = {
-                        "config": resolved,
-                        "M": cfg.grid.M,
-                        "N": cfg.grid.N,
-                        "K": outcome["K"],
-                        "method": method,
-                        "seed": seed,
-                        "axis": axis,
-                        "axis_value": axis_value,
-                        "objective": outcome["objective"],
-                        "average_mse": outcome["average_mse"],
-                        "indices": outcome["indices"],
-                        "dispersion": dispersion,
-                    }
-                    write_json(out_dir / f"{stem}.json", payload)
-                    footer = (
-                        f"avg MSE = {outcome['average_mse']:.2f} | "
-                        f"dispersion = {'n/a' if dispersion is None else format(dispersion, '.2f')}"
-                    )
-                    (out_dir / f"{stem}.txt").write_text(
-                        render_pattern(cfg.grid, outcome["indices"], footer), encoding="utf-8"
-                    )
-                    summary["patterns"].append(
-                        {
-                            "axis_value": axis_value,
-                            "method": method,
-                            "seed": seed,
-                            "K": outcome["K"],
-                            "objective": outcome["objective"],
-                            "average_mse": outcome["average_mse"],
-                            "dispersion": dispersion,
-                        }
-                    )
+    summary = {"config": resolved_config_dict(cfg), "axis": axis, "patterns": []}
+    for snr_db, dd, seed in itertools.product(cfg.snr_dbs, cfg.spreading_factors, cfg.seeds):
+        axis_value = snr_db if axis == "snr_db" else dd
+        outcomes = run_point(cfg, cache[dd], K, snr_db, seed, methods, cfg.rounding_repeats)
+        for method, outcome in outcomes.items():
+            if "error" in outcome:
+                print(f"[structure] {method}: {outcome['error']}", file=sys.stderr)
+                continue
+            stem = f"structure_{axis}_{fmt_float(axis_value)}_{method}_seed{seed}"
+            dispersion = nearest_neighbor_dispersion(cfg.grid, outcome["indices"])
+            payload = _write_pattern(out_dir, stem, cfg, method, seed, outcome,
+                                     axis=axis, axis_value=axis_value, dispersion=dispersion)
+            summary["patterns"].append({k: payload[k] for k in STRUCTURE_SUMMARY_FIELDS})
     write_json(out_dir / "structure_summary.json", summary)
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import warnings
@@ -542,3 +543,72 @@ class TestRunPoint:
             assert outcomes[method]["error"].startswith("NumericError: "), method
             assert outcomes[method]["K"] == 3
 
+
+
+class TestOutcomeViews:
+    """Every file ``design`` and ``structure`` write repeats ``run_point``'s
+    outcome record, at one 4x4 point with every method (rect falls back to
+    K' = 2 there)."""
+
+    RAW = {
+        **BASE_CONFIG,
+        "grid": {"M": 4, "N": 4},
+        "pilot_budget": 3,
+        "methods": list(VALID_METHODS),
+        "rounding_repeats": 2,
+    }
+    FILE_FIELDS = ("K", "objective", "average_mse")
+
+    def _run(self, tmp_path, monkeypatch, command, overrides=None):
+        """Run ``command`` and return its output directory and the
+        ``(seed, snr_db, outcomes)`` of every ``run_point`` call it made."""
+        records, run = [], cli.run_point
+        signature = inspect.signature(run)
+
+        def recording_run_point(*args, **kwargs):
+            outcomes = run(*args, **kwargs)
+            arguments = signature.bind(*args, **kwargs).arguments
+            records.append((arguments["seed"], arguments["snr_db"], outcomes))
+            return outcomes
+
+        monkeypatch.setattr(cli, "run_point", recording_run_point)
+        cfg_path = write_config(tmp_path, {**self.RAW, **(overrides or {})})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert records
+        return out, records
+
+    def _assert_file_repeats_record(self, data, outcome):
+        view = "weights" if "weights" in outcome else "indices"
+        for field in (*self.FILE_FIELDS, view):
+            assert data[field] == cli._round_floats(outcome[field]), field
+
+    def test_design_files_repeat_the_record(self, tmp_path, monkeypatch):
+        out, records = self._run(tmp_path, monkeypatch, "design", {"seeds": [0, 1]})
+        runs = []
+        for seed, _, outcomes in records:
+            assert tuple(outcomes) == VALID_METHODS
+            for method, outcome in outcomes.items():
+                data = json.loads((out / f"design_{method}_seed{seed}.json").read_text())
+                assert (data["method"], data["seed"]) == (method, seed)
+                self._assert_file_repeats_record(data, outcome)
+                run = {k: v for k, v in outcome.items() if k != "distribution"}
+                runs.append(cli._round_floats({"method": method, "seed": seed, **run}))
+        assert json.loads((out / "design_summary.json").read_text())["runs"] == runs
+
+    def test_structure_files_repeat_the_record(self, tmp_path, monkeypatch):
+        out, records = self._run(
+            tmp_path, monkeypatch, "structure", {"snr_db": [10.0, 20.0], "seeds": [0, 3]}
+        )
+        entries = json.loads((out / "structure_summary.json").read_text())["patterns"]
+        assert len(entries) == len(records) * (len(VALID_METHODS) - 1)  # all but cr
+        for entry in entries:
+            axis_value = cli.fmt_float(entry["axis_value"])
+            stem = f"structure_snr_db_{axis_value}_{entry['method']}_seed{entry['seed']}"
+            data = json.loads((out / f"{stem}.json").read_text())
+            assert entry == {k: data[k] for k in entry}
+            (outcomes,) = [
+                o for seed, snr_db, o in records
+                if (seed, snr_db) == (entry["seed"], entry["axis_value"])
+            ]
+            self._assert_file_repeats_record(data, outcomes[entry["method"]])
