@@ -494,7 +494,7 @@ def _write_pattern(out_dir: Path, stem: str, cfg, method, seed, outcome, **extra
     payload = {"config": resolved_config_dict(cfg), "M": cfg.grid.M, "N": cfg.grid.N,
                "method": method, "seed": seed, **record, **extras}
     write_json(out_dir / f"{stem}.json", payload)
-    footer = f"avg MSE = {outcome['average_mse']:.2f}"
+    footer = f"avg MSE = {outcome['average_mse']:.4g}"
     if "dispersion" in extras:
         dispersion = extras["dispersion"]
         footer += f" | dispersion = {'n/a' if dispersion is None else format(dispersion, '.2f')}"
