@@ -618,7 +618,10 @@ def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
         outcomes = run_point(cfg, cache[dd], K, snr_db, seed, methods, cfg.rounding_repeats)
         for method, outcome in outcomes.items():
             if "error" in outcome:
-                print(f"[structure] {method}: {outcome['error']}", file=sys.stderr)
+                entry = {"axis_value": axis_value, "method": method, "seed": seed, **outcome}
+                summary["patterns"].append(entry)
+                print(f"[structure] {method} {axis}={axis_value} seed={seed}: {outcome['error']}",
+                      file=sys.stderr)
                 continue
             stem = f"structure_{axis}_{fmt_float(axis_value)}_{method}_seed{seed}"
             dispersion = nearest_neighbor_dispersion(cfg.grid, outcome["indices"])

@@ -349,6 +349,23 @@ class TestStructureCommand:
         )
         assert main(["structure", "--config", str(cfg_path)]) == EXIT_BAD_CONFIG
 
+    def test_failed_method_is_recorded(self, tmp_path):
+        # Exhaustive search exceeds its complexity guard on the 12x14 block.
+        cfg_path = write_config(
+            tmp_path, {"snr_db": [3.0, 20.0], "methods": ["greedy", "exhaustive"]}
+        )
+        out = tmp_path / "out"
+        assert main(["structure", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        patterns = json.loads((out / "structure_summary.json").read_text())["patterns"]
+        errors = [p for p in patterns if "error" in p]
+        failed = [(e["axis_value"], e["method"]) for e in errors]
+        assert failed == [(3.0, "exhaustive"), (20.0, "exhaustive")]
+        for entry in errors:
+            assert set(entry) == {"axis_value", "method", "seed", "K", "error"}
+            assert entry["K"] == 14 and entry["error"].startswith("ComplexityGuardError: ")
+        assert not list(out.glob("*exhaustive*"))
+        assert len(patterns) == 4
+
     def test_cr_alone_is_a_config_error(self, tmp_path, capsys):
         # cr places no pilots, so a structure run of it alone has nothing to
         # write.
@@ -603,6 +620,7 @@ class TestOutcomeViews:
         entries = json.loads((out / "structure_summary.json").read_text())["patterns"]
         assert len(entries) == len(records) * (len(VALID_METHODS) - 1)  # all but cr
         for entry in entries:
+            assert "error" not in entry
             axis_value = cli.fmt_float(entry["axis_value"])
             stem = f"structure_snr_db_{axis_value}_{entry['method']}_seed{entry['seed']}"
             data = json.loads((out / f"{stem}.json").read_text())
