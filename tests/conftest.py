@@ -1,3 +1,15 @@
+# One BLAS and OpenMP thread for the whole suite, whatever the environment
+# sets.  A threaded BLAS sums in another order, and the 48x28 relaxation
+# test holds its 1e-10 bound against the reference loop only with one
+# thread (unpinned on 2 vCPUs it ends 1.0e-8 relative above it, in 25 s
+# instead of 3).  OpenBLAS reads these variables once, when numpy is first
+# imported, so they are set before any import below; no pytest plugin
+# imports numpy before this file loads.
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 import warnings
 
 import numpy as np
