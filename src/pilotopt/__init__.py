@@ -16,19 +16,16 @@ from .objective import (
     FractionalAllocation,
     PilotPattern,
     average_mse,
-    build_A,
     compute_alpha,
     make_design_problem,
     objective_gradient,
     objective_value,
 )
 from .optimizers import (
-    LatticeParams,
     best_lattice,
     dependent_rounding,
     exhaustive_search,
     greedy_design,
-    lattice_pattern,
     local_swap,
     project_capped_simplex,
     solve_relaxation,
@@ -42,13 +39,11 @@ __all__ = [
     "DopplerSpectrum",
     "FractionalAllocation",
     "GridConfig",
-    "LatticeParams",
     "PilotPattern",
     "ScatteringSpec",
     "SimConfig",
     "average_mse",
     "best_lattice",
-    "build_A",
     "build_freq_correlation",
     "build_statistics",
     "build_time_correlation",
@@ -56,7 +51,6 @@ __all__ = [
     "dependent_rounding",
     "exhaustive_search",
     "greedy_design",
-    "lattice_pattern",
     "local_swap",
     "make_design_problem",
     "objective_gradient",

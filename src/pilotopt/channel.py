@@ -241,15 +241,6 @@ class ChannelStatistics:
         """The ``r`` eigenvectors of the design basis, as columns (a view)."""
         return self.significant_eigvecs[:, : self.effective_rank]
 
-    @property
-    def total_power(self) -> float:
-        """``trace(C_g) = trace(C_t) * trace(C_f) = M*N``."""
-        return _trace_product(self.freq_corr, self.time_corr)
-
-
-def _trace_product(C_f: np.ndarray, C_t: np.ndarray) -> float:
-    return float(np.trace(C_f).real * np.trace(C_t).real)
-
 
 def _factor_eigh(matrix: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     try:
@@ -284,7 +275,7 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
     order = np.argsort(-products, kind="stable")
     sorted_vals = products[order]
 
-    total = _trace_product(C_f, C_t)
+    total = float(np.trace(C_f).real * np.trace(C_t).real)  # trace(C_g)
     cumulative = np.cumsum(sorted_vals)
     # The float cumsum can land a hair under the analytic trace at eta = 1.
     target = min(spec.rank_energy_threshold * total, float(cumulative[-1]))

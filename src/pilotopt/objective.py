@@ -33,9 +33,11 @@ reads only the trace sums the diagonal of the unmirrored triangle
 kernel a sorted ``np.intp`` index array, and ``allocation_lower_inverse``
 (the relaxation's, which mirrors only accepted steps) a weight vector of
 length P, from the constants ``DesignProblem`` derives once (``prior_inv``
-and ``rows_conj``), validating nothing.  The public functions validate their
-input and then run the same algebra.  ``_face_hessian`` gives the relaxed
-objective's Hessian on a set of weights, for the relaxation's Newton steps.
+and ``rows_conj``), validating nothing.  The public ``objective_value``,
+``objective_gradient`` and ``average_mse`` check that a pattern or allocation
+fits the grid (``_information_matrix``) and then run the same kernel.
+``_face_hessian`` gives the relaxed objective's Hessian on a set of weights,
+for the relaxation's Newton steps.
 """
 
 import math
@@ -209,15 +211,6 @@ class PilotPattern:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def mask(self) -> np.ndarray:
-        c = np.zeros(self.grid.size)
-        c[list(self.indices)] = 1.0
-        return c
-
-    def cells(self) -> list:
-        """Pilot positions as (m, n) pairs."""
-        return [self.grid.cell(k) for k in self.indices]
 
 
 # Weights within this distance of 0 or 1 are pinned: dependent rounding
@@ -403,18 +396,6 @@ def _problem_information(problem: DesignProblem, pattern) -> np.ndarray:
     )
 
 
-def build_A(problem: DesignProblem, pattern) -> np.ndarray:
-    """Hermitian information matrix
-    ``A = diag(1/prior) + alpha * rows^H diag(w) rows`` on the design basis."""
-    A = _problem_information(problem, pattern)
-    return 0.5 * (A + A.conj().T)
-
-
-def information_inverse(problem: DesignProblem, pattern) -> np.ndarray:
-    """Hermitian ``A^{-1}`` on the design basis for a pattern or allocation."""
-    return _hermitian_inverse(_problem_information(problem, pattern))
-
-
 def objective_value(problem: DesignProblem, pattern) -> float:
     """The design objective ``trace(A^{-1})`` for a pattern or allocation."""
     return float(np.trace(_lower_inverse(_problem_information(problem, pattern))).real)
@@ -462,19 +443,14 @@ def _error_covariance(
     return lower, float(np.diagonal(lower).real.sum()) / stats.grid.size
 
 
-def _row_norms(A_inv: np.ndarray, rows: np.ndarray):
-    """``Z``, whose k-th row is ``z_k = A^{-1} u_k^H`` for row ``u_k`` of
-    ``rows``, and the squared norms ``|z_k|^2``."""
-    Z = (rows @ A_inv).conj()
-    return Z, np.einsum("ij,ij->i", Z, Z.conj()).real
-
-
 def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
     """Sherman-Morrison terms of every row ``u_k`` of ``rows`` against ``A_inv``:
-    ``_row_norms`` plus the quadratic forms ``u_k A^{-1} u_k^H``, returned as
+    ``Z``, whose k-th row is ``z_k = A^{-1} u_k^H``, the quadratic forms
+    ``u_k A^{-1} u_k^H`` and the squared norms ``|z_k|^2``, returned as
     ``Z, quad, norm2``.
     """
-    Z, norm2 = _row_norms(A_inv, rows)
+    Z = (rows @ A_inv).conj()
+    norm2 = np.einsum("ij,ij->i", Z, Z.conj()).real
     quad = np.einsum("ij,ij->i", rows, Z).real
     return Z, quad, norm2
 
@@ -556,8 +532,8 @@ def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates)
 
 def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarray:
     """Relaxed-objective gradient ``-alpha * u_i A^{-2} u_i^H`` per cell, from
-    an ``A^{-1}`` already formed by ``information_inverse``."""
-    # The squared row norms of rows @ A^{-1}, the conjugate of _row_norms'
+    an ``A^{-1}`` already formed by ``_hermitian_inverse``."""
+    # The squared row norms of rows @ A^{-1}, the conjugate of _row_terms'
     # Z: the same bits without its conjugate copy.
     Y = problem.rows @ A_inv
     return -problem.pilot_snr * np.einsum("ij,ij->i", Y, Y.conj()).real
@@ -565,7 +541,9 @@ def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarr
 
 def objective_gradient(problem: DesignProblem, allocation) -> np.ndarray:
     """Gradient of the relaxed objective: ``-alpha * u_i A^{-2} u_i^H`` per cell."""
-    return gradient_from_inverse(problem, information_inverse(problem, allocation))
+    return gradient_from_inverse(
+        problem, _hermitian_inverse(_problem_information(problem, allocation))
+    )
 
 
 def _face_hessian(problem: DesignProblem, A_inv: np.ndarray, face: np.ndarray) -> np.ndarray:

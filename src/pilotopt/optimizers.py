@@ -547,124 +547,62 @@ def _swap_state(problem: DesignProblem, indices: tuple, visited: dict):
     return visited[indices]
 
 
-@dataclass(frozen=True)
-class LatticeParams:
-    """Rectangular lattice parameters, optionally staggered into a diamond."""
+def _spacing_offsets(size: int):
+    """The lattice lines of one grid axis of ``size`` cells.
 
-    freq_spacing: int
-    time_spacing: int
-    freq_offset: int = 0
-    time_offset: int = 0
-    staggered: bool = False
-
-    def __post_init__(self):
-        if self.freq_spacing < 1 or self.time_spacing < 1:
-            raise LatticeError("spacings must be positive")
-        if not (0 <= self.freq_offset < self.freq_spacing):
-            raise LatticeError("freq_offset must be in [0, freq_spacing)")
-        if not (0 <= self.time_offset < self.time_spacing):
-            raise LatticeError("time_offset must be in [0, time_spacing)")
-
-
-def lattice_pattern(grid: GridConfig, params: LatticeParams) -> PilotPattern:
-    """Pilots on a rectangular lattice, or a diamond when staggered.
-
-    The diamond shifts the subcarrier indices of every second pilot-bearing
-    column by half the frequency spacing; shifted pilots falling off the grid
-    edge are dropped.
+    Returns every ``(spacing, offset)`` with ``1 <= spacing <= size`` and
+    ``0 <= offset < spacing``, in (spacing, offset) order, as two arrays, and
+    per pair four boolean masks over the axis: its lattice positions, those
+    positions shifted by ``spacing // 2`` (dropped past the edge), and its
+    lattice positions of even and of odd rank.
     """
-    rows = np.arange(params.freq_offset, grid.M, params.freq_spacing)
-    cols = np.arange(params.time_offset, grid.N, params.time_spacing)
-    shift = params.freq_spacing // 2
-    indices = []
-    for pos, n in enumerate(cols):
-        if params.staggered and pos % 2 == 1:
-            m_vals = rows + shift
-            m_vals = m_vals[m_vals < grid.M]
-        else:
-            m_vals = rows
-        indices.extend(int(n) * grid.M + int(m) for m in m_vals)
-    if not indices:
-        raise LatticeError(f"lattice {params} selects no cells on {grid.M}x{grid.N}")
-    return PilotPattern(tuple(indices), grid)
-
-
-def lattice_count(
-    grid: GridConfig,
-    freq_spacing: int | np.ndarray,
-    time_spacing: int | np.ndarray,
-    freq_offset: int | np.ndarray = 0,
-    time_offset: int | np.ndarray = 0,
-    staggered: bool = False,
-) -> int | np.ndarray:
-    """``len(lattice_pattern(grid, LatticeParams(...)))`` in closed form, from
-    the ``LatticeParams`` fields; the integer fields may be broadcastable
-    numpy arrays, giving an array of counts."""
-    rows = (grid.M - 1 - freq_offset) // freq_spacing + 1
-    cols = (grid.N - 1 - time_offset) // time_spacing + 1
-    if not staggered:
-        return rows * cols
-    # Every second column keeps the rows that stay on the grid when shifted.
-    shifted = np.maximum((grid.M - 1 - freq_offset - freq_spacing // 2) // freq_spacing + 1, 0)
-    return rows * ((cols + 1) // 2) + shifted * (cols // 2)
-
-
-def _spacing_offsets(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (spacing, offset) with ``1 <= spacing <= size`` and
-    ``0 <= offset < spacing``, in (spacing, offset) order."""
     spacings = np.arange(1, size + 1)
     spacing = np.repeat(spacings, spacings)
     # The run of spacing s starts at position s*(s-1)/2.
-    return spacing, np.arange(spacing.size) - spacing * (spacing - 1) // 2
-
-
-def _lattices(grid: GridConfig, staggered: bool, counts: range):
-    """(count, params) of every lattice of one shape whose pilot count is in
-    ``counts``, in (freq_spacing, time_spacing, offsets) order.
-
-    The counts of the whole (frequency pair) x (time pair) grid come from one
-    array evaluation of ``lattice_count``."""
-    f_sp, f_off = _spacing_offsets(grid.M)
-    t_sp, t_off = _spacing_offsets(grid.N)
-    count = lattice_count(
-        grid, f_sp[:, None], t_sp[None, :], f_off[:, None], t_off[None, :], staggered
-    )
-    f, t = np.nonzero(np.isin(count, counts))
-    order = np.lexsort((t_off[t], f_off[f], t_sp[t], f_sp[f]))
-    for a, b in zip(f[order].tolist(), t[order].tolist()):
-        params = LatticeParams(
-            int(f_sp[a]), int(t_sp[b]), int(f_off[a]), int(t_off[b]), staggered=staggered
-        )
-        yield int(count[a, b]), params
+    offset = np.arange(spacing.size) - spacing * (spacing - 1) // 2
+    s = spacing[:, None]
+    pos = np.arange(size) - offset[:, None]
+    on = (pos >= 0) & (pos % s == 0)
+    shifted = (pos >= s // 2) & ((pos - s // 2) % s == 0)
+    even = on & (pos // s % 2 == 0)
+    return spacing, offset, on, shifted, even, on & ~even
 
 
 def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
     """Lowest-objective lattice of the given shape and pilot count.
 
-    All spacing/offset combinations with exactly K pilots are scored.  If no
+    A lattice takes the subcarriers of one (spacing, offset) pair in every
+    symbol of another.  The diamond shifts the subcarriers of every second
+    pilot-bearing symbol by half the frequency spacing, dropping those that
+    fall off the grid edge.  All lattices with exactly K pilots are scored,
+    in (spacing, offset) order, the first of equal objectives winning.  If no
     lattice hits K, the largest count K' in [K-2, K) with candidates is used
-    instead and alpha is recomputed for K'.  Lattices are grouped by their
-    closed-form count, and only those of the count scored are built.
+    instead and alpha is recomputed for K'.  A lattice's count is a product
+    of mask sums, so only the lattices of the count scored are built.
     """
     if shape not in (METHOD_RECT, METHOD_DIAMOND):
         raise LatticeError(f"shape must be 'rect' or 'diamond', got {shape!r}")
     t0 = time.perf_counter()
     grid = problem.grid
-    staggered = shape == METHOD_DIAMOND
-    by_count: dict[int, list] = {}
-    for count, params in _lattices(grid, staggered, range(problem.budget - 2, problem.budget + 1)):
-        by_count.setdefault(count, []).append(params)
-
+    f_sp, f_off, rows, shifted, _, _ = _spacing_offsets(grid.M)
+    t_sp, t_off, _, _, even, odd = _spacing_offsets(grid.N)
+    if shape == METHOD_RECT:
+        shifted = rows
+    count = np.outer(rows.sum(1), even.sum(1)) + np.outer(shifted.sum(1), odd.sum(1))
     for K_used in range(problem.budget, problem.budget - 3, -1):
-        if K_used in by_count and K_used >= 1:
-            sub_problem = problem if K_used == problem.budget else problem.with_budget(K_used)
-            best_obj, best_pattern = np.inf, None
-            for params in by_count[K_used]:
-                pattern = lattice_pattern(grid, params)
-                obj = pattern_objective(sub_problem, np.array(pattern.indices, dtype=np.intp))
-                if obj < best_obj:
-                    best_obj, best_pattern = obj, pattern
-            return _report(sub_problem, best_pattern, best_obj, best_obj, 0, t0)
+        f, t = np.nonzero(count == K_used)
+        if not f.size:
+            continue
+        sub_problem = problem if K_used == problem.budget else problem.with_budget(K_used)
+        order = np.lexsort((t_off[t], f_off[f], t_sp[t], f_sp[f]))
+        best_obj, best_idx = np.inf, None
+        for a, b in zip(f[order], t[order]):
+            # Cell n*M + m: symbol n, subcarrier m.
+            idx = np.flatnonzero(np.outer(even[b], rows[a]) | np.outer(odd[b], shifted[a]))
+            obj = pattern_objective(sub_problem, idx)
+            if obj < best_obj:
+                best_obj, best_idx = obj, idx
+        return _report(sub_problem, PilotPattern(best_idx, grid), best_obj, best_obj, 0, t0)
     raise NoFeasibleLatticeError(
         f"no {shape} lattice on {grid.M}x{grid.N} has {problem.budget - 2}"
         f"..{problem.budget} pilots"

@@ -5,6 +5,7 @@
 # instead of 3).  OpenBLAS reads these variables once, when numpy is first
 # imported, so they are set before any import below; no pytest plugin
 # imports numpy before this file loads.
+import functools
 import os
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -120,7 +121,8 @@ def reference_pilot_system(stats, idx, sigma_p, noise_var):
         gain = np.zeros((0, 0), dtype=np.complex128)
     # trace(gain @ gram) as an entrywise sum, O(K^2).
     reduction = sigma_p * float(np.sum(gain * gram.T).real)
-    return gain, (stats.total_power - reduction) / stats.grid.size
+    total_power = np.trace(stats.freq_corr).real * np.trace(stats.time_corr).real
+    return gain, (total_power - reduction) / stats.grid.size
 
 
 def reference_lmmse_weights(stats, pattern, sigma_p, noise_var):
@@ -156,6 +158,38 @@ def reference_information_inverse(problem, pattern):
     inverse, info = lapack.zpotri(factor, lower=True)
     assert info == 0, info
     return np.tril(inverse) + np.tril(inverse, -1).conj().T
+
+
+def reference_lattice(grid, f_sp, t_sp, f_off=0, t_off=0, staggered=False):
+    """Sorted flat indices of a lattice, built column by column as first
+    written: the subcarriers ``f_off, f_off + f_sp, ...`` in the symbols
+    ``t_off, t_off + t_sp, ...``; a diamond (``staggered``) shifts the
+    subcarriers of every second of those symbols by ``f_sp // 2`` and drops
+    the shifted pilots that fall off the grid edge."""
+    rows = np.arange(f_off, grid.M, f_sp)
+    cols = np.arange(t_off, grid.N, t_sp)
+    indices = []
+    for pos, n in enumerate(cols):
+        m_vals = rows
+        if staggered and pos % 2 == 1:
+            m_vals = rows + f_sp // 2
+            m_vals = m_vals[m_vals < grid.M]
+        indices.extend(int(n) * grid.M + int(m) for m in m_vals)
+    return tuple(sorted(indices))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_lattices(grid, staggered):
+    """``(params, indices)`` of every lattice of one shape on ``grid``, with
+    ``params = (f_sp, t_sp, f_off, t_off)``, in that lexicographic order: the
+    order in which ``best_lattice`` scores them.  Cached: do not modify."""
+    return [
+        ((f_sp, t_sp, f_off, t_off), reference_lattice(grid, f_sp, t_sp, f_off, t_off, staggered))
+        for f_sp in range(1, grid.M + 1)
+        for t_sp in range(1, grid.N + 1)
+        for f_off in range(f_sp)
+        for t_off in range(t_sp)
+    ]
 
 
 def reference_marginal_gain(problem, A_inv, j):

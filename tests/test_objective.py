@@ -13,7 +13,6 @@ from pilotopt import (
     PilotPattern,
     average_mse,
     best_lattice,
-    build_A,
     compute_alpha,
     greedy_design,
     local_swap,
@@ -34,12 +33,12 @@ from pilotopt.objective import (
     _hermitian_inverse,
     _information_matrix,
     _lower_inverse,
+    _problem_information,
     _prior_inverse,
     allocation_lower_inverse,
     gains_for_candidates,
     gradient_from_inverse,
     hermitian_from_lower,
-    information_inverse,
     pattern_inverse,
     pattern_objective,
     rank_one_update,
@@ -59,6 +58,11 @@ from conftest import (
     reference_removal,
     reference_swap_delta,
 )
+
+
+def weights_inverse(problem, w):
+    """Hermitian ``A^{-1}`` of the float weights ``w``."""
+    return hermitian_from_lower(allocation_lower_inverse(problem, w))
 
 
 def synthetic_problem(M, N, r, K, alpha, seed=0):
@@ -111,7 +115,7 @@ class TestPatternTypes:
             PilotPattern((0, 16), grid)
         p = PilotPattern((3, 1, 2), grid)
         assert p.indices == (1, 2, 3)
-        assert p.cells() == [(1, 0), (2, 0), (3, 0)]
+        assert [grid.cell(k) for k in p.indices] == [(1, 0), (2, 0), (3, 0)]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -121,8 +125,7 @@ class TestPatternTypes:
         pattern = PilotPattern(tuple(indices), grid)
         assert list(pattern.indices) == sorted(set(indices))
         assert len(pattern) == len(indices)
-        assert pattern.mask().sum() == len(pattern)
-        assert tuple(n * grid.M + m for m, n in pattern.cells()) == pattern.indices
+        assert tuple(n * grid.M + m for m, n in map(grid.cell, pattern.indices)) == pattern.indices
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -202,8 +205,8 @@ class TestPatternTypes:
 class TestBuildA:
     def test_empty_pattern_gives_prior(self):
         pr = synthetic_problem(4, 4, 3, 2, alpha=5.0)
-        A = build_A(pr, PilotPattern((), pr.grid))
-        assert np.allclose(A, np.diag(1.0 / pr.prior))
+        A = _problem_information(pr, PilotPattern((), pr.grid))
+        assert np.array_equal(A, np.diag(1.0 / pr.prior))
         assert objective_value(pr, PilotPattern((), pr.grid)) == pytest.approx(
             pr.prior.sum(), rel=1e-12
         )
@@ -218,11 +221,15 @@ class TestBuildA:
         # Direct evaluation with the full-size Diag(c_p) selection matrix.
         pr = synthetic_problem(4, 4, 3, 2, alpha=7.0, seed=3)
         pattern = PilotPattern((2, 9), pr.grid)
-        c = pattern.mask()
+        c = np.zeros(pr.grid.size)
+        c[list(pattern.indices)] = 1.0
         oracle = np.diag(1.0 / pr.prior) + pr.pilot_snr * (
             pr.rows.conj().T @ np.diag(c) @ pr.rows
         )
-        assert np.allclose(build_A(pr, pattern), oracle, atol=1e-12)
+        assert np.allclose(_problem_information(pr, pattern), oracle, atol=1e-12)
+        assert objective_value(pr, pattern) == pytest.approx(
+            np.trace(np.linalg.inv(oracle)).real, rel=1e-12
+        )
 
     def test_all_pilots_high_snr_drives_objective_to_zero(self):
         pr = synthetic_problem(3, 3, 3, 9, alpha=1e9)
@@ -231,8 +238,9 @@ class TestBuildA:
 
 
 class TestInverseKernels:
-    """The two ``A^{-1}`` kernels give ``information_inverse`` bit for bit,
-    in the operation order of the reference algebra."""
+    """The two ``A^{-1}`` kernels give the reference inverse bit for bit, in
+    the operation order of the reference algebra, and the public objective
+    and gradient read the same inverse."""
 
     @pytest.mark.filterwarnings("ignore:power_fraction")
     @pytest.mark.parametrize("fixture", ["problem_rb", "problem_big"])
@@ -252,8 +260,11 @@ class TestInverseKernels:
             (lambda p, w: hermitian_from_lower(allocation_lower_inverse(p, w)), w, allocation),
         ):
             fast = kernel(problem, given)
-            assert np.array_equal(fast, information_inverse(problem, public))
             assert np.array_equal(fast, reference_information_inverse(problem, public))
+            assert objective_value(problem, public) == float(np.trace(fast).real)
+        assert np.array_equal(
+            objective_gradient(problem, allocation), gradient_from_inverse(problem, fast)
+        )
 
     @pytest.mark.parametrize("spreading", [1e-3, 5e-3])
     def test_trace_matches_a_40_digit_reference_at_full_rank(self, spreading):
@@ -285,7 +296,7 @@ class TestInverseKernels:
         assert abs(got - want) <= 1e-12 * want
 
     def test_not_positive_definite_is_a_labelled_error(self, problem_rb):
-        A = build_A(problem_rb, PilotPattern((0, 1), problem_rb.grid))
+        A = _problem_information(problem_rb, PilotPattern((0, 1), problem_rb.grid))
         A[3, 3] = -1.0
         with pytest.raises(NumericError, match=r"not positive definite \(LAPACK info 4\)"):
             _hermitian_inverse(A)
@@ -329,7 +340,7 @@ class TestIncrementalUpdates:
         for _ in range(25):
             S = rng.choice(P, size=10, replace=False)
             pattern = PilotPattern(tuple(int(i) for i in S), problem_rb.grid)
-            A_inv = information_inverse(problem_rb, pattern)
+            A_inv = pattern_inverse(problem_rb, np.sort(S))
             j = int(rng.choice([k for k in range(P) if k not in pattern.indices]))
             gain = gains_for_candidates(A_inv, problem_rb.rows, problem_rb.pilot_snr)[j]
             assert gain >= 0
@@ -351,11 +362,11 @@ class TestIncrementalUpdates:
             power_fraction=pr.power_fraction,
             noise_var=pr.noise_var,
         )
-        A_inv = information_inverse(pr_zero, PilotPattern((), pr_zero.grid))
+        A_inv = pattern_inverse(pr_zero, np.array([], dtype=np.intp))
         assert gains_for_candidates(A_inv, pr_zero.rows, pr_zero.pilot_snr)[7] == 0.0
 
     def test_add_then_remove_restores_inverse(self, problem_rb):
-        original = information_inverse(problem_rb, PilotPattern((5, 40, 100), problem_rb.grid))
+        original = pattern_inverse(problem_rb, np.array([5, 40, 100], dtype=np.intp))
         _, restored = reference_removal(
             problem_rb, rank_one_update(problem_rb, original, 77), 77
         )
@@ -368,7 +379,9 @@ class TestIncrementalUpdates:
         for j in indices:
             A_inv = rank_one_update(problem_rb, A_inv, int(j))
         oneshot = np.linalg.inv(
-            build_A(problem_rb, PilotPattern(tuple(int(i) for i in indices), problem_rb.grid))
+            _problem_information(
+                problem_rb, PilotPattern(tuple(int(i) for i in indices), problem_rb.grid)
+            )
         )
         assert np.abs(A_inv - oneshot).max() < 1e-8
         assert np.trace(A_inv).real == pytest.approx(np.trace(oneshot).real, rel=1e-8)
@@ -376,7 +389,7 @@ class TestIncrementalUpdates:
     def test_state_invariants(self, problem_rb):
         """``rank_one_update`` returns a Hermitian inverse and leaves its input
         alone."""
-        A_inv = information_inverse(problem_rb, PilotPattern(tuple(range(14)), problem_rb.grid))
+        A_inv = pattern_inverse(problem_rb, np.arange(14, dtype=np.intp))
         before = A_inv.copy()
         added = rank_one_update(problem_rb, A_inv, 50)
         assert np.array_equal(A_inv, before)
@@ -408,7 +421,7 @@ class TestSwapDelta:
 
     def test_local_optimum_has_no_improving_swap(self, problem_rb):
         report = local_swap(problem_rb, greedy_design(problem_rb).pattern)
-        A_inv = information_inverse(problem_rb, report.pattern)
+        A_inv = pattern_inverse(problem_rb, np.array(report.pattern.indices, dtype=np.intp))
         deltas = [
             reference_swap_delta(problem_rb, A_inv, i, j)
             for i in report.pattern.indices
@@ -421,7 +434,7 @@ class TestSwapDelta:
 class TestSwapDeltas:
     def test_every_pair_matches_swap_delta(self, problem_rb):
         pattern = PilotPattern(tuple(range(0, 168, 12)), problem_rb.grid)
-        A_inv = information_inverse(problem_rb, pattern)
+        A_inv = pattern_inverse(problem_rb, np.array(pattern.indices, dtype=np.intp))
         selected = list(pattern.indices)
         candidates = [j for j in range(problem_rb.grid.size) if j not in selected]
         batched = swap_deltas(problem_rb, A_inv, selected, candidates)
@@ -436,7 +449,7 @@ class TestSwapDeltas:
         assert np.abs(batched - looped).max() <= 1e-9 * np.trace(A_inv).real
 
     def test_nonpositive_removal_denominator_raises(self, problem_rb):
-        A_inv = information_inverse(problem_rb, PilotPattern((0, 50), problem_rb.grid))
+        A_inv = pattern_inverse(problem_rb, np.array([0, 50], dtype=np.intp))
         with pytest.raises(DegenerateUpdateError, match="^removal of 50 hit denominator -6"):
             # 1e6 A^{-1} is no longer the inverse of A.
             swap_deltas(problem_rb, 1e6 * A_inv, [0, 50], [1, 2, 3])
@@ -468,7 +481,7 @@ class TestGradient:
         grad = objective_gradient(problem_rb, w)
         assert np.all(grad <= 0)
         # -grad_i equals the marginal-gain numerator alpha * u_i A^-2 u_i^H.
-        A_inv = np.linalg.inv(build_A(problem_rb, w))
+        A_inv = np.linalg.inv(_problem_information(problem_rb, w))
         i = 37
         z = A_inv @ problem_rb.rows[i].conj()
         numer = problem_rb.pilot_snr * float(np.vdot(z, z).real)
@@ -598,7 +611,7 @@ class TestTraceOnlyInverse:
         mirrored = float(np.trace(pattern_inverse(problem, idx)).real)
         assert pattern_objective(problem, idx) == mirrored
         assert objective_value(problem, pattern) == mirrored
-        assert objective_value(problem, w) == float(np.trace(information_inverse(problem, w)).real)
+        assert objective_value(problem, w) == float(np.trace(weights_inverse(problem, w)).real)
         lattice_problem = problem.with_budget(P // 8)  # spacing (4, 2) has P/8 pilots
         for shape in ("rect", "diamond"):
             report = best_lattice(lattice_problem, shape)
@@ -634,8 +647,8 @@ def central_difference_hessian(problem, w, face, h=1e-5):
         up, down = w.copy(), w.copy()
         up[j] += h
         down[j] -= h
-        g_up = gradient_from_inverse(problem, information_inverse(problem, up))
-        g_down = gradient_from_inverse(problem, information_inverse(problem, down))
+        g_up = gradient_from_inverse(problem, weights_inverse(problem, up))
+        g_down = gradient_from_inverse(problem, weights_inverse(problem, down))
         H[:, col] = (g_up[face] - g_down[face]) / (2.0 * h)
     return H
 
@@ -649,7 +662,7 @@ class TestFaceHessian:
         w = np.array(solve_relaxation(problem).weights)
         face = np.flatnonzero((w > 0.0) & (w < 1.0))
         assert face.size >= 10
-        H = _face_hessian(problem, information_inverse(problem, w), face)
+        H = _face_hessian(problem, weights_inverse(problem, w), face)
         assert np.abs(H - central_difference_hessian(problem, w, face)).max() <= 1e-8 * np.abs(H).max()
         assert np.abs(H - H.T).max() <= 1e-14 * np.abs(H).max()
 
@@ -659,13 +672,13 @@ class TestFaceHessian:
         P = problem_big.grid.size
         w = project_capped_simplex(2.0 * rng.uniform(size=P), problem_big.budget)
         face = np.sort(rng.choice(np.flatnonzero((w > 0.0) & (w < 1.0)), size=40, replace=False))
-        H = _face_hessian(problem_big, information_inverse(problem_big, w), face)
+        H = _face_hessian(problem_big, weights_inverse(problem_big, w), face)
         assert np.abs(H - central_difference_hessian(problem_big, w, face)).max() <= 1e-8 * np.abs(H).max()
 
     def test_diagonal_reads_the_gradient_terms(self, problem_rb):
         """``H_ii = 2 alpha^2 (u_i A^{-1} u_i^H)(u_i A^{-2} u_i^H)``."""
         w = np.full(problem_rb.grid.size, problem_rb.budget / problem_rb.grid.size)
-        A_inv = information_inverse(problem_rb, w)
+        A_inv = weights_inverse(problem_rb, w)
         face = np.arange(problem_rb.grid.size, dtype=np.intp)
         H = _face_hessian(problem_rb, A_inv, face)
         quad = np.einsum("ij,jk,ik->i", problem_rb.rows, A_inv, problem_rb.rows.conj()).real
@@ -732,7 +745,7 @@ class TestReflectionInvariance:
         gains = gains_for_candidates(A_inv, problem.rows, alpha)
         assert_close(gains_for_candidates(A_inv_ref, problem.rows, alpha)[perm], gains)
 
-        B_inv, B_inv_ref = information_inverse(problem, w), information_inverse(problem, w_ref)
+        B_inv, B_inv_ref = weights_inverse(problem, w), weights_inverse(problem, w_ref)
         grad = gradient_from_inverse(problem, B_inv)
         assert_close(gradient_from_inverse(problem, B_inv_ref)[perm], grad)
 
@@ -753,6 +766,6 @@ class TestReflectionInvariance:
         w_ref = np.empty_like(w)
         w_ref[perm] = w
         face = np.flatnonzero((w > 0.0) & (w < 1.0))[:60]
-        H = _face_hessian(problem, information_inverse(problem, w), face)
-        H_ref = _face_hessian(problem, information_inverse(problem, w_ref), perm[face])
+        H = _face_hessian(problem, weights_inverse(problem, w), face)
+        H_ref = _face_hessian(problem, weights_inverse(problem, w_ref), perm[face])
         assert_close(H_ref, H)

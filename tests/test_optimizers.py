@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import warnings
 from math import comb
@@ -12,7 +13,6 @@ from pilotopt import (
     DesignProblem,
     FractionalAllocation,
     GridConfig,
-    LatticeParams,
     PilotPattern,
     ScatteringSpec,
     best_lattice,
@@ -20,7 +20,6 @@ from pilotopt import (
     dependent_rounding,
     exhaustive_search,
     greedy_design,
-    lattice_pattern,
     local_swap,
     make_design_problem,
     objective_gradient,
@@ -37,18 +36,19 @@ from pilotopt.errors import (
 )
 from pilotopt import optimizers
 from pilotopt.cli import derive_rounding_seed
-from pilotopt.objective import information_inverse, rank_one_update, swap_deltas
+from pilotopt.objective import pattern_inverse, pattern_objective, rank_one_update, swap_deltas
 from pilotopt.optimizers import (
     SWAP_TOLERANCE,
     TIE_BAND,
-    _lattices,
+    _spacing_offsets,
     greedy_swap_design,
-    lattice_count,
     relax_round_swap_design,
 )
 
 from conftest import (
     RB_SWEEP_POINTS,
+    reference_lattice,
+    reference_lattices,
     reference_marginal_gain,
     reference_projection,
     reference_solve_relaxation,
@@ -668,8 +668,8 @@ class TestLocalSwap:
             local_swap(problem, init, visited=visited)
         split = 0
         for indices in visited:
-            A_inv = information_inverse(problem, PilotPattern(indices, grid))
             selected = np.array(indices, dtype=np.intp)
+            A_inv = pattern_inverse(problem, selected)
             candidates = np.setdiff1d(np.arange(grid.size), selected)
             pair = lowest_pair_within_band(problem, A_inv, indices)
             screened = optimizers._best_swap(problem, A_inv, selected, candidates)
@@ -682,7 +682,7 @@ class TestLocalSwap:
     def test_rule_on_given_deltas(self, problem_rb, monkeypatch):
         """The rule read off given screens: rows are selected 10 and 11,
         columns candidates 20, 21 and 22."""
-        A_inv = information_inverse(problem_rb, PilotPattern((10, 11), problem_rb.grid))
+        A_inv = pattern_inverse(problem_rb, np.array([10, 11], dtype=np.intp))
         band, tol = TIE_BAND * float(np.trace(A_inv).real), SWAP_TOLERANCE
         assert band > 2 * tol
         selected, candidates = np.array([10, 11]), np.array([20, 21, 22])
@@ -815,41 +815,95 @@ class TestSwapMemo:
         assert report.initial_objective == objective_value(problem_rb, greedy.pattern)
 
 
+@functools.lru_cache(maxsize=None)
+def mask_geometry(M, N, staggered):
+    """``best_lattice``'s geometry on M x N from the per-axis masks of
+    ``_spacing_offsets``: the (spacing, offset) arrays of both axes, the
+    count of every (frequency pair, time pair) lattice as a product of mask
+    sums, and a function from the positions of such a pair to the lattice's
+    flat indices, ``flatnonzero(outer(even, rows) | outer(odd, shifted))``."""
+    f_sp, f_off, rows, shifted, _, _ = _spacing_offsets(M)
+    t_sp, t_off, _, _, even, odd = _spacing_offsets(N)
+    if not staggered:
+        shifted = rows
+    count = np.outer(rows.sum(1), even.sum(1)) + np.outer(shifted.sum(1), odd.sum(1))
+
+    def indices(a, b):
+        mask = np.outer(even[b], rows[a]) | np.outer(odd[b], shifted[a])
+        return tuple(np.flatnonzero(mask).tolist())
+
+    return (f_sp, f_off), (t_sp, t_off), count, indices
+
+
+def pair_position(spacing, offset):
+    """Position of (spacing, offset) in ``_spacing_offsets``' order: the run
+    of spacing s starts at s*(s-1)/2."""
+    return spacing * (spacing - 1) // 2 + offset
+
+
+def mask_lattice(grid, params, staggered):
+    """``(count, indices)`` of the lattice ``params = (f_sp, t_sp, f_off,
+    t_off)`` from ``mask_geometry``."""
+    f_sp, t_sp, f_off, t_off = params
+    _, _, count, indices = mask_geometry(grid.M, grid.N, staggered)
+    a, b = pair_position(f_sp, f_off), pair_position(t_sp, t_off)
+    return int(count[a, b]), indices(a, b)
+
+
 class TestLatticePattern:
     def test_rect_6_7_on_rb_grid(self, grid_rb):
-        pattern = lattice_pattern(grid_rb, LatticeParams(6, 7))
-        cells = set(pattern.cells())
-        assert cells == {(m, n) for m in (0, 6) for n in (0, 7)}
-        assert len(pattern) == 4
+        masked = mask_lattice(grid_rb, (6, 7, 0, 0), False)[1]
+        for indices in (reference_lattice(grid_rb, 6, 7), masked):
+            assert {grid_rb.cell(k) for k in indices} == {(m, n) for m in (0, 6) for n in (0, 7)}
+            assert len(indices) == 4
 
     def test_unit_spacing_selects_everything(self, grid_rb):
-        pattern = lattice_pattern(grid_rb, LatticeParams(1, 1))
-        assert len(pattern) == grid_rb.size
+        everything = tuple(range(grid_rb.size))
+        for staggered in (False, True):
+            assert reference_lattice(grid_rb, 1, 1, staggered=staggered) == everything
+            assert mask_lattice(grid_rb, (1, 1, 0, 0), staggered) == (grid_rb.size, everything)
 
     def test_diamond_golden_enumeration(self, grid_rb):
-        pattern = lattice_pattern(grid_rb, LatticeParams(4, 2, staggered=True))
-        assert pattern.indices == DIAMOND_4_2_GOLDEN
+        assert reference_lattice(grid_rb, 4, 2, staggered=True) == DIAMOND_4_2_GOLDEN
+        assert mask_lattice(grid_rb, (4, 2, 0, 0), True) == (
+            len(DIAMOND_4_2_GOLDEN),
+            DIAMOND_4_2_GOLDEN,
+        )
 
-    @pytest.mark.parametrize("M,N", [(12, 14), (7, 5)])
+    @pytest.mark.parametrize("M,N", [(12, 14), (7, 5), (48, 28)])
     def test_closed_form_count(self, M, N):
+        """The masks' count, a product of mask sums, and their indices equal
+        the column builder's for every (spacing, offset) pair of each axis,
+        in both shapes.  Every frequency pair meets every time pair, except
+        on 48x28 (477456 lattices), where each pair of the longer axis meets
+        one of the other axis in turn, so every pair of both axes is met."""
         grid = GridConfig(M, N)
-        for f_sp, t_sp in itertools.product(range(1, M + 1), range(1, N + 1)):
-            for f_off, t_off in itertools.product(range(f_sp), range(t_sp)):
-                for staggered in (False, True):
-                    params = LatticeParams(f_sp, t_sp, f_off, t_off, staggered)
-                    count = lattice_count(grid, **dataclasses.asdict(params))
-                    assert count == len(lattice_pattern(grid, params)), params
+        f_pairs = [(sp, off) for sp in range(1, M + 1) for off in range(sp)]
+        t_pairs = [(sp, off) for sp in range(1, N + 1) for off in range(sp)]
+        for staggered in (False, True):
+            f_axis, t_axis, _, _ = mask_geometry(M, N, staggered)
+            assert list(zip(*f_axis)) == f_pairs
+            assert list(zip(*t_axis)) == t_pairs
+        if len(f_pairs) * len(t_pairs) <= 10_000:
+            combos = itertools.product(f_pairs, t_pairs)
+        else:
+            n = max(len(f_pairs), len(t_pairs))
+            combos = ((f_pairs[i % len(f_pairs)], t_pairs[i % len(t_pairs)]) for i in range(n))
+        for (f_sp, f_off), (t_sp, t_off) in combos:
+            for staggered in (False, True):
+                params = (f_sp, t_sp, f_off, t_off)
+                indices = reference_lattice(grid, *params, staggered=staggered)
+                assert mask_lattice(grid, params, staggered) == (len(indices), indices), params
 
-    def test_invalid_params(self):
-        with pytest.raises(LatticeError):
-            LatticeParams(0, 1)
-        with pytest.raises(LatticeError):
-            LatticeParams(4, 2, freq_offset=4)
+    def test_invalid_params(self, problem_rb):
+        with pytest.raises(LatticeError, match="shape must be 'rect' or 'diamond', got 'hex'"):
+            best_lattice(problem_rb, "hex")
 
 
 def nested_loop_lattices(grid, staggered, counts):
     """The lattice enumeration as first written: four nested loops over the
-    (spacing, offset) grid, each count from the scalar closed form."""
+    (spacing, offset) grid, each count from the scalar closed form, as
+    ``((f_sp, t_sp, f_off, t_off), count)`` pairs."""
     out = []
     for f_sp in range(1, grid.M + 1):
         for t_sp in range(1, grid.N + 1):
@@ -862,7 +916,7 @@ def nested_loop_lattices(grid, staggered, counts):
                         shifted = max((grid.M - 1 - f_off - f_sp // 2) // f_sp + 1, 0)
                         count = rows * ((cols + 1) // 2) + shifted * (cols // 2)
                     if count in counts:
-                        out.append((count, LatticeParams(f_sp, t_sp, f_off, t_off, staggered)))
+                        out.append(((f_sp, t_sp, f_off, t_off), count))
     return out
 
 
@@ -873,15 +927,23 @@ class TestLatticeEnumeration:
         [(4, 4, (1, 3, 4, 8, 16)), (12, 14, (4, 13, 14, 17, 50, 168)), (48, 28, (134,))],
     )
     def test_matches_nested_loops(self, M, N, budgets, staggered):
+        """Over every lattice of the grid, the masks' counts put the same
+        lattices in each budget's window [K-2, K] as the closed form, and
+        those lattices have the column builder's indices."""
         grid = GridConfig(M, N)
+        (f_sp, f_off), (t_sp, t_off), count, indices = mask_geometry(M, N, staggered)
         for K in budgets:
             counts = range(K - 2, K + 1)
-            enumerated = list(_lattices(grid, staggered, counts))
             reference = nested_loop_lattices(grid, staggered, counts)
-            assert enumerated == reference
-            # Python ints, in the counts and the params alike.
-            assert repr(enumerated) == repr(reference)
-            assert all(type(count) is int for count, _ in enumerated)
+            f, t = np.nonzero(np.isin(count, counts))
+            found = sorted(
+                ((int(f_sp[a]), int(t_sp[b]), int(f_off[a]), int(t_off[b])), int(count[a, b]))
+                for a, b in zip(f, t)
+            )
+            assert found == reference
+            for (fs, ts, fo, to), _ in reference:
+                a, b = pair_position(fs, fo), pair_position(ts, to)
+                assert indices(a, b) == reference_lattice(grid, fs, ts, fo, to, staggered)
 
 
 class TestBestLattice:
@@ -895,7 +957,7 @@ class TestBestLattice:
         pr = problem_rb.with_budget(4)
         report = best_lattice(pr, "rect")
         assert report.budget_used == 4
-        manual = objective_value(pr, lattice_pattern(grid_rb, LatticeParams(6, 7)))
+        manual = objective_value(pr, PilotPattern(reference_lattice(grid_rb, 6, 7), grid_rb))
         assert report.objective <= manual + 1e-12
 
     def test_infeasible_budget_raises(self, problem_rb):
@@ -906,23 +968,50 @@ class TestBestLattice:
     @pytest.mark.parametrize("shape", ["rect", "diamond"])
     @pytest.mark.parametrize("K", [13, 17])
     def test_builds_only_the_lattices_it_scores(self, problem_rb, monkeypatch, shape, K):
-        built, scored = [], []
-        build, score = optimizers.lattice_pattern, optimizers.pattern_objective
+        """``pattern_objective`` is called once per reference lattice of the
+        count used, in (f_sp, t_sp, f_off, t_off) order, and on no other."""
+        scored = []
+        score = optimizers.pattern_objective
 
-        def counted_build(*args):
-            built.append(args)
-            return build(*args)
+        def counted_score(problem, idx):
+            scored.append(tuple(idx.tolist()))
+            return score(problem, idx)
 
-        def counted_score(*args):
-            scored.append(args)
-            return score(*args)
-
-        monkeypatch.setattr(optimizers, "lattice_pattern", counted_build)
         monkeypatch.setattr(optimizers, "pattern_objective", counted_score)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # K > N exceeds the block power budget
-            best_lattice(problem_rb.with_budget(K), shape)
-        assert len(built) == len(scored) > 0
+            report = best_lattice(problem_rb.with_budget(K), shape)
+        lattices = reference_lattices(problem_rb.grid, shape == "diamond")
+        assert scored == [idx for _, idx in lattices if len(idx) == report.budget_used]
+        assert len(scored) > 0
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize("shape", ["rect", "diamond"])
+    def test_matches_a_brute_force_minimum_at_every_budget(self, problem_rb, shape):
+        """On every K of 12x14, the report is the first lowest-objective
+        reference lattice of the largest count in [K-2, K], with the same
+        objective bits and ``budget_used``, and ``NoFeasibleLatticeError``
+        is raised exactly when no lattice count is in that window."""
+        lattices = reference_lattices(problem_rb.grid, shape == "diamond")
+        best = {}
+        for _, idx in lattices:
+            sub_problem = problem_rb.with_budget(len(idx))
+            obj = pattern_objective(sub_problem, np.array(idx, dtype=np.intp))
+            if len(idx) not in best or obj < best[len(idx)][0]:
+                best[len(idx)] = obj, idx
+        infeasible = 0
+        for K in range(1, problem_rb.grid.size + 1):
+            problem = problem_rb.with_budget(K)
+            used = max((c for c in best if K - 2 <= c <= K), default=None)
+            if used is None:
+                infeasible += 1
+                with pytest.raises(NoFeasibleLatticeError):
+                    best_lattice(problem, shape)
+                continue
+            report = best_lattice(problem, shape)
+            assert (report.objective, report.pattern.indices) == best[used], K
+            assert report.budget_used == used
+        assert infeasible > 0
 
     @pytest.mark.filterwarnings("ignore:power_fraction")
     @pytest.mark.parametrize("shape", ["rect", "diamond"])
