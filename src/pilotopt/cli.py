@@ -563,7 +563,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         K = budget_pilots(cfg.grid, kind, value)
         outcomes = run_point(cfg, cache[dd], K, snr_db, seed, cfg.methods, cfg.rounding_repeats)
         density = value if kind == "density" else value / cfg.grid.size
-        axis_value = {"density": density, "snr_db": snr_db, "spreading_factor": dd}[primary]
+        point = {"density": density, "snr_db": snr_db, "spreading_factor": dd}
+        axis_value = point[primary]
         base = {
             "axis": fmt_float(axis_value),
             "axis_name": primary,
@@ -575,7 +576,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         for method in cfg.methods:
             outcome = outcomes[method]
             if "error" in outcome:
-                errors.append({"method": method, "seed": seed, "axis": axis_value, **outcome})
+                errors.append(
+                    {"method": method, "seed": seed, "axis": axis_value, **point, **outcome}
+                )
                 continue
             lines.append(_csv_row(base, method, outcome))
             for dist in outcome.get("distribution", ()):
@@ -584,7 +587,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if errors:
         write_json(out_dir / "sweep_errors.json", {"errors": errors})
         for err in errors:
-            print(f"[sweep] {err['method']}: {err['error']}", file=sys.stderr)
+            where = " ".join(f"{name}={fmt_float(err[name])}" for name in point)
+            print(f"[sweep] {err['method']} {where} seed={err['seed']}: {err['error']}",
+                  file=sys.stderr)
     return EXIT_OK
 
 

@@ -321,6 +321,32 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_BAD_CONFIG
 
+    def test_errors_name_their_point(self, tmp_path, capsys):
+        """A failure on a secondary axis is told apart from its siblings:
+        each error entry carries the point's CSV base values and each stderr
+        line names them and the seed."""
+        cfg_path = write_config(
+            tmp_path,
+            {
+                "pilot_budget": [0.05],
+                "scattering": {"spreading_factor": [0.001, 0.01]},
+                "methods": ["exhaustive"],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        errors = json.loads((out / "sweep_errors.json").read_text(encoding="utf-8"))["errors"]
+        assert [(e["axis"], e["density"], e["snr_db"], e["spreading_factor"]) for e in errors] == [
+            (0.05, 0.05, 10.0, 0.001),
+            (0.05, 0.05, 10.0, 0.01),
+        ]
+        assert all(e["method"] == "exhaustive" and e["K"] == 8 for e in errors)
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[sweep]")]
+        assert [line.split(":")[0] for line in lines] == [
+            f"[sweep] exhaustive density=0.05 snr_db=10 spreading_factor={dd} seed=0"
+            for dd in ("0.001", "0.01")
+        ]
+
 
 class TestStructureCommand:
     def test_snr_axis_outputs(self, tmp_path):
