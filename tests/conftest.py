@@ -182,14 +182,14 @@ def reference_lattice(grid, f_sp, t_sp, f_off=0, t_off=0, staggered=False):
 def reference_lattices(grid, staggered):
     """``(params, indices)`` of every lattice of one shape on ``grid``, with
     ``params = (f_sp, t_sp, f_off, t_off)``, in that lexicographic order: the
-    order in which ``best_lattice`` scores them.  Cached: do not modify."""
-    return [
+    order in which ``best_lattice`` scores them; a tuple, since it is cached."""
+    return tuple(
         ((f_sp, t_sp, f_off, t_off), reference_lattice(grid, f_sp, t_sp, f_off, t_off, staggered))
         for f_sp in range(1, grid.M + 1)
         for t_sp in range(1, grid.N + 1)
         for f_off in range(f_sp)
         for t_off in range(t_sp)
-    ]
+    )
 
 
 def reference_marginal_gain(problem, A_inv, j):
