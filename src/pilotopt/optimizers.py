@@ -52,6 +52,12 @@ from .objective import (
 
 EXHAUSTIVE_GUARD = 2_000_000
 SWAP_TOLERANCE = 1e-10
+# A swap state takes the successor of a mirrored state (a reflection of its
+# pattern under which the problem is invariant) without a screen of its own
+# only when the mirrored screen's decision holds with every delta and the
+# objective moved by this fraction of the objective.  Reflected screens
+# agree to about 1e-14 of it.
+REFLECT_SLACK = 1e-12
 # Exact ties are broken by index, not by arithmetic: the swap pass, greedy
 # selection and the choice of best rounding each take the lowest index (the
 # earliest seed) among the choices within this fraction of the objective of
@@ -469,9 +475,10 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     return _report(problem, pattern, pattern_objective(problem, selected), initial, 0, t0)
 
 
-def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates):
-    """The swap (i out, j in) the screen accepts for the pattern ``selected``
-    whose inverse is ``A_inv``, or None.
+def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates, objective):
+    """``(pair, clear)``: the swap ``pair = (i out, j in)`` the screen accepts,
+    or None, for the pattern ``selected`` whose inverse is ``A_inv`` and
+    whose objective is ``objective``, and whether that decision is clear.
 
     None when no swap improves by more than ``SWAP_TOLERANCE``.  Otherwise a
     swap ties with the best when its delta is within ``TIE_BAND`` times the
@@ -479,16 +486,33 @@ def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates):
     ``SWAP_TOLERANCE``: the lowest selected i with a tied swap goes out, and
     the lowest tied candidate j of its row comes in.  ``selected`` and
     ``candidates`` are ascending.
+
+    A decision is clear when it would not change if every delta and the
+    objective moved by up to ``slack = REFLECT_SLACK * objective``: a None
+    whose best delta is at least ``-SWAP_TOLERANCE + slack``, or a swap whose
+    best delta is below ``limit - slack``, where ``limit`` is the top of the
+    band, and is the only delta at most ``limit + (2 + TIE_BAND) * slack``:
+    the limit moves with the best delta, so the other deltas need twice the
+    slack.  A tie in the band is never clear.
     """
     deltas = swap_deltas(problem, A_inv, selected, candidates)
     row_best = deltas.min(axis=1)
     best = row_best.min()
+    slack = REFLECT_SLACK * objective
     if best >= -SWAP_TOLERANCE:
-        return None
-    limit = min(best + TIE_BAND * float(np.trace(A_inv).real), -SWAP_TOLERANCE)
+        return None, bool(best >= -SWAP_TOLERANCE + slack)
+    limit = min(best + TIE_BAND * objective, -SWAP_TOLERANCE)
     a = int(np.argmax(row_best <= limit))
     b = int(np.argmax(deltas[a] <= limit))
-    return int(selected[a]), int(candidates[b])
+    # Unique when (a, b)'s row is the only one within reach, and (a, b) the
+    # only entry of its row.
+    reach = limit + (2.0 + TIE_BAND) * slack
+    clear = (
+        best < limit - slack
+        and np.count_nonzero(row_best <= reach) == 1
+        and np.count_nonzero(deltas[a] <= reach) == 1
+    )
+    return (int(selected[a]), int(candidates[b])), bool(clear)
 
 
 def local_swap(
@@ -505,10 +529,17 @@ def local_swap(
 
     Each state's ``A^{-1}`` is computed from its pattern alone, so a state's
     objective and best swap are functions of its indices.  ``visited`` maps
-    the indices of every screened state to ``(objective, successor indices or
-    None)``; a run that reaches a recorded state follows its successors
-    instead of screening again.  Runs on one problem may share the map
-    (``relax_round_swap_design`` does so for one call's roundings).
+    the indices of every recorded state to ``(objective, successor indices or
+    None, clear)``; a run that reaches a recorded state follows its
+    successors instead of screening again.  A state is recorded without a
+    screen when a reflection of it that leaves the problem invariant
+    (``DesignProblem.reflections``) was screened with a clear decision
+    (``_best_swap``): it takes that successor, reflected back, and its own
+    objective, and is marked not clear.  A clear decision is the one the
+    state's own screen makes, so the result is the one an unshared run
+    gives, bit for bit; a tie in the band is screened.  Runs on one problem
+    may share the map (``relax_round_swap_design`` does so for one call's
+    roundings).
     """
     if len(init) != problem.budget:
         raise BudgetError(f"initial pattern has {len(init)} pilots, budget is {problem.budget}")
@@ -516,7 +547,7 @@ def local_swap(
     if visited is None:
         visited = {}
     indices = init.indices
-    initial, successor = _swap_state(problem, indices, visited)
+    initial, successor, _ = _swap_state(problem, indices, visited)
     value, accepted = initial, 0
     while successor is not None:
         if accepted == max_passes:
@@ -527,24 +558,42 @@ def local_swap(
             )
             break
         indices = successor
-        value, successor = _swap_state(problem, indices, visited)
+        value, successor, _ = _swap_state(problem, indices, visited)
         accepted += 1
     return _report(problem, PilotPattern(indices, problem.grid), value, initial, accepted, t0)
 
 
 def _swap_state(problem: DesignProblem, indices: tuple, visited: dict):
-    """``(objective, indices after the best swap or None)`` of one swap state,
-    screened from the ``A^{-1}`` of its pattern unless ``visited`` has it."""
-    if indices not in visited:
-        selected = np.array(indices, dtype=np.intp)
-        A_inv = pattern_inverse(problem, selected)
-        unselected = np.ones(problem.grid.size, dtype=bool)
-        unselected[selected] = False
-        candidates = np.flatnonzero(unselected)
-        pair = _best_swap(problem, A_inv, selected, candidates) if candidates.size else None
-        successor = None if pair is None else tuple(sorted(set(indices) - {pair[0]} | {pair[1]}))
-        visited[indices] = float(np.trace(A_inv).real), successor
-    return visited[indices]
+    """``(objective, indices after the best swap or None, clear)`` of one swap
+    state, from ``visited`` if it has the state; otherwise from the entry of
+    a reflection of it (``problem.reflections``) screened with a clear
+    decision, whose successor is mapped back through the reflection and
+    whose objective is taken from the state's own pattern; otherwise screened
+    from the ``A^{-1}`` of its pattern.  Only a screened state's entry can be
+    clear, so a reused state is never reused from."""
+    entry = visited.get(indices)
+    if entry is not None:
+        return entry
+    selected = np.array(indices, dtype=np.intp)
+    for perm in problem.reflections:
+        mirror = visited.get(tuple(sorted(perm[selected].tolist())))
+        if mirror is not None and mirror[2]:
+            successor = mirror[1]
+            if successor is not None:
+                successor = tuple(sorted(perm[list(successor)].tolist()))
+            entry = visited[indices] = pattern_objective(problem, selected), successor, False
+            return entry
+    A_inv = pattern_inverse(problem, selected)
+    objective = float(np.trace(A_inv).real)
+    unselected = np.ones(problem.grid.size, dtype=bool)
+    unselected[selected] = False
+    candidates = np.flatnonzero(unselected)
+    pair, clear = None, True
+    if candidates.size:
+        pair, clear = _best_swap(problem, A_inv, selected, candidates, objective)
+    successor = None if pair is None else tuple(sorted(set(indices) - {pair[0]} | {pair[1]}))
+    entry = visited[indices] = objective, successor, clear
+    return entry
 
 
 def _spacing_offsets(size: int):
@@ -632,7 +681,8 @@ def relax_round_swap_design(
     ``allocation`` can be supplied to share one relaxation solve across calls.
     The roundings share one ``local_swap`` visited map, so a duplicate
     rounding, or a chain that merges into an earlier one, screens no state
-    twice.
+    twice, and a state whose reflection was screened with a clear decision
+    is not screened at all; each report is the one an unshared run gives.
     """
     if allocation is None:
         allocation = solve_relaxation(problem)

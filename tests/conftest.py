@@ -5,6 +5,7 @@
 # instead of 3).  OpenBLAS reads these variables once, when numpy is first
 # imported, so they are set before any import below; no pytest plugin
 # imports numpy before this file loads.
+import dataclasses
 import functools
 import os
 
@@ -18,6 +19,7 @@ import pytest
 from scipy.linalg import lapack
 
 from pilotopt import (
+    DesignProblem,
     FractionalAllocation,
     GridConfig,
     PilotPattern,
@@ -41,6 +43,39 @@ RB_DENSITIES = (0.05, 0.08, 0.1, 0.15, 0.2, 0.3)
 RB_SWEEP_POINTS = tuple((0.005, d) for d in RB_DENSITIES) + tuple(
     (s, d) for d in RB_DENSITIES for s in (0.0001, 0.001, 0.01)
 )
+
+
+def reflection(grid, axis):
+    """Flat index map of the grid reflected in m, in n, or in both."""
+    m = np.arange(grid.size) % grid.M
+    n = np.arange(grid.size) // grid.M
+    if axis in ("m", "both"):
+        m = grid.M - 1 - m
+    if axis in ("n", "both"):
+        n = grid.N - 1 - n
+    return (n * grid.M + m).astype(np.intp)
+
+
+def permuted_problem(problem, seed=6):
+    """``problem`` with its rows permuted at random, as in
+    ``test_permutation_equivariance``: the same objectives up to the
+    permutation, but no grid reflection leaves it invariant."""
+    perm = np.random.default_rng(seed).permutation(problem.grid.size)
+    return dataclasses.replace(problem, rows=problem.rows[perm])
+
+
+def random_rows_problem(grid=GridConfig(12, 14), r=10, K=8, seed=3):
+    """A problem whose basis rows are complex Gaussian, with no symmetry."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(grid.size, r)) + 1j * rng.normal(size=(grid.size, r))
+    return DesignProblem(
+        grid=grid,
+        rows=rows / np.sqrt(2 * grid.size),
+        prior=np.linspace(2.0, 0.1, r),
+        budget=K,
+        power_fraction=K / grid.N,
+        noise_var=0.01,
+    )
 
 
 def full_covariance(stats):

@@ -56,7 +56,10 @@ from conftest import (
     dense_lmmse,
     reference_information_inverse,
     reference_removal,
+    permuted_problem,
+    random_rows_problem,
     reference_swap_delta,
+    reflection,
 )
 
 
@@ -687,17 +690,6 @@ class TestFaceHessian:
         assert np.allclose(H.diagonal(), want, rtol=1e-12, atol=0.0)
 
 
-def reflection(grid, axis):
-    """Flat index map of the grid reflected in m, in n, or in both."""
-    m = np.arange(grid.size) % grid.M
-    n = np.arange(grid.size) // grid.M
-    if axis in ("m", "both"):
-        m = grid.M - 1 - m
-    if axis in ("n", "both"):
-        n = grid.N - 1 - n
-    return (n * grid.M + m).astype(np.intp)
-
-
 @pytest.fixture(scope="module", params=[(12, 14), (48, 28)], ids=["12x14", "48x28"])
 def reflected_case(request):
     """Statistics, problem, a random pattern and random weights of one grid
@@ -769,3 +761,48 @@ class TestReflectionInvariance:
         H = _face_hessian(problem, weights_inverse(problem, w), face)
         H_ref = _face_hessian(problem, weights_inverse(problem, w_ref), perm[face])
         assert_close(H_ref, H)
+
+
+class TestReflectionCheck:
+    """``DesignProblem.reflections`` finds every reflection under which a
+    problem is invariant, and none under which it is not."""
+
+    @pytest.mark.parametrize(
+        "case", ["12x14@1e-4", "12x14@1e-3", "12x14@5e-3", "12x14@1e-2", "48x28@5e-3", "7x5@5e-3"]
+    )
+    def test_statistics_problems_have_all_three(self, case, request):
+        shape, spreading = case.split("@")
+        if shape == "12x14":
+            problem = request.getfixturevalue("rb_sweep_problems")[(float(spreading), 0.05)]
+        elif shape == "48x28":
+            problem = request.getfixturevalue("problem_big")
+        else:
+            stats = build_statistics(GridConfig(7, 5), ScatteringSpec(spreading_factor=5e-3))
+            problem = make_design_problem(stats, K=5, snr_db=20.0)
+        assert f"{problem.grid.M}x{problem.grid.N}" == shape
+        maps = problem.reflections
+        assert len(maps) == 3
+        for perm, axis in zip(maps, ("m", "n", "both")):
+            assert np.array_equal(perm, reflection(problem.grid, axis))
+            assert not perm.flags.writeable
+        assert problem.reflections is maps  # checked once
+
+    def test_asymmetric_problems_have_none(self, problem_rb):
+        assert permuted_problem(problem_rb).reflections == ()
+        assert random_rows_problem().reflections == ()
+
+    @pytest.mark.parametrize("M, N", [(1, 14), (12, 1), (1, 1)])
+    def test_identity_maps_are_left_out(self, M, N):
+        grid = GridConfig(M, N)
+        stats = build_statistics(grid, ScatteringSpec(spreading_factor=5e-3))
+        problem = make_design_problem(stats, K=1, snr_db=20.0)
+        axes = [axis for axis, size in (("m", M), ("n", N)) if size > 1]
+        assert len(problem.reflections) == len(axes)
+        for perm, axis in zip(problem.reflections, axes):
+            assert np.array_equal(perm, reflection(grid, axis))
+
+    def test_not_checked_at_construction(self, problem_rb):
+        problem = problem_rb.with_budget(problem_rb.budget)
+        assert "reflections" not in vars(problem)
+        problem.reflections
+        assert "reflections" in vars(problem)

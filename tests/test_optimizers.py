@@ -38,6 +38,7 @@ from pilotopt import optimizers
 from pilotopt.cli import derive_rounding_seed
 from pilotopt.objective import pattern_inverse, pattern_objective, rank_one_update, swap_deltas
 from pilotopt.optimizers import (
+    REFLECT_SLACK,
     SWAP_TOLERANCE,
     TIE_BAND,
     _spacing_offsets,
@@ -47,12 +48,15 @@ from pilotopt.optimizers import (
 
 from conftest import (
     RB_SWEEP_POINTS,
+    permuted_problem,
+    random_rows_problem,
     reference_lattice,
     reference_lattices,
     reference_marginal_gain,
     reference_projection,
     reference_solve_relaxation,
     reference_swap_delta,
+    reflection,
 )
 
 # Hand enumeration of the diamond with spacing (4, 2) on the 12x14 grid:
@@ -643,7 +647,7 @@ class TestLocalSwap:
                 visited = {}
                 for init in starts:
                     local_swap(problem, init, visited=visited)
-                for indices, (value, successor) in visited.items():
+                for indices, (value, successor, _) in visited.items():
                     before = objective_value(problem, PilotPattern(indices, grid))
                     assert value == before
                     if successor is not None:
@@ -672,7 +676,8 @@ class TestLocalSwap:
             A_inv = pattern_inverse(problem, selected)
             candidates = np.setdiff1d(np.arange(grid.size), selected)
             pair = lowest_pair_within_band(problem, A_inv, indices)
-            screened = optimizers._best_swap(problem, A_inv, selected, candidates)
+            trace = float(np.trace(A_inv).real)
+            screened, _ = optimizers._best_swap(problem, A_inv, selected, candidates, trace)
             assert screened == pair, indices
             deltas = swap_deltas(problem, A_inv, selected, candidates)
             a, b = np.unravel_index(np.argmin(deltas), deltas.shape)
@@ -689,7 +694,8 @@ class TestLocalSwap:
 
         def pick(rows):
             monkeypatch.setattr(optimizers, "swap_deltas", lambda *args: np.array(rows))
-            return optimizers._best_swap(problem_rb, A_inv, selected, candidates)
+            trace = float(np.trace(A_inv).real)
+            return optimizers._best_swap(problem_rb, A_inv, selected, candidates, trace)[0]
 
         # Row 11 holds the best delta and row 10 a tie in the band: the lowest
         # row wins, then the lowest column of it within the band.
@@ -699,6 +705,37 @@ class TestLocalSwap:
         assert pick([[0.0, 0.0, 0.0], [0.0, -2.0 * tol, 0.0]]) == (11, 21)
         # No swap improves by more than the tolerance.
         assert pick([[0.0, -tol, 0.0], [0.0, -0.5 * tol, 0.0]]) is None
+
+    def test_clear_rule_on_given_deltas(self, problem_rb, monkeypatch):
+        """A decision is clear when it holds with every delta and the
+        objective moved by the slack; rows are selected 10 and 11, columns
+        candidates 20, 21 and 22."""
+        A_inv = pattern_inverse(problem_rb, np.array([10, 11], dtype=np.intp))
+        trace = float(np.trace(A_inv).real)
+        band, tol, slack = TIE_BAND * trace, SWAP_TOLERANCE, REFLECT_SLACK * trace
+        assert band > 10 * slack and tol > slack
+        selected, candidates = np.array([10, 11]), np.array([20, 21, 22])
+
+        def decide(rows):
+            monkeypatch.setattr(optimizers, "swap_deltas", lambda *args: np.array(rows))
+            return optimizers._best_swap(problem_rb, A_inv, selected, candidates, trace)
+
+        # A lone best far from the band's top and from the tolerance.
+        assert decide([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0]]) == ((11, 21), True)
+        # A tie in the band is never clear, in another row or the same one.
+        assert decide([[-1.0 + 0.5 * band, 0.0, 0.0], [-1.0, 0.0, 0.0]]) == ((10, 20), False)
+        assert decide([[0.0, 0.0, 0.0], [-1.0, -1.0 + 0.5 * band, 0.0]]) == ((11, 20), False)
+        # Just above the band: clear only beyond (2 + TIE_BAND) slack of its top.
+        top = -1.0 + band
+        assert decide([[top + 1.5 * slack, 0.0, 0.0], [-1.0, 0.0, 0.0]]) == ((11, 20), False)
+        assert decide([[top + 3.0 * slack, 0.0, 0.0], [-1.0, 0.0, 0.0]]) == ((11, 20), True)
+        # A best within the slack of the tolerance may flip to None, and back.
+        assert decide([[1.0, -tol - 0.5 * slack, 1.0], [1.0, 1.0, 1.0]]) == ((10, 21), False)
+        assert decide([[1.0, -tol - 2.0 * slack, 1.0], [1.0, 1.0, 1.0]]) == ((10, 21), True)
+        assert decide([[1.0, -tol + 0.5 * slack, 1.0], [1.0, 1.0, 1.0]]) == (None, False)
+        assert decide([[1.0, -tol + 2.0 * slack, 1.0], [1.0, 1.0, 1.0]]) == (None, True)
+        # The band's top is clamped to -tol, and the reach is measured from it.
+        assert decide([[1.0, -tol - 2.0 * slack, 1.0], [1.0, 1.0, 0.0]]) == ((10, 21), False)
 
     def test_pass_cap_with_improving_swap_left_warns(self, problem_rb):
         poor = PilotPattern(tuple(range(problem_rb.budget)), problem_rb.grid)
@@ -724,17 +761,58 @@ def tied_roundings_problem():
     return problem, [derive_rounding_seed(0, i) for i in range(50)]
 
 
-def counting_best_swap(monkeypatch):
-    """Patch ``_best_swap`` to record the selection of every screened state."""
+def counting_best_swap(monkeypatch, clear=None):
+    """Patch ``_best_swap`` to record the selection of every screened state,
+    and in the list ``clear``, if given, whether its decision was clear."""
     screened = []
     original = optimizers._best_swap
 
-    def counted(problem, A_inv, selected, candidates):
+    def counted(problem, A_inv, selected, candidates, objective):
         screened.append(tuple(selected))
-        return original(problem, A_inv, selected, candidates)
+        result = original(problem, A_inv, selected, candidates, objective)
+        if clear is not None:
+            clear.append(result[1])
+        return result
 
     monkeypatch.setattr(optimizers, "_best_swap", counted)
     return screened
+
+
+def sharing_swap_maps(monkeypatch):
+    """Patch ``local_swap`` to record the visited map each call is given."""
+    maps = []
+    original = optimizers.local_swap
+
+    def spied(problem, init, max_passes=100, visited=None):
+        maps.append(visited)
+        return original(problem, init, max_passes, visited)
+
+    monkeypatch.setattr(optimizers, "local_swap", spied)
+    return maps
+
+
+def mirror_images(grid, indices):
+    """The patterns of ``indices`` reflected in m, in n and in both."""
+    return {
+        tuple(sorted(reflection(grid, axis)[list(indices)].tolist()))
+        for axis in ("m", "n", "both")
+    }
+
+
+def reflected_starts(pattern):
+    """``pattern`` reflected in m, in n and in both, as patterns."""
+    grid = pattern.grid
+    return [
+        PilotPattern(tuple(reflection(grid, axis)[list(pattern.indices)].tolist()), grid)
+        for axis in ("m", "n", "both")
+    ]
+
+
+def assert_same_report(shared, alone, label=None):
+    assert shared.pattern.indices == alone.pattern.indices, label
+    assert shared.objective == alone.objective, label
+    assert shared.initial_objective == alone.initial_objective, label
+    assert shared.swap_iterations == alone.swap_iterations, label
 
 
 class TestSwapMemo:
@@ -765,15 +843,99 @@ class TestSwapMemo:
         assert saved > 0  # the grid reaches recorded states
 
     def test_each_recorded_pattern_is_screened_once(self, monkeypatch):
+        """Every recorded pattern is screened once, or is reused from a
+        screened reflection whose decision was clear, and no orbit is
+        screened again after a clear screen."""
         problem, seeds = tied_roundings_problem()
         allocation = solve_relaxation(problem)
-        screened = counting_best_swap(monkeypatch)
+        clear = []
+        screened = counting_best_swap(monkeypatch, clear)
+        maps = sharing_swap_maps(monkeypatch)
         _, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
         assert len(screened) == len(set(screened))
+        (visited,) = {id(m): m for m in maps}.values()
+        decided = dict(zip(screened, clear))
+        clear_screens = {state for state, c in decided.items() if c}
+        reused = set(visited) - set(screened)
+        assert set(screened) <= set(visited)
+        for indices, (_, _, entry_clear) in visited.items():
+            if indices in decided:
+                assert entry_clear == decided[indices]
+            else:
+                assert not entry_clear
+                assert mirror_images(problem.grid, indices) & clear_screens, indices
+        for k, state in enumerate(screened):
+            earlier = {s for s, c in zip(screened[:k], clear[:k]) if c}
+            assert not mirror_images(problem.grid, state) & earlier, state
         roundings = {dependent_rounding(allocation, s, grid=problem.grid).indices for s in seeds}
-        assert roundings | {r.pattern.indices for r in reports} <= set(screened)
+        assert roundings | {r.pattern.indices for r in reports} <= set(visited)
+        assert reused  # reflections of screened states were reached
         assert len(roundings) < len(seeds)  # duplicate roundings cost no screen
         assert len(screened) < sum(r.swap_iterations + 1 for r in reports)
+
+    def test_mirror_tie_starts_match_unshared_runs(self, monkeypatch):
+        """The greedy start of the mirror-tie instance of
+        ``test_mirror_image_tie_keeps_lowest_index_swap`` and its three
+        reflections, through one map, end as their unshared runs do; a
+        state whose reflection was screened with a tie in the band is
+        screened itself."""
+        grid = GridConfig(12, 14)
+        stats = build_statistics(grid, ScatteringSpec(spreading_factor=0.01))
+        problem = make_design_problem(stats, K=8, snr_db=20.0)
+        greedy = greedy_design(problem).pattern
+        starts = [greedy] + reflected_starts(greedy)
+        alone = [local_swap(problem, init) for init in starts]
+        clear = []
+        screened = counting_best_swap(monkeypatch, clear)
+        visited = {}
+        for init, unshared in zip(starts, alone):
+            assert_same_report(local_swap(problem, init, visited=visited), unshared)
+        assert len(screened) < len(visited)
+        tie_screened = [
+            state
+            for k, state in enumerate(screened)
+            if mirror_images(grid, state) & {s for s, c in zip(screened[:k], clear[:k]) if not c}
+        ]
+        assert tie_screened
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    def test_reflected_roundings_match_unshared_runs(self, monkeypatch):
+        """Across the swap grid, 10 roundings and their reflections as starts
+        through one map give the reports of unshared runs, bit for bit."""
+        grid = GridConfig(12, 14)
+        reused = 0
+        for spreading in (1e-4, 1e-3, 5e-3, 1e-2):
+            stats = build_statistics(grid, ScatteringSpec(spreading_factor=spreading))
+            for K in (8, 17, 50):
+                problem = make_design_problem(stats, K=K, snr_db=20.0)
+                allocation = solve_relaxation(problem)
+                roundings = [dependent_rounding(allocation, seed, grid=grid) for seed in range(10)]
+                starts = [s for init in roundings for s in [init] + reflected_starts(init)]
+                alone = [local_swap(problem, init) for init in starts]
+                screened = counting_best_swap(monkeypatch)
+                visited = {}
+                for init, unshared in zip(starts, alone):
+                    shared = local_swap(problem, init, visited=visited)
+                    assert_same_report(shared, unshared, (spreading, K, init.indices))
+                monkeypatch.undo()
+                reused += len(visited) - len(screened)
+        assert reused > 0
+
+    def test_asymmetric_problems_screen_every_state(self, problem_rb, monkeypatch):
+        """A problem that no reflection leaves invariant reuses nothing: every
+        distinct state reached from roundings and their reflections is
+        screened."""
+        for problem in (permuted_problem(problem_rb), random_rows_problem()):
+            assert problem.reflections == ()
+            allocation = solve_relaxation(problem)
+            screened = counting_best_swap(monkeypatch)
+            visited = {}
+            for seed in range(5):
+                init = dependent_rounding(allocation, seed, grid=problem.grid)
+                for start in [init] + reflected_starts(init):
+                    local_swap(problem, start, visited=visited)
+            assert sorted(screened) == sorted(visited)
+            monkeypatch.undo()
 
     def test_cap_inside_a_recorded_path_stops_and_warns_as_unshared(self, problem_rb):
         poor = PilotPattern(tuple(range(problem_rb.budget)), problem_rb.grid)
