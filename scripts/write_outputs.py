@@ -7,9 +7,12 @@ Runs ``design``, ``sweep`` or ``structure`` on each ``configs/<command>_*.json``
 of this checkout, each into ``OUT_DIR/<config name>``, and ``validate`` into
 ``OUT_DIR/validate``.  Every command runs in a fresh interpreter on this
 checkout's ``src`` with BLAS and OpenMP pinned to one thread, so two
-checkouts' trees can be compared with ``scripts/diff_outputs.py``.  Prints
-one line per command and exits 1 if any command exits non-zero.  Standard
-library plus pilotopt only.
+checkouts' trees can be compared with ``scripts/diff_outputs.py``.  The
+lines a command prints itself on stderr (a failed method, a config error)
+are kept as ``OUT_DIR/<config name>/stderr.txt``; Python warnings, which
+carry file paths and line numbers, are dropped from it.  All of stderr is
+still passed through.  Prints one line per command and exits 1 if any
+command exits non-zero.  Standard library plus pilotopt only.
 """
 
 import os
@@ -20,6 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("design", "sweep", "structure")
 THREAD_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Line starts of what the CLI prints itself on stderr.
+OWN_PREFIXES = ("[", "error:")
 
 
 def runs(out_dir: Path):
@@ -29,6 +34,11 @@ def runs(out_dir: Path):
         if command in COMMANDS:
             yield config.stem, [command, "--config", str(config), "--out", str(out_dir / config.stem)]
     yield "validate", ["validate", "--out", str(out_dir / "validate")]
+
+
+def own_lines(stderr: str) -> str:
+    """The lines of ``stderr`` that the CLI printed itself."""
+    return "".join(line for line in stderr.splitlines(keepends=True) if line.startswith(OWN_PREFIXES))
 
 
 def main(argv=None):
@@ -45,8 +55,13 @@ def main(argv=None):
             [sys.executable, "-m", "pilotopt.cli", *cli_args],
             env=env,
             stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
             check=False,
         )
+        sys.stderr.write(result.stderr)
+        (out_dir / label).mkdir(parents=True, exist_ok=True)
+        (out_dir / label / "stderr.txt").write_text(own_lines(result.stderr), encoding="utf-8")
         print(f"{label}: exit {result.returncode}")
         failed += result.returncode != 0
     return 1 if failed else 0

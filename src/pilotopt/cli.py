@@ -106,6 +106,11 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
+def _require_distinct(values, field: str, noun: str):
+    """A repeated value would repeat its runs, files and rows."""
+    _require(len(set(values)) == len(values), f"field '{field}' lists {noun} twice")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -155,6 +160,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid_raw = raw.get("grid")
     _require(isinstance(grid_raw, dict) and "M" in grid_raw and "N" in grid_raw,
              "field 'grid' must be an object with M and N")
+    _require(set(grid_raw) == {"M", "N"}, f"unknown grid fields: {sorted(set(grid_raw) - {'M', 'N'})}")
     _require(_is_int(grid_raw["M"]) and _is_int(grid_raw["N"]),
              "field 'grid': M and N must be integers")
     try:
@@ -173,6 +179,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for value in spreading:
         _require(is_finite_number(value) and value > 0,
                  f"field 'scattering.spreading_factor': {value!r} is not a finite positive number")
+    _require_distinct(spreading, "scattering.spreading_factor", "a spreading factor")
     try:
         ScatteringSpec(spreading_factor=spreading[0], **scattering_raw)
     except (PilotOptError, TypeError, ValueError) as exc:
@@ -186,6 +193,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(_gives_noise_var(value),
                  f"field 'snr_db': {value!r} gives a noise variance 10^(-snr_db/10) "
                  "that is not a finite positive float")
+    _require_distinct(snr, "snr_db", "an SNR")
 
     budget_raw = raw.get("pilot_budget")
     _require(budget_raw is not None, "field 'pilot_budget' is required")
@@ -195,6 +203,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for d in budget_raw:
             _require(is_finite_number(d) and 0 < d <= 1,
                      f"field 'pilot_budget': density {d!r} outside (0, 1]")
+        _require_distinct(budget_raw, "pilot_budget", "a density")
         budgets = tuple(("density", float(d)) for d in budget_raw)
     else:
         _require(_is_int(budget_raw),
@@ -224,11 +233,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     methods = tuple(methods_raw)
     for m in methods:
         _require(m in VALID_METHODS, f"field 'methods': unknown method {m!r}; valid: {VALID_METHODS}")
-    _require(len(set(methods)) == len(methods), "field 'methods' lists a method twice")
+    _require_distinct(methods, "methods", "a method")
 
     seeds = _as_tuple(raw.get("seeds", 0), "seeds")
     for s in seeds:
         _require(_is_int(s) and s >= 0, f"field 'seeds': {s!r} is not a non-negative integer")
+    _require_distinct(seeds, "seeds", "a seed")
     repeats = raw.get("rounding_repeats", 50)
     _require(_is_int(repeats) and repeats >= 1, "field 'rounding_repeats' must be an integer >= 1")
     output_dir = raw.get("output_dir", "out")
@@ -465,11 +475,28 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     return outcomes
 
 
-def _statistics_cache(cfg: ExperimentConfig) -> dict:
-    return {
+def _run_points(cfg: ExperimentConfig, command: str, methods, repeats):
+    """Yield ``(point, outcomes)`` of ``run_point`` at each design point of
+    ``cfg``, budgets x SNR x spreading factor x seeds; ``point`` holds its
+    ``density``, ``snr_db``, ``spreading_factor`` and ``seed``.  All
+    statistics are built first, so a failing build stops the run before any
+    file is written.  Each failed method is printed once, naming its point."""
+    stats = {
         dd: build_statistics(cfg.grid, ScatteringSpec(spreading_factor=dd, **cfg.scattering))
         for dd in cfg.spreading_factors
     }
+    for (kind, value), snr_db, dd, seed in itertools.product(
+        cfg.budgets, cfg.snr_dbs, cfg.spreading_factors, cfg.seeds
+    ):
+        K = budget_pilots(cfg.grid, kind, value)
+        outcomes = run_point(cfg, stats[dd], K, snr_db, seed, methods, repeats)
+        density = value if kind == "density" else value / cfg.grid.size
+        point = {"density": density, "snr_db": snr_db, "spreading_factor": dd}
+        where = " ".join(f"{name}={fmt_float(x)}" for name, x in point.items())
+        for method, outcome in outcomes.items():
+            if "error" in outcome:
+                print(f"[{command}] {method} {where} seed={seed}: {outcome['error']}", file=sys.stderr)
+        yield {**point, "seed": seed}, outcomes
 
 
 # --------------------------------------------------------------------------
@@ -509,31 +536,18 @@ def _write_pattern(out_dir: Path, stem: str, cfg, method, seed, outcome, **extra
 def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.list_axes:
         raise ConfigError(f"design needs scalar parameters; {cfg.list_axes[0]!r} is a list")
-    kind, value = cfg.budgets[0]
-    K = budget_pilots(cfg.grid, kind, value)
-    stats = _statistics_cache(cfg)[cfg.spreading_factors[0]]
-
     summary = {"config": resolved_config_dict(cfg), "runs": []}
-    for seed in cfg.seeds:
-        # Panels stay consistent: the swap-refined rounding refines the same
-        # single rounding that the unrefined panel displays.
-        outcomes = run_point(cfg, stats, K, cfg.snr_dbs[0], seed, cfg.methods, repeats=1)
+    # Panels stay consistent: the swap-refined rounding refines the same
+    # single rounding that the unrefined panel displays.
+    for point, outcomes in _run_points(cfg, "design", cfg.methods, repeats=1):
+        seed = point["seed"]
         for method, outcome in outcomes.items():
             run = {k: v for k, v in outcome.items() if k != "distribution"}
             summary["runs"].append({"method": method, "seed": seed, **run})
-            if "error" in outcome:
-                print(f"[design] {method} seed={seed}: {outcome['error']}", file=sys.stderr)
-            else:
+            if "error" not in outcome:
                 _write_pattern(out_dir, f"design_{method}_seed{seed}", cfg, method, seed, outcome)
     write_json(out_dir / "design_summary.json", summary)
     return EXIT_OK
-
-
-def _axis_points(cfg: ExperimentConfig):
-    for kind_value in cfg.budgets:
-        for snr_db in cfg.snr_dbs:
-            for dd in cfg.spreading_factors:
-                yield kind_value, snr_db, dd
 
 
 def _csv_row(base: dict, method: str, record: dict) -> str:
@@ -554,31 +568,16 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.list_axes:
         raise ConfigError("sweep needs a list-valued axis (pilot_budget, snr_db or spreading)")
     primary = cfg.list_axes[0]
-    cache = _statistics_cache(cfg)
     meta = {"format_version": FORMAT_VERSION, "config": resolved_config_dict(cfg), "columns": list(CSV_COLUMNS)}
     lines = ["# " + json.dumps(_round_floats(meta), sort_keys=True)]
     lines.append(",".join(CSV_COLUMNS))
     errors = []
-    for ((kind, value), snr_db, dd), seed in itertools.product(_axis_points(cfg), cfg.seeds):
-        K = budget_pilots(cfg.grid, kind, value)
-        outcomes = run_point(cfg, cache[dd], K, snr_db, seed, cfg.methods, cfg.rounding_repeats)
-        density = value if kind == "density" else value / cfg.grid.size
-        point = {"density": density, "snr_db": snr_db, "spreading_factor": dd}
-        axis_value = point[primary]
-        base = {
-            "axis": fmt_float(axis_value),
-            "axis_name": primary,
-            "density": fmt_float(density),
-            "snr_db": fmt_float(snr_db),
-            "spreading_factor": fmt_float(dd),
-            "seed": str(seed),
-        }
-        for method in cfg.methods:
-            outcome = outcomes[method]
+    for point, outcomes in _run_points(cfg, "sweep", cfg.methods, cfg.rounding_repeats):
+        base = {name: fmt_float(point[name]) for name in ("density", "snr_db", "spreading_factor")}
+        base.update(axis=fmt_float(point[primary]), axis_name=primary, seed=str(point["seed"]))
+        for method, outcome in outcomes.items():
             if "error" in outcome:
-                errors.append(
-                    {"method": method, "seed": seed, "axis": axis_value, **point, **outcome}
-                )
+                errors.append({"method": method, "axis": point[primary], **point, **outcome})
                 continue
             lines.append(_csv_row(base, method, outcome))
             for dist in outcome.get("distribution", ()):
@@ -586,10 +585,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     (out_dir / "sweep.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     if errors:
         write_json(out_dir / "sweep_errors.json", {"errors": errors})
-        for err in errors:
-            where = " ".join(f"{name}={fmt_float(err[name])}" for name in point)
-            print(f"[sweep] {err['method']} {where} seed={err['seed']}: {err['error']}",
-                  file=sys.stderr)
     return EXIT_OK
 
 
@@ -605,7 +600,6 @@ def nearest_neighbor_dispersion(grid: GridConfig, indices) -> float | None:
 
 
 def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
-    kind, value = cfg.budgets[0]
     if len(cfg.budgets) > 1 or "density" in cfg.list_axes:
         raise ConfigError("structure needs a fixed pilot budget")
     if cfg.list_axes not in (("snr_db",), ("spreading_factor",)):
@@ -614,19 +608,14 @@ def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
     methods = [m for m in cfg.methods if m != METHOD_CR]
     if not methods:
         raise ConfigError("structure needs a method that places pilots; cr gives only weights")
-    K = budget_pilots(cfg.grid, kind, value)
-    cache = _statistics_cache(cfg)
 
     summary = {"config": resolved_config_dict(cfg), "axis": axis, "patterns": []}
-    for snr_db, dd, seed in itertools.product(cfg.snr_dbs, cfg.spreading_factors, cfg.seeds):
-        axis_value = snr_db if axis == "snr_db" else dd
-        outcomes = run_point(cfg, cache[dd], K, snr_db, seed, methods, cfg.rounding_repeats)
+    for point, outcomes in _run_points(cfg, "structure", methods, cfg.rounding_repeats):
+        axis_value, seed = point[axis], point["seed"]
         for method, outcome in outcomes.items():
             if "error" in outcome:
                 entry = {"axis_value": axis_value, "method": method, "seed": seed, **outcome}
                 summary["patterns"].append(entry)
-                print(f"[structure] {method} {axis}={axis_value} seed={seed}: {outcome['error']}",
-                      file=sys.stderr)
                 continue
             stem = f"structure_{axis}_{fmt_float(axis_value)}_{method}_seed{seed}"
             dispersion = nearest_neighbor_dispersion(cfg.grid, outcome["indices"])
@@ -667,12 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="A-optimal pilot pattern design for OFDM over doubly dispersive channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("design", True),
-        ("sweep", True),
-        ("structure", True),
-        ("validate", False),
-    ):
+    for name in ("design", "sweep", "structure", "validate"):
+        needs_config = name != "validate"
         p = sub.add_parser(name)
         p.add_argument("--config", required=needs_config, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="override the config output directory")

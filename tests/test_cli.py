@@ -156,6 +156,12 @@ class TestConfigParsing:
             # Finite noise variance, but the pilot SNR overflows or squares to inf.
             {"snr_db": 3200},
             {"beta": 1e300},
+            {"grid": {"M": 12, "N": 14, "K": 3}},
+            # A repeated value would repeat its runs, files and rows.
+            {"seeds": [0, 0]},
+            {"snr_db": [10, 10.0]},
+            {"scattering": {"spreading_factor": [0.001, 0.001]}},
+            {"pilot_budget": [0.2, 0.2]},
         ],
     )
     def test_invalid_configs_rejected(self, overrides, tmp_path, capsys):
@@ -321,31 +327,82 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_BAD_CONFIG
 
-    def test_errors_name_their_point(self, tmp_path, capsys):
-        """A failure on a secondary axis is told apart from its siblings:
-        each error entry carries the point's CSV base values and each stderr
-        line names them and the seed."""
-        cfg_path = write_config(
-            tmp_path,
-            {
-                "pilot_budget": [0.05],
-                "scattering": {"spreading_factor": [0.001, 0.01]},
-                "methods": ["exhaustive"],
-            },
-        )
+
+class TestPointLoop:
+    """``design``, ``sweep`` and ``structure`` walk their design points in
+    one loop."""
+
+    # Where each command records a failed method.
+    ERRORS = {
+        "design": ("design_summary.json", "runs"),
+        "sweep": ("sweep_errors.json", "errors"),
+        "structure": ("structure_summary.json", "patterns"),
+    }
+    SPREADING = {"scattering": {"spreading_factor": [0.001, 0.01]}}
+
+    @pytest.mark.parametrize(
+        "command, overrides, density, points",
+        [
+            ("design", {"pilot_budget": 8, "seeds": [0, 3]}, "0.047619047619",
+             [("0.001", 0), ("0.001", 3)]),
+            ("sweep", {"pilot_budget": [0.05], **SPREADING}, "0.05", [("0.001", 0), ("0.01", 0)]),
+            ("structure", {"pilot_budget": 8, **SPREADING}, "0.047619047619",
+             [("0.001", 0), ("0.01", 0)]),
+        ],
+        ids=["design", "sweep", "structure"],
+    )
+    def test_errors_name_their_point(self, tmp_path, capsys, command, overrides, density, points):
+        """A failure is told apart from its siblings: each stderr line names
+        the point's density, SNR, spreading factor and seed, and repeats the
+        error that the command's output records."""
+        cfg_path = write_config(tmp_path, {**overrides, "methods": ["exhaustive"]})
         out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
-        errors = json.loads((out / "sweep_errors.json").read_text(encoding="utf-8"))["errors"]
-        assert [(e["axis"], e["density"], e["snr_db"], e["spreading_factor"]) for e in errors] == [
-            (0.05, 0.05, 10.0, 0.001),
-            (0.05, 0.05, 10.0, 0.01),
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        name, key = self.ERRORS[command]
+        errors = [e for e in json.loads((out / name).read_text(encoding="utf-8"))[key] if "error" in e]
+        assert [(e["method"], e["K"], e["seed"]) for e in errors] == [
+            ("exhaustive", 8, seed) for _, seed in points
         ]
-        assert all(e["method"] == "exhaustive" and e["K"] == 8 for e in errors)
-        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[sweep]")]
-        assert [line.split(":")[0] for line in lines] == [
-            f"[sweep] exhaustive density=0.05 snr_db=10 spreading_factor={dd} seed=0"
-            for dd in ("0.001", "0.01")
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[")]
+        assert lines == [
+            f"[{command}] exhaustive density={density} snr_db=10 spreading_factor={dd} seed={seed}: "
+            + e["error"]
+            for (dd, seed), e in zip(points, errors)
         ]
+        if command == "sweep":
+            # Each error entry carries the point's CSV base values.
+            assert [(e["axis"], e["density"], e["snr_db"], e["spreading_factor"]) for e in errors] == [
+                (0.05, 0.05, 10.0, 0.001),
+                (0.05, 0.05, 10.0, 0.01),
+            ]
+
+    @pytest.mark.parametrize(
+        "command, overrides, spreading, n_points",
+        [
+            ("design", {"seeds": [0, 1]}, [0.001], 2),
+            ("sweep", {"pilot_budget": [0.05, 0.08], **SPREADING}, [0.001, 0.01], 4),
+            ("structure", {"seeds": [0, 1], **SPREADING}, [0.001, 0.01], 4),
+        ],
+        ids=["design", "sweep", "structure"],
+    )
+    def test_statistics_are_built_once_before_the_first_point(
+        self, tmp_path, monkeypatch, command, overrides, spreading, n_points
+    ):
+        calls, build, run = [], cli.build_statistics, cli.run_point
+
+        def counting_build_statistics(grid, spec, *args, **kwargs):
+            calls.append(("build", spec.spreading_factor))
+            return build(grid, spec, *args, **kwargs)
+
+        def counting_run_point(*args, **kwargs):
+            calls.append(("point",))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_statistics", counting_build_statistics)
+        monkeypatch.setattr(cli, "run_point", counting_run_point)
+        cfg_path = write_config(tmp_path, {**overrides, "methods": ["greedy"]})
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == [("build", dd) for dd in spreading] + [("point",)] * n_points
 
 
 class TestStructureCommand:
