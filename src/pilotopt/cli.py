@@ -13,6 +13,7 @@ identical result files (recorded wall times are the one exception).
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -74,6 +75,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_BAD_CONFIG = 2
 EXIT_IO_ERROR = 3
+EXIT_POINT_FAILED = 4
 
 
 # --------------------------------------------------------------------------
@@ -476,11 +478,14 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
 
 
 def _run_points(cfg: ExperimentConfig, command: str, methods, repeats):
-    """Yield ``(point, outcomes)`` of ``run_point`` at each design point of
-    ``cfg``, budgets x SNR x spreading factor x seeds; ``point`` holds its
-    ``density``, ``snr_db``, ``spreading_factor`` and ``seed``.  All
-    statistics are built first, so a failing build stops the run before any
-    file is written.  Each failed method is printed once, naming its point."""
+    """``(points, status)``: ``(point, outcomes)`` of ``run_point`` at each
+    design point of ``cfg``, budgets x SNR x spreading factor x seeds, with
+    its ``density``, ``snr_db``, ``spreading_factor`` and ``seed`` in
+    ``point``, and ``EXIT_POINT_FAILED`` if every method failed at a point,
+    else ``EXIT_OK``.  All statistics are built first, so a failing build
+    stops the run before any file is written.  Each failed method is printed
+    once, naming its point."""
+    points = []
     stats = {
         dd: build_statistics(cfg.grid, ScatteringSpec(spreading_factor=dd, **cfg.scattering))
         for dd in cfg.spreading_factors
@@ -496,7 +501,9 @@ def _run_points(cfg: ExperimentConfig, command: str, methods, repeats):
         for method, outcome in outcomes.items():
             if "error" in outcome:
                 print(f"[{command}] {method} {where} seed={seed}: {outcome['error']}", file=sys.stderr)
-        yield {**point, "seed": seed}, outcomes
+        points.append(({**point, "seed": seed}, outcomes))
+    failed = any(all("error" in o for o in outcomes.values()) for _, outcomes in points)
+    return points, EXIT_POINT_FAILED if failed else EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -539,7 +546,8 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
     summary = {"config": resolved_config_dict(cfg), "runs": []}
     # Panels stay consistent: the swap-refined rounding refines the same
     # single rounding that the unrefined panel displays.
-    for point, outcomes in _run_points(cfg, "design", cfg.methods, repeats=1):
+    points, status = _run_points(cfg, "design", cfg.methods, repeats=1)
+    for point, outcomes in points:
         seed = point["seed"]
         for method, outcome in outcomes.items():
             run = {k: v for k, v in outcome.items() if k != "distribution"}
@@ -547,7 +555,7 @@ def cmd_design(cfg: ExperimentConfig, out_dir: Path) -> int:
             if "error" not in outcome:
                 _write_pattern(out_dir, f"design_{method}_seed{seed}", cfg, method, seed, outcome)
     write_json(out_dir / "design_summary.json", summary)
-    return EXIT_OK
+    return status
 
 
 def _csv_row(base: dict, method: str, record: dict) -> str:
@@ -572,7 +580,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines = ["# " + json.dumps(_round_floats(meta), sort_keys=True)]
     lines.append(",".join(CSV_COLUMNS))
     errors = []
-    for point, outcomes in _run_points(cfg, "sweep", cfg.methods, cfg.rounding_repeats):
+    points, status = _run_points(cfg, "sweep", cfg.methods, cfg.rounding_repeats)
+    for point, outcomes in points:
         base = {name: fmt_float(point[name]) for name in ("density", "snr_db", "spreading_factor")}
         base.update(axis=fmt_float(point[primary]), axis_name=primary, seed=str(point["seed"]))
         for method, outcome in outcomes.items():
@@ -585,7 +594,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     (out_dir / "sweep.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     if errors:
         write_json(out_dir / "sweep_errors.json", {"errors": errors})
-    return EXIT_OK
+    return status
 
 
 def nearest_neighbor_dispersion(grid: GridConfig, indices) -> float | None:
@@ -610,7 +619,8 @@ def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("structure needs a method that places pilots; cr gives only weights")
 
     summary = {"config": resolved_config_dict(cfg), "axis": axis, "patterns": []}
-    for point, outcomes in _run_points(cfg, "structure", methods, cfg.rounding_repeats):
+    points, status = _run_points(cfg, "structure", methods, cfg.rounding_repeats)
+    for point, outcomes in points:
         axis_value, seed = point[axis], point["seed"]
         for method, outcome in outcomes.items():
             if "error" in outcome:
@@ -623,7 +633,7 @@ def cmd_structure(cfg: ExperimentConfig, out_dir: Path) -> int:
                                      axis=axis, axis_value=axis_value, dispersion=dispersion)
             summary["patterns"].append({k: payload[k] for k in STRUCTURE_SUMMARY_FIELDS})
     write_json(out_dir / "structure_summary.json", summary)
-    return EXIT_OK
+    return status
 
 
 def cmd_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
@@ -650,6 +660,7 @@ def cmd_validate(cfg: ExperimentConfig | None, out_dir: Path) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pilotopt",
@@ -683,16 +694,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides) if args.config else None
         out_dir = Path(args.out) if args.out else Path(cfg.output_dir if cfg else "out")
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "design":
-            return cmd_design(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
-        if args.command == "structure":
-            return cmd_structure(cfg, out_dir)
-        if args.command == "validate":
-            return cmd_validate(cfg, out_dir)
-        raise ConfigError(f"unknown command {args.command}")  # pragma: no cover
+        # By name when it runs, so a wrapper set on this module sees the call.
+        return globals()[f"cmd_{args.command}"](cfg, out_dir)
     except PilotOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -509,14 +509,14 @@ def _error_covariance(
 
 def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
     """Sherman-Morrison terms of every row ``u_k`` of ``rows`` against ``A_inv``:
-    ``Z``, whose k-th row is ``z_k = A^{-1} u_k^H``, the quadratic forms
-    ``u_k A^{-1} u_k^H`` and the squared norms ``|z_k|^2``, returned as
-    ``Z, quad, norm2``.
-    """
-    Z = (rows @ A_inv).conj()
-    norm2 = np.einsum("ij,ij->i", Z, Z.conj()).real
-    quad = np.einsum("ij,ij->i", rows, Z).real
-    return Z, quad, norm2
+    ``Y = rows A^{-1}``, whose k-th row is ``y_k = u_k A^{-1}``, the quadratic
+    forms ``q_k = u_k A^{-1} u_k^H`` and the squared norms ``n_k = |y_k|^2``,
+    returned as ``Y, quad, norm2``."""
+    Y = rows @ A_inv
+    Y_conj = Y.conj()
+    norm2 = np.einsum("ij,ij->i", Y_conj, Y).real
+    quad = np.einsum("ij,ij->i", rows, Y_conj).real
+    return Y, quad, norm2
 
 
 def gains_for_candidates(A_inv: np.ndarray, rows: np.ndarray, alpha: float) -> np.ndarray:
@@ -527,12 +527,12 @@ def gains_for_candidates(A_inv: np.ndarray, rows: np.ndarray, alpha: float) -> n
 
 def rank_one_update(problem: DesignProblem, A_inv: np.ndarray, j: int) -> np.ndarray:
     """Hermitian ``A^{-1}`` after adding row j to the pattern whose inverse is
-    ``A_inv``, by Sherman-Morrison: ``A_inv - alpha z_j z_j^H / (1 + alpha q_j)``
-    with ``z_j = A^{-1} u_j^H`` and ``q_j = u_j A^{-1} u_j^H``."""
+    ``A_inv``, by Sherman-Morrison: ``A_inv - alpha y_j^H y_j / (1 + alpha q_j)``
+    with ``y_j = u_j A^{-1}`` and ``q_j = u_j A^{-1} u_j^H``."""
     alpha = problem.pilot_snr
-    Z, quad, _ = _row_terms(A_inv, problem.rows[j : j + 1])
+    Y, quad, _ = _row_terms(A_inv, problem.rows[j : j + 1])
     denom = 1.0 + alpha * quad[0]
-    A_inv = A_inv - (alpha / denom) * np.outer(Z[0], Z[0].conj())
+    A_inv = A_inv - (alpha / denom) * np.outer(Y[0].conj(), Y[0])
     # Symmetrize to suppress drift over long update chains.
     return 0.5 * (A_inv + A_inv.conj().T)
 
@@ -540,7 +540,7 @@ def rank_one_update(problem: DesignProblem, A_inv: np.ndarray, j: int) -> np.nda
 def removal_terms(problem: DesignProblem, quad: np.ndarray, selected) -> np.ndarray:
     """Removal coefficients ``t_i = alpha / (1 - alpha q_i)`` of the selected
     rows, from the quadratic forms ``quad`` of all P rows: removing row i adds
-    ``t_i z_i z_i^H`` to ``A^{-1}``.
+    ``t_i y_i^H y_i`` to ``A^{-1}``.
 
     A denominator at or below 1e-12 raises ``DegenerateUpdateError`` naming
     the row: ``A^{-1}`` cannot be downdated by it in floating point.
@@ -560,45 +560,41 @@ def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates)
     swapping selected ``selected[a]`` for unselected ``candidates[b]`` in the
     pattern whose inverse is ``A_inv``, up to rounding.
 
-    With ``z_k = A^{-1} u_k^H``, removing i adds ``t_i z_i z_i^H`` to
-    ``A^{-1}`` (``removal_terms``), which shifts each candidate's quadratic
-    form by ``t_i |D_ij|^2`` and its squared norm by
-    ``2 t_i Re(D_ij conj(E_ij)) + t_i^2 |D_ij|^2 n_i``, where
-    ``D_ij = u_i A^{-1} u_j^H`` and ``E_ij = z_i^H z_j``.  Two matrix
-    products thus give all K x (P - K) deltas (the Fedorov exchange screen),
-    and the terms are then formed in place.
+    In the terms ``y``, ``q`` and ``n`` of ``_row_terms``, with ``t_i`` of
+    ``removal_terms``, ``D_ij = y_i u_j^H`` and ``E_ij = y_i y_j^H``, swapping
+    i for j changes the objective by the removal's increase less the gain of
+    adding j after it:
+
+        t_i n_i - alpha (n_j + 2 t_i Re(D_ij conj(E_ij)) + t_i^2 n_i |D_ij|^2)
+                  / (1 + alpha q_j + alpha t_i |D_ij|^2)
+
+    Two matrix products give all K x (P - K) of ``D`` and ``conj(E)``, the
+    Fedorov exchange screen; the scalar factors are folded into vectors.
     """
     alpha = problem.pilot_snr
-    Z, quad, norm2 = _row_terms(A_inv, problem.rows)
-    t = removal_terms(problem, quad, selected)[:, None]
-    # The rows of Z_S are z_i^H = u_i A^{-1}.
-    Z_S, norm2_S = Z[selected].conj(), norm2[selected][:, None]
-    D = Z_S @ problem.rows_conj[candidates].T
-    E = Z_S @ Z[candidates].T
-    # The terms in place, each in the operation order of its formula.
-    E.imag *= -1.0
-    E *= D
-    norm2_after = E.real * (2.0 * t)
-    norm2_after += norm2[candidates]
+    Y, quad, norm2 = _row_terms(A_inv, problem.rows)
+    t = removal_terms(problem, quad, selected)
+    alpha_t, t_norm2 = (alpha * t)[:, None], (t * norm2[selected])[:, None]
+    Y_S = Y[selected]
+    D = Y_S @ problem.rows_conj[candidates].T
+    DE = Y_S.conj() @ Y[candidates].T
+    DE *= D
+    numer = DE.real * (2.0 * alpha_t)
+    numer += alpha * norm2[candidates]
     D2 = D.real**2
     D2 += D.imag**2
-    quad_after = t * D2
-    quad_after += quad[candidates]
-    D2 *= t**2
-    D2 *= norm2_S
-    norm2_after += D2
-    quad_after *= alpha
-    quad_after += 1.0
-    norm2_after *= alpha
-    norm2_after /= quad_after
-    return np.subtract(t * norm2_S, norm2_after, out=norm2_after)
+    denom = D2 * alpha_t
+    denom += 1.0 + alpha * quad[candidates]
+    D2 *= alpha_t * t_norm2
+    numer += D2
+    numer /= denom
+    return np.subtract(t_norm2, numer, out=numer)
 
 
 def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarray:
     """Relaxed-objective gradient ``-alpha * u_i A^{-2} u_i^H`` per cell, from
     an ``A^{-1}`` already formed by ``_hermitian_inverse``."""
-    # The squared row norms of rows @ A^{-1}, the conjugate of _row_terms'
-    # Z: the same bits without its conjugate copy.
+    # The squared norms of _row_terms, without its quadratic forms.
     Y = problem.rows @ A_inv
     return -problem.pilot_snr * np.einsum("ij,ij->i", Y, Y.conj()).real
 

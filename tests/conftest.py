@@ -238,12 +238,12 @@ def reference_removal(problem, A_inv, i):
     """Objective increase and Hermitian downdated ``A^{-1}`` of removing the
     selected row i, from that row's own Sherman-Morrison terms."""
     alpha = problem.pilot_snr
-    Z, quad, norm2 = _row_terms(A_inv, problem.rows[i : i + 1])
+    Y, quad, norm2 = _row_terms(A_inv, problem.rows[i : i + 1])
     denom = float(1.0 - alpha * quad[0])
     if denom <= 1e-12:
         raise DegenerateUpdateError(f"removal of {i} hit denominator {denom:g}")
     increase = float(alpha * norm2[0] / denom)
-    A_inv_without = A_inv + (alpha / denom) * np.outer(Z[0], Z[0].conj())
+    A_inv_without = A_inv + (alpha / denom) * np.outer(Y[0].conj(), Y[0])
     return increase, 0.5 * (A_inv_without + A_inv_without.conj().T)
 
 

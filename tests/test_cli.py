@@ -17,6 +17,7 @@ from pilotopt.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO_ERROR,
     EXIT_OK,
+    EXIT_POINT_FAILED,
     budget_pilots,
     derive_rounding_seed,
     VALID_METHODS,
@@ -357,7 +358,8 @@ class TestPointLoop:
         error that the command's output records."""
         cfg_path = write_config(tmp_path, {**overrides, "methods": ["exhaustive"]})
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        # The only method fails at every point.
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_POINT_FAILED
         name, key = self.ERRORS[command]
         errors = [e for e in json.loads((out / name).read_text(encoding="utf-8"))[key] if "error" in e]
         assert [(e["method"], e["K"], e["seed"]) for e in errors] == [
@@ -375,6 +377,33 @@ class TestPointLoop:
                 (0.05, 0.05, 10.0, 0.001),
                 (0.05, 0.05, 10.0, 0.01),
             ]
+
+    @pytest.mark.parametrize(
+        "command, snr_db",
+        [("design", 1500), ("sweep", [10, 1500]), ("structure", [10, 1500])],
+    )
+    def test_a_point_where_every_method_failed_exits_4(self, tmp_path, capsys, command, snr_db):
+        """At 1500 dB every method fails; the command still writes its files
+        and exits 4.  A point where only some methods fail exits 0."""
+        config = {"grid": {"M": 4, "N": 4}, "scattering": {"spreading_factor": 0.01},
+                  "pilot_budget": [3 / 16] if command == "sweep" else 3,
+                  "methods": ["greedy-swap", "rect"]}
+        cfg_path = write_config(tmp_path, {**config, "snr_db": snr_db})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_POINT_FAILED
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("[")]
+        assert [line.split()[1] for line in lines] == ["greedy-swap", "rect"]
+        assert all("snr_db=1500 " in line and "NumericError: " in line for line in lines)
+        name, key = self.ERRORS[command]
+        recorded = json.loads((out / name).read_text(encoding="utf-8"))[key]
+        assert [e["method"] for e in recorded if "error" in e] == ["greedy-swap", "rect"]
+        if command == "sweep":
+            rows = read_csv(out / "sweep.csv")
+            assert [(r["snr_db"], r["method"]) for r in rows] == [("10", "greedy-swap"), ("10", "rect")]
+        # Exhaustive search exceeds its complexity guard on the 12x14 block.
+        partial = write_config(tmp_path, {"methods": ["greedy", "exhaustive"],
+                                          "snr_db": 10 if command == "design" else [10, 20]})
+        assert main([command, "--config", str(partial), "--out", str(tmp_path / "ok")]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "command, overrides, spreading, n_points",

@@ -451,6 +451,23 @@ class TestSwapDeltas:
         )
         assert np.abs(batched - looped).max() <= 1e-9 * np.trace(A_inv).real
 
+    def test_pairs_match_swap_delta_at_48x28(self, problem_big):
+        """The screen at K = 134 and r = 28, on the greedy pattern, against
+        the per-pair reference on eight random candidates of every row."""
+        assert problem_big.rank == 28
+        selected = np.array(greedy_design(problem_big).pattern.indices, dtype=np.intp)
+        candidates = np.setdiff1d(np.arange(problem_big.grid.size), selected)
+        A_inv = pattern_inverse(problem_big, selected)
+        batched = swap_deltas(problem_big, A_inv, selected, candidates)
+        assert batched.shape == (134, problem_big.grid.size - 134)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for a, i in enumerate(selected):
+            for b in rng.choice(len(candidates), size=8, replace=False):
+                delta = reference_swap_delta(problem_big, A_inv, int(i), int(candidates[b]))
+                worst = max(worst, abs(batched[a, b] - delta))
+        assert worst <= 1e-9 * np.trace(A_inv).real
+
     def test_nonpositive_removal_denominator_raises(self, problem_rb):
         A_inv = pattern_inverse(problem_rb, np.array([0, 50], dtype=np.intp))
         with pytest.raises(DegenerateUpdateError, match="^removal of 50 hit denominator -6"):
