@@ -32,6 +32,7 @@ from .objective import (
     make_design_problem,
     noise_var_from_snr_db,
     objective_value,
+    pilot_power_fraction,
 )
 from .optimizers import (
     METHOD_CR,
@@ -224,7 +225,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for snr_db in snr:
             # The pilot SNR exactly as ``make_design_problem`` derives it.
             try:
-                compute_alpha(K / grid.N if beta is None else beta, grid.N, K,
+                compute_alpha(pilot_power_fraction(beta, K, grid.N), grid.N, K,
                               noise_var_from_snr_db(snr_db))
             except InvalidSpecError as exc:
                 raise ConfigError(f"fields 'snr_db' and 'beta': {exc}") from exc
@@ -400,19 +401,19 @@ def _outcome(problem, result, score) -> dict:
     return record
 
 
-def _run_rounding_swap(problem, allocation, seed, repeats):
+def _run_rounding_swap(problem, relax, seed, repeats):
     seeds = [derive_rounding_seed(seed, i) for i in range(repeats)]
-    best, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+    best, reports = relax_round_swap_design(problem, seeds, relax())
     return best, list(zip(seeds, reports))
 
 
-# Each runner takes (problem, allocation, seed, repeats) and returns what
-# ``_outcome`` builds the record from; ``allocation`` is the shared
-# relaxation solve, present whenever a method starting with "cr" runs.
+# Each runner takes (problem, relax, seed, repeats) and returns what
+# ``_outcome`` builds the record from; ``relax()`` is the point's one
+# relaxation solve.
 RUNNERS = {
-    METHOD_CR: lambda problem, allocation, *_: allocation,
-    METHOD_CR_ROUND: lambda problem, allocation, seed, _: dependent_rounding(
-        allocation, derive_rounding_seed(seed, 0), grid=problem.grid
+    METHOD_CR: lambda problem, relax, *_: relax(),
+    METHOD_CR_ROUND: lambda problem, relax, seed, _: dependent_rounding(
+        relax(), derive_rounding_seed(seed, 0), grid=problem.grid
     ),
     METHOD_CR_ROUND_SWAP: _run_rounding_swap,
     METHOD_GREEDY: lambda problem, *_: greedy_design(problem),
@@ -442,8 +443,9 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     per point, across all methods and roundings.  For ``cr`` it is the error
     of the weights read as per-cell pilot power, which is not a bound, and
     it depends on which of the non-unique relaxed optima the solver stops at
-    far more than the objective does.  One relaxation solve is shared by all
-    relaxation-based methods; its time is attributed to the first of them.
+    far more than the objective does.  The relaxation-based methods share
+    one relaxation solve, ``relax()``, which the first of them to run pays
+    for in its ``wall_time``.
 
     The record is built by ``_outcome`` from what the method's runner
     returns.  The runners call the optimizers inside their bodies, so each
@@ -453,26 +455,17 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     """
     problem = make_design_problem(stats, K=K, snr_db=snr_db, beta=cfg.beta)
     score = _mse_scorer(stats)
+    relax = functools.cache(lambda: solve_relaxation(problem))
     outcomes = {}
-    allocation = None
-    relax_time = 0.0
-    if any(m.startswith("cr") for m in methods):
-        t0 = time.perf_counter()
-        allocation = solve_relaxation(problem)
-        relax_time = time.perf_counter() - t0
-
     for method in methods:
         t0 = time.perf_counter()
-        shared = 0.0
-        if method.startswith("cr"):
-            shared, relax_time = relax_time, 0.0
         try:
-            result = RUNNERS[method](problem, allocation, seed, repeats)
+            result = RUNNERS[method](problem, relax, seed, repeats)
             outcome = _outcome(problem, result, score)
         except PilotOptError as exc:
             outcomes[method] = {"error": f"{type(exc).__name__}: {exc}", "K": K}
             continue
-        outcome["wall_time"] = shared + time.perf_counter() - t0
+        outcome["wall_time"] = time.perf_counter() - t0
         outcomes[method] = outcome
     return outcomes
 

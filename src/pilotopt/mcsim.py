@@ -10,11 +10,13 @@ is ``g = L z`` with ``L = U sqrt(lambda)`` on the r significant eigenpairs of
 ``C_g`` that ``channel.build_statistics`` holds (they miss the covariance
 trace by a relative 1.6e-12 at 12x14 and 8.6e-13 at 48x28, spreading 5e-3)
 and z r i.i.d. standard complex normals.  With U_S the pilot rows of U and
-``alpha = sigma_p^2 / noise_var``, the information matrix is
-``A = diag(1/lambda) + alpha U_S^H U_S``; the LMMSE estimate of the
-coordinates ``sqrt(lambda) z`` is ``(sigma_p / noise_var) A^{-1} U_S^H y_S``,
-its error covariance is ``A^{-1}`` and the average MSE ``trace(A^{-1})/(M*N)``,
-which is ``average_mse`` at alpha bit for bit.  One r x r Cholesky inverse
+the pilot SNR ``alpha = sigma_p^2 / noise_var``, as ``objective.compute_alpha``
+derives it (the problem's ``pilot_snr`` at the problem's noise), the
+information matrix is ``A = diag(1/lambda) + alpha U_S^H U_S``; the LMMSE
+estimate of the coordinates ``sqrt(lambda) z`` is
+``(sigma_p / noise_var) A^{-1} U_S^H y_S``, its error covariance is
+``A^{-1}`` and the average MSE ``trace(A^{-1})/(M*N)``, which is
+``average_mse`` at alpha bit for bit.  One r x r Cholesky inverse
 (``objective._error_covariance``) gives both, O(r^2 K + r^3).  No K x K
 pilot system is solved, and no error is formed as the difference of two
 numbers of size M*N, which cancels at high SNR.
@@ -40,7 +42,9 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .errors import InvalidSpecError
-from .objective import DesignProblem, PilotPattern, _error_covariance, hermitian_from_lower
+from .objective import (
+    DesignProblem, PilotPattern, _error_covariance, compute_alpha, hermitian_from_lower
+)
 
 # Realizations are simulated in fixed-size batches to bound memory; the batch
 # size is an implementation constant so seeded runs stay bit-identical.
@@ -129,7 +133,7 @@ def lmmse_weights(
     ``run_simulation`` does not use it; it is the grid-form reference for the
     latent estimate.
     """
-    Q = _latent_system(stats, pattern, sigma_p**2, noise_var)[1]
+    Q = _latent_system(stats, pattern, sigma_p**2 / noise_var, noise_var)[1]
     return (stats.significant_eigvecs * np.sqrt(stats.significant_eigvals)) @ Q
 
 
@@ -148,10 +152,11 @@ def analytic_mse(
 
 
 def _latent_system(
-    stats: ChannelStatistics, pattern: PilotPattern, pilot_power: float, noise_var: float
+    stats: ChannelStatistics, pattern: PilotPattern, alpha: float, noise_var: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The LMMSE estimator in the latent coordinates of ``sample_channels``,
-    and its analytic MSE, at pilot SNR ``alpha = pilot_power / noise_var``.
+    and its analytic MSE, at pilot SNR ``alpha`` and noise variance
+    ``noise_var``: pilot amplitude ``sigma_p = sqrt(alpha * noise_var)``.
 
     The channel is ``g = L z`` with ``L = U sqrt(lambda)`` (P x r) on the
     significant eigenpairs of the statistics.  Returns the scaled pilot rows
@@ -168,8 +173,8 @@ def _latent_system(
     rows of the stored eigenvectors, O(r^2 K + r^3) in all; no
     eigendecomposition and no P x K matrix.
     """
-    lower, analytic = _error_covariance(stats, pattern, pilot_power / noise_var)
-    sigma_p = float(np.sqrt(pilot_power))
+    lower, analytic = _error_covariance(stats, pattern, alpha)
+    sigma_p = float(np.sqrt(alpha * noise_var))
     root = np.sqrt(stats.significant_eigvals)
     B = stats.significant_eigvecs.take(np.array(pattern.indices, dtype=np.intp), axis=0)
     Q = hermitian_from_lower(lower) @ B.conj().T
@@ -210,17 +215,19 @@ def run_simulation(
 ) -> SimResult:
     """Estimate the empirical MSE of the LMMSE estimator over seeded draws.
 
-    The pilot amplitude follows the problem's power budget
-    (``sigma_p^2 = beta*N/K``); the noise level comes from ``cfg``.  Returns
-    the empirical average MSE, its standard error and the analytic value,
-    ``average_mse`` at ``alpha = sigma_p^2 / cfg.noise_var``, from the r x r
-    inverse the estimator is built on.  The estimate and its error are
-    computed on the latent channel draw (``_latent_system``), O(r K) per
-    realization.
+    The pilot power follows the problem's power fraction beta
+    (``sigma_p^2 = beta*N/K``); the noise level comes from ``cfg``.  The pilot
+    SNR is ``compute_alpha`` of the two, the problem's ``pilot_snr`` when
+    ``cfg`` has the problem's noise.  Returns the empirical average MSE, its
+    standard error and the analytic value, ``average_mse`` at that pilot SNR,
+    from the r x r inverse the estimator is built on.  The estimate and its
+    error are computed on the latent channel draw (``_latent_system``),
+    O(r K) per realization.
     """
     if problem.grid != stats.grid:
         raise InvalidSpecError("problem grid does not match the statistics grid")
-    B, Q, variances, analytic = _latent_system(stats, pattern, problem.pilot_power, cfg.noise_var)
+    alpha = compute_alpha(problem.power_fraction, problem.grid.N, problem.budget, cfg.noise_var)
+    B, Q, variances, analytic = _latent_system(stats, pattern, alpha, cfg.noise_var)
     noise_scale = np.sqrt(cfg.noise_var / 2.0)
     rng = np.random.default_rng(cfg.rng_seed)
 

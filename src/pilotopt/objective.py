@@ -92,6 +92,12 @@ def compute_alpha(beta: float, N: int, K: int, noise_var: float) -> float:
     return alpha
 
 
+def pilot_power_fraction(beta: float | None, K: int, N: int) -> float:
+    """The fraction of block power given to pilots: ``beta``, or by default
+    ``K/N``, which gives each pilot unit power (the block average)."""
+    return K / N if beta is None else beta
+
+
 def noise_var_from_snr_db(snr_db: float) -> float:
     """Noise variance for a given symbol SNR in dB, at unit symbol power."""
     return 10.0 ** (-snr_db / 10.0)
@@ -189,11 +195,6 @@ class DesignProblem:
                 maps.append(perm)
         return tuple(maps)
 
-    @property
-    def pilot_power(self) -> float:
-        """Per-pilot symbol power ``sigma_p^2 = beta * N / K``."""
-        return self.power_fraction * self.grid.N / self.budget
-
     def with_budget(self, K: int) -> "DesignProblem":
         """Same statistics and power fraction, different pilot count."""
         return DesignProblem(
@@ -215,21 +216,15 @@ def make_design_problem(
     """Assemble a design problem from channel statistics.
 
     SNR in dB is mapped to ``noise_var = 10^(-SNR/10)`` at unit symbol power.
-    ``beta`` defaults to ``K/N`` so the per-pilot power is 1 (the block
-    average).
+    ``beta`` defaults to ``K/N`` (``pilot_power_fraction``).
     """
-    noise_var = noise_var_from_snr_db(snr_db)
-    if noise_var <= 0:
-        raise InvalidSpecError("noise_var must be positive")
-    if beta is None:
-        beta = K / stats.grid.N
     return DesignProblem(
         grid=stats.grid,
         rows=stats.eigvecs,
         prior=stats.eigvals,
         budget=K,
-        power_fraction=beta,
-        noise_var=noise_var,
+        power_fraction=pilot_power_fraction(beta, K, stats.grid.N),
+        noise_var=noise_var_from_snr_db(snr_db),
     )
 
 

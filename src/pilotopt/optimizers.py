@@ -69,11 +69,15 @@ TIE_BAND = 1e-9
 # unchanged.  A Newton step halves at most FACE_HALVINGS times before the
 # face phase hands back to SPG2; the face Hessian takes a ridge of
 # FACE_RIDGE times its largest diagonal entry; and a face is solved when its
-# reduced gradient is at most FACE_TOL times the relaxation's tolerance.
+# reduced gradient is at most FACE_TOL times RELAX_TOL.
 FACE_SWITCH = 3
 FACE_HALVINGS = 10
 FACE_RIDGE = 1e-10
 FACE_TOL = 1e-3
+# The relaxation converges when its unit-step projected-gradient residual is
+# at most RELAX_TOL, and stops unconverged after RELAX_MAX_ITERS steps.
+RELAX_TOL = 1e-6
+RELAX_MAX_ITERS = 5000
 
 METHOD_CR = "cr"
 METHOD_CR_ROUND = "cr-round"
@@ -169,11 +173,7 @@ def _unit_step_residual(w: np.ndarray, grad: np.ndarray, K: int) -> float:
     return float(np.linalg.norm(w - project_capped_simplex(w - grad, K)))
 
 
-def solve_relaxation(
-    problem: DesignProblem,
-    tol: float = 1e-6,
-    max_iters: int = 5000,
-) -> FractionalAllocation:
+def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
     """Fractional A-optimal allocation: the nonmonotone spectral projected
     gradient method SPG2 (Birgin, Martinez & Raydan 2000, "Nonmonotone
     spectral projected gradient methods on convex sets", SIAM J. Optim.
@@ -195,24 +195,28 @@ def solve_relaxation(
     cut at the first bound it hits (``_face_line_search``), which pins that
     weight; the step is never projected, since projecting it undoes it.
     When the reduced gradient ``grad_F - nu``, ``nu = mean(grad_F)``, is at
-    most ``FACE_TOL * tol`` the face is solved, and every KKT violator is
-    released into F: a weight at 0 with ``grad_i < nu`` or at 1 with
+    most ``FACE_TOL * RELAX_TOL`` the face is solved, and every KKT violator
+    is released into F: a weight at 0 with ``grad_i < nu`` or at 1 with
     ``grad_i > nu`` (the active-set finish of Bertsekas 1982, "Projected
     Newton methods for optimization problems with simple constraints", SIAM
     J. Control Optim. 20(2)).  A released weight whose Newton direction
     points out of the box stays pinned; when none is left to release, the
     residual is formed.  A step that is not a descent, a line search that
     fails within ``FACE_HALVINGS`` halvings, a singular solve, a residual
-    above ``tol`` at a solved face, or a face that shrinks below two weights
-    hands back to SPG2 from the current iterate.  Each trial's ``A^{-1}``
-    gives its objective as the trace of its lower triangle
+    above ``RELAX_TOL`` at a solved face, or a face that shrinks below two
+    weights hands back to SPG2 from the current iterate.  Each trial's
+    ``A^{-1}`` gives its objective as the trace of its lower triangle
     (``objective.allocation_lower_inverse``), and, once accepted, the
     mirrored inverse gives its gradient and face Hessian.
 
     Converged when the unit-step projected-gradient residual norm
-    ``r(1) = |P(w - grad) - w|`` drops below ``tol``; otherwise, after
-    ``max_iters`` accepted steps of either kind or when no trial is accepted,
-    the best iterate is returned with ``converged=False`` and a warning.
+    ``r(1) = |P(w - grad) - w|`` drops below ``RELAX_TOL``; otherwise, after
+    ``RELAX_MAX_ITERS`` accepted steps of either kind or when no trial is
+    accepted, the best iterate is returned with ``converged=False`` and a
+    warning.  The tolerance is absolute, and the gradient shrinks as the pilot
+    SNR grows, so the relative optimality gap at the stopping iterate grows
+    with the SNR: on 12x14, K = 17, spreading 5e-3, about 5e-10 at 20 dB,
+    3e-4 at 40 dB and 1e-2 at 60 dB.
     The allocation records the steps taken, the last iterate's residual, the
     objective evaluations made, the Newton steps among the steps and the
     hand-backs to SPG2.
@@ -223,10 +227,10 @@ def solve_relaxation(
     non-increasing (Calamai & More 1987, "Projected gradient methods for
     linearly constrained problems", Math. Programming 39, Lemma 2.2).  In
     SPG2, ``d`` is the arc point at ``t = lam``, so
-    ``r(1) >= |d| * min(1, 1/lam)``; when that bound exceeds ``tol`` (with a
-    1e-9 relative margin for rounding) the residual is skipped.  On a face,
-    it is formed only at a solved face with nothing to release; a run that
-    stops at an iterate without one forms it there.
+    ``r(1) >= |d| * min(1, 1/lam)``; when that bound exceeds ``RELAX_TOL``
+    (with a 1e-9 relative margin for rounding) the residual is skipped.  On a
+    face, it is formed only at a solved face with nothing to release; a run
+    that stops at an iterate without one forms it there.
     """
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
@@ -238,26 +242,26 @@ def solve_relaxation(
     best_w, best_f = w.copy(), f
     recent = deque([f], maxlen=10)
     lam = 1.0 / max(float(np.abs(grad).max()), 1e-12)
-    bound_tol = tol * (1.0 + 1e-9)
+    bound_tol = RELAX_TOL * (1.0 + 1e-9)
     residual = None  # r(1) at the current iterate, once formed
     bounds, unchanged = _bound_pattern(w), 0
     face = None  # the free weights while Newton steps run
     face_steps = face_fallbacks = 0
 
     iterations = 0
-    while iterations < max_iters:
+    while iterations < RELAX_MAX_ITERS:
         if face is not None:
             reduced = grad[face]
             nu = reduced.mean()
             solved = 0  # the size of a solved face before its violators enter
-            if float(np.linalg.norm(reduced - nu)) <= FACE_TOL * tol:
+            if float(np.linalg.norm(reduced - nu)) <= FACE_TOL * RELAX_TOL:
                 violators = ((w == 0.0) & (grad < nu)) | ((w == 1.0) & (grad > nu))
                 solved, face = face.size, np.union1d(face, np.flatnonzero(violators))
             d, face = _face_direction(problem, w, grad, A_inv, face)
             if face.size == solved:
                 # Optimal on its face, and no violator can enter it.
                 residual = _unit_step_residual(w, grad, K)
-                if residual <= tol:
+                if residual <= RELAX_TOL:
                     break
                 d = None
             cand = None
@@ -277,7 +281,7 @@ def solve_relaxation(
             d = cand - w
             if float(np.linalg.norm(d)) * min(1.0, 1.0 / lam) <= bound_tol:
                 residual = _unit_step_residual(w, grad, K)
-                if residual <= tol:
+                if residual <= RELAX_TOL:
                     break
             if not d.any():
                 break  # no feasible decrease left at machine precision
@@ -313,11 +317,11 @@ def solve_relaxation(
 
     if residual is None:
         residual = _unit_step_residual(w, grad, K)
-    converged = residual <= tol
+    converged = residual <= RELAX_TOL
     if not converged:
         warnings.warn(
             f"relaxation stopped after {iterations} iterations at residual "
-            f"{residual:.3g} > tol={tol:g}; returning best iterate",
+            f"{residual:.3g} > tol={RELAX_TOL:g}; returning best iterate",
             stacklevel=2,
         )
     return FractionalAllocation(
@@ -401,9 +405,7 @@ def _face_line_search(problem: DesignProblem, w, f: float, grad, d, face):
 
 
 def dependent_rounding(
-    allocation: FractionalAllocation,
-    rng_seed: int,
-    grid: GridConfig | None = None,
+    allocation: FractionalAllocation, rng_seed: int, grid: GridConfig
 ) -> PilotPattern:
     """Round a fractional allocation to exactly K pilots.
 
@@ -415,14 +417,12 @@ def dependent_rounding(
     pins at least one of the pair to {0, 1}, marginals are preserved, and the
     budget holds almost surely.  ``rng_seed`` is an integer seed of
     ``np.random.default_rng``; the uniforms of all steps are drawn at once
-    (``random`` gives the same doubles as ``uniform(0, 1)``).
-    ``grid`` defaults to a 1-symbol grid of matching size.  The allocation
-    brings its checked weights and its ``RoundingPlan``.
+    (``random`` gives the same doubles as ``uniform(0, 1)``).  The pattern
+    is placed on ``grid``, whose size must match the allocation.  The
+    allocation brings its checked weights and its ``RoundingPlan``.
     """
     w, plan = allocation.weights, allocation.plan
-    if grid is None:
-        grid = GridConfig(M=w.size, N=1)
-    elif grid.size != w.size:
+    if grid.size != w.size:
         raise InfeasibleAllocationError("allocation length does not match the grid")
 
     rng = np.random.default_rng(rng_seed)
@@ -669,23 +669,19 @@ def greedy_swap_design(problem: DesignProblem) -> DesignReport:
 
 
 def relax_round_swap_design(
-    problem: DesignProblem,
-    rounding_seeds,
-    allocation: FractionalAllocation | None = None,
+    problem: DesignProblem, rounding_seeds, allocation: FractionalAllocation
 ) -> tuple[DesignReport, list[DesignReport]]:
-    """Relaxation, then one swap-refined rounding per seed.
+    """One swap-refined rounding of the relaxed ``allocation`` of ``problem``
+    (``solve_relaxation``) per seed.
 
     Returns the best report together with the per-seed reports, so callers can
     record the rounding distribution.  The best is the earliest seed whose
-    objective is within ``TIE_BAND`` of the lowest.  A precomputed
-    ``allocation`` can be supplied to share one relaxation solve across calls.
-    The roundings share one ``local_swap`` visited map, so a duplicate
-    rounding, or a chain that merges into an earlier one, screens no state
-    twice, and a state whose reflection was screened with a clear decision
-    is not screened at all; each report is the one an unshared run gives.
+    objective is within ``TIE_BAND`` of the lowest.  The roundings share one
+    ``local_swap`` visited map, so a duplicate rounding, or a chain that
+    merges into an earlier one, screens no state twice, and a state whose
+    reflection was screened with a clear decision is not screened at all;
+    each report is the one an unshared run gives.
     """
-    if allocation is None:
-        allocation = solve_relaxation(problem)
     reports = []
     visited = {}
     for seed in rounding_seeds:

@@ -171,11 +171,12 @@ def check_dependent_rounding() -> CheckResult:
     rng = np.random.default_rng(99)
     target = project_capped_simplex(rng.uniform(0.05, 0.95, size=16), 5)
     allocation = FractionalAllocation(target, budget=5)
+    grid = GridConfig(16, 1)
     trials = 100_000
     counts = np.zeros(16)
     budget_ok = True
     for seed in range(trials):
-        pattern = dependent_rounding(allocation, rng_seed=seed)
+        pattern = dependent_rounding(allocation, rng_seed=seed, grid=grid)
         if len(pattern) != 5:
             budget_ok = False
             break
@@ -237,7 +238,9 @@ def check_density_sweep_ordering() -> CheckResult:
         problem = make_design_problem(stats, K=K, snr_db=20.0)
         designed = min(
             greedy_swap_design(problem).objective,
-            relax_round_swap_design(problem, range(ROUNDING_REPEATS))[0].objective,
+            relax_round_swap_design(
+                problem, range(ROUNDING_REPEATS), solve_relaxation(problem)
+            )[0].objective,
         )
         entry = {"K": K, "designed": designed}
         for shape in ("rect", "diamond"):

@@ -25,6 +25,7 @@ from pilotopt import (
     PilotPattern,
     ScatteringSpec,
     build_statistics,
+    compute_alpha,
     make_design_problem,
 )
 from pilotopt.mcsim import _BATCH, SimResult, lmmse_weights
@@ -351,13 +352,26 @@ def reference_sample_channels(stats, count, rng):
     return z @ L.T
 
 
+def pilot_amplitude(problem):
+    """The pilot amplitude ``sigma_p = sqrt(beta N / K)`` of ``problem``, from
+    its pilot SNR and noise."""
+    return float(np.sqrt(problem.pilot_snr * problem.noise_var))
+
+
+def simulation_pilot_snr(problem, cfg):
+    """The pilot SNR of a simulation of ``problem`` under ``cfg``: the
+    problem's power fraction over the simulated noise, by ``compute_alpha``
+    as for every other pilot SNR."""
+    return compute_alpha(problem.power_fraction, problem.grid.N, problem.budget, cfg.noise_var)
+
+
 def reference_run_simulation(stats, problem, pattern, cfg):
     """``run_simulation`` written plainly: the reference channel draw, the
     pilot noise assembled as ``scale * (a + 1j*b)`` from a ``(count, K, 2)``
     draw, the pilot channel gathered with list indexing and the grid weights
     of ``lmmse_weights``; the analytic value is ``average_mse`` at the
     simulation's pilot SNR."""
-    sigma_p = float(np.sqrt(problem.pilot_power))
+    sigma_p = pilot_amplitude(problem)
     rng = np.random.default_rng(cfg.rng_seed)
     W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
     idx = list(pattern.indices)
@@ -376,7 +390,7 @@ def reference_run_simulation(stats, problem, pattern, cfg):
     se = float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)) if cfg.realizations > 1 else 0.0
     return SimResult(
         empirical_mse=empirical,
-        analytic_mse=average_mse(stats, pattern, problem.pilot_power / cfg.noise_var),
+        analytic_mse=average_mse(stats, pattern, simulation_pilot_snr(problem, cfg)),
         standard_error=se,
     )
 

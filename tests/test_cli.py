@@ -158,6 +158,7 @@ class TestConfigParsing:
             {"snr_db": 3200},
             {"beta": 1e300},
             {"grid": {"M": 12, "N": 14, "K": 3}},
+            {"grid": {"M": 0, "N": 4}},
             # A repeated value would repeat its runs, files and rows.
             {"seeds": [0, 0]},
             {"snr_db": [10, 10.0]},
@@ -451,6 +452,14 @@ class TestStructureCommand:
         summary = json.loads((out / "structure_summary.json").read_text())
         assert all(p["dispersion"] is None for p in summary["patterns"])
 
+    def test_density_list_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"pilot_budget": [0.1]})
+        out = tmp_path / "out"
+        assert main(["structure", "--config", str(cfg_path), "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "structure needs a fixed pilot budget" in err
+        assert not (out / "structure_summary.json").exists()
+
     def test_requires_exactly_one_axis(self, tmp_path):
         cfg_path = write_config(tmp_path)  # no list axis
         assert main(["structure", "--config", str(cfg_path)]) == EXIT_BAD_CONFIG
@@ -660,6 +669,23 @@ class TestRunPoint:
         for method, outcome in outcomes.items():
             expected = self.DOCUMENTED_KEYS.get(method, self.INTEGER_KEYS)
             assert set(outcome) in (expected, {"error", "K"}), method
+
+    @pytest.mark.parametrize(
+        "methods, solves",
+        [(("greedy", "rect"), 0), (("greedy", "cr-round-swap", "cr", "cr-round"), 1)],
+    )
+    def test_one_relaxation_solve_per_point_when_asked(self, stats_4x4, monkeypatch, methods, solves):
+        calls, solve = [], cli.solve_relaxation
+
+        def counting_solve(problem):
+            calls.append(problem.budget)
+            return solve(problem)
+
+        monkeypatch.setattr(cli, "solve_relaxation", counting_solve)
+        cfg = parse_config({**BASE_CONFIG, "grid": {"M": 4, "N": 4}, "pilot_budget": 3})
+        outcomes = run_point(cfg, stats_4x4, 3, 10.0, 0, methods, repeats=2)
+        assert len(calls) == solves
+        assert all("error" not in outcome for outcome in outcomes.values())
 
     def test_singular_information_matrix_is_a_method_error(self):
         # At 200 dB the information matrices of the lattice and exhaustive

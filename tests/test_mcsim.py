@@ -32,11 +32,13 @@ from conftest import (
     covariance_columns,
     dense_lmmse,
     full_covariance,
+    pilot_amplitude,
     reference_analytic_mse,
     reference_lmmse_weights,
     reference_pilot_blocks,
     reference_run_simulation,
     reference_sample_channels,
+    simulation_pilot_snr,
 )
 
 
@@ -60,7 +62,7 @@ def full_block_simulation(stats, problem, pattern, cfg):
     match.  The analytic value is ``average_mse`` at the simulation's pilot
     SNR."""
     P = stats.grid.size
-    sigma_p = float(np.sqrt(problem.pilot_power))
+    sigma_p = pilot_amplitude(problem)
     rng = np.random.default_rng(cfg.rng_seed)
     data_cell_rng = np.random.default_rng([cfg.rng_seed, 1])
     W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
@@ -80,7 +82,7 @@ def full_block_simulation(stats, problem, pattern, cfg):
     per_real = np.concatenate(per_real)
     return SimResult(
         empirical_mse=float(per_real.mean()),
-        analytic_mse=average_mse(stats, pattern, problem.pilot_power / cfg.noise_var),
+        analytic_mse=average_mse(stats, pattern, simulation_pilot_snr(problem, cfg)),
         standard_error=float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)),
     )
 
@@ -271,7 +273,7 @@ class TestPilotSystem:
             warnings.simplefilter("ignore")  # K > N exceeds the block power budget
             problem = make_design_problem(stats, K=K, snr_db=snr_db)
         pattern = greedy_design(problem).pattern
-        sigma_p = float(np.sqrt(problem.pilot_power))
+        sigma_p = pilot_amplitude(problem)
         reference = mp_analytic_mse(stats, pattern, sigma_p, problem.noise_var)
         got = analytic(stats, pattern, sigma_p, problem.noise_var)
         assert abs(got - reference) <= 1e-8 * reference
@@ -280,7 +282,7 @@ class TestPilotSystem:
         # W is the LMMSE solution: W obs = sigma_p C_g[:, S].
         pattern = greedy_design(problem_rb).pattern
         idx = np.array(pattern.indices)
-        sigma_p, noise_var = float(np.sqrt(problem_rb.pilot_power)), problem_rb.noise_var
+        sigma_p, noise_var = pilot_amplitude(problem_rb), problem_rb.noise_var
         W = reference_lmmse_weights(stats_rb, pattern, sigma_p, noise_var)
         C_cols = covariance_columns(stats_rb, idx)
         obs = sigma_p**2 * C_cols[idx, :] + noise_var * np.eye(idx.size)
@@ -300,7 +302,7 @@ class TestPilotSystem:
         stats = build_statistics(GridConfig(M, N), ScatteringSpec(spreading_factor=spreading))
         problem = make_design_problem(stats, K=K, snr_db=snr_db)
         pattern = greedy_design(problem).pattern
-        sigma_p, noise_var = float(np.sqrt(problem.pilot_power)), problem.noise_var
+        sigma_p, noise_var = pilot_amplitude(problem), problem.noise_var
         W = lmmse_weights(stats, pattern, sigma_p, noise_var)
         W_ref = reference_lmmse_weights(stats, pattern, sigma_p, noise_var)
         assert np.abs(W - W_ref).max() <= 1e-8 * np.abs(W_ref).max()
@@ -329,7 +331,7 @@ class TestRunSimulation:
 
     def test_estimator_optimality_spot_check(self, stats_4x4, problem_4x4):
         pattern = PilotPattern((0, 5, 10), stats_4x4.grid)
-        sigma_p = np.sqrt(problem_4x4.pilot_power)
+        sigma_p = pilot_amplitude(problem_4x4)
         noise_var = problem_4x4.noise_var
         W = lmmse_weights(stats_4x4, pattern, sigma_p, noise_var)
         rng = np.random.default_rng(8)
@@ -393,7 +395,24 @@ class TestRunSimulation:
         pattern = greedy_design(problem).pattern
         cfg = SimConfig(realizations=10, rng_seed=3, noise_var=10.0 ** (-snr_db / 10.0))
         res = run_simulation(stats, problem, pattern, cfg)
-        assert res.analytic_mse == average_mse(stats, pattern, problem.pilot_power / cfg.noise_var)
+        assert res.analytic_mse == average_mse(stats, pattern, simulation_pilot_snr(problem, cfg))
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize("snr_db", [3.0, 10.0, 20.0])
+    def test_analytic_value_is_the_design_mse_at_the_problem_noise(self, snr_db):
+        # At the problem's own noise the simulation's pilot SNR is the
+        # problem's, bit for bit: beta*N/K/noise_var and beta*N/(K*noise_var)
+        # round apart at K = 3, 10 dB among others.
+        stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=5e-3))
+        differ = []
+        for K in range(3, 40, 3):
+            problem = make_design_problem(stats, K=K, snr_db=snr_db)
+            pattern = greedy_design(problem).pattern
+            cfg = SimConfig(realizations=2, rng_seed=0, noise_var=problem.noise_var)
+            res = run_simulation(stats, problem, pattern, cfg)
+            if res.analytic_mse != average_mse(stats, pattern, problem.pilot_snr):
+                differ.append(K)
+        assert differ == []
 
     def test_invalid_config(self):
         with pytest.raises(InvalidSpecError):
@@ -518,9 +537,9 @@ class TestLatentEstimate:
         problem = make_design_problem(stats, K=K, snr_db=20.0)
         pattern = greedy_design(problem).pattern
         idx = np.array(pattern.indices, dtype=np.intp)
-        sigma_p, noise_var = float(np.sqrt(problem.pilot_power)), problem.noise_var
+        sigma_p, noise_var = pilot_amplitude(problem), problem.noise_var
         noise_scale = np.sqrt(noise_var / 2.0)
-        B, Q, variances, _ = _latent_system(stats, pattern, problem.pilot_power, noise_var)
+        B, Q, variances, _ = _latent_system(stats, pattern, problem.pilot_snr, noise_var)
         rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
         got = _batch_errors(rng, count, B, Q, variances, noise_scale)
         g = sample_channels(stats, count, ref_rng)
@@ -571,6 +590,6 @@ class TestRankTruncationConsistency:
         pattern = greedy_design(problem_rb).pattern
         reported = average_mse(stats_rb, pattern, problem_rb.pilot_snr)
         full = reference_analytic_mse(
-            stats_rb, pattern, np.sqrt(problem_rb.pilot_power), problem_rb.noise_var
+            stats_rb, pattern, pilot_amplitude(problem_rb), problem_rb.noise_var
         )
         assert reported == pytest.approx(full, rel=1e-6)

@@ -54,6 +54,7 @@ from pilotopt.optimizers import (
 
 from conftest import (
     dense_lmmse,
+    pilot_amplitude,
     reference_information_inverse,
     reference_removal,
     permuted_problem,
@@ -107,6 +108,12 @@ class TestComputeAlpha:
     def test_unrepresentable_pilot_snr_rejected(self, beta, noise_var):
         with pytest.raises(InvalidSpecError, match="pilot SNR"):
             compute_alpha(beta, 14, 14, noise_var)
+
+    def test_noise_variance_underflow_rejected(self, stats_4x4):
+        # 10^(-4000/10) underflows to 0; compute_alpha refuses it for the
+        # design problem, which does not check the noise itself.
+        with pytest.raises(InvalidSpecError, match="noise_var must be positive"):
+            make_design_problem(stats_4x4, K=3, snr_db=4000)
 
 
 class TestPatternTypes:
@@ -524,7 +531,7 @@ class TestErrorCovariance:
         stats = build_statistics(grid, spec)
         pr = make_design_problem(stats, K=4, snr_db=10.0)
         pattern = PilotPattern((0, 5, 10, 15), grid)
-        _, C_direct = dense_lmmse(stats, pattern, np.sqrt(pr.pilot_power), pr.noise_var)
+        _, C_direct = dense_lmmse(stats, pattern, pilot_amplitude(pr), pr.noise_var)
         obj = objective_value(pr, pattern)
         assert obj == pytest.approx(np.trace(C_direct).real, rel=1e-8)
 

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import functools
+import inspect
 import itertools
+import sys
 import warnings
 from math import comb
 
@@ -143,15 +146,15 @@ ROUNDING_CASES = ("12x14-K17", "criterion-4", "halves")
 
 
 def rounding_case(case):
-    """``(allocation, grid)`` of a named rounding case; the grid is None for
-    the 1-symbol default."""
+    """``(allocation, grid)`` of a named rounding case."""
     if case == "12x14-K17":
         stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=5e-3))
         problem = make_design_problem(stats, K=17, snr_db=20.0)
         return solve_relaxation(problem), problem.grid
     if case == "criterion-4":
-        return criterion_4_allocation(), None
-    return FractionalAllocation(np.full(8, 0.5), 4), None  # every step pins both of its pair
+        return criterion_4_allocation(), GridConfig(16, 1)
+    # Every step pins both of its pair.
+    return FractionalAllocation(np.full(8, 0.5), 4), GridConfig(8, 1)
 
 
 def dft_symmetric_problem(M=4, N=4, r=5, K=6, alpha=3.0):
@@ -299,11 +302,12 @@ class TestProjectionProperties:
 
 def assert_no_worse_than_reference(problem):
     """``solve_relaxation`` and the SPG2-only reference both converge at tol
-    1e-6, the relaxation's objective is at most 1e-10 relative above the
-    reference's, and its weights sum to K to rounding."""
+    1e-6 (``RELAX_TOL``), the relaxation's objective is at most 1e-10
+    relative above the reference's, and its weights sum to K to rounding."""
+    assert optimizers.RELAX_TOL == 1e-6
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solve_relaxation(problem, tol=1e-6)
+        got = solve_relaxation(problem)
         want = reference_solve_relaxation(problem, tol=1e-6)
     assert got.converged and want.converged
     assert got.residual <= 1e-6
@@ -338,9 +342,11 @@ class TestSolveRelaxation:
         assert alloc.weights.min() >= -1e-9 and alloc.weights.max() <= 1 + 1e-9
         assert alloc.converged
 
-    def test_iteration_cap_warns_not_raises(self, problem_rb):
+    def test_iteration_cap_warns_not_raises(self, problem_rb, monkeypatch):
+        monkeypatch.setattr(optimizers, "RELAX_TOL", 1e-14)
+        monkeypatch.setattr(optimizers, "RELAX_MAX_ITERS", 2)
         with pytest.warns(UserWarning, match="relaxation"):
-            alloc = solve_relaxation(problem_rb, tol=1e-14, max_iters=2)
+            alloc = solve_relaxation(problem_rb)
         assert not alloc.converged
         assert abs(alloc.weights.sum() - problem_rb.budget) <= 1e-8
 
@@ -372,19 +378,21 @@ class TestSolveRelaxation:
             assert 0 <= a.face_steps <= a.iterations and a.face_fallbacks >= 0
         assert 2 * sum(a.iterations for a in got) < sum(a.iterations for a in want)
 
-    def test_face_fields_default_to_zero_and_are_not_compared(self, problem_rb):
+    def test_face_fields_default_to_zero_and_are_not_compared(self, problem_rb, monkeypatch):
         alloc = FractionalAllocation(np.array([1.0, 0.0]), budget=1)
         assert (alloc.face_steps, alloc.face_fallbacks) == (0, 0)
+        monkeypatch.setattr(optimizers, "RELAX_MAX_ITERS", 3)
         with pytest.warns(UserWarning, match="relaxation"):
-            capped = solve_relaxation(problem_rb, max_iters=3)
+            capped = solve_relaxation(problem_rb)
         assert (capped.face_steps, capped.face_fallbacks) == (0, 0)
         fields = {f.name: f for f in dataclasses.fields(FractionalAllocation)}
         assert not fields["face_steps"].compare and not fields["face_fallbacks"].compare
 
-    def test_capped_run_matches_reference_loop(self, problem_rb):
+    def test_capped_run_matches_reference_loop(self, problem_rb, monkeypatch):
+        monkeypatch.setattr(optimizers, "RELAX_MAX_ITERS", 3)
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
-            got = solve_relaxation(problem_rb, max_iters=3)
+            got = solve_relaxation(problem_rb)
         with warnings.catch_warnings(record=True) as want_warnings:
             warnings.simplefilter("always")
             want = reference_solve_relaxation(problem_rb, max_iters=3)
@@ -426,28 +434,150 @@ class TestSolveRelaxation:
             assert alloc.evaluations == len(calls) >= alloc.iterations + 1, point
             total_steps += alloc.iterations
         del calls[:]
+        monkeypatch.setattr(optimizers, "RELAX_MAX_ITERS", 3)
         with pytest.warns(UserWarning, match="relaxation"):
-            alloc = solve_relaxation(rb_sweep_problems[RB_SWEEP_POINTS[0]], max_iters=3)
+            alloc = solve_relaxation(rb_sweep_problems[RB_SWEEP_POINTS[0]])
         assert alloc.evaluations == len(calls) > 3
 
-    def test_iteration_cap_warning_quotes_its_counts(self, problem_rb):
+    def test_iteration_cap_warning_quotes_its_counts(self, problem_rb, monkeypatch):
+        monkeypatch.setattr(optimizers, "RELAX_TOL", 1e-14)
+        monkeypatch.setattr(optimizers, "RELAX_MAX_ITERS", 2)
         with pytest.warns(UserWarning, match=r"relaxation stopped after 2 iterations at residual"):
-            alloc = solve_relaxation(problem_rb, tol=1e-14, max_iters=2)
+            alloc = solve_relaxation(problem_rb)
         assert alloc.iterations == 2
         assert alloc.residual > 1e-14
+
+
+@contextlib.contextmanager
+def lines_run(function, marker):
+    """Yield a list that, when the block ends, holds how often each line of
+    ``function`` containing ``marker`` ran inside it, in source order."""
+    lines, start = inspect.getsourcelines(function)
+    targets = [start + i for i, line in enumerate(lines) if marker in line]
+    assert targets, marker
+    hits = dict.fromkeys(targets, 0)
+
+    def count(frame, event, arg):
+        if event == "line" and frame.f_lineno in hits:
+            hits[frame.f_lineno] += 1
+        return count
+
+    counts = []
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is function.__code__ else None)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)
+        counts.extend(hits[line] for line in targets)
+
+
+def assert_forced_run(problem, forced, unforced, converged=True):
+    """A run forced down a fallback path converges (or stops unconverged
+    where that is its documented end), keeps its weights on the budget and
+    reaches the unforced run's objective to 1e-7 relative."""
+    assert forced.converged is converged and unforced.converged
+    assert abs(forced.weights.sum() - problem.budget) <= 1e-12 * problem.budget
+    got, want = objective_value(problem, forced), objective_value(problem, unforced)
+    assert abs(got - want) <= 1e-7 * want
+
+
+class TestRelaxationFallbacks:
+    """Each path by which the face phase hands back to SPG2, or SPG2 stops
+    short, forced on a problem where it is otherwise not taken.  The 12x14
+    problems are rb-sweep points at density 0.05 (K = 8)."""
+
+    def test_exhausted_halvings_hand_back_to_spg2(self, rb_sweep_problems, monkeypatch):
+        problem = rb_sweep_problems[(0.01, 0.05)]
+        unforced = solve_relaxation(problem)
+        monkeypatch.setattr(optimizers, "FACE_HALVINGS", 0)
+        marker = "return None, None, None, FACE_HALVINGS + 1"
+        with lines_run(optimizers._face_line_search, marker) as failed:
+            forced = solve_relaxation(problem)
+        assert unforced.face_fallbacks == 0
+        assert failed == [forced.face_fallbacks] and failed[0] > 0
+        assert_forced_run(problem, forced, unforced)
+
+    def test_an_early_switch_drops_weights_leaving_the_box(self, rb_sweep_problems, monkeypatch):
+        problem = rb_sweep_problems[(0.005, 0.05)]
+        unforced = solve_relaxation(problem)
+        monkeypatch.setattr(optimizers, "FACE_SWITCH", 1)
+        with lines_run(optimizers._face_direction, "face, H = face[keep]") as dropped:
+            forced = solve_relaxation(problem)
+        assert len(dropped) == 1 and dropped[0] > 0 and forced.face_fallbacks > 0
+        assert_forced_run(problem, forced, unforced)
+
+    def test_an_early_switch_hands_back_at_48x28(self, problem_big, monkeypatch):
+        unforced = solve_relaxation(problem_big)
+        monkeypatch.setattr(optimizers, "FACE_SWITCH", 1)
+        forced = solve_relaxation(problem_big)
+        assert forced.face_fallbacks > 0
+        assert_forced_run(problem_big, forced, unforced)
+
+    def test_an_ascent_direction_hands_back_to_spg2(self, rb_sweep_problems, monkeypatch):
+        # The negated face Hessian turns every Newton direction uphill.
+        problem = rb_sweep_problems[(0.01, 0.05)]
+        unforced = solve_relaxation(problem)
+        hessian = optimizers._face_hessian
+        monkeypatch.setattr(optimizers, "_face_hessian", lambda *args: -hessian(*args))
+        with lines_run(optimizers._face_line_search, "return None, None, None, 0") as refused:
+            forced = solve_relaxation(problem)
+        assert forced.face_steps == 0
+        assert refused == [forced.face_fallbacks] and refused[0] > 0
+        assert_forced_run(problem, forced, unforced)
+
+    def test_spg2_stops_at_an_exact_fixed_point(self, monkeypatch):
+        # A rank-1 problem's relaxed optimum is the vertex on its K largest
+        # rows, which the projection reproduces exactly.  A tolerance no
+        # residual meets leaves SPG2 to stop there with a zero direction.
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(9, 1)) + 1j * rng.normal(size=(9, 1))
+        problem = DesignProblem(
+            grid=GridConfig(3, 3), rows=rows, prior=np.array([2.0]), budget=2,
+            power_fraction=1.0, noise_var=0.5,
+        )
+        unforced = solve_relaxation(problem)
+        monkeypatch.setattr(optimizers, "RELAX_TOL", -1.0)
+        with pytest.warns(UserWarning, match="relaxation stopped"):
+            with lines_run(solve_relaxation, "no feasible decrease") as stops:
+                forced = solve_relaxation(problem)
+        assert stops == [1, 0]
+        assert np.array_equal(forced.weights, unforced.weights)
+        assert_forced_run(problem, forced, unforced, converged=False)
+
+    def test_spg2_stops_when_no_trial_is_accepted(self, problem_4x4, monkeypatch):
+        # From the unforced run's last evaluation on, every trial's
+        # objective reads double, so its last step is refused 60 times.
+        unforced = solve_relaxation(problem_4x4)
+        calls, lower_inverse = [], optimizers.allocation_lower_inverse
+
+        def inflated(*args):
+            calls.append(None)
+            lower = lower_inverse(*args)
+            return 2.0 * lower if len(calls) >= unforced.evaluations else lower
+
+        monkeypatch.setattr(optimizers, "allocation_lower_inverse", inflated)
+        with pytest.warns(UserWarning, match="relaxation stopped"):
+            with lines_run(solve_relaxation, "no feasible decrease") as stops:
+                forced = solve_relaxation(problem_4x4)
+        assert stops == [0, 1]
+        assert forced.evaluations == unforced.evaluations + 59
+        assert_forced_run(problem_4x4, forced, unforced, converged=False)
 
 
 class TestDependentRounding:
     def test_binary_input_unchanged_no_randomness(self):
         w = FractionalAllocation(np.array([1.0, 0.0, 1.0, 0.0]), budget=2)
-        a = dependent_rounding(w, rng_seed=0)
-        b = dependent_rounding(w, rng_seed=999)
+        a = dependent_rounding(w, rng_seed=0, grid=GridConfig(4, 1))
+        b = dependent_rounding(w, rng_seed=999, grid=GridConfig(4, 1))
         assert a.indices == b.indices == (0, 2)
 
     def test_two_cell_probability_rule(self):
         w = FractionalAllocation(np.array([0.5, 0.5]), budget=1)
+        grid = GridConfig(2, 1)
         hits = sum(
-            dependent_rounding(w, rng_seed=seed).indices == (0,) for seed in range(100_000)
+            dependent_rounding(w, rng_seed=seed, grid=grid).indices == (0,)
+            for seed in range(100_000)
         )
         assert abs(hits / 100_000 - 0.5) <= 0.005
 
@@ -457,7 +587,7 @@ class TestDependentRounding:
         counts = np.zeros(3)
         trials = 100_000
         for seed in range(trials):
-            counts[list(dependent_rounding(w, rng_seed=seed).indices)] += 1
+            counts[list(dependent_rounding(w, rng_seed=seed, grid=GridConfig(3, 1)).indices)] += 1
         freq = counts / trials
         se = np.sqrt(target * (1 - target) / trials)
         assert np.all(np.abs(freq - target) <= 3 * se)
@@ -466,8 +596,8 @@ class TestDependentRounding:
         rng = np.random.default_rng(23)
         w = project_capped_simplex(rng.uniform(size=30), 11)
         alloc = FractionalAllocation(w, budget=11)
-        p1 = dependent_rounding(alloc, rng_seed=5)
-        p2 = dependent_rounding(alloc, rng_seed=5)
+        p1 = dependent_rounding(alloc, rng_seed=5, grid=GridConfig(30, 1))
+        p2 = dependent_rounding(alloc, rng_seed=5, grid=GridConfig(30, 1))
         assert len(p1) == 11
         assert p1.indices == p2.indices
 
@@ -504,7 +634,7 @@ class TestDependentRounding:
         assert w.min() >= 0.0 and w.max() <= 1.0
         assert abs(w.sum() - K) <= 1e-9
         assert np.abs(w - exact_capped_simplex_projection(v, K)).max() < 1e-9
-        pattern = dependent_rounding(FractionalAllocation(w, K), rng_seed=seed)
+        pattern = dependent_rounding(FractionalAllocation(w, K), seed, GridConfig(v.size, 1))
         assert len(pattern) == K
         assert pattern.indices == list_rebuild_rounding(w, seed)
 
@@ -1233,7 +1363,7 @@ class TestPipelines:
         # within the band of the lowest objective.  The earliest seed among
         # them wins, not the lowest float.
         problem, seeds = tied_roundings_problem()
-        best, reports = relax_round_swap_design(problem, seeds)
+        best, reports = relax_round_swap_design(problem, seeds, solve_relaxation(problem))
         assert best is reports[0]
         assert best.swap_iterations == 4
         assert best.pattern.indices == (0, 1, 10, 11, 75, 79, 84, 90, 95, 156, 157, 166, 167)
