@@ -15,11 +15,9 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, isfinite, sqrt
+from math import cos, inf, isfinite, nan, sin, sqrt
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import j0
 
 from .errors import InvalidSpecError, NumericError
 
@@ -29,6 +27,78 @@ from .errors import InvalidSpecError, NumericError
 # dropped pairs hold a relative 1.6e-12 of the trace at 12x14 (34 of 168
 # kept) and 8.6e-13 at 48x28 (82 of 1344 kept).
 EIGENVALUE_FLOOR = 1e-12
+
+
+# Cephes j0 (S. L. Moshier, "Methods and Programs for Mathematical
+# Functions", 1989), the algorithm of scipy.special.j0: a rational function
+# in x^2 times (x^2 - DR1)(x^2 - DR2), the squares of the first two zeros, on
+# [0, 5], and Hankel's asymptotic form with rational P0 and Q0 in 25/x^2
+# beyond.  Coefficients are listed from the highest power down.
+_J0_PP = (
+    7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
+    5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
+    9.99999999999999997821e-1,
+)
+_J0_PQ = (
+    9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
+    5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
+    1.00000000000000000218e0,
+)
+_J0_QP = (
+    -1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
+    -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
+    -5.14105326766599330220e1, -6.05014350600728481186e0,
+)
+# QQ and RQ have a leading coefficient of 1, which is not stored.
+_J0_QQ = (
+    6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
+    7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
+    2.42005740240291393179e2,
+)
+_J0_RP = (
+    -4.79443220978201773821e9, 1.95617491946556577543e12, -2.49248344360967716204e14,
+    9.70862251047306323952e15,
+)
+_J0_RQ = (
+    4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7,
+    1.11855537045356834862e10, 2.11277520115489217587e12, 3.10518229857422583814e14,
+    3.18121955943204943306e16, 1.71086294081043136091e18,
+)
+_J0_DR1 = 5.78318596294678452118e0
+_J0_DR2 = 3.04712623436620863991e1
+_SQRT_2_OVER_PI = 7.9788456080286535587989e-1
+_PI_OVER_4 = 7.85398163397448309616e-1
+
+
+def _polevl(x: float, coefficients, monic: bool = False) -> float:
+    """Horner's rule, in Cephes' order of operations; ``monic`` prepends
+    the unstored leading 1 (Cephes ``p1evl``)."""
+    value = 1.0 if monic else 0.0
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
+def _j0(x: float) -> float:
+    """Bessel function of the first kind of order 0, Cephes ``j0`` operation
+    for operation, with libm's cos, sin and sqrt, so that it equals
+    ``scipy.special.j0`` bit for bit."""
+    x = abs(x)
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        p = (z - _J0_DR1) * (z - _J0_DR2)
+        return p * _polevl(z, _J0_RP) / _polevl(z, _J0_RQ, monic=True)
+    if x == inf:
+        return nan  # C's cos(inf) is NaN; math.cos raises
+    w = 5.0 / x
+    q = 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ, monic=True)
+    xn = x - _PI_OVER_4
+    p = p * cos(xn) - w * q * sin(xn)
+    return p * _SQRT_2_OVER_PI / sqrt(x)
 
 
 def is_finite_number(value) -> bool:
@@ -188,25 +258,34 @@ def doppler_correlation(spec: ScatteringSpec, delta_n) -> np.ndarray:
     if spec.doppler_spectrum is DopplerSpectrum.UNIFORM:
         out = np.sinc(dn * d_t)
     else:
-        out = j0(np.pi * d_t * dn)
+        # One lag at a time: numpy's vectorized cos and sin need not equal libm's.
+        x = np.pi * d_t * dn
+        out = np.array([_j0(v) for v in x.ravel().tolist()]).reshape(x.shape)
     out = np.where(dn == 0, 1.0, out)
     return np.asarray(out, dtype=float)
+
+
+def _hermitian_toeplitz(first_col: np.ndarray) -> np.ndarray:
+    """The Toeplitz matrix with first column ``c`` and first row ``conj(c)``:
+    entry (i, j) is ``c[i - j]`` on and below the diagonal and
+    ``conj(c[j - i])`` above it."""
+    n = len(first_col)
+    by_lag = np.concatenate((first_col[:0:-1].conj(), first_col))  # lags 1-n .. n-1
+    return by_lag[np.arange(n)[:, None] - np.arange(n) + (n - 1)]
 
 
 def build_freq_correlation(spec: ScatteringSpec, M: int) -> np.ndarray:
     """Hermitian Toeplitz subcarrier correlation matrix ``C_f`` (M x M)."""
     if M < 1 or int(M) != M:
         raise InvalidSpecError(f"M must be a positive integer, got {M}")
-    first_col = delay_correlation(spec, np.arange(M))
-    return toeplitz(first_col, first_col.conj())
+    return _hermitian_toeplitz(delay_correlation(spec, np.arange(M)))
 
 
 def build_time_correlation(spec: ScatteringSpec, N: int) -> np.ndarray:
     """Symmetric Toeplitz symbol correlation matrix ``C_t`` (N x N), real."""
     if N < 1 or int(N) != N:
         raise InvalidSpecError(f"N must be a positive integer, got {N}")
-    first_col = doppler_correlation(spec, np.arange(N))
-    return toeplitz(first_col)
+    return _hermitian_toeplitz(doppler_correlation(spec, np.arange(N)))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ wins: the optimizers take the lowest index within ``optimizers.TIE_BAND`` of
 the best.
 
 Every ``A^{-1}`` formed, not updated, comes from one Cholesky kernel,
-``_hermitian_inverse``: LAPACK ``zpotrf`` factors the lower triangle of ``A``
-(which is therefore not symmetrized first), ``zpotri`` inverts the factor into
+``_hermitian_inverse``: LAPACK ``zpotrf`` (scipy's compiled wrapper, which
+``_load_flapack`` loads without the ``scipy.linalg`` package) factors the
+lower triangle of ``A`` (which is therefore not symmetrized first), ``zpotri`` inverts the factor into
 the lower triangle, and that triangle is mirrored; an ``A`` that is not
 positive definite in floating point raises ``NumericError``.  A caller that
 reads only the trace sums the diagonal of the unmirrored triangle
@@ -47,18 +48,55 @@ leaves every objective unchanged up to the index permutation.
 verified to be so, for the swap pass to reuse the screen of a mirrored state.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .channel import ChannelStatistics, GridConfig
 from .errors import BudgetError, DegenerateUpdateError, InvalidSpecError, NumericError
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the extension module
+    ``scipy.linalg._flapack``, loaded without running the ``scipy`` and
+    ``scipy.linalg`` package imports.  Those load about 330 modules that
+    pilotopt does not use.
+
+    The module is registered in ``sys.modules`` under its own name, so a
+    later ``import scipy.linalg`` in the process reuses it, and one already
+    imported is returned as it is.  A missing extension raises
+    ``ImportError`` naming the directory searched.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, runs nothing
+    if scipy_spec is None:
+        raise ImportError("pilotopt needs scipy's LAPACK, but scipy is not installed")
+    directory = Path(scipy_spec.submodule_search_locations[0]) / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no scipy LAPACK extension _flapack in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 # A grid reflection counts as a symmetry of a problem when its permuted rows
 # are ``rows Q`` or ``conj(rows) Q`` to this fraction of the largest row
@@ -371,9 +409,9 @@ def _lower_inverse(A: np.ndarray, name: str = "information matrix") -> np.ndarra
     its Cholesky factor, with zeros above the diagonal; only the lower
     triangle of ``A`` is read.  Its trace is that of ``A^{-1}``.  A failure
     raises ``NumericError`` naming the matrix as ``name``."""
-    factor, info = lapack.zpotrf(A, lower=True)
+    factor, info = _flapack.zpotrf(A, lower=True)
     if info == 0:
-        inverse, info = lapack.zpotri(factor, lower=True, overwrite_c=True)
+        inverse, info = _flapack.zpotri(factor, lower=True, overwrite_c=True)
     if info != 0:
         raise NumericError(f"{name} is not positive definite (LAPACK info {info})")
     # zpotri fills the lower triangle; zpotrf zeroed the upper one.

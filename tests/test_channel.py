@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from scipy.integrate import quad
 
 from pilotopt import (
@@ -12,10 +16,13 @@ from pilotopt import (
     build_time_correlation,
     make_design_problem,
 )
-from pilotopt.channel import delay_correlation, doppler_correlation
+from pilotopt.channel import _hermitian_toeplitz, _j0, delay_correlation, doppler_correlation
+from pilotopt.cli import load_config
 from pilotopt.errors import InvalidSpecError
 
 from conftest import full_covariance
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Quadrature oracle values, frozen from scipy.integrate.quad at epsabs=1e-12.
 TRUNCEXP_DF02_RHO025_LAG1 = 0.9269774207646987 - 0.2734743413609650j
@@ -98,6 +105,63 @@ class TestCorrelationFunctions:
             spreading_factor=0.01, normalized_doppler_spread=d_t, normalized_delay_spread=0.1
         )
         assert abs(float(doppler_correlation(spec, lag)) - JAKES_DT01_LAG5) < 1e-10
+
+
+def j0_arguments():
+    """A dense grid of J0 arguments: 0, both sides of the 1e-5 and 5 branch
+    boundaries, the small-argument series, [0, 100] in steps of 1e-3, and
+    negative, infinite and NaN arguments."""
+    tiny = np.nextafter(1e-5, 0.0)
+    edges = [0.0, tiny, 1e-5, np.nextafter(1e-5, 1.0), np.nextafter(5.0, 0.0), 5.0,
+             np.nextafter(5.0, 6.0), -5.0, -1e-5, np.inf, -np.inf, np.nan]
+    return np.concatenate((
+        edges,
+        np.geomspace(1e-300, tiny, 1001),
+        np.linspace(1e-5, 5.0, 50_001),
+        np.linspace(0.0, 100.0, 100_001),
+        -np.linspace(0.0, 20.0, 2_001),
+    ))
+
+
+class TestCephesJ0:
+    def test_matches_scipy_bit_for_bit(self):
+        x = j0_arguments()
+        got = np.array([_j0(v) for v in x.tolist()])
+        want = scipy.special.j0(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        # The sign of a NaN is the processor's; the sign of a zero is not.
+        numbers = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_doppler_lags_of_shipped_configs(self, config):
+        cfg = load_config(str(config))
+        for dd in cfg.spreading_factors:
+            spec = ScatteringSpec(spreading_factor=dd, **cfg.scattering)
+            assert spec.doppler_spectrum is DopplerSpectrum.JAKES
+            x = np.pi * spec.normalized_doppler_spread * np.arange(cfg.grid.N)
+            want = scipy.linalg.toeplitz(scipy.special.j0(x))
+            assert np.array_equal(build_time_correlation(spec, cfg.grid.N), want)
+
+
+class TestHermitianToeplitz:
+    @pytest.mark.parametrize("n", [1, 2, 7, 28])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        real = rng.normal(size=n)
+        complex_ = real + 1j * rng.normal(size=n)
+        for c in (real, complex_):
+            got = _hermitian_toeplitz(c)
+            assert got.dtype == c.dtype
+            assert np.array_equal(got, scipy.linalg.toeplitz(c, c.conj()))
+            assert np.array_equal(got, scipy.linalg.toeplitz(c))
+
+    def test_frequency_correlation_matches_scipy(self):
+        for profile in DelayProfile:
+            spec = ScatteringSpec(spreading_factor=0.01, delay_profile=profile)
+            c = delay_correlation(spec, np.arange(12))
+            want = scipy.linalg.toeplitz(c, c.conj())
+            assert np.array_equal(build_freq_correlation(spec, 12), want)
 
 
 class TestCorrelationMatrices:
@@ -267,10 +331,8 @@ class TestBuildStatistics:
         d_f = spec.normalized_delay_spread
         lags = np.arange(M)
         phase = np.exp(1j * np.pi * lags * d_f)  # shift by tau_D/2
-        from scipy.linalg import toeplitz
-
         first = delay_correlation(spec, lags) * phase
-        C_shifted = toeplitz(first, first.conj())
+        C_shifted = scipy.linalg.toeplitz(first, first.conj())
         assert np.allclose(
             np.linalg.eigvalsh(C), np.linalg.eigvalsh(C_shifted), atol=1e-10
         )

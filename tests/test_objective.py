@@ -1,4 +1,12 @@
+import importlib.machinery
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,6 +25,7 @@ from pilotopt import (
     greedy_design,
     local_swap,
     make_design_problem,
+    objective,
     objective_gradient,
     objective_value,
 )
@@ -245,6 +254,48 @@ class TestBuildA:
         pr = synthetic_problem(3, 3, 3, 9, alpha=1e9)
         pattern = PilotPattern(tuple(range(9)), pr.grid)
         assert objective_value(pr, pattern) < 1e-8
+
+
+class TestLapackLoader:
+    """The LAPACK kernels come from scipy's compiled extension, loaded
+    without the ``scipy`` and ``scipy.linalg`` package imports."""
+
+    def test_fresh_import_loads_one_scipy_module(self):
+        # A fresh interpreter: this suite's conftest imports scipy.linalg.
+        script = (
+            "import json, sys\n"
+            "import pilotopt, pilotopt.cli\n"
+            "from pilotopt import objective\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import scipy.linalg\n"
+            "lapack = scipy.linalg.lapack\n"
+            "print(json.dumps({'loaded': loaded, 'same': [\n"
+            "    lapack.zpotrf is objective._flapack.zpotrf,\n"
+            "    lapack.zpotri is objective._flapack.zpotri,\n"
+            "    sys.modules['scipy.linalg._flapack'] is objective._flapack]}))\n"
+        )
+        src = str(Path(objective.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["loaded"] == ["scipy.linalg._flapack"]
+        assert got["same"] == [True, True, True]
+
+    def test_reuses_a_loaded_extension(self):
+        assert objective._load_flapack() is sys.modules["scipy.linalg._flapack"]
+
+    def test_missing_extension_names_the_directory(self, tmp_path, monkeypatch):
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        message = f"no scipy LAPACK extension _flapack in {tmp_path / 'linalg'}"
+        with pytest.raises(ImportError, match=f"^{re.escape(message)}$"):
+            objective._load_flapack()
 
 
 class TestInverseKernels:

@@ -526,6 +526,38 @@ class TestRelaxationFallbacks:
         assert refused == [forced.face_fallbacks] and refused[0] > 0
         assert_forced_run(problem, forced, unforced)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-18])
+    @pytest.mark.parametrize("point", ["12x14", "4x4"])
+    def test_a_projection_that_loses_the_budget_is_refused(
+        self, rb_sweep_problems, point, tol, monkeypatch
+    ):
+        """Past machine precision the BB step reaches its 1e12 clamp, and the
+        projection of ``w - lam grad`` misses ``sum w = K`` by 1e-5 to 1e-4.
+        Its trials are refused until a step short enough keeps the budget, so
+        the run ends with the cap's warning and a valid allocation.  The
+        points are the rb-sweep's 12x14 at spreading 5e-3, K = 17, 20 dB,
+        and 4x4 at spreading 9e-2, K = 5, 10 dB; before the refusal, both
+        raised within 500 steps, as the best iterate missed the budget."""
+        if point == "12x14":
+            problem = rb_sweep_problems[(0.005, 0.1)]
+        else:
+            stats = build_statistics(GridConfig(4, 4), ScatteringSpec(spreading_factor=0.09))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+                problem = make_design_problem(stats, K=5, snr_db=10.0)
+        unforced = solve_relaxation(problem)
+        monkeypatch.setattr(optimizers, "RELAX_TOL", tol)
+        monkeypatch.setattr(optimizers, "RELAX_MAX_ITERS", 500)
+        with pytest.warns(UserWarning, match="relaxation stopped after 500 iterations"):
+            with lines_run(solve_relaxation, "projection that lost the budget") as refused:
+                forced = solve_relaxation(problem)
+        assert refused[0] > 0
+        assert not forced.converged
+        assert abs(forced.weights.sum() - problem.budget) <= optimizers.BUDGET_SLACK
+        assert 0.0 <= forced.weights.min() and forced.weights.max() <= 1.0
+        got, want = objective_value(problem, forced), objective_value(problem, unforced)
+        assert abs(got - want) <= 1e-9 * want
+
     def test_spg2_stops_at_an_exact_fixed_point(self, monkeypatch):
         # A rank-1 problem's relaxed optimum is the vertex on its K largest
         # rows, which the projection reproduces exactly.  A tolerance no
