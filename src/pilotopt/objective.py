@@ -13,14 +13,17 @@ the pilot observations, so the reduced-rank objective plus the discarded
 energy would not be.
 
 An optimizer's state is a sorted index array and its ``A^{-1}``, a plain
-r x r array (r << M*N).  Greedy selection screens every row at once with
-``gains_for_candidates`` and adds the best one by a Sherman-Morrison update,
-``rank_one_update``; the swap pass computes a state's ``A^{-1}`` from its
-pattern and screens every swap at once with ``swap_deltas``, whose removal
-coefficients come from ``removal_terms``.  All of them read the terms of
-``_row_terms``.  No arithmetic path decides which of two exactly tied choices
-wins: the optimizers take the lowest index within ``optimizers.TIE_BAND`` of
-the best.
+r x r array (r << M*N).  Greedy selection screens every row at once from the
+row terms ``Y = U A^{-1}``, ``q`` and ``n`` of ``_row_terms`` and adds the
+best row with ``add_row``: ``A^{-1}`` by the Sherman-Morrison update
+``rank_one_update``, and the row terms carried in O(P r) and rebuilt from
+``A^{-1}`` every r picks.  The swap pass computes a state's ``A^{-1}`` from
+its pattern and screens every swap at once with ``swap_deltas``, whose
+removal coefficients come from ``removal_terms``.  All of them read the terms
+of ``_row_terms``, as does ``gains_for_candidates``, the gains of every row
+against a given ``A^{-1}``.  No arithmetic path decides which of two exactly
+tied choices wins: the optimizers take the lowest index within
+``optimizers.TIE_BAND`` of the best.
 
 Every ``A^{-1}`` formed, not updated, comes from one Cholesky kernel,
 ``_hermitian_inverse``: LAPACK ``zpotrf`` (scipy's compiled wrapper, which
@@ -552,10 +555,15 @@ def _row_terms(A_inv: np.ndarray, rows: np.ndarray):
     return Y, quad, norm2
 
 
+def _gains(quad: np.ndarray, norm2: np.ndarray, alpha: float) -> np.ndarray:
+    """Marginal gains ``alpha n_k / (1 + alpha q_k)`` from the row terms."""
+    return alpha * norm2 / (1.0 + alpha * quad)
+
+
 def gains_for_candidates(A_inv: np.ndarray, rows: np.ndarray, alpha: float) -> np.ndarray:
     """Vectorized marginal gains for every row in ``rows`` against ``A_inv``."""
     _, quad, norm2 = _row_terms(A_inv, rows)
-    return alpha * norm2 / (1.0 + alpha * quad)
+    return _gains(quad, norm2, alpha)
 
 
 def rank_one_update(problem: DesignProblem, A_inv: np.ndarray, j: int) -> np.ndarray:
@@ -568,6 +576,35 @@ def rank_one_update(problem: DesignProblem, A_inv: np.ndarray, j: int) -> np.nda
     A_inv = A_inv - (alpha / denom) * np.outer(Y[0].conj(), Y[0])
     # Symmetrize to suppress drift over long update chains.
     return 0.5 * (A_inv + A_inv.conj().T)
+
+
+def add_row(
+    problem: DesignProblem, A_inv: np.ndarray, Y: np.ndarray, quad: np.ndarray, j: int, size: int
+):
+    """Greedy's step: ``(A_inv, Y, quad, norm2)`` after adding row j as the
+    ``size``-th row of the pattern whose inverse is ``A_inv`` and whose row
+    terms of ``_row_terms`` are ``Y`` and ``quad``.
+
+    ``A^{-1}`` is updated by ``rank_one_update``.  When ``size`` is a
+    multiple of the rank r, the row terms are rebuilt from it by
+    ``_row_terms`` (P r^2 products); otherwise they are carried in P r: with
+    ``c = alpha / (1 + alpha q_j)`` and ``d = U y_j^H``, ``Y -= c d y_j`` and
+    ``quad -= c |d|^2``, which overwrites ``Y`` and ``quad``, and ``norm2``
+    is read from ``Y``.  So a carried chain is at most r - 1 updates long.
+    """
+    A_inv = rank_one_update(problem, A_inv, j)
+    if size % problem.rank == 0:
+        return (A_inv, *_row_terms(A_inv, problem.rows))
+    alpha = problem.pilot_snr
+    y = Y[j].copy()
+    c = alpha / (1.0 + alpha * float(quad[j]))
+    d = problem.rows @ y.conj()
+    # The outer product as a matrix product, which numpy forms faster than
+    # np.outer for complex operands.
+    Y -= d[:, None] @ (c * y)[None, :]
+    quad -= c * np.abs(d) ** 2
+    Y_flat = Y.view(np.float64)
+    return A_inv, Y, quad, np.einsum("ij,ij->i", Y_flat, Y_flat)
 
 
 def removal_terms(problem: DesignProblem, quad: np.ndarray, selected) -> np.ndarray:

@@ -40,13 +40,14 @@ from .objective import (
     PilotPattern,
     ROUNDING_EPS,
     _face_hessian,
+    _gains,
+    _row_terms,
+    add_row,
     allocation_lower_inverse,
-    gains_for_candidates,
     gradient_from_inverse,
     hermitian_from_lower,
     pattern_inverse,
     pattern_objective,
-    rank_one_update,
     swap_deltas,
 )
 
@@ -264,7 +265,8 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
             solved = 0  # the size of a solved face before its violators enter
             if float(np.linalg.norm(reduced - nu)) <= FACE_TOL * RELAX_TOL:
                 violators = ((w == 0.0) & (grad < nu)) | ((w == 1.0) & (grad > nu))
-                solved, face = face.size, np.union1d(face, np.flatnonzero(violators))
+                violators[face] = True  # a mask union: np.union1d imports numpy.ma
+                solved, face = face.size, np.flatnonzero(violators)
             d, face = _face_direction(problem, w, grad, A_inv, face)
             if face.size == solved:
                 # Optimal on its face, and no violator can enter it.
@@ -467,20 +469,28 @@ def dependent_rounding(
 
 def greedy_design(problem: DesignProblem) -> DesignReport:
     """Select K pilots by repeated largest marginal gain; the lowest index
-    within ``TIE_BAND`` of the largest gain wins."""
+    within ``TIE_BAND`` of the largest gain wins.
+
+    The gains of every row come from the row terms ``Y = U A^{-1}``, ``q``
+    and ``n`` that ``objective.add_row`` carries from one pick to the next
+    in O(P r), rebuilding them from ``A^{-1}`` every r picks; the band is
+    read from the trace of that ``A^{-1}``."""
     t0 = time.perf_counter()
+    alpha = problem.pilot_snr
     A_inv = np.diag(problem.prior).astype(np.complex128)
     initial = float(np.trace(A_inv).real)
-    unselected = np.ones(problem.grid.size, dtype=bool)
-    for _ in range(problem.budget):
-        gains = gains_for_candidates(A_inv, problem.rows, problem.pilot_snr)
-        gains[~unselected] = -1.0
-        j = int(np.argmax(gains >= gains.max() - TIE_BAND * float(np.trace(A_inv).real)))
-        A_inv = rank_one_update(problem, A_inv, j)
-        unselected[j] = False
+    Y, quad, norm2 = _row_terms(A_inv, problem.rows)
+    selected = np.zeros(problem.grid.size, dtype=bool)
+    for size in range(1, problem.budget + 1):
+        gains = _gains(quad, norm2, alpha)
+        gains[selected] = -1.0
+        j = int((gains >= gains.max() - TIE_BAND * A_inv.trace().real).argmax())
+        selected[j] = True
+        if size < problem.budget:
+            A_inv, Y, quad, norm2 = add_row(problem, A_inv, Y, quad, j, size)
     # Report the trace of the pattern's own A^{-1}, as every other method
     # does, not the end of the update chain, which drifts in the last bits.
-    selected = np.flatnonzero(~unselected)
+    selected = np.flatnonzero(selected)
     pattern = PilotPattern(tuple(selected.tolist()), problem.grid)
     return _report(problem, pattern, pattern_objective(problem, selected), initial, 0, t0)
 

@@ -36,7 +36,9 @@ from pilotopt.objective import (
     average_mse,
     gains_for_candidates,
     gradient_from_inverse,
+    pattern_inverse,
 )
+from pilotopt.optimizers import TIE_BAND
 
 # The design points of the benchmark's rb-sweep workload: 12x14 at 20 dB, the
 # density sweep at spreading 5e-3 and the spreading sweep at three more.
@@ -233,6 +235,22 @@ def reference_marginal_gain(problem, A_inv, j):
     ``A_inv``, from that row's own Sherman-Morrison terms: the per-pair
     reference of the gains greedy screens."""
     return float(gains_for_candidates(A_inv, problem.rows[j : j + 1], problem.pilot_snr)[0])
+
+
+def reference_greedy(problem):
+    """Greedy selection by reinversion, the reference of the row terms
+    ``greedy_design`` carries: each pick takes the gains of
+    ``gains_for_candidates`` on ``pattern_inverse`` of the picks so far and
+    the lowest unpicked index within ``TIE_BAND`` times that inverse's trace
+    of the largest gain.  Returns the picks in the order they were made."""
+    picks = []
+    for _ in range(problem.budget):
+        A_inv = pattern_inverse(problem, np.array(sorted(picks), dtype=np.intp))
+        gains = gains_for_candidates(A_inv, problem.rows, problem.pilot_snr)
+        gains[picks] = -1.0
+        band = TIE_BAND * float(np.trace(A_inv).real)
+        picks.append(int(np.flatnonzero(gains >= gains.max() - band)[0]))
+    return picks
 
 
 def reference_removal(problem, A_inv, i):

@@ -50,6 +50,24 @@ def test_criterion_02_checks_the_batched_kernels(monkeypatch, kernel, error):
     assert result.details[error] > 1e-9
 
 
+def test_criterion_02_checks_greedys_carried_terms(monkeypatch):
+    """Criterion 2 follows greedy's carried row terms: a relative error of
+    1e-7 in the squared norms ``add_row`` returns fails it, in the chain's
+    figure, and leaves the other two figures alone."""
+    original = validation.add_row
+
+    def skewed(*args):
+        A_inv, Y, quad, norm2 = original(*args)
+        return A_inv, Y, quad, norm2 * (1.0 + 1e-7)
+
+    monkeypatch.setattr(validation, "add_row", skewed)
+    result = check_incremental_updates()
+    assert not result.passed
+    assert result.details["worst_chain_gain_rel_err"] > 1e-9
+    assert result.details["worst_gain_rel_err"] <= 1e-9
+    assert result.details["worst_swap_rel_err"] <= 1e-9
+
+
 def test_criterion_03_gradient_check():
     _assert_check(check_gradient())
 

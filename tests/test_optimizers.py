@@ -3,9 +3,13 @@ import dataclasses
 import functools
 import inspect
 import itertools
+import json
+import os
+import subprocess
 import sys
 import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +43,14 @@ from pilotopt.errors import (
 )
 from pilotopt import optimizers
 from pilotopt.cli import derive_rounding_seed
-from pilotopt.objective import pattern_inverse, pattern_objective, rank_one_update, swap_deltas
+from pilotopt.objective import (
+    _row_terms,
+    add_row,
+    pattern_inverse,
+    pattern_objective,
+    rank_one_update,
+    swap_deltas,
+)
 from pilotopt.optimizers import (
     REFLECT_SLACK,
     SWAP_TOLERANCE,
@@ -53,6 +64,7 @@ from conftest import (
     RB_SWEEP_POINTS,
     permuted_problem,
     random_rows_problem,
+    reference_greedy,
     reference_lattice,
     reference_lattices,
     reference_marginal_gain,
@@ -482,6 +494,36 @@ def assert_forced_run(problem, forced, unforced, converged=True):
     assert abs(got - want) <= 1e-7 * want
 
 
+class TestFreshInterpreter:
+    def test_relaxation_and_greedy_leave_numpy_ma_unloaded(self):
+        """``numpy.ma`` costs 10-16 ms and 1.3 MB on first import: a design
+        point that runs the relaxation to a solved face, which releases its
+        KKT violators, and greedy selection never loads it."""
+        script = (
+            "import json, sys\n"
+            "from pilotopt import GridConfig, ScatteringSpec, build_statistics\n"
+            "from pilotopt import greedy_design, make_design_problem, solve_relaxation\n"
+            "stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=5e-3))\n"
+            "problem = make_design_problem(stats, K=14, snr_db=20.0)\n"
+            "alloc = solve_relaxation(problem)\n"
+            "greedy_design(problem)\n"
+            "print(json.dumps([alloc.converged, alloc.face_steps, 'numpy.ma' in sys.modules]))\n"
+        )
+        src = str(Path(optimizers.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        converged, face_steps, loaded = json.loads(proc.stdout)
+        assert converged and face_steps > 0
+        assert not loaded
+
+
 class TestRelaxationFallbacks:
     """Each path by which the face phase hands back to SPG2, or SPG2 stops
     short, forced on a problem where it is otherwise not taken.  The 12x14
@@ -745,6 +787,46 @@ class TestGreedy:
         problem = rb_sweep_problems[(0.01, 0.1)]
         start = local_swap(problem, greedy_design(problem).pattern).initial_objective
         assert greedy_swap_design(problem).initial_objective == start
+
+    def test_picks_the_reference_greedys_picks_on_rb_sweep(self, rb_sweep_problems):
+        for point, problem in rb_sweep_problems.items():
+            want = tuple(sorted(reference_greedy(problem)))
+            assert greedy_design(problem).pattern.indices == want, point
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    @pytest.mark.parametrize(
+        "stats, K, snr_db",
+        [("stats_big", 134, 10.0), ("stats_big", 134, 20.0)]
+        + [("stats_rb", K, snr_db) for K in (30, 50) for snr_db in (80.0, 100.0, 120.0)],
+    )
+    def test_picks_the_reference_greedys_picks(self, request, stats, K, snr_db):
+        """On 48x28 and, far above 40 dB, on 12x14, where the gains span many
+        orders of magnitude: terms carried as scalar recurrences lose the
+        small ones there, while carrying ``Y`` and rebuilding it every r
+        picks keeps the picks."""
+        problem = make_design_problem(request.getfixturevalue(stats), K=K, snr_db=snr_db)
+        want = tuple(sorted(reference_greedy(problem)))
+        assert greedy_design(problem).pattern.indices == want
+
+    def test_carried_terms_match_reinversion_at_48x28(self, problem_big):
+        """Every r picks the row terms are rebuilt from the updated
+        ``A^{-1}``, and after greedy's K picks, 22 of them carried since the
+        last rebuild (K = 134, r = 28), they are those of the reinverted
+        ``A^{-1}`` to 1e-9 relative."""
+        picks = reference_greedy(problem_big)
+        A_inv = np.diag(problem_big.prior).astype(np.complex128)
+        Y, quad, _ = _row_terms(A_inv, problem_big.rows)
+        for size, j in enumerate(picks, 1):
+            A_inv, Y, quad, norm2 = add_row(problem_big, A_inv, Y, quad, j, size)
+            if size % problem_big.rank == 0:
+                for got, want in zip((Y, quad, norm2), _row_terms(A_inv, problem_big.rows)):
+                    assert np.array_equal(got, want), size
+        assert problem_big.budget % problem_big.rank == 22
+        A_ref = pattern_inverse(problem_big, np.array(sorted(picks), dtype=np.intp))
+        Y_ref, quad_ref, norm2_ref = _row_terms(A_ref, problem_big.rows)
+        assert np.abs(Y - Y_ref).max() <= 1e-9 * np.abs(Y_ref).max()
+        np.testing.assert_allclose(quad, quad_ref, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(norm2, norm2_ref, rtol=1e-9, atol=0)
 
 
 class TestLocalSwap:
