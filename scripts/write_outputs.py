@@ -11,13 +11,15 @@ checkouts' trees can be compared with ``scripts/diff_outputs.py``.  The
 lines a command prints itself on stderr (a failed method, a config error)
 are kept as ``OUT_DIR/<config name>/stderr.txt``; Python warnings, which
 carry file paths and line numbers, are dropped from it.  All of stderr is
-still passed through.  Prints one line per command and exits 1 if any
+still passed through.  Prints one line per command, with its exit status
+and wall seconds (``sweep_density: exit 0 (2.1 s)``), and exits 1 if any
 command exits non-zero.  Standard library plus pilotopt only.
 """
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +53,7 @@ def main(argv=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     failed = 0
     for label, cli_args in runs(out_dir):
+        t0 = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "pilotopt.cli", *cli_args],
             env=env,
@@ -59,10 +62,11 @@ def main(argv=None):
             text=True,
             check=False,
         )
+        seconds = time.perf_counter() - t0
         sys.stderr.write(result.stderr)
         (out_dir / label).mkdir(parents=True, exist_ok=True)
         (out_dir / label / "stderr.txt").write_text(own_lines(result.stderr), encoding="utf-8")
-        print(f"{label}: exit {result.returncode}")
+        print(f"{label}: exit {result.returncode} ({seconds:.1f} s)")
         failed += result.returncode != 0
     return 1 if failed else 0
 

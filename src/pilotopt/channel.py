@@ -294,10 +294,10 @@ class ChannelStatistics:
 
     ``significant_eigvals`` are the eigenvalues of ``C_g = C_t (x) C_f`` above
     ``EIGENVALUE_FLOOR`` of the largest, in descending order, and the columns
-    of ``significant_eigvecs`` the matching orthonormal eigenvectors.  The
-    reported average MSE is evaluated on all of them, so it is the exact
-    LMMSE error of the pattern, and the Monte Carlo draws the channel on
-    them.  Their leading ``effective_rank`` pairs, cut by the energy
+    of ``significant_eigvecs`` the matching orthonormal eigenvectors, stored
+    C-contiguous.  The reported average MSE is evaluated on all of them, so
+    it is the exact LMMSE error of the pattern, and the Monte Carlo draws the
+    channel on them.  Their leading ``effective_rank`` pairs, cut by the energy
     threshold, are ``eigvals``/``eigvecs``: the reduced-rank basis that the
     design objective and the optimizers see.  The factor and eigenpair
     arrays are read-only, since these readers share them.
@@ -364,8 +364,11 @@ def build_statistics(grid: GridConfig, spec: ScatteringSpec) -> ChannelStatistic
     rank = max(1, min(rank, significant))
 
     a, b = np.divmod(order[:significant], grid.M)
-    # Column c is kron(t_vecs[:, a[c]], f_vecs[:, b[c]]), cell n*M + m.
-    eigvecs = (t_vecs[:, a][:, None, :] * f_vecs[:, b][None, :, :]).reshape(grid.size, -1)
+    # Column c is kron(t_vecs[:, a[c]], f_vecs[:, b[c]]), cell n*M + m.  The
+    # factor columns are gathered C-ordered, so the product is C-contiguous
+    # and a problem built on it copies nothing.
+    t_cols, f_cols = np.ascontiguousarray(t_vecs[:, a]), np.ascontiguousarray(f_vecs[:, b])
+    eigvecs = (t_cols[:, None, :] * f_cols[None, :, :]).reshape(grid.size, -1)
     eigvals = sorted_vals[:significant]
     for array in (C_f, C_t, eigvals, eigvecs):
         array.flags.writeable = False

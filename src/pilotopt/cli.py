@@ -27,7 +27,8 @@ from .channel import GridConfig, ScatteringSpec, build_statistics, is_finite_num
 from .errors import BudgetError, ConfigError, InvalidSpecError, PilotOptError
 from .objective import (
     FractionalAllocation,
-    average_mse,
+    _error_covariance,
+    _scoring_problem,
     compute_alpha,
     make_design_problem,
     noise_var_from_snr_db,
@@ -352,18 +353,23 @@ def render_weights(grid: GridConfig, weights, footer: str) -> str:
 
 
 def _mse_scorer(stats):
-    """``score(problem, pattern)``: the average MSE of a pattern or allocation
+    """``score(problem, pattern)``: ``average_mse`` of a pattern or allocation
     on ``stats`` at the pilot SNR of ``problem``, whose budget is the one the
-    pattern uses.  One scorer serves one design point; it scores each
-    distinct (budget, indices) pair of an integer pattern once."""
-    memo = {}
+    pattern uses.  One scorer serves one design point: it moves the problem
+    of each budget to the significant eigenpairs once
+    (``_scoring_problem``), and scores each distinct (budget, indices) pair
+    of an integer pattern once."""
+    scoring, memo = {}, {}
 
     def score(problem, pattern):
+        K = problem.budget
+        if K not in scoring:
+            scoring[K] = _scoring_problem(stats, problem)
         if isinstance(pattern, FractionalAllocation):
-            return average_mse(stats, pattern, problem.pilot_snr)
-        key = (problem.budget, pattern.indices)
+            return _error_covariance(scoring[K], pattern)[1]
+        key = (K, pattern.indices)
         if key not in memo:
-            memo[key] = average_mse(stats, pattern, problem.pilot_snr)
+            memo[key] = _error_covariance(scoring[K], pattern)[1]
         return memo[key]
 
     return score
@@ -437,15 +443,15 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     ``objective`` is the design objective on the design problem's one,
     reduced-rank basis; for ``cr`` it is its value at the relaxation solver's
     stopping iterate, an upper bound on the relaxed optimum.
-    ``average_mse`` is scored from the channel statistics ``stats``, on every
-    significant eigenpair: the exact LMMSE error of the pattern at the budget
-    ``K`` actually used.  Each distinct (K used, indices) pair is scored once
-    per point, across all methods and roundings.  For ``cr`` it is the error
-    of the weights read as per-cell pilot power, which is not a bound, and
-    it depends on which of the non-unique relaxed optima the solver stops at
-    far more than the objective does.  The relaxation-based methods share
-    one relaxation solve, ``relax()``, which the first of them to run pays
-    for in its ``wall_time``.
+    ``average_mse`` is the objective of the same problem moved to every
+    significant eigenpair of ``stats``: the exact LMMSE error of the pattern
+    at the budget ``K`` actually used.  Each distinct (K used, indices) pair
+    is scored once per point, across all methods and roundings.  For ``cr``
+    it is the error of the weights read as per-cell pilot power, which is
+    not a bound, and it depends on which of the non-unique relaxed optima
+    the solver stops at far more than the objective does.  The
+    relaxation-based methods share one relaxation solve, ``relax()``, which
+    the first of them to run pays for in its ``wall_time``.
 
     The record is built by ``_outcome`` from what the method's runner
     returns.  The runners call the optimizers inside their bodies, so each

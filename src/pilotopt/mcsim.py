@@ -5,21 +5,22 @@ observations ``y_S = sigma_p * g_S + noise``, runs the LMMSE estimator and
 compares the empirical MSE against the analytic ``trace(C_e)/(M*N)``.
 
 One LMMSE algebra serves the estimator, the analytic value and the reported
-MSE: the r x r information form of ``objective.average_mse``.  The channel
-is ``g = L z`` with ``L = U sqrt(lambda)`` on the r significant eigenpairs of
+MSE: the design problem moved to the significant eigenpairs
+(``objective._scoring_problem``), at the simulated noise.  The channel is
+``g = L z`` with ``L = U sqrt(lambda)`` on the r significant eigenpairs of
 ``C_g`` that ``channel.build_statistics`` holds (they miss the covariance
 trace by a relative 1.6e-12 at 12x14 and 8.6e-13 at 48x28, spreading 5e-3)
 and z r i.i.d. standard complex normals.  With U_S the pilot rows of U and
-the pilot SNR ``alpha = sigma_p^2 / noise_var``, as ``objective.compute_alpha``
-derives it (the problem's ``pilot_snr`` at the problem's noise), the
-information matrix is ``A = diag(1/lambda) + alpha U_S^H U_S``; the LMMSE
-estimate of the coordinates ``sqrt(lambda) z`` is
-``(sigma_p / noise_var) A^{-1} U_S^H y_S``, its error covariance is
-``A^{-1}`` and the average MSE ``trace(A^{-1})/(M*N)``, which is
-``average_mse`` at alpha bit for bit.  One r x r Cholesky inverse
-(``objective._error_covariance``) gives both, O(r^2 K + r^3).  No K x K
-pilot system is solved, and no error is formed as the difference of two
-numbers of size M*N, which cancels at high SNR.
+that problem's pilot SNR alpha (``objective.compute_alpha`` of the power
+fraction and the simulated noise), the information matrix is
+``A = diag(1/lambda) + alpha U_S^H U_S``; the pilot amplitude is
+``sigma_p = sqrt(alpha * noise_var)``, the LMMSE estimate of the coordinates
+``sqrt(lambda) z`` is ``(sigma_p / noise_var) A^{-1} U_S^H y_S``, its error
+covariance is ``A^{-1}`` and the average MSE ``trace(A^{-1})/(M*N)``, which
+is ``average_mse`` bit for bit when the noise is the problem's.  One r x r
+Cholesky inverse (``objective._error_covariance``) gives both,
+O(r^2 K + r^3).  No K x K pilot system is solved, and no error is formed as
+the difference of two numbers of size M*N, which cancels at high SNR.
 
 Each realization draws ``r + K`` complex normals: r for z (34 at 12x14, 82
 at 48x28) and K for the noise on the pilot cells.  The LMMSE estimate
@@ -43,7 +44,7 @@ import numpy as np
 from .channel import ChannelStatistics
 from .errors import InvalidSpecError
 from .objective import (
-    DesignProblem, PilotPattern, _error_covariance, compute_alpha, hermitian_from_lower
+    DesignProblem, PilotPattern, _error_covariance, _scoring_problem, hermitian_from_lower
 )
 
 # Realizations are simulated in fixed-size batches to bound memory; the batch
@@ -121,46 +122,50 @@ def _complex_normals(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 def lmmse_weights(
     stats: ChannelStatistics,
+    problem: DesignProblem,
     pattern: PilotPattern,
-    sigma_p: float,
     noise_var: float,
 ) -> np.ndarray:
     """LMMSE combining matrix W (P x K): ``g_hat = W y_S``.
 
     The grid form of the latent estimator, ``W = L Q``, which is
-    ``(sigma_p / noise_var) U A^{-1} U_S^H`` at ``alpha = sigma_p^2 /
-    noise_var``: one P x r by r x K product after the r x r system.
-    ``run_simulation`` does not use it; it is the grid-form reference for the
-    latent estimate.
+    ``(sigma_p / noise_var) U A^{-1} U_S^H`` on the scoring problem of
+    ``problem`` at noise variance ``noise_var``: one P x r by r x K product
+    after the r x r system.  ``run_simulation`` does not use it; it is the
+    grid-form reference for the latent estimate.
     """
-    Q = _latent_system(stats, pattern, sigma_p**2 / noise_var, noise_var)[1]
-    return (stats.significant_eigvecs * np.sqrt(stats.significant_eigvals)) @ Q
+    scoring = _scoring_problem(stats, problem, noise_var)
+    Q = _latent_system(scoring, pattern)[1]
+    return (scoring.rows * np.sqrt(scoring.prior)) @ Q
 
 
 def analytic_mse(
     stats: ChannelStatistics,
+    problem: DesignProblem,
     pattern: PilotPattern,
-    sigma_p: float,
     noise_var: float,
 ) -> float:
-    """Average MSE ``trace(A^{-1})/(M*N)`` of the LMMSE estimator at pilot
-    amplitude ``sigma_p`` and noise variance ``noise_var``: ``average_mse``
-    at ``alpha = sigma_p^2 / noise_var``, from the same r x r inverse
-    (``objective._error_covariance``) that ``run_simulation`` reads.
+    """Average MSE ``trace(A^{-1})/(M*N)`` of the LMMSE estimator of
+    ``pattern`` under the pilot power of ``problem`` at noise variance
+    ``noise_var``, from the same r x r inverse
+    (``objective._error_covariance``) that ``run_simulation`` reads: at the
+    problem's own noise, ``average_mse``.
     """
-    return _error_covariance(stats, pattern, sigma_p**2 / noise_var)[1]
+    return _error_covariance(_scoring_problem(stats, problem, noise_var), pattern)[1]
 
 
 def _latent_system(
-    stats: ChannelStatistics, pattern: PilotPattern, alpha: float, noise_var: float
+    problem: DesignProblem, pattern: PilotPattern
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The LMMSE estimator in the latent coordinates of ``sample_channels``,
-    and its analytic MSE, at pilot SNR ``alpha`` and noise variance
-    ``noise_var``: pilot amplitude ``sigma_p = sqrt(alpha * noise_var)``.
+    and its analytic MSE, on a problem of ``objective._scoring_problem``: at
+    its pilot SNR ``alpha`` and noise variance, with pilot amplitude
+    ``sigma_p = sqrt(alpha * noise_var)``.
 
     The channel is ``g = L z`` with ``L = U sqrt(lambda)`` (P x r) on the
-    significant eigenpairs of the statistics.  Returns the scaled pilot rows
-    ``sigma_p B`` with ``B = L[S, :]`` (K x r), the latent gain
+    problem's rows and prior, the significant eigenpairs of the statistics.
+    Returns the scaled pilot rows ``sigma_p B`` with ``B = L[S, :]``
+    (K x r), the latent gain
     ``Q = (sigma_p / noise_var) Lambda^{-1/2} A^{-1} U_S^H`` (r x K), the
     variance of each float component of z (``d = lambda``, the squared
     column norms of L, each repeated for the real and the imaginary part) and
@@ -173,16 +178,17 @@ def _latent_system(
     rows of the stored eigenvectors, O(r^2 K + r^3) in all; no
     eigendecomposition and no P x K matrix.
     """
-    lower, analytic = _error_covariance(stats, pattern, alpha)
-    sigma_p = float(np.sqrt(alpha * noise_var))
-    root = np.sqrt(stats.significant_eigvals)
-    B = stats.significant_eigvecs.take(np.array(pattern.indices, dtype=np.intp), axis=0)
+    lower, analytic = _error_covariance(problem, pattern)
+    noise_var = problem.noise_var
+    sigma_p = float(np.sqrt(problem.pilot_snr * noise_var))
+    root = np.sqrt(problem.prior)
+    B = problem.rows.take(np.array(pattern.indices, dtype=np.intp), axis=0)
     Q = hermitian_from_lower(lower) @ B.conj().T
     Q /= root[:, None]
     Q *= sigma_p / noise_var
     B *= root
     B *= sigma_p
-    return B, Q, np.repeat(stats.significant_eigvals, 2), analytic
+    return B, Q, np.repeat(problem.prior, 2), analytic
 
 
 def _batch_errors(
@@ -216,18 +222,18 @@ def run_simulation(
     """Estimate the empirical MSE of the LMMSE estimator over seeded draws.
 
     The pilot power follows the problem's power fraction beta
-    (``sigma_p^2 = beta*N/K``); the noise level comes from ``cfg``.  The pilot
-    SNR is ``compute_alpha`` of the two, the problem's ``pilot_snr`` when
-    ``cfg`` has the problem's noise.  Returns the empirical average MSE, its
-    standard error and the analytic value, ``average_mse`` at that pilot SNR,
-    from the r x r inverse the estimator is built on.  The estimate and its
-    error are computed on the latent channel draw (``_latent_system``),
-    O(r K) per realization.
+    (``sigma_p^2 = beta*N/K``); the noise level comes from ``cfg``.  The
+    estimator is built on ``problem`` moved to the significant eigenpairs at
+    that noise (``objective._scoring_problem``), whose pilot SNR is the
+    problem's ``pilot_snr`` when ``cfg`` has the problem's noise.  Returns
+    the empirical average MSE, its standard error and the analytic value,
+    ``average_mse`` at that pilot SNR, from the r x r inverse the estimator
+    is built on.  The estimate and its error are computed on the latent
+    channel draw (``_latent_system``), O(r K) per realization.
     """
-    if problem.grid != stats.grid:
-        raise InvalidSpecError("problem grid does not match the statistics grid")
-    alpha = compute_alpha(problem.power_fraction, problem.grid.N, problem.budget, cfg.noise_var)
-    B, Q, variances, analytic = _latent_system(stats, pattern, alpha, cfg.noise_var)
+    B, Q, variances, analytic = _latent_system(
+        _scoring_problem(stats, problem, cfg.noise_var), pattern
+    )
     noise_scale = np.sqrt(cfg.noise_var / 2.0)
     rng = np.random.default_rng(cfg.rng_seed)
 

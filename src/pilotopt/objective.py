@@ -2,15 +2,16 @@
 
 Placing pilots with per-pilot SNR ``alpha`` on a set S updates the information
 matrix ``A = diag(1/lambda) + alpha * sum_{i in S} u_i^H u_i`` where ``u_i`` is
-the i-th row of the dominant eigenbasis.  The design objective is
-``trace(A^{-1})``, the estimation MSE inside the retained subspace.  A
-``DesignProblem`` holds this one basis.  The reported average MSE is scored
-from the channel statistics instead: ``average_mse`` evaluates the same form
-on every significant eigenpair of the channel covariance, which makes it the
-exact LMMSE error of the pattern; the Monte Carlo builds its estimator from
-the same inverse (``_error_covariance``).  Cutting the basis also perturbs
-the pilot observations, so the reduced-rank objective plus the discarded
-energy would not be.
+the i-th row of a basis of the channel subspace.  A ``DesignProblem`` holds
+one basis, and ``trace(A^{-1})`` on it is its objective.  The design problem's
+basis is the dominant one, so its objective is the estimation MSE inside the
+retained subspace.  The reported average MSE is the same problem moved to
+every significant eigenpair of the channel covariance
+(``_scoring_problem``), which makes it the exact LMMSE error of the pattern:
+``average_mse`` reads ``_error_covariance`` of that problem, and so does the
+Monte Carlo, which builds its estimator from the same inverse.  Cutting the
+basis also perturbs the pilot observations, so the reduced-rank objective
+plus the discarded energy would not be.
 
 An optimizer's state is a sorted index array and its ``A^{-1}``, a plain
 r x r array (r << M*N).  Greedy selection screens every row at once from the
@@ -28,20 +29,20 @@ tied choices wins: the optimizers take the lowest index within
 Every ``A^{-1}`` formed, not updated, comes from one Cholesky kernel,
 ``_hermitian_inverse``: LAPACK ``zpotrf`` (scipy's compiled wrapper, which
 ``_load_flapack`` loads without the ``scipy.linalg`` package) factors the
-lower triangle of ``A`` (which is therefore not symmetrized first), ``zpotri`` inverts the factor into
-the lower triangle, and that triangle is mirrored; an ``A`` that is not
-positive definite in floating point raises ``NumericError``.  A caller that
-reads only the trace sums the diagonal of the unmirrored triangle
-(``_lower_inverse``), which gives the mirrored trace bit for bit.
-``pattern_inverse`` and its trace-only form ``pattern_objective`` feed the
-kernel a sorted ``np.intp`` index array, and ``allocation_lower_inverse``
-(the relaxation's, which mirrors only accepted steps) a weight vector of
-length P, from the constants ``DesignProblem`` derives once (``prior_inv``
-and ``rows_conj``), validating nothing.  The public ``objective_value``,
-``objective_gradient`` and ``average_mse`` check that a pattern or allocation
-fits the grid (``_information_matrix``) and then run the same kernel.
-``_face_hessian`` gives the relaxed objective's Hessian on a set of weights,
-for the relaxation's Newton steps.
+lower triangle of ``A`` (which is therefore not symmetrized first), ``zpotri``
+inverts the factor into the lower triangle, and that triangle is mirrored; an
+``A`` that is not positive definite in floating point raises
+``NumericError``.  A caller that reads only the trace sums the diagonal of
+the unmirrored triangle (``_lower_inverse``), which gives the mirrored trace
+bit for bit.  ``pattern_inverse`` and its trace-only form
+``pattern_objective`` feed the kernel a sorted ``np.intp`` index array, and
+``allocation_lower_inverse`` (the relaxation's, which mirrors only accepted
+steps) a weight vector of length P, from the constants ``DesignProblem``
+derives once (``prior_inv`` and ``rows_conj``), validating nothing.  The
+public ``objective_value``, ``objective_gradient`` and ``average_mse`` check
+that a pattern or allocation fits the grid (``_problem_information``) and
+then run the same kernel.  ``_face_hessian`` gives the relaxed objective's
+Hessian on a set of weights, for the relaxation's Newton steps.
 
 The Doppler and delay correlations are Hermitian Toeplitz, so reflecting the
 grid in m, in n or in both maps the basis rows to ``rows Q`` or
@@ -56,7 +57,7 @@ import importlib.util
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -144,31 +145,26 @@ def noise_var_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _first_frame_outside() -> int:
-    """``stacklevel`` that makes a warning raised in this module name the
-    first frame outside it.  The dataclass-generated ``__init__`` runs in
-    this module's globals, so it is skipped like a function defined here."""
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and frame.f_globals is globals():
-        level, frame = level + 1, frame.f_back
-    return level
-
-
 @dataclass(frozen=True)
 class DesignProblem:
     """Immutable inputs of one pilot design instance.
 
     The A-optimal sensor-selection problem and nothing more: ``rows`` is the
-    P x r matrix whose i-th row is the grid cell i restricted to the dominant
-    channel subspace, stored C-contiguous, and ``prior`` holds the r dominant
-    eigenvalues.  ``pilot_snr`` is not given but derived,
+    P x r matrix whose i-th row is the grid cell i restricted to a channel
+    subspace, stored C-contiguous, and ``prior`` holds the r eigenvalues of
+    that subspace.  ``make_design_problem`` takes the dominant subspace, the
+    design basis; ``_scoring_problem`` moves a problem to every significant
+    eigenpair, where its objective is the reported average MSE.  Another
+    basis or budget is ``dataclasses.replace`` of a problem.
+
+    ``pilot_snr`` is not given but derived,
     ``alpha = beta*N/(K*noise_var)`` from the power fraction, ``grid.N``, the
-    budget and the noise variance.  So are the read-only constants of the
-    ``A^{-1}`` kernels: ``prior_inv``, the complex ``diag(1/prior)``, and
-    ``rows_conj``, the conjugate of ``rows``.  The reported average MSE is not
-    scored here but on the channel statistics (``average_mse``).  The grid
-    reflections the problem is invariant under, ``reflections``, are checked
-    on first use, not here: most problems are never swapped.
+    budget and the noise variance (``compute_alpha``, which also refuses a
+    power fraction that is not positive and finite).  So are the read-only
+    constants of the ``A^{-1}`` kernels: ``prior_inv``, the complex
+    ``diag(1/prior)``, and ``rows_conj``, the conjugate of ``rows``.  The
+    grid reflections the problem is invariant under, ``reflections``, are
+    checked on first use, not here: most problems are never swapped.
     """
 
     grid: GridConfig
@@ -195,19 +191,11 @@ class DesignProblem:
             raise InvalidSpecError("prior eigenvalues must be positive")
         if not 1 <= self.budget <= self.grid.size:
             raise BudgetError(f"budget {self.budget} outside [1, {self.grid.size}]")
-        if self.power_fraction <= 0:
-            raise InvalidSpecError("power_fraction must be positive")
-        if self.power_fraction > 1 + 1e-12:
-            warnings.warn(
-                f"power_fraction {self.power_fraction:g} > 1: pilot power exceeds "
-                "the block budget (happens when K > N with unit pilot power)",
-                stacklevel=_first_frame_outside(),
-            )
         alpha = compute_alpha(self.power_fraction, self.grid.N, self.budget, self.noise_var)
         object.__setattr__(self, "pilot_snr", alpha)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "prior", prior)
-        prior_inv, rows_conj = _prior_inverse(prior), rows.conj()
+        prior_inv, rows_conj = np.diag(1.0 / prior).astype(np.complex128), rows.conj()
         prior_inv.flags.writeable = rows_conj.flags.writeable = False
         object.__setattr__(self, "prior_inv", prior_inv)
         object.__setattr__(self, "rows_conj", rows_conj)
@@ -236,17 +224,6 @@ class DesignProblem:
                 maps.append(perm)
         return tuple(maps)
 
-    def with_budget(self, K: int) -> "DesignProblem":
-        """Same statistics and power fraction, different pilot count."""
-        return DesignProblem(
-            grid=self.grid,
-            rows=self.rows,
-            prior=self.prior,
-            budget=K,
-            power_fraction=self.power_fraction,
-            noise_var=self.noise_var,
-        )
-
 
 def make_design_problem(
     stats: ChannelStatistics,
@@ -254,18 +231,46 @@ def make_design_problem(
     snr_db: float,
     beta: float | None = None,
 ) -> DesignProblem:
-    """Assemble a design problem from channel statistics.
+    """Assemble a design problem on the design basis of channel statistics.
 
     SNR in dB is mapped to ``noise_var = 10^(-SNR/10)`` at unit symbol power.
-    ``beta`` defaults to ``K/N`` (``pilot_power_fraction``).
+    ``beta`` defaults to ``K/N`` (``pilot_power_fraction``).  A power
+    fraction above 1, where pilot power exceeds the block budget, warns
+    once, naming the caller; the problems replaced from this one do not.
     """
-    return DesignProblem(
+    problem = DesignProblem(
         grid=stats.grid,
         rows=stats.eigvecs,
         prior=stats.eigvals,
         budget=K,
         power_fraction=pilot_power_fraction(beta, K, stats.grid.N),
         noise_var=noise_var_from_snr_db(snr_db),
+    )
+    if problem.power_fraction > 1 + 1e-12:
+        warnings.warn(
+            f"power_fraction {problem.power_fraction:g} > 1: pilot power exceeds "
+            "the block budget (happens when K > N with unit pilot power)",
+            stacklevel=2,
+        )
+    return problem
+
+
+def _scoring_problem(
+    stats: ChannelStatistics, problem: DesignProblem, noise_var: float | None = None
+) -> DesignProblem:
+    """``problem`` on every significant eigenpair of ``stats``, at its own
+    noise variance or at ``noise_var``: the problem whose ``trace(A^{-1})``
+    is the exact LMMSE error of a pattern (``_error_covariance``).  Its pilot
+    SNR, ``prior_inv`` and ``rows_conj`` are derived as for any problem.
+    ``stats.significant_eigvecs`` is C-contiguous, so its rows are not
+    copied."""
+    if problem.grid != stats.grid:
+        raise InvalidSpecError("problem grid does not match the statistics grid")
+    return replace(
+        problem,
+        rows=stats.significant_eigvecs,
+        prior=stats.significant_eigvals,
+        noise_var=problem.noise_var if noise_var is None else noise_var,
     )
 
 
@@ -339,9 +344,9 @@ class FractionalAllocation:
     converged: bool = True
     iterations: int = 0
     residual: float = float("nan")
-    evaluations: int = field(default=0, compare=False)
-    face_steps: int = field(default=0, compare=False)
-    face_fallbacks: int = field(default=0, compare=False)
+    evaluations: int = 0
+    face_steps: int = 0
+    face_fallbacks: int = 0
     plan: RoundingPlan = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -392,31 +397,28 @@ def _is_symmetry(rows, rows_conj, prior, perm) -> bool:
     return False
 
 
-def _prior_inverse(prior: np.ndarray) -> np.ndarray:
-    """The complex ``diag(1/prior)`` every information matrix starts from."""
-    return np.diag(1.0 / prior).astype(np.complex128)
-
-
-def _pattern_information(prior_inv, rows, rows_conj, alpha: float, idx) -> np.ndarray:
+def _pattern_information(problem: DesignProblem, idx) -> np.ndarray:
     """``diag(1/prior) + alpha * U_S^H U_S`` for the rows ``idx``."""
-    return prior_inv + (alpha * rows_conj[idx].T) @ rows[idx]
+    alpha_rows = problem.pilot_snr * problem.rows_conj[idx].T
+    return problem.prior_inv + alpha_rows @ problem.rows[idx]
 
 
-def _allocation_information(prior_inv, rows, rows_conj, alpha: float, w) -> np.ndarray:
+def _allocation_information(problem: DesignProblem, w) -> np.ndarray:
     """``diag(1/prior) + alpha * rows^H diag(w) rows``."""
-    return prior_inv + (alpha * (rows_conj.T * w)) @ rows
+    alpha_rows = problem.pilot_snr * (problem.rows_conj.T * w)
+    return problem.prior_inv + alpha_rows @ problem.rows
 
 
-def _lower_inverse(A: np.ndarray, name: str = "information matrix") -> np.ndarray:
+def _lower_inverse(A: np.ndarray) -> np.ndarray:
     """The lower triangle of ``A^{-1}`` for a positive definite ``A``, through
     its Cholesky factor, with zeros above the diagonal; only the lower
     triangle of ``A`` is read.  Its trace is that of ``A^{-1}``.  A failure
-    raises ``NumericError`` naming the matrix as ``name``."""
+    raises ``NumericError``."""
     factor, info = _flapack.zpotrf(A, lower=True)
     if info == 0:
         inverse, info = _flapack.zpotri(factor, lower=True, overwrite_c=True)
     if info != 0:
-        raise NumericError(f"{name} is not positive definite (LAPACK info {info})")
+        raise NumericError(f"information matrix is not positive definite (LAPACK info {info})")
     # zpotri fills the lower triangle; zpotrf zeroed the upper one.
     return inverse
 
@@ -429,71 +431,44 @@ def hermitian_from_lower(lower: np.ndarray) -> np.ndarray:
     return mirrored
 
 
-def _hermitian_inverse(A: np.ndarray, name: str = "information matrix") -> np.ndarray:
+def _hermitian_inverse(A: np.ndarray) -> np.ndarray:
     """Hermitian ``A^{-1}`` of a positive definite ``A``: ``_lower_inverse``
     mirrored."""
-    return hermitian_from_lower(_lower_inverse(A, name))
+    return hermitian_from_lower(_lower_inverse(A))
 
 
 def pattern_inverse(problem: DesignProblem, idx: np.ndarray) -> np.ndarray:
     """Hermitian ``A^{-1}`` of the pattern with sorted ``np.intp`` indices
     ``idx``; the indices are not checked."""
-    return _hermitian_inverse(
-        _pattern_information(
-            problem.prior_inv, problem.rows, problem.rows_conj, problem.pilot_snr, idx
-        )
-    )
+    return _hermitian_inverse(_pattern_information(problem, idx))
 
 
 def pattern_objective(problem: DesignProblem, idx: np.ndarray) -> float:
     """``trace(A^{-1})`` of the pattern with sorted ``np.intp`` indices
     ``idx``, the trace of ``pattern_inverse`` without mirroring it; the
     indices are not checked."""
-    A = _pattern_information(
-        problem.prior_inv, problem.rows, problem.rows_conj, problem.pilot_snr, idx
-    )
-    return float(np.trace(_lower_inverse(A)).real)
+    return float(np.trace(_lower_inverse(_pattern_information(problem, idx))).real)
 
 
 def allocation_lower_inverse(problem: DesignProblem, w: np.ndarray) -> np.ndarray:
     """The lower triangle of ``A^{-1}`` (``_lower_inverse``) of the float
     weights ``w`` of length P; the weights are not checked."""
-    return _lower_inverse(
-        _allocation_information(
-            problem.prior_inv, problem.rows, problem.rows_conj, problem.pilot_snr, w
-        )
-    )
-
-
-def _information_matrix(
-    grid: GridConfig, prior_inv, rows, rows_conj, alpha: float, pattern, owner: str
-):
-    """The information matrix of a pattern or allocation ``w`` on ``grid``,
-    after checking that it fits the grid, which an error names as the grid
-    of ``owner``."""
-    if isinstance(pattern, PilotPattern):
-        if pattern.grid != grid:
-            raise InvalidSpecError(f"pattern grid does not match the {owner} grid")
-        idx = np.array(pattern.indices, dtype=np.intp)
-        return _pattern_information(prior_inv, rows, rows_conj, alpha, idx)
-    w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
-    w = np.asarray(w, dtype=float)
-    if w.shape != (grid.size,):
-        raise InvalidSpecError(f"weights must have length {grid.size}")
-    return _allocation_information(prior_inv, rows, rows_conj, alpha, w)
+    return _lower_inverse(_allocation_information(problem, w))
 
 
 def _problem_information(problem: DesignProblem, pattern) -> np.ndarray:
-    """``_information_matrix`` on the constants of ``problem``."""
-    return _information_matrix(
-        problem.grid,
-        problem.prior_inv,
-        problem.rows,
-        problem.rows_conj,
-        problem.pilot_snr,
-        pattern,
-        "problem",
-    )
+    """The information matrix of a pattern or allocation ``w`` on the
+    constants of ``problem``, after checking that it fits the problem's
+    grid."""
+    if isinstance(pattern, PilotPattern):
+        if pattern.grid != problem.grid:
+            raise InvalidSpecError("pattern grid does not match the problem grid")
+        return _pattern_information(problem, np.array(pattern.indices, dtype=np.intp))
+    w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
+    w = np.asarray(w, dtype=float)
+    if w.shape != (problem.grid.size,):
+        raise InvalidSpecError(f"weights must have length {problem.grid.size}")
+    return _allocation_information(problem, w)
 
 
 def objective_value(problem: DesignProblem, pattern) -> float:
@@ -501,15 +476,16 @@ def objective_value(problem: DesignProblem, pattern) -> float:
     return float(np.trace(_lower_inverse(_problem_information(problem, pattern))).real)
 
 
-def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
+def average_mse(stats: ChannelStatistics, problem: DesignProblem, pattern) -> float:
     """Exact per-cell LMMSE error ``trace(C_e) / (M*N)`` of a pattern.
 
     Evaluates ``trace((diag(1/lambda) + alpha * U_S^H U_S)^{-1}) / (M*N)`` on
-    every significant eigenpair of ``stats`` at pilot SNR ``alpha``, which is
-    that of the budget the pattern uses: a lattice scored at a reduced
-    budget K' takes the ``pilot_snr`` of the problem for K'.  The covariance
-    energy below the eigenvalue floor is left out.  An allocation's weights
-    are read as per-cell fractions of the pilot power.
+    every significant eigenpair of ``stats`` (``_scoring_problem``) at the
+    pilot SNR ``alpha`` of ``problem``, whose budget is the one the pattern
+    uses: a lattice scored at a reduced budget K' is scored on the problem
+    for K'.  The covariance energy below the eigenvalue floor is left out.
+    An allocation's weights are read as per-cell fractions of the pilot
+    power.
 
     Accuracy: the inversion is exact to rounding, but the basis carries the
     rounding of the double-precision eigenpairs and drops the pairs below the
@@ -518,29 +494,17 @@ def average_mse(stats: ChannelStatistics, pattern, pilot_snr: float) -> float:
     LMMSE error on 12x14, spreading 5e-3, K = 14 (greedy pattern), the
     relative error is 5.8e-10 at 20 dB, 1.9e-8 at 40 dB and 1.1e-6 at 100 dB.
     """
-    return _error_covariance(stats, pattern, pilot_snr)[1]
+    return _error_covariance(_scoring_problem(stats, problem), pattern)[1]
 
 
-def _error_covariance(
-    stats: ChannelStatistics, pattern, pilot_snr: float
-) -> tuple[np.ndarray, float]:
-    """The lower triangle (``_lower_inverse``) of ``A^{-1}``, the LMMSE error
-    covariance of the channel's coordinates on every significant eigenpair
-    of ``stats``, and the average MSE ``trace(A^{-1}) / (M*N)`` that
-    ``average_mse`` reports; the Monte Carlo builds its estimator from the
-    same triangle."""
-    U = stats.significant_eigvecs
-    A = _information_matrix(
-        stats.grid,
-        _prior_inverse(stats.significant_eigvals),
-        U,
-        U.conj(),
-        pilot_snr,
-        pattern,
-        "statistics",
-    )
-    lower = _lower_inverse(A)
-    return lower, float(np.diagonal(lower).real.sum()) / stats.grid.size
+def _error_covariance(problem: DesignProblem, pattern) -> tuple[np.ndarray, float]:
+    """The lower triangle (``_lower_inverse``) of ``A^{-1}`` of a pattern or
+    allocation on ``problem``, and ``trace(A^{-1}) / (M*N)``.  On a problem of
+    ``_scoring_problem`` these are the LMMSE error covariance of the
+    channel's coordinates and the average MSE that ``average_mse`` reports;
+    the Monte Carlo builds its estimator from the same triangle."""
+    lower = _lower_inverse(_problem_information(problem, pattern))
+    return lower, float(np.diagonal(lower).real.sum()) / problem.grid.size
 
 
 def _row_terms(A_inv: np.ndarray, rows: np.ndarray):

@@ -20,7 +20,7 @@ import itertools
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
@@ -662,7 +662,7 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
         f, t = np.nonzero(count == K_used)
         if not f.size:
             continue
-        sub_problem = problem if K_used == problem.budget else problem.with_budget(K_used)
+        sub_problem = problem if K_used == problem.budget else replace(problem, budget=K_used)
         order = np.lexsort((t_off[t], f_off[f], t_sp[t], f_sp[f]))
         best_obj, best_idx = np.inf, None
         for a, b in zip(f[order], t[order]):

@@ -323,7 +323,7 @@ def check_spreading_monotonicity() -> CheckResult:
         stats = build_statistics(grid, ScatteringSpec(spreading_factor=dd))
         problem = make_design_problem(stats, K=K, snr_db=20.0)
         pattern = greedy_swap_design(problem).pattern
-        values.append(average_mse(stats, pattern, problem.pilot_snr))
+        values.append(average_mse(stats, problem, pattern))
     ok = values[0] < values[1] < values[2]
     return _finish(
         "criterion 8: MSE monotone in spreading factor",

@@ -33,7 +33,6 @@ from pilotopt.errors import DegenerateUpdateError
 from pilotopt.objective import (
     _hermitian_inverse,
     _row_terms,
-    average_mse,
     gains_for_candidates,
     gradient_from_inverse,
     pattern_inverse,
@@ -154,7 +153,7 @@ def reference_pilot_system(stats, idx, sigma_p, noise_var):
     C_ss, gram = reference_pilot_blocks(stats, idx)
     if idx.size:
         obs = sigma_p**2 * C_ss + noise_var * np.eye(idx.size)
-        gain = sigma_p * _hermitian_inverse(obs, "pilot observation covariance")
+        gain = sigma_p * _hermitian_inverse(obs)
     else:
         gain = np.zeros((0, 0), dtype=np.complex128)
     # trace(gain @ gram) as an entrywise sum, O(K^2).
@@ -176,6 +175,46 @@ def reference_analytic_mse(stats, pattern, sigma_p, noise_var):
     truncation."""
     idx = np.array(pattern.indices, dtype=np.intp)
     return reference_pilot_system(stats, idx, sigma_p, noise_var)[1]
+
+
+def reference_average_mse(stats, pattern, pilot_snr):
+    """The average MSE from the statistics alone, with no ``DesignProblem``:
+    ``trace(A^{-1}) / (M*N)`` of the information matrix
+    ``diag(1/lambda) + alpha U_S^H U_S`` (for an allocation,
+    ``alpha U^H diag(w) U``) on every significant eigenpair of ``stats`` at
+    pilot SNR ``pilot_snr``, inverted by LAPACK's Cholesky routines, with
+    the diagonal of the inverse's lower triangle summed as it is.
+    ``average_mse`` must match it bit for bit."""
+    U = stats.significant_eigvecs
+    A = np.diag(1.0 / stats.significant_eigvals).astype(np.complex128)
+    if isinstance(pattern, PilotPattern):
+        idx = np.array(pattern.indices, dtype=np.intp)
+        A = A + (pilot_snr * U.conj()[idx].T) @ U[idx]
+    else:
+        w = pattern.weights if isinstance(pattern, FractionalAllocation) else pattern
+        A = A + (pilot_snr * (U.conj().T * np.asarray(w, dtype=float))) @ U
+    factor, info = lapack.zpotrf(A, lower=True)
+    assert info == 0, info
+    inverse, info = lapack.zpotri(factor, lower=True)
+    assert info == 0, info
+    return float(np.diagonal(inverse).real.sum()) / stats.grid.size
+
+
+def amplitude_problem(stats, sigma_p, noise_var):
+    """A one-pilot-budget design problem on ``stats`` whose pilots have
+    amplitude ``sigma_p`` at noise variance ``noise_var``: power fraction
+    ``sigma_p^2 / N``, so pilot SNR ``sigma_p^2 / noise_var`` up to rounding.
+    The estimator and the analytic MSE take their pilot power from a
+    problem; this is how a test asks for a given amplitude, for a pattern
+    of any size."""
+    return DesignProblem(
+        grid=stats.grid,
+        rows=stats.eigvecs,
+        prior=stats.eigvals,
+        budget=1,
+        power_fraction=sigma_p**2 / stats.grid.N,
+        noise_var=noise_var,
+    )
 
 
 def reference_information_inverse(problem, pattern):
@@ -387,11 +426,11 @@ def reference_run_simulation(stats, problem, pattern, cfg):
     """``run_simulation`` written plainly: the reference channel draw, the
     pilot noise assembled as ``scale * (a + 1j*b)`` from a ``(count, K, 2)``
     draw, the pilot channel gathered with list indexing and the grid weights
-    of ``lmmse_weights``; the analytic value is ``average_mse`` at the
-    simulation's pilot SNR."""
+    of ``lmmse_weights``; the analytic value is ``reference_average_mse``
+    at the simulation's pilot SNR."""
     sigma_p = pilot_amplitude(problem)
     rng = np.random.default_rng(cfg.rng_seed)
-    W = lmmse_weights(stats, pattern, sigma_p, cfg.noise_var)
+    W = lmmse_weights(stats, problem, pattern, cfg.noise_var)
     idx = list(pattern.indices)
     per_real = np.empty(cfg.realizations)
     done = 0
@@ -408,7 +447,7 @@ def reference_run_simulation(stats, problem, pattern, cfg):
     se = float(per_real.std(ddof=1) / np.sqrt(cfg.realizations)) if cfg.realizations > 1 else 0.0
     return SimResult(
         empirical_mse=empirical,
-        analytic_mse=average_mse(stats, pattern, simulation_pilot_snr(problem, cfg)),
+        analytic_mse=reference_average_mse(stats, pattern, simulation_pilot_snr(problem, cfg)),
         standard_error=se,
     )
 

@@ -310,6 +310,9 @@ class TestBuildStatistics:
             a, b = divmod(int(flat), M)
             kron = np.kron(t_vecs[:, a], f_vecs[:, b])
             assert np.array_equal(stats.significant_eigvecs[:, col], kron), col
+        # Stored C-contiguous, so the scoring problem reads it in place.
+        assert stats.significant_eigvecs.flags.c_contiguous
+        assert not stats.significant_eigvecs.flags.writeable
         problem = make_design_problem(stats, K=N, snr_db=20.0)
         assert problem.rows.flags.c_contiguous
         assert np.array_equal(problem.rows, stats.eigvecs)

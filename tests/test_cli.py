@@ -635,14 +635,23 @@ class TestReportedMse:
                 assert row["average_mse"] == pytest.approx(exact, rel=1e-6), method
 
     def test_each_distinct_pattern_is_scored_once(self, monkeypatch):
+        # Each budget used at the point is moved to the significant basis
+        # once, and each distinct (K used, indices) pair scored on it once.
         cfg, stats = self._point()
-        scored, average_mse = [], cli.average_mse
+        scored, error_covariance = [], cli._error_covariance
+        rebased, scoring_problem = [], cli._scoring_problem
 
-        def counting_average_mse(stats, pattern, pilot_snr):
-            scored.append((len(pattern), pattern.indices))
-            return average_mse(stats, pattern, pilot_snr)
+        def counting_error_covariance(problem, pattern):
+            if isinstance(pattern, PilotPattern):
+                scored.append((problem.budget, pattern.indices))
+            return error_covariance(problem, pattern)
 
-        monkeypatch.setattr(cli, "average_mse", counting_average_mse)
+        def counting_scoring_problem(stats, problem):
+            rebased.append(problem.budget)
+            return scoring_problem(stats, problem)
+
+        monkeypatch.setattr(cli, "_error_covariance", counting_error_covariance)
+        monkeypatch.setattr(cli, "_scoring_problem", counting_scoring_problem)
         outcomes = run_point(cfg, stats, self.K, self.SNR_DB, 0, self.METHODS, repeats=3)
         rows = [
             (row["K"], tuple(row["indices"]))
@@ -653,6 +662,23 @@ class TestReportedMse:
         assert len(rows) == 7 > len(set(rows))
         assert len(scored) == len(set(scored)) == len(set(rows))
         assert set(scored) == set(rows)
+        assert sorted(rebased) == sorted({K for K, _ in rows}) == [self.K - 1, self.K]
+
+
+class TestPowerFractionWarning:
+    def test_a_point_with_a_lattice_fallback_warns_once(self):
+        # K = 17 > N gives each pilot unit power beyond the block budget, and
+        # no rect lattice has 17 pilots: the point's problem warns, the
+        # fallback's problem at K' and the scorer's do not.
+        methods = ["rect", "diamond", "greedy"]
+        cfg = parse_config({**BASE_CONFIG, "pilot_budget": 17, "methods": methods})
+        stats = build_statistics(cfg.grid, ScatteringSpec(spreading_factor=0.001))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes = run_point(cfg, stats, 17, 10.0, 0, methods, repeats=1)
+        assert outcomes["rect"]["K"] == 16
+        assert [str(w.message).split(":")[0] for w in caught] == ["power_fraction 1.21429 > 1"]
+        assert caught[0].filename == cli.__file__
 
 
 class TestRunPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.machinery
 import importlib.util
 import json
@@ -40,10 +41,9 @@ from pilotopt.objective import (
     RoundingPlan,
     _face_hessian,
     _hermitian_inverse,
-    _information_matrix,
     _lower_inverse,
     _problem_information,
-    _prior_inverse,
+    _scoring_problem,
     allocation_lower_inverse,
     gains_for_candidates,
     gradient_from_inverse,
@@ -62,8 +62,10 @@ from pilotopt.optimizers import (
 )
 
 from conftest import (
+    RB_SWEEP_POINTS,
     dense_lmmse,
     pilot_amplitude,
+    reference_average_mse,
     reference_information_inverse,
     reference_removal,
     permuted_problem,
@@ -309,7 +311,7 @@ class TestInverseKernels:
     def test_kernels_match_information_inverse(self, request, fixture, extra_pilots):
         problem = request.getfixturevalue(fixture)
         if extra_pilots:
-            problem = problem.with_budget(problem.budget + extra_pilots)
+            problem = dataclasses.replace(problem, budget=problem.budget + extra_pilots)
         rng = np.random.default_rng(problem.budget)
         P = problem.grid.size
         idx = np.sort(rng.choice(P, size=problem.budget, replace=False)).astype(np.intp)
@@ -374,19 +376,24 @@ class TestInverseKernels:
 class TestObjectiveValue:
     def test_no_pilots_average_mse_is_one(self, stats_rb, problem_rb):
         no_pilots = PilotPattern((), problem_rb.grid)
-        assert average_mse(stats_rb, no_pilots, problem_rb.pilot_snr) == pytest.approx(
-            1.0, rel=1e-9
-        )
+        assert average_mse(stats_rb, problem_rb, no_pilots) == pytest.approx(1.0, rel=1e-9)
 
-    def test_foreign_pattern_error_names_the_grid_it_misses(self, stats_rb, problem_rb):
-        # average_mse takes no problem: its error names the statistics grid.
+    def test_foreign_pattern_error_names_the_grid_it_misses(
+        self, stats_rb, problem_rb, problem_4x4
+    ):
+        # average_mse scores on a problem too: a foreign pattern misses the
+        # problem grid, and a foreign problem the statistics grid.
         foreign = PilotPattern((0, 5, 10, 15), GridConfig(4, 4))
-        with pytest.raises(
-            InvalidSpecError, match="^pattern grid does not match the statistics grid$"
-        ):
-            average_mse(stats_rb, foreign, problem_rb.pilot_snr)
-        with pytest.raises(InvalidSpecError, match="^pattern grid does not match the problem grid$"):
+        wrong_pattern = "^pattern grid does not match the problem grid$"
+        with pytest.raises(InvalidSpecError, match=wrong_pattern):
+            average_mse(stats_rb, problem_rb, foreign)
+        with pytest.raises(InvalidSpecError, match=wrong_pattern):
             objective_value(problem_rb, foreign)
+        own = PilotPattern((0, 5, 10, 15), stats_rb.grid)
+        with pytest.raises(
+            InvalidSpecError, match="^problem grid does not match the statistics grid$"
+        ):
+            average_mse(stats_rb, problem_4x4, own)
 
     def test_designed_beats_best_rectangular_lattice(self, problem_rb):
         designed = local_swap(problem_rb, greedy_design(problem_rb).pattern)
@@ -588,11 +595,22 @@ class TestErrorCovariance:
 
 
 class TestPowerFractionWarning:
-    def test_warning_names_the_caller(self, stats_rb, problem_rb):
-        # Direct construction, make_design_problem and with_budget (the
-        # lattice fallback) all name this file, not a library line.
-        with pytest.warns(UserWarning, match="power_fraction 2 > 1") as caught:
-            DesignProblem(
+    def test_warning_names_the_caller(self, stats_rb):
+        # make_design_problem, where the power fraction is chosen, warns once.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wide = make_design_problem(stats_rb, K=28, snr_db=10.0)  # beta = K/N = 2
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith("power_fraction 2 > 1: pilot power exceeds")
+        assert caught[0].filename == __file__
+        assert wide.power_fraction == 2.0
+
+    def test_construction_and_replace_do_not_warn(self, stats_rb, problem_rb):
+        # The power fraction is chosen in make_design_problem, which warns;
+        # a problem built or replaced from a chosen one does not warn again.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = DesignProblem(
                 grid=problem_rb.grid,
                 rows=problem_rb.rows,
                 prior=problem_rb.prior,
@@ -600,13 +618,72 @@ class TestPowerFractionWarning:
                 power_fraction=2.0,
                 noise_var=0.1,
             )
-        assert caught[0].filename == __file__
-        with pytest.warns(UserWarning, match="power_fraction 2 > 1") as caught:
-            wide = make_design_problem(stats_rb, K=28, snr_db=10.0)  # beta = K/N
-        assert caught[0].filename == __file__
-        with pytest.warns(UserWarning, match="power_fraction 2 > 1") as caught:
-            wide.with_budget(27)
-        assert caught[0].filename == __file__
+            dataclasses.replace(wide, budget=27)
+            _scoring_problem(stats_rb, wide, noise_var=0.5)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_power_fraction_must_be_positive_and_finite(self, problem_rb, beta):
+        with pytest.raises(InvalidSpecError):
+            DesignProblem(
+                grid=problem_rb.grid,
+                rows=problem_rb.rows,
+                prior=problem_rb.prior,
+                budget=14,
+                power_fraction=beta,
+                noise_var=0.1,
+            )
+
+
+class TestScoringProblem:
+    """The reported MSE is the objective of the design problem moved to the
+    significant eigenpairs: the same numbers, bit for bit, as the
+    statistics-only reference (``reference_average_mse``)."""
+
+    def test_is_the_problem_on_the_significant_basis(self, stats_big, problem_big):
+        scoring = _scoring_problem(stats_big, problem_big)
+        assert scoring.rows is stats_big.significant_eigvecs  # not copied
+        assert scoring.prior is stats_big.significant_eigvals
+        assert scoring.rank == stats_big.significant_eigvals.size > problem_big.rank
+        assert scoring.pilot_snr == problem_big.pilot_snr
+        assert (scoring.budget, scoring.power_fraction, scoring.noise_var) == (
+            problem_big.budget, problem_big.power_fraction, problem_big.noise_var
+        )
+        assert np.array_equal(scoring.rows_conj, scoring.rows.conj())
+        other = _scoring_problem(stats_big, problem_big, noise_var=0.5)
+        assert other.noise_var == 0.5
+        assert other.pilot_snr == compute_alpha(
+            problem_big.power_fraction, problem_big.grid.N, problem_big.budget, 0.5
+        )
+
+    def test_matches_the_statistics_path_on_the_rb_sweep(self, grid_rb, rb_sweep_problems):
+        rng = np.random.default_rng(31)
+        stats = {}
+        for s, d in RB_SWEEP_POINTS:
+            if s not in stats:
+                stats[s] = build_statistics(grid_rb, ScatteringSpec(spreading_factor=s))
+            problem = rb_sweep_problems[(s, d)]
+            K, P = problem.budget, grid_rb.size
+            given = [greedy_design(problem).pattern]
+            for _ in range(5):
+                idx = rng.choice(P, size=K, replace=False)
+                given.append(PilotPattern(tuple(idx.tolist()), grid_rb))
+            given.append(FractionalAllocation(project_capped_simplex(rng.uniform(size=P), K), K))
+            for pattern in given:
+                want = reference_average_mse(stats[s], pattern, problem.pilot_snr)
+                assert average_mse(stats[s], problem, pattern) == want, (s, d)
+
+    @pytest.mark.filterwarnings("ignore:power_fraction")
+    def test_matches_the_statistics_path_on_48x28(self, stats_big, problem_big):
+        rng = np.random.default_rng(32)
+        K, P = problem_big.budget, problem_big.grid.size
+        given = [greedy_design(problem_big).pattern, solve_relaxation(problem_big)]
+        for _ in range(5):
+            idx = rng.choice(P, size=K, replace=False)
+            given.append(PilotPattern(tuple(idx.tolist()), problem_big.grid))
+            given.append(project_capped_simplex(2.0 * rng.uniform(size=P), K))
+        for pattern in given:
+            want = reference_average_mse(stats_big, pattern, problem_big.pilot_snr)
+            assert average_mse(stats_big, problem_big, pattern) == want
 
 
 class TestObjectiveProperties:
@@ -690,26 +767,18 @@ class TestTraceOnlyInverse:
         assert pattern_objective(problem, idx) == mirrored
         assert objective_value(problem, pattern) == mirrored
         assert objective_value(problem, w) == float(np.trace(weights_inverse(problem, w)).real)
-        lattice_problem = problem.with_budget(P // 8)  # spacing (4, 2) has P/8 pilots
+        # Spacing (4, 2) has P/8 pilots.
+        lattice_problem = dataclasses.replace(problem, budget=P // 8)
         for shape in ("rect", "diamond"):
             report = best_lattice(lattice_problem, shape)
             at = np.array(report.pattern.indices, dtype=np.intp)
             assert report.objective == float(np.trace(pattern_inverse(report.problem, at)).real)
 
     def test_average_mse_matches_the_mirrored_trace(self, stats_rb, problem_rb):
-        idx = greedy_design(problem_rb).pattern
-        U = stats_rb.significant_eigvecs
-        A = _information_matrix(
-            stats_rb.grid,
-            _prior_inverse(stats_rb.significant_eigvals),
-            U,
-            U.conj(),
-            problem_rb.pilot_snr,
-            idx,
-            "statistics",
-        )
+        pattern = greedy_design(problem_rb).pattern
+        A = _problem_information(_scoring_problem(stats_rb, problem_rb), pattern)
         want = float(np.diagonal(_hermitian_inverse(A)).real.sum()) / stats_rb.grid.size
-        assert average_mse(stats_rb, idx, problem_rb.pilot_snr) == want
+        assert average_mse(stats_rb, problem_rb, pattern) == want
 
     def test_exhaustive_search_matches_the_mirrored_trace(self, problem_4x4):
         report = exhaustive_search(problem_4x4)
@@ -805,8 +874,10 @@ class TestReflectionInvariance:
 
         assert_close(objective_value(problem, pattern_ref), objective_value(problem, pattern))
         assert_close(objective_value(problem, w_ref), objective_value(problem, w))
-        assert_close(average_mse(stats, pattern_ref, alpha), average_mse(stats, pattern, alpha))
-        assert_close(average_mse(stats, w_ref, alpha), average_mse(stats, w, alpha))
+        assert_close(
+            average_mse(stats, problem, pattern_ref), average_mse(stats, problem, pattern)
+        )
+        assert_close(average_mse(stats, problem, w_ref), average_mse(stats, problem, w))
 
         A_inv, A_inv_ref = pattern_inverse(problem, idx), pattern_inverse(problem, idx_ref)
         gains = gains_for_candidates(A_inv, problem.rows, alpha)
@@ -877,7 +948,7 @@ class TestReflectionCheck:
             assert np.array_equal(perm, reflection(grid, axis))
 
     def test_not_checked_at_construction(self, problem_rb):
-        problem = problem_rb.with_budget(problem_rb.budget)
+        problem = dataclasses.replace(problem_rb)
         assert "reflections" not in vars(problem)
         problem.reflections
         assert "reflections" in vars(problem)
