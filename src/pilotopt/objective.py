@@ -55,6 +55,7 @@ verified to be so, for the swap pass to reuse the screen of a mirrored state.
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -282,7 +283,10 @@ class PilotPattern:
     grid: GridConfig
 
     def __post_init__(self):
-        idx = sorted(map(int, self.indices))
+        try:
+            idx = sorted(map(operator.index, self.indices))
+        except TypeError:
+            raise InvalidSpecError("pilot indices must be integers") from None
         if len(set(idx)) != len(idx):
             raise InvalidSpecError("pilot indices must be distinct")
         if idx and (idx[0] < 0 or idx[-1] >= self.grid.size):
@@ -535,7 +539,10 @@ def rank_one_update(problem: DesignProblem, A_inv: np.ndarray, j: int) -> np.nda
     ``A_inv``, by Sherman-Morrison: ``A_inv - alpha y_j^H y_j / (1 + alpha q_j)``
     with ``y_j = u_j A^{-1}`` and ``q_j = u_j A^{-1} u_j^H``."""
     alpha = problem.pilot_snr
-    Y, quad, _ = _row_terms(A_inv, problem.rows[j : j + 1])
+    row = problem.rows[j : j + 1]
+    # The operands and einsum of ``_row_terms``, without the squared norm.
+    Y = row @ A_inv
+    quad = np.einsum("ij,ij->i", row, Y.conj()).real
     denom = 1.0 + alpha * quad[0]
     A_inv = A_inv - (alpha / denom) * np.outer(Y[0].conj(), Y[0])
     # Symmetrize to suppress drift over long update chains.

@@ -427,11 +427,15 @@ def dependent_rounding(
     ``delta-/(delta+ + delta-)`` move ``delta+ = min(1-c[i], c[j])`` from j to
     i, otherwise move ``delta- = min(c[i], 1-c[j])`` from i to j.  Each step
     pins at least one of the pair to {0, 1}, marginals are preserved, and the
-    budget holds almost surely.  ``rng_seed`` is an integer seed of
-    ``np.random.default_rng``; the uniforms of all steps are drawn at once
-    (``random`` gives the same doubles as ``uniform(0, 1)``).  The pattern
-    is placed on ``grid``, whose size must match the allocation.  The
-    allocation brings its checked weights and its ``RoundingPlan``.
+    budget holds almost surely.  A cell's pilot is decided (value above 0.5)
+    the moment the cell is pinned, and the survivor's after the scan, so the
+    plan's values are read, never copied or written back.  ``rng_seed`` is
+    an integer seed of ``np.random.default_rng``; the uniforms of all steps
+    are drawn at once (``random`` gives the same doubles as
+    ``uniform(0, 1)``).  Seeding the generator is about half of each call,
+    and the seed contract fixes it.  The pattern is placed on ``grid``,
+    whose size must match the allocation.  The allocation brings its checked
+    weights and its ``RoundingPlan``.
     """
     w, plan = allocation.weights, allocation.plan
     if grid.size != w.size:
@@ -439,10 +443,10 @@ def dependent_rounding(
 
     rng = np.random.default_rng(rng_seed)
     eps = ROUNDING_EPS
-    values = list(plan.values)
-    draws = iter(rng.random(max(len(values) - 1, 0)).tolist())
-    i = ci = None  # position in ``values`` and value of the fractional survivor
-    for j, cj in enumerate(values):
+    draws = iter(rng.random(max(len(plan.values) - 1, 0)).tolist())
+    ones = list(plan.fixed_ones)
+    i = ci = None  # grid index and value of the fractional survivor
+    for j, cj in zip(plan.fractional, plan.values):
         if i is None:
             i, ci = j, cj
             continue
@@ -453,18 +457,29 @@ def dependent_rounding(
             ci, cj = ci + d_plus, cj - d_plus
         else:
             ci, cj = ci - d_minus, cj + d_minus
-        values[i], values[j] = ci, cj
-        if not eps < ci < 1.0 - eps:
-            i, ci = (j, cj) if eps < cj < 1.0 - eps else (None, None)
+        # A cell leaves the scan when it is pinned, and its value is final
+        # then.  A pinned value lies outside (eps, 1 - eps), so clipping it
+        # to [0, 1] would not move it across 0.5.
+        if eps < ci < 1.0 - eps:
+            if cj > 0.5:
+                ones.append(j)
+            continue
+        if ci > 0.5:
+            ones.append(i)
+        if eps < cj < 1.0 - eps:
+            i, ci = j, cj
+        else:
+            if cj > 0.5:
+                ones.append(j)
+            i = None
+    if i is not None and ci > 0.5:
+        ones.append(i)
 
-    # Entries outside (eps, 1 - eps) are already pinned; clipping them to
-    # [0, 1] would not move them across 0.5.
-    indices = plan.fixed_ones + tuple(k for k, x in zip(plan.fractional, values) if x > 0.5)
-    if len(indices) != allocation.budget:
+    if len(ones) != allocation.budget:
         raise InfeasibleAllocationError(
-            f"rounding produced {len(indices)} pilots, expected {allocation.budget}"
+            f"rounding produced {len(ones)} pilots, expected {allocation.budget}"
         )
-    return PilotPattern(indices, grid)
+    return PilotPattern(ones, grid)
 
 
 def greedy_design(problem: DesignProblem) -> DesignReport:

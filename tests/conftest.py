@@ -29,8 +29,9 @@ from pilotopt import (
     make_design_problem,
 )
 from pilotopt.mcsim import _BATCH, SimResult, lmmse_weights
-from pilotopt.errors import DegenerateUpdateError
+from pilotopt.errors import DegenerateUpdateError, InfeasibleAllocationError
 from pilotopt.objective import (
+    ROUNDING_EPS,
     _hermitian_inverse,
     _row_terms,
     gains_for_candidates,
@@ -290,6 +291,46 @@ def reference_greedy(problem):
         band = TIE_BAND * float(np.trace(A_inv).real)
         picks.append(int(np.flatnonzero(gains >= gains.max() - band)[0]))
     return picks
+
+
+def reference_dependent_rounding(allocation, rng_seed, grid):
+    """Dependent rounding that writes every step's pair back to a copy of
+    the fractional weights and reads the pilots off that copy after the
+    scan: the reference of ``optimizers.dependent_rounding``, which decides
+    each cell when it is pinned.  The same pairing, draws and arithmetic, so
+    both return the same pattern or raise the same error."""
+    w, plan = allocation.weights, allocation.plan
+    if grid.size != w.size:
+        raise InfeasibleAllocationError("allocation length does not match the grid")
+
+    rng = np.random.default_rng(rng_seed)
+    eps = ROUNDING_EPS
+    values = list(plan.values)
+    draws = iter(rng.random(max(len(values) - 1, 0)).tolist())
+    i = ci = None  # position in ``values`` and value of the fractional survivor
+    for j, cj in enumerate(values):
+        if i is None:
+            i, ci = j, cj
+            continue
+        up, down = 1.0 - ci, 1.0 - cj
+        d_plus = up if up < cj else cj
+        d_minus = ci if ci < down else down
+        if next(draws) <= d_minus / (d_plus + d_minus):
+            ci, cj = ci + d_plus, cj - d_plus
+        else:
+            ci, cj = ci - d_minus, cj + d_minus
+        values[i], values[j] = ci, cj
+        if not eps < ci < 1.0 - eps:
+            i, ci = (j, cj) if eps < cj < 1.0 - eps else (None, None)
+
+    # Entries outside (eps, 1 - eps) are already pinned; clipping them to
+    # [0, 1] would not move them across 0.5.
+    indices = plan.fixed_ones + tuple(k for k, x in zip(plan.fractional, values) if x > 0.5)
+    if len(indices) != allocation.budget:
+        raise InfeasibleAllocationError(
+            f"rounding produced {len(indices)} pilots, expected {allocation.budget}"
+        )
+    return PilotPattern(indices, grid)
 
 
 def reference_removal(problem, A_inv, i):

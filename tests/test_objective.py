@@ -136,6 +136,8 @@ class TestPatternTypes:
             PilotPattern((0, 16), grid)
         p = PilotPattern((3, 1, 2), grid)
         assert p.indices == (1, 2, 3)
+        assert PilotPattern(np.array([3, 1, 2]), grid).indices == (1, 2, 3)
+        assert type(PilotPattern(np.array([3]), grid).indices[0]) is int
         assert [grid.cell(k) for k in p.indices] == [(1, 0), (2, 0), (3, 0)]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -175,6 +177,11 @@ class TestPatternTypes:
             ((-1, 3), "pilot index outside the grid"),
             ((16, 3, 16), "pilot indices must be distinct"),  # both: distinct wins
             ((-2, -2, 5), "pilot indices must be distinct"),
+            ((1.9, 2.2, 5), "pilot indices must be integers"),
+            (("3",), "pilot indices must be integers"),
+            ((np.float64(2.0), 3), "pilot indices must be integers"),
+            ((2.0, 2.0), "pilot indices must be integers"),  # integers win over distinct
+            ((1, 16.5), "pilot indices must be integers"),  # and over the grid
         ],
     )
     def test_pattern_errors_and_their_precedence(self, indices, message):

@@ -10,6 +10,7 @@ import sys
 import warnings
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,11 +45,13 @@ from pilotopt.errors import (
 from pilotopt import optimizers
 from pilotopt.cli import derive_rounding_seed
 from pilotopt.objective import (
+    ROUNDING_EPS,
     _row_terms,
     add_row,
     pattern_inverse,
     pattern_objective,
     rank_one_update,
+    rounding_plan,
     swap_deltas,
 )
 from pilotopt.optimizers import (
@@ -64,6 +67,7 @@ from conftest import (
     RB_SWEEP_POINTS,
     permuted_problem,
     random_rows_problem,
+    reference_dependent_rounding,
     reference_greedy,
     reference_lattice,
     reference_lattices,
@@ -146,6 +150,61 @@ def lowest_pair_within_band(problem, A_inv, indices):
         return None
     limit = min(best + TIE_BAND * float(np.trace(A_inv).real), -SWAP_TOLERANCE)
     return min(pair for pair, delta in deltas.items() if delta <= limit)
+
+
+def rounding_outcome(rounding, allocation, seed, grid):
+    """The indices a rounding returns, or the message of the
+    ``InfeasibleAllocationError`` it raises."""
+    try:
+        return rounding(allocation, seed, grid).indices
+    except InfeasibleAllocationError as exc:
+        return str(exc)
+
+
+def assert_rounds_as_reference_scan(cases, seeds=range(200)):
+    """``dependent_rounding`` returns the indices, or raises the error, of
+    ``reference_dependent_rounding`` for every ``(allocation, grid)`` of
+    ``cases`` and every seed."""
+    for number, (allocation, grid) in enumerate(cases):
+        for seed in seeds:
+            got = rounding_outcome(dependent_rounding, allocation, seed, grid)
+            want = rounding_outcome(reference_dependent_rounding, allocation, seed, grid)
+            assert got == want, (number, seed)
+
+
+def edge_rounding_cases():
+    """Allocations whose scan runs at the edges of the pin test: random
+    ones of every size, some a little short of their budget so that the last
+    survivor stays fractional and is decided after the scan, weights within
+    2 ``ROUNDING_EPS`` of 0 and 1, integral ones, a grid of the wrong size,
+    and weights under a budget that their rounding misses (the budget of a
+    stand-in allocation, since a ``FractionalAllocation`` refuses weights
+    that do not sum to it)."""
+    rng = np.random.default_rng(32)
+    cases = []
+    for P in (1, 2, 7, 30, 100):
+        for K in sorted({1, (P + 1) // 2, P}):
+            for short in (0.0, 0.0, 5e-7):
+                w = project_capped_simplex(rng.uniform(size=P), K) * (1.0 - short / K)
+                cases.append((FractionalAllocation(w, K), GridConfig(P, 1)))
+    eps = ROUNDING_EPS
+    near = [f * eps for f in (0.5, 1.0, 1.5, 2.0)]
+    for _ in range(5):
+        w = rng.permutation(near + [1.0 - d for d in near] + [0.3, 0.7, 0.5, 0.5, 0.25, 0.75])
+        cases.append((FractionalAllocation(w, round(w.sum())), GridConfig(w.size, 1)))
+    for P, K in ((1, 0), (1, 1), (9, 4), (30, 11)):
+        w = rng.permutation(np.repeat([1.0, 0.0], [K, P - K]))
+        cases.append((FractionalAllocation(w, K), GridConfig(P, 1)))
+    cases.append((FractionalAllocation(np.full(8, 0.5), 4), GridConfig(9, 1)))
+    for w, budget in (
+        (np.array([0.6]), 1),  # a lone fractional cell, never paired
+        (np.full(8, 0.5), 3),
+        (np.full(8, 0.5), 5),
+        (np.array([0.3, 0.3, 0.4, 1.0]), 1),
+    ):
+        stand_in = SimpleNamespace(weights=w, plan=rounding_plan(w), budget=budget)
+        cases.append((stand_in, GridConfig(w.size, 1)))
+    return cases
 
 
 def criterion_4_allocation():
@@ -694,6 +753,26 @@ class TestDependentRounding:
         for seed in range(2000):
             pattern = dependent_rounding(alloc, rng_seed=seed, grid=grid)
             assert pattern.indices == list_rebuild_rounding(alloc.weights, seed), seed
+
+    def test_matches_reference_scan_on_rb_sweep(self, rb_sweep_problems):
+        assert_rounds_as_reference_scan(
+            [(solve_relaxation(problem), problem.grid) for problem in rb_sweep_problems.values()]
+        )
+
+    def test_matches_reference_scan_at_48x28(self, problem_big):
+        assert_rounds_as_reference_scan([(solve_relaxation(problem_big), problem_big.grid)])
+
+    def test_matches_reference_scan_on_edge_cases(self):
+        cases = edge_rounding_cases()
+        assert_rounds_as_reference_scan(cases)
+        outcomes = [rounding_outcome(dependent_rounding, a, 0, grid) for a, grid in cases[-5:]]
+        assert outcomes == [
+            "allocation length does not match the grid",
+            (0,),
+            "rounding produced 4 pilots, expected 3",
+            "rounding produced 4 pilots, expected 5",
+            "rounding produced 2 pilots, expected 1",
+        ]
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
