@@ -8,7 +8,8 @@ two small factors gives the eigenpairs of the full ``MN x MN`` covariance at
 ``O(M^3 + N^3)`` cost.  Every significant pair is stored once.  The reported
 average MSE of a pattern is scored on all of them, which makes it the exact
 LMMSE error; their dominant prefix is the reduced-rank basis of the design
-problem.
+problem.  The factor eigenvectors have exact parity, so a grid reflection
+maps each stored column to plus or minus itself or its conjugate, bit for bit.
 """
 
 import numbers
@@ -230,7 +231,8 @@ def delay_correlation(spec: ScatteringSpec, delta_m) -> np.ndarray:
     Uniform profile on the symmetric support gives ``sinc(dm * d_f)``.  The
     truncated exponential on ``[0, tau_D]`` with rate ``1/(rho*tau_D)`` has the
     closed form ``(1 - exp(-(1/rho + j*2*pi*dm*d_f))) / (1/rho + j*2*pi*dm*d_f)``
-    divided by the profile mass ``rho * (1 - exp(-1/rho))``.
+    divided by the profile mass ``rho * (1 - exp(-1/rho))``, each ``1 - exp``
+    taken as ``-expm1`` so that a large ``rho`` keeps every digit.
     """
     dm = np.asarray(delta_m, dtype=float)
     d_f = spec.normalized_delay_spread
@@ -239,8 +241,8 @@ def delay_correlation(spec: ScatteringSpec, delta_m) -> np.ndarray:
     else:
         rho = spec.rms_fraction
         denom_rate = 1.0 / rho + 2j * np.pi * dm * d_f
-        numer = (1.0 - np.exp(-denom_rate)) / denom_rate
-        mass = rho * (1.0 - np.exp(-1.0 / rho))
+        numer = -np.expm1(-denom_rate) / denom_rate
+        mass = -rho * np.expm1(-1.0 / rho)
         out = numer / mass
     out = np.where(dm == 0, 1.0 + 0.0j, out)
     return out
@@ -322,13 +324,32 @@ class ChannelStatistics:
 
 
 def _factor_eigh(matrix: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a Toeplitz factor whose eigenvectors have exact
+    parity under the reversal J.  The orthonormal basis B holds the even
+    columns ``e_k + e_{n-1-k}`` (k <= n/2), then the odd ``e_k - e_{n-1-k}``
+    (k < n/2), normalized.  A real symmetric Toeplitz C is centrosymmetric,
+    so ``B^T C B`` splits into an even and an odd block (Cantoni & Butler
+    1976); a Hermitian one is centrohermitian, so ``B^H C B`` is real once
+    the odd columns are times i (Lee 1980).  Each entry of ``B x``, x a
+    block's eigenvector, is one product: ``J t = +-t``, ``J f = conj(f)``."""
+    n, half = len(matrix), len(matrix) // 2
+    eye = np.eye(n)
+    basis = np.hstack(((eye + eye[::-1])[:, : n - half], (eye - eye[::-1])[:, :half]))
+    basis *= np.sqrt(1.0 / (basis * basis).sum(axis=0))  # sqrt(0.5), correctly rounded
+    blocks = [slice(0, n - half), slice(n - half, n)]
+    if np.iscomplexobj(matrix):
+        basis, blocks = basis * np.where(np.arange(n) < n - half, 1.0, 1j), [slice(0, n)]
+    reduced = (basis.conj().T @ matrix @ basis).real
     try:
-        vals, vecs = np.linalg.eigh(matrix)
+        pairs = [np.linalg.eigh(reduced[b, b]) for b in blocks]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of {label} correlation failed: {exc}") from exc
+    vals = np.concatenate([v for v, _ in pairs])
+    order = np.argsort(vals, kind="stable")
+    vecs = np.hstack([basis[:, b] @ x for b, (_, x) in zip(blocks, pairs)])[:, order]
+    vals = vals[order]
     # Correlation matrices are PSD; clip the tolerated numerical negativity.
-    floor = -1e-10 * vals[-1]
-    if vals[0] < floor:
+    if vals[0] < -1e-10 * vals[-1]:
         raise NumericError(
             f"{label} correlation has eigenvalue {vals[0]:g} below the PSD tolerance"
         )

@@ -44,12 +44,11 @@ that a pattern or allocation fits the grid (``_problem_information``) and
 then run the same kernel.  ``_face_hessian`` gives the relaxed objective's
 Hessian on a set of weights, for the relaxation's Newton steps.
 
-The Doppler and delay correlations are Hermitian Toeplitz, so reflecting the
-grid in m, in n or in both maps the basis rows to ``rows Q`` or
-``conj(rows) Q`` with Q unitary and commuting with ``diag(prior)``, which
-leaves every objective unchanged up to the index permutation.
-``DesignProblem.reflections`` holds the reflections under which a problem is
-verified to be so, for the swap pass to reuse the screen of a mirrored state.
+The factor eigenvectors have exact parity, so reflecting the grid in m, in n
+or in both maps the basis rows to ``rows D`` or ``conj(rows) D`` exactly, D
+a diagonal of signs, which leaves every objective unchanged up to the index
+permutation.  ``DesignProblem.reflections`` holds the reflections under
+which a problem's rows are so, for the swap pass to reuse mirrored screens.
 """
 
 import importlib.machinery
@@ -102,16 +101,6 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-
-# A grid reflection counts as a symmetry of a problem when its permuted rows
-# are ``rows Q`` or ``conj(rows) Q`` to this fraction of the largest row
-# entry, Q is unitary to it and Q commutes with ``diag(1/prior)`` to it of
-# the largest ``1/prior``.  Build-statistics problems at the default energy
-# threshold pass at 1e-12 or better (12x14 to 48x28, spreading 1e-4 to
-# 5e-2); at ``rank_energy_threshold`` 1 their eigenvectors near the floor
-# miss by 4e-10 to 2e-4 and fail, as permuted or random rows do.
-REFLECTION_RTOL = 1e-11
-
 
 def compute_alpha(beta: float, N: int, K: int, noise_var: float) -> float:
     """Pilot SNR ``alpha = beta * N / (K * noise_var)``.
@@ -220,7 +209,7 @@ class DesignProblem:
             if (flip_m and M == 1) or (flip_n and N == 1):
                 continue
             perm = (N - 1 - n if flip_n else n) * M + (M - 1 - m if flip_m else m)
-            if _is_symmetry(self.rows, self.rows_conj, self.prior, perm):
+            if _is_symmetry(self.rows, self.rows_conj, perm):
                 perm.flags.writeable = False
                 maps.append(perm)
         return tuple(maps)
@@ -376,27 +365,17 @@ class FractionalAllocation:
         object.__setattr__(self, "plan", rounding_plan(w))
 
 
-def _is_symmetry(rows, rows_conj, prior, perm) -> bool:
-    """Whether ``rows[perm]`` is ``rows Q`` or ``conj(rows) Q`` for a unitary
-    Q that commutes with ``diag(1/prior)``, each to ``REFLECTION_RTOL``: then
-    every pattern S and its image ``perm[S]`` have information matrices
-    ``A`` and ``Q^H A Q`` (or its conjugate), so equal objectives, and the
-    swap screens of the two states agree up to the permutation.  Q is
-    ``basis^H rows[perm]``, the least-squares solution when the basis has
-    orthonormal columns, as eigenvectors do; another basis may fail the
-    check, which only forgoes the reuse.
-    """
+def _is_symmetry(rows, rows_conj, perm) -> bool:
+    """Whether ``rows[perm]`` equals ``rows D`` or ``conj(rows) D`` bit for
+    bit, D the diagonal of signs of the columns' inner products: then every
+    pattern S and its image ``perm[S]`` have information matrices ``A`` and
+    ``D A D`` (or its conjugate), so equal objectives and screens that agree
+    up to the permutation.  The basis of ``build_statistics`` passes by
+    construction."""
     permuted = rows[perm]
-    scale = np.abs(permuted).max()
-    inv_prior = 1.0 / prior
-    for basis, adjoint in ((rows, rows_conj.T), (rows_conj, rows.T)):
-        Q = adjoint @ permuted
-        if (
-            np.abs(basis @ Q - permuted).max() <= REFLECTION_RTOL * scale
-            and np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() <= REFLECTION_RTOL
-            and np.abs(Q * inv_prior - inv_prior[:, None] * Q).max()
-            <= REFLECTION_RTOL * inv_prior.max()
-        ):
+    for basis in (rows, rows_conj):
+        signs = np.where((basis.conj() * permuted).sum(axis=0).real < 0.0, -1.0, 1.0)
+        if np.array_equal(permuted, basis * signs):
             return True
     return False
 

@@ -390,8 +390,11 @@ def _face_line_search(problem: DesignProblem, w, f: float, grad, d, face):
 
     The step length starts at 1, cut at the first bound the step hits (the
     ratio test; that weight lands on its bound), and halves until the
-    objective falls by ``1e-4 * t * grad_F.d`` (Armijo), at most
-    ``FACE_HALVINGS`` times.  A direction that is not a descent fails.
+    objective falls by ``1e-4 * t * grad_F.d`` (Armijo) and strictly, at
+    most ``FACE_HALVINGS`` times.  A direction that is not a descent fails.
+    The strict test matters once ``t * grad_F.d`` is below the last bit of
+    the objective: the Armijo bound then rounds to the objective itself, and
+    a step that leaves it unchanged would be taken again at every step.
     """
     slope = float(grad[face] @ d)
     w_face = w[face]
@@ -410,7 +413,7 @@ def _face_line_search(problem: DesignProblem, w, f: float, grad, d, face):
             cand[face[b]] = 1.0 if d[b] > 0.0 else 0.0
         lower = allocation_lower_inverse(problem, cand)
         f_cand = float(np.trace(lower).real)
-        if f_cand <= f + 1e-4 * t * slope:
+        if f_cand < f and f_cand <= f + 1e-4 * t * slope:
             return cand, lower, f_cand, trial + 1
         t *= 0.5
     return None, None, None, FACE_HALVINGS + 1
@@ -659,7 +662,9 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
     symbol of another.  The diamond shifts the subcarriers of every second
     pilot-bearing symbol by half the frequency spacing, dropping those that
     fall off the grid edge.  All lattices with exactly K pilots are scored,
-    in (spacing, offset) order, the first of equal objectives winning.  If no
+    and the first in (spacing, offset) order whose objective is within
+    ``TIE_BAND`` of the lowest wins: mirror-image lattices tie up to
+    rounding, and the last bits must not pick between them.  If no
     lattice hits K, the largest count K' in [K-2, K) with candidates is used
     instead and alpha is recomputed for K'.  A lattice's count is a product
     of mask sums, so only the lattices of the count scored are built.
@@ -679,14 +684,16 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
             continue
         sub_problem = problem if K_used == problem.budget else replace(problem, budget=K_used)
         order = np.lexsort((t_off[t], f_off[f], t_sp[t], f_sp[f]))
-        best_obj, best_idx = np.inf, None
-        for a, b in zip(f[order], t[order]):
-            # Cell n*M + m: symbol n, subcarrier m.
-            idx = np.flatnonzero(np.outer(even[b], rows[a]) | np.outer(odd[b], shifted[a]))
-            obj = pattern_objective(sub_problem, idx)
-            if obj < best_obj:
-                best_obj, best_idx = obj, idx
-        return _report(sub_problem, PilotPattern(best_idx, grid), best_obj, best_obj, 0, t0)
+        # Cell n*M + m: symbol n, subcarrier m.
+        lattices = [
+            np.flatnonzero(np.outer(even[b], rows[a]) | np.outer(odd[b], shifted[a]))
+            for a, b in zip(f[order], t[order])
+        ]
+        objectives = [pattern_objective(sub_problem, idx) for idx in lattices]
+        lowest = min(objectives)
+        k = next(k for k, obj in enumerate(objectives) if obj <= lowest * (1.0 + TIE_BAND))
+        pattern = PilotPattern(lattices[k], grid)
+        return _report(sub_problem, pattern, objectives[k], objectives[k], 0, t0)
     raise NoFeasibleLatticeError(
         f"no {shape} lattice on {grid.M}x{grid.N} has {problem.budget - 2}"
         f"..{problem.budget} pilots"

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +17,13 @@ from pilotopt import (
     build_time_correlation,
     make_design_problem,
 )
-from pilotopt.channel import _hermitian_toeplitz, _j0, delay_correlation, doppler_correlation
+from pilotopt.channel import (
+    _factor_eigh,
+    _hermitian_toeplitz,
+    _j0,
+    delay_correlation,
+    doppler_correlation,
+)
 from pilotopt.cli import load_config
 from pilotopt.errors import InvalidSpecError
 
@@ -78,6 +85,23 @@ class TestCorrelationFunctions:
             rms_fraction=rho,
         )
         assert abs(complex(delay_correlation(spec, 1)) - oracle) < 1e-10
+
+    @pytest.mark.parametrize("rho", [0.25, 1e8, 1e12, 1e16])
+    def test_truncated_exponential_against_a_40_digit_reference(self, rho):
+        # The closed form evaluated in mpmath at the spec's own doubles.  By
+        # subtraction, 1 - exp(-x) lost 1.1e-9, 2.2e-5 and 9.9% at the three
+        # large rms fractions; -expm1 keeps it to the last bits.
+        spec = ScatteringSpec(spreading_factor=5e-3, rms_fraction=rho)
+        lags = np.arange(48)
+        got = delay_correlation(spec, lags)
+        with mpmath.workdps(40):
+            r, d_f = mpmath.mpf(rho), mpmath.mpf(spec.normalized_delay_spread)
+            mass = r * (1 - mpmath.exp(-1 / r))
+            for dm in lags[1:].tolist():
+                z = 1 / r + 2j * mpmath.pi * dm * d_f
+                want = (1 - mpmath.exp(-z)) / z / mass
+                # Relative to the largest entry, r_f(0) = 1.
+                assert float(abs(mpmath.mpc(complex(got[dm])) - want)) <= 1e-15, dm
 
     def test_jakes_real_and_even(self):
         spec = ScatteringSpec(spreading_factor=0.01)
@@ -226,6 +250,50 @@ class TestGridConfig:
             GridConfig(4, -1)
 
 
+PARITY_SIZES = (1, 2, 3, 7, 12, 14, 28, 48)
+
+
+class TestFactorParity:
+    """The factor eigenvectors have exact parity under the reversal J of
+    their axis, ``J t = +-t`` and ``J f = conj(f)`` bit for bit, and are the
+    factor eigenpairs to rounding."""
+
+    @pytest.mark.parametrize("profile", list(DelayProfile))
+    @pytest.mark.parametrize("spectrum", list(DopplerSpectrum))
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_factor_eigenpairs(self, n, spectrum, profile):
+        spec = ScatteringSpec(
+            spreading_factor=1e-2, delay_profile=profile, doppler_spectrum=spectrum
+        )
+        for C, label in (
+            (build_time_correlation(spec, n), "time"),
+            (build_freq_correlation(spec, n), "frequency"),
+        ):
+            vals, vecs = _factor_eigh(C, label)
+            assert vecs.dtype == C.dtype
+            for v in vecs.T:
+                if label == "time":
+                    assert np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v)
+                else:
+                    assert np.array_equal(v[::-1], v.conj())
+            want = np.linalg.eigvalsh(C)
+            assert np.abs(vals - want).max() <= 1e-12 * want[-1]
+            assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= 1e-14
+            assert np.abs(C @ vecs - vecs * vals).max() <= 1e-12 * want[-1]
+
+    @pytest.mark.parametrize("M", PARITY_SIZES)
+    @pytest.mark.parametrize("N", (1, 7, 14))
+    def test_every_kronecker_column(self, M, N):
+        # Column kron(t, f) on cell n*M + m: reversing n multiplies it by the
+        # parity of t, and reversing m conjugates it.
+        spec = ScatteringSpec(spreading_factor=1e-2, rank_energy_threshold=1.0)
+        stats = build_statistics(GridConfig(M, N), spec)
+        cells = stats.significant_eigvecs.T.reshape(-1, N, M)
+        for col in cells:
+            assert np.array_equal(col[:, ::-1], col.conj())
+            assert np.array_equal(col[::-1], col) or np.array_equal(col[::-1], -col)
+
+
 class TestBuildStatistics:
     def test_fully_correlated_limit(self):
         spec = ScatteringSpec(
@@ -294,16 +362,17 @@ class TestBuildStatistics:
     @pytest.mark.parametrize("M,N", [(12, 14), (48, 28)])
     def test_one_stored_basis(self, M, N):
         # Each significant eigenpair is stored once, as the Kronecker product
-        # of the factor eigenvectors; the design basis is its leading prefix.
+        # of the factor eigenvectors of the structured construction
+        # (``_factor_eigh``); the design basis is its leading prefix.
         grid = GridConfig(M, N)
         stats = build_statistics(grid, ScatteringSpec(spreading_factor=5e-3))
         r, R = stats.effective_rank, stats.significant_eigvals.size
         assert 1 <= r < R == stats.significant_eigvecs.shape[1]
         assert np.array_equal(stats.eigvecs, stats.significant_eigvecs[:, :r])
         assert np.array_equal(stats.eigvals, stats.significant_eigvals[:r])
-        t_vals, t_vecs = np.linalg.eigh(stats.time_corr)
-        f_vals, f_vecs = np.linalg.eigh(stats.freq_corr)
-        products = np.outer(np.clip(t_vals, 0, None), np.clip(f_vals, 0, None)).ravel()
+        t_vals, t_vecs = _factor_eigh(stats.time_corr, "time")
+        f_vals, f_vecs = _factor_eigh(stats.freq_corr, "frequency")
+        products = np.outer(t_vals, f_vals).ravel()
         order = np.argsort(-products, kind="stable")[:R]
         assert np.array_equal(stats.significant_eigvals, products[order])
         for col, flat in enumerate(order):

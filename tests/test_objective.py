@@ -921,17 +921,31 @@ class TestReflectionCheck:
     problem is invariant, and none under which it is not."""
 
     @pytest.mark.parametrize(
-        "case", ["12x14@1e-4", "12x14@1e-3", "12x14@5e-3", "12x14@1e-2", "48x28@5e-3", "7x5@5e-3"]
+        "case",
+        [
+            "12x14@1e-4", "12x14@1e-3", "12x14@5e-3", "12x14@1e-2", "48x28@5e-3", "7x5@5e-3",
+            "12x14@1e-4,eta=1", "12x14@1e-3,eta=1", "12x14@5e-3,eta=1", "12x14@1e-2,eta=1",
+            "48x28@5e-3,eta=1", "7x5@5e-3,eta=1",
+        ],
     )
-    def test_statistics_problems_have_all_three(self, case, request):
+    def test_statistics_problems_have_all_three(self, case):
+        # The rb-sweep points at density 0.05 (K = 8), problem_big (K = 134)
+        # and 7x5 at K = 5, at the default energy threshold and at 1.  At 1
+        # the basis reaches the eigenvalue floor, where eigh's eigenvectors
+        # held the reflections only to 4e-7 to 9e-6, and none was found.
         shape, spreading = case.split("@")
-        if shape == "12x14":
-            problem = request.getfixturevalue("rb_sweep_problems")[(float(spreading), 0.05)]
-        elif shape == "48x28":
-            problem = request.getfixturevalue("problem_big")
-        else:
-            stats = build_statistics(GridConfig(7, 5), ScatteringSpec(spreading_factor=5e-3))
-            problem = make_design_problem(stats, K=5, snr_db=20.0)
+        spreading, _, eta = spreading.partition(",eta=")
+        M, N = map(int, shape.split("x"))
+        spec = ScatteringSpec(
+            spreading_factor=float(spreading), rank_energy_threshold=float(eta or 0.9999)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K > N exceeds the block power budget
+            problem = make_design_problem(
+                build_statistics(GridConfig(M, N), spec),
+                K={"12x14": 8, "48x28": 134, "7x5": 5}[shape],
+                snr_db=20.0,
+            )
         assert f"{problem.grid.M}x{problem.grid.N}" == shape
         maps = problem.reflections
         assert len(maps) == 3
