@@ -320,13 +320,14 @@ def rounding_plan(w: np.ndarray) -> RoundingPlan:
 class FractionalAllocation:
     """Box-constrained pilot weights summing to the integer budget K.
 
-    ``converged``, ``iterations``, ``residual``, ``evaluations``,
-    ``face_steps`` and ``face_fallbacks`` record how a solver obtained the
-    weights: whether it reached its tolerance, the steps it took, its final
-    projected-gradient residual norm (NaN when the weights were not solved
-    for), the objective evaluations it made, the Newton steps on a face among
-    its steps and the times its face phase handed back to the gradient
-    phase.  The weights are a read-only copy of
+    ``converged``, ``iterations``, ``gap``, ``evaluations``, ``face_steps``
+    and ``face_fallbacks`` record how a solver obtained the weights: whether
+    it reached its tolerance, the steps it took, the certified relative gap
+    of the weights, ``(objective - bound) / bound`` against the best lower
+    bound it found (inf when no bound was positive, NaN when the weights were
+    not solved for), the objective evaluations it made, the Newton steps on
+    a face among its steps and the times its face phase handed back to the
+    gradient phase.  The weights are a read-only copy of
     the given array, and ``plan``, the ``RoundingPlan`` that
     ``dependent_rounding`` reads, is derived from them once.  Equality is
     identity: allocations are never compared by value.
@@ -336,7 +337,7 @@ class FractionalAllocation:
     budget: int
     converged: bool = True
     iterations: int = 0
-    residual: float = float("nan")
+    gap: float = float("nan")
     evaluations: int = 0
     face_steps: int = 0
     face_fallbacks: int = 0

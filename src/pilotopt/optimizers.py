@@ -13,7 +13,8 @@ gradient method SPG2 finds the face of weights pinned at 0 or 1, and once
 that face has held for a few steps, Newton steps on its free weights
 converge (Bertsekas 1982).  A Newton step is cut at the first bound it hits,
 a solved face releases its KKT violators, and a failed step hands back to
-SPG2.  Both phases stop on the same unit-step projected-gradient residual.
+SPG2.  Both phases stop on one certified relative gap between the best
+objective and the best lower bound that the gradients give.
 """
 
 import itertools
@@ -52,6 +53,8 @@ from .objective import (
 )
 
 EXHAUSTIVE_GUARD = 2_000_000
+# The swap pass stops when no swap lowers the objective by more than this
+# fraction of it.
 SWAP_TOLERANCE = 1e-10
 # A swap state takes the successor of a mirrored state (a reflection of its
 # pattern under which the problem is invariant) without a screen of its own
@@ -68,16 +71,15 @@ TIE_BAND = 1e-9
 # The relaxation turns from SPG2 to Newton steps on the free weights once
 # this many accepted SPG2 steps in a row leave the weights pinned at 0 or 1
 # unchanged.  A Newton step halves at most FACE_HALVINGS times before the
-# face phase hands back to SPG2; the face Hessian takes a ridge of
-# FACE_RIDGE times its largest diagonal entry; and a face is solved when its
-# reduced gradient is at most FACE_TOL times RELAX_TOL.
+# face phase hands back to SPG2, and the face Hessian takes a ridge of
+# FACE_RIDGE times its largest diagonal entry.
 FACE_SWITCH = 3
 FACE_HALVINGS = 10
 FACE_RIDGE = 1e-10
-FACE_TOL = 1e-3
-# The relaxation converges when its unit-step projected-gradient residual is
-# at most RELAX_TOL, and stops unconverged after RELAX_MAX_ITERS steps.
-RELAX_TOL = 1e-6
+# The relaxation converges when its best objective is within GAP_TOL of its
+# best lower bound, relative to that bound, and stops unconverged after
+# RELAX_MAX_ITERS steps.
+GAP_TOL = 1e-9
 RELAX_MAX_ITERS = 5000
 # An SPG2 trial whose weights miss sum w = K by more than BUDGET_SLACK is
 # refused.  Its projection lost the budget to rounding: with lam near its
@@ -175,9 +177,13 @@ def project_capped_simplex(v: np.ndarray, K: int) -> np.ndarray:
     return out.clip(0.0, 1.0, out=out)
 
 
-def _unit_step_residual(w: np.ndarray, grad: np.ndarray, K: int) -> float:
-    """Projected-gradient residual norm ``|P(w - grad) - w|`` of the unit step."""
-    return float(np.linalg.norm(w - project_capped_simplex(w - grad, K)))
+def _lower_bound(f: float, grad: np.ndarray, w: np.ndarray, K: int) -> float:
+    """Lower bound ``f - (grad.w - sum of the K smallest grad)`` on the
+    relaxed optimum, and so on every pattern of K pilots, from the objective
+    f and gradient at weights w in the box: by convexity, the objective's
+    linearization at w minimized over the capped simplex (the Frank-Wolfe
+    gap, Jaggi 2013, "Revisiting Frank-Wolfe", ICML)."""
+    return f - (float(grad @ w) - float(np.partition(grad, K - 1)[:K].sum()))
 
 
 def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
@@ -201,45 +207,39 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
     the relaxed optimum is not unique.  A step that would leave the box is
     cut at the first bound it hits (``_face_line_search``), which pins that
     weight; the step is never projected, since projecting it undoes it.
-    When the reduced gradient ``grad_F - nu``, ``nu = mean(grad_F)``, is at
-    most ``FACE_TOL * RELAX_TOL`` the face is solved, and every KKT violator
-    is released into F: a weight at 0 with ``grad_i < nu`` or at 1 with
-    ``grad_i > nu`` (the active-set finish of Bertsekas 1982, "Projected
-    Newton methods for optimization problems with simple constraints", SIAM
-    J. Control Optim. 20(2)).  A released weight whose Newton direction
-    points out of the box stays pinned; when none is left to release, the
-    residual is formed.  A step that is not a descent, a line search that
-    fails within ``FACE_HALVINGS`` halvings, a singular solve, a residual
-    above ``RELAX_TOL`` at a solved face, or a face that shrinks below two
-    weights hands back to SPG2 from the current iterate.  Each trial's
-    ``A^{-1}`` gives its objective as the trace of its lower triangle
+    The face is solved when its reduced gradient ``grad_F - nu``,
+    ``nu = mean(grad_F)``, has ``|grad_F - nu| sqrt(|F|)`` at most
+    ``GAP_TOL`` times the best bound: no weight moves by more than 1, so
+    this caps the face's own Frank-Wolfe gap at the relative tolerance.  A
+    solved face releases every KKT violator into F: a weight at 0 with
+    ``grad_i < nu`` or at 1 with ``grad_i > nu`` (the active-set finish of
+    Bertsekas 1982, "Projected Newton methods for optimization problems with
+    simple constraints", SIAM J. Control Optim. 20(2)).  A released weight
+    whose Newton direction points out of the box stays pinned.  A step that
+    is not a descent, a line search that fails within ``FACE_HALVINGS``
+    halvings, a singular solve, a solved face with nothing to release that
+    the gap does not certify, or a face that shrinks below two weights hands
+    back to SPG2 from the current iterate.  Each trial's ``A^{-1}`` gives
+    its objective as the trace of its lower triangle
     (``objective.allocation_lower_inverse``), and, once accepted, the
     mirrored inverse gives its gradient and face Hessian.
 
-    Converged when the unit-step projected-gradient residual norm
-    ``r(1) = |P(w - grad) - w|`` drops below ``RELAX_TOL``; otherwise, after
+    Every accepted iterate, the start included, gives a lower bound on the
+    relaxed optimum (``_lower_bound``, one partition of the gradient), and
+    the best bound is kept: early bounds are negative.  The solve is
+    certified, and stops converged, when the best objective is within
+    ``GAP_TOL`` of the best bound relative to that bound, a test that means
+    the same at every pilot SNR (Joshi & Boyd 2009, "Sensor selection via
+    convex optimization", IEEE TSP 57(2)).  Otherwise, after
     ``RELAX_MAX_ITERS`` accepted steps of either kind or when no trial is
     accepted, the best iterate is returned with ``converged=False`` and a
     warning.  An SPG2 trial that misses ``sum w = K`` by more than
     ``BUDGET_SLACK`` is refused unevaluated, so every iterate holds the
-    budget to that slack.  The tolerance is absolute, and the gradient
-    shrinks as the pilot SNR grows, so the relative optimality gap at the
-    stopping iterate grows with the SNR: on 12x14, K = 17, spreading 5e-3, about 5e-10 at 20 dB,
-    3e-4 at 40 dB and 1e-2 at 60 dB.
-    The allocation records the steps taken, the last iterate's residual, the
-    objective evaluations made, the Newton steps among the steps and the
-    hand-backs to SPG2.
-
-    The residual costs a projection of its own, so it is formed only when
-    the iterate may have converged.  Along the projection arc,
-    ``|P(w - t grad) - w|`` is non-decreasing in t and divided by t
-    non-increasing (Calamai & More 1987, "Projected gradient methods for
-    linearly constrained problems", Math. Programming 39, Lemma 2.2).  In
-    SPG2, ``d`` is the arc point at ``t = lam``, so
-    ``r(1) >= |d| * min(1, 1/lam)``; when that bound exceeds ``RELAX_TOL``
-    (with a 1e-9 relative margin for rounding) the residual is skipped.  On a
-    face, it is formed only at a solved face with nothing to release; a run
-    that stops at an iterate without one forms it there.
+    budget to that slack.  The allocation records the steps taken, the
+    certified relative gap of the best iterate (inf when no bound was
+    positive; near the optimum it rounds to within about 1e-15 of 0, either
+    side), the objective evaluations made, the Newton steps among the steps
+    and the hand-backs to SPG2.
     """
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
@@ -249,31 +249,30 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
     A_inv = hermitian_from_lower(lower)
     grad = gradient_from_inverse(problem, A_inv)
     best_w, best_f = w.copy(), f
+    best_lb = _lower_bound(f, grad, w, K)
     recent = deque([f], maxlen=10)
     lam = 1.0 / max(float(np.abs(grad).max()), 1e-12)
-    bound_tol = RELAX_TOL * (1.0 + 1e-9)
-    residual = None  # r(1) at the current iterate, once formed
     bounds, unchanged = _bound_pattern(w), 0
     face = None  # the free weights while Newton steps run
     face_steps = face_fallbacks = 0
 
     iterations = 0
     while iterations < RELAX_MAX_ITERS:
+        # The objective is positive, so this never holds while best_lb <= 0.
+        if best_f - best_lb <= GAP_TOL * best_lb:
+            break
         if face is not None:
             reduced = grad[face]
             nu = reduced.mean()
             solved = 0  # the size of a solved face before its violators enter
-            if float(np.linalg.norm(reduced - nu)) <= FACE_TOL * RELAX_TOL:
+            spread = float(np.linalg.norm(reduced - nu)) * np.sqrt(face.size)
+            if best_lb > 0.0 and spread <= GAP_TOL * best_lb:
                 violators = ((w == 0.0) & (grad < nu)) | ((w == 1.0) & (grad > nu))
                 violators[face] = True  # a mask union: np.union1d imports numpy.ma
                 solved, face = face.size, np.flatnonzero(violators)
             d, face = _face_direction(problem, w, grad, A_inv, face)
             if face.size == solved:
-                # Optimal on its face, and no violator can enter it.
-                residual = _unit_step_residual(w, grad, K)
-                if residual <= RELAX_TOL:
-                    break
-                d = None
+                d = None  # optimal on its face, nothing to release, and not certified
             cand = None
             if d is not None:
                 cand, lower, f_cand, trials = _face_line_search(problem, w, f, grad, d, face)
@@ -289,10 +288,6 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
         else:
             cand = project_capped_simplex(w - lam * grad, K)
             d = cand - w
-            if float(np.linalg.norm(d)) * min(1.0, 1.0 / lam) <= bound_tol:
-                residual = _unit_step_residual(w, grad, K)
-                if residual <= RELAX_TOL:
-                    break
             if not d.any():
                 break  # no feasible decrease left at machine precision
             f_ref, slope = max(recent), 1e-4 * float(grad @ d)
@@ -322,18 +317,17 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
         lam = min(max(float(dw @ dw) / curvature, 1e-12), 1e12) if curvature > 0 else 1e12
         w, f, grad = cand, f_cand, grad_new
         recent.append(f)
-        residual = None
         iterations += 1
         if f < best_f:
             best_w, best_f = w.copy(), f
+        best_lb = max(best_lb, _lower_bound(f, grad, w, K))
 
-    if residual is None:
-        residual = _unit_step_residual(w, grad, K)
-    converged = residual <= RELAX_TOL
+    converged = best_f - best_lb <= GAP_TOL * best_lb
+    gap = (best_f - best_lb) / best_lb if best_lb > 0.0 else np.inf
     if not converged:
         warnings.warn(
-            f"relaxation stopped after {iterations} iterations at residual "
-            f"{residual:.3g} > tol={RELAX_TOL:g}; returning best iterate",
+            f"relaxation stopped after {iterations} iterations at gap "
+            f"{gap:.3g} > tol={GAP_TOL:g}; returning best iterate",
             stacklevel=2,
         )
     return FractionalAllocation(
@@ -341,7 +335,7 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
         budget=K,
         converged=converged,
         iterations=iterations,
-        residual=residual,
+        gap=gap,
         evaluations=evaluations,
         face_steps=face_steps,
         face_fallbacks=face_fallbacks,
@@ -518,16 +512,16 @@ def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates, 
     or None, for the pattern ``selected`` whose inverse is ``A_inv`` and
     whose objective is ``objective``, and whether that decision is clear.
 
-    None when no swap improves by more than ``SWAP_TOLERANCE``.  Otherwise a
-    swap ties with the best when its delta is within ``TIE_BAND`` times the
-    objective of the best delta and still improves by more than
-    ``SWAP_TOLERANCE``: the lowest selected i with a tied swap goes out, and
-    the lowest tied candidate j of its row comes in.  ``selected`` and
-    ``candidates`` are ascending.
+    None when no swap improves by more than ``tol = SWAP_TOLERANCE *
+    objective``.  Otherwise a swap ties with the best when its delta is
+    within ``TIE_BAND`` times the objective of the best delta and still
+    improves by more than ``tol``: the lowest selected i with a tied swap
+    goes out, and the lowest tied candidate j of its row comes in.
+    ``selected`` and ``candidates`` are ascending.
 
     A decision is clear when it would not change if every delta and the
     objective moved by up to ``slack = REFLECT_SLACK * objective``: a None
-    whose best delta is at least ``-SWAP_TOLERANCE + slack``, or a swap whose
+    whose best delta is at least ``-tol + slack``, or a swap whose
     best delta is below ``limit - slack``, where ``limit`` is the top of the
     band, and is the only delta at most ``limit + (2 + TIE_BAND) * slack``:
     the limit moves with the best delta, so the other deltas need twice the
@@ -536,10 +530,10 @@ def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates, 
     deltas = swap_deltas(problem, A_inv, selected, candidates)
     row_best = deltas.min(axis=1)
     best = row_best.min()
-    slack = REFLECT_SLACK * objective
-    if best >= -SWAP_TOLERANCE:
-        return None, bool(best >= -SWAP_TOLERANCE + slack)
-    limit = min(best + TIE_BAND * objective, -SWAP_TOLERANCE)
+    slack, tol = REFLECT_SLACK * objective, SWAP_TOLERANCE * objective
+    if best >= -tol:
+        return None, bool(best >= -tol + slack)
+    limit = min(best + TIE_BAND * objective, -tol)
     a = int(np.argmax(row_best <= limit))
     b = int(np.argmax(deltas[a] <= limit))
     # Unique when (a, b)'s row is the only one within reach, and (a, b) the
@@ -561,8 +555,8 @@ def local_swap(
 ) -> DesignReport:
     """Fedorov exchange: apply the best improving (i out, j in) swap per pass.
 
-    Stops when the best improvement falls below ``SWAP_TOLERANCE`` absolute,
-    leaving a 1-swap locally optimal pattern, or after ``max_passes`` passes;
+    Stops when the best improvement falls below ``SWAP_TOLERANCE`` times the
+    objective, leaving a 1-swap locally optimal pattern, or after ``max_passes`` passes;
     a run the cap stops with an improving swap left warns.
 
     Each state's ``A^{-1}`` is computed from its pattern alone, so a state's

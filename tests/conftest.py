@@ -376,16 +376,20 @@ def reference_projection(v, K):
 
 
 def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
-    """The SPG2 loop that forms the unit-step residual at every iterate, on
-    the reference inverse and projection: one projection per iteration,
-    halving backtracking along it, acceptance against the largest of the
-    last 10 objectives."""
+    """The SPG2 loop that stops on the unit-step projected-gradient residual
+    ``|P(w - grad) - w| <= tol``, formed at every iterate, on the reference
+    inverse and projection: one projection per iteration, halving
+    backtracking along it, acceptance against the largest of the last 10
+    objectives.  It records the relative gap of its best objective over the
+    best Frank-Wolfe bound ``f - (grad.w - sum of the K smallest grad)`` of
+    its iterates, inf when none is positive."""
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
     A_inv = reference_information_inverse(problem, w)
     f = float(np.trace(A_inv).real)
     grad = gradient_from_inverse(problem, A_inv)
     best_w, best_f = w.copy(), f
+    best_lb = f - (float(grad @ w) - float(np.sort(grad)[:K].sum()))
     history = [f]
     lam = 1.0 / max(float(np.abs(grad).max()), 1e-12)
     converged = False
@@ -426,6 +430,7 @@ def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
         iterations += 1
         if f < best_f:
             best_w, best_f = w.copy(), f
+        best_lb = max(best_lb, f - (float(grad @ w) - float(np.sort(grad)[:K].sum())))
 
     if not converged:
         warnings.warn(
@@ -433,8 +438,9 @@ def reference_solve_relaxation(problem, tol=1e-6, max_iters=5000):
             f"{residual:.3g} > tol={tol:g}; returning best iterate",
             stacklevel=2,
         )
+    gap = (best_f - best_lb) / best_lb if best_lb > 0.0 else np.inf
     return FractionalAllocation(
-        weights=best_w, budget=K, converged=converged, iterations=iterations, residual=residual
+        weights=best_w, budget=K, converged=converged, iterations=iterations, gap=gap
     )
 
 
