@@ -19,7 +19,8 @@ row terms ``Y = U A^{-1}``, ``q`` and ``n`` of ``_row_terms`` and adds the
 best row with ``add_row``: ``A^{-1}`` by the Sherman-Morrison update
 ``rank_one_update``, and the row terms carried in O(P r) and rebuilt from
 ``A^{-1}`` every r picks.  The swap pass computes a state's ``A^{-1}`` from
-its pattern and screens every swap at once with ``swap_deltas``, whose
+its pattern and screens every swap at once with ``swap_deltas``, a K x P
+screen over the whole grid (``+inf`` on the pattern's own cells) whose
 removal coefficients come from ``removal_terms``.  All of them read the terms
 of ``_row_terms``, as does ``gains_for_candidates``, the gains of every row
 against a given ``A^{-1}``.  No arithmetic path decides which of two exactly
@@ -576,40 +577,42 @@ def removal_terms(problem: DesignProblem, quad: np.ndarray, selected) -> np.ndar
     return alpha / denom
 
 
-def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected, candidates) -> np.ndarray:
-    """Objective change of every swap at once: entry (a, b) is the change of
-    swapping selected ``selected[a]`` for unselected ``candidates[b]`` in the
-    pattern whose inverse is ``A_inv``, up to rounding.
+def swap_deltas(problem: DesignProblem, A_inv: np.ndarray, selected) -> np.ndarray:
+    """Objective change of every swap at once, the K x P Fedorov exchange
+    screen: entry (a, k) is the change of swapping ``selected[a]`` out for
+    cell k in the pattern whose inverse is ``A_inv``, up to rounding, and
+    ``+inf`` on the pattern's own columns.
 
     In the terms ``y``, ``q`` and ``n`` of ``_row_terms``, with ``t_i`` of
     ``removal_terms``, ``D_ij = y_i u_j^H`` and ``E_ij = y_i y_j^H``, swapping
-    i for j changes the objective by the removal's increase less the gain of
-    adding j after it:
+    i for j changes the objective by the removal's increase ``b_i = t_i n_i``
+    less the gain of adding j after it.  With ``c_j = 1 + alpha q_j`` the
+    ``t_i^2 n_i |D_ij|^2`` terms of the two cancel, leaving
 
-        t_i n_i - alpha (n_j + 2 t_i Re(D_ij conj(E_ij)) + t_i^2 n_i |D_ij|^2)
-                  / (1 + alpha q_j + alpha t_i |D_ij|^2)
+        (b_i c_j - alpha n_j - 2 alpha t_i Re(D_ij conj(E_ij)))
+                  / (c_j + alpha t_i |D_ij|^2)
 
-    Two matrix products give all K x (P - K) of ``D`` and ``conj(E)``, the
-    Fedorov exchange screen; the scalar factors are folded into vectors.
+    Two matrix products over the whole grid give D and ``conj(E)``; the
+    scalar factors are folded into vectors.
     """
     alpha = problem.pilot_snr
     Y, quad, norm2 = _row_terms(A_inv, problem.rows)
     t = removal_terms(problem, quad, selected)
-    alpha_t, t_norm2 = (alpha * t)[:, None], (t * norm2[selected])[:, None]
+    alpha_t, c = (alpha * t)[:, None], 1.0 + alpha * quad
     Y_S = Y[selected]
-    D = Y_S @ problem.rows_conj[candidates].T
-    DE = Y_S.conj() @ Y[candidates].T
+    D = Y_S @ problem.rows_conj.T
+    DE = Y_S.conj() @ Y.T
     DE *= D
-    numer = DE.real * (2.0 * alpha_t)
-    numer += alpha * norm2[candidates]
-    D2 = D.real**2
-    D2 += D.imag**2
-    denom = D2 * alpha_t
-    denom += 1.0 + alpha * quad[candidates]
-    D2 *= alpha_t * t_norm2
-    numer += D2
+    numer = DE.real * (-2.0 * alpha_t)
+    numer += (t * norm2[selected])[:, None] * c
+    numer -= alpha * norm2
+    denom = D.real**2
+    denom += D.imag**2
+    denom *= alpha_t
+    denom += c
     numer /= denom
-    return np.subtract(t_norm2, numer, out=numer)
+    numer[:, selected] = np.inf
+    return numer
 
 
 def gradient_from_inverse(problem: DesignProblem, A_inv: np.ndarray) -> np.ndarray:

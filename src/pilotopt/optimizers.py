@@ -82,9 +82,9 @@ FACE_RIDGE = 1e-10
 GAP_TOL = 1e-9
 RELAX_MAX_ITERS = 5000
 # An SPG2 trial whose weights miss sum w = K by more than BUDGET_SLACK is
-# refused.  Its projection lost the budget to rounding: with lam near its
-# 1e12 clamp, w - lam grad is so large that the projected weights fall below
-# its last bits.  A step short enough along the direction keeps the budget.
+# refused.  Its projection lost the budget to rounding: with lam near the top
+# of its range, w - lam grad is so large that the projected weights fall
+# below its last bits.  A step short enough along the direction keeps it.
 # Over the shipped configs the projections miss K by at most 6.3e-13.
 BUDGET_SLACK = 1e-9
 
@@ -194,7 +194,9 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
 
     Each SPG2 iteration projects once, for the direction
     ``d = P(w - lam grad) - w`` at the Barzilai-Borwein step ``lam`` (BB1,
-    clamped to [1e-12, 1e12]), and backtracks ``s <- s/2`` along ``w + s d``
+    clamped to [1e-12, 1e12] times ``scale``, the reciprocal of the start's
+    largest absolute gradient, which is the first step; 1e12 where the
+    curvature is not positive), and backtracks ``s <- s/2`` along ``w + s d``
     with no further projection.  A trial is accepted when its objective is at
     most the largest of the last 10 objectives plus ``1e-4 * s * grad.d``
     (the Grippo-Lampariello-Lucidi rule).
@@ -251,7 +253,9 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
     best_w, best_f = w.copy(), f
     best_lb = _lower_bound(f, grad, w, K)
     recent = deque([f], maxlen=10)
-    lam = 1.0 / max(float(np.abs(grad).max()), 1e-12)
+    # The step range scales with the gradient, so a step means the same at
+    # every pilot SNR; a zero gradient certifies the start before any step.
+    lam = scale = 1.0 / max(float(np.abs(grad).max()), np.finfo(float).tiny)
     bounds, unchanged = _bound_pattern(w), 0
     face = None  # the free weights while Newton steps run
     face_steps = face_fallbacks = 0
@@ -314,7 +318,9 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
         grad_new = gradient_from_inverse(problem, A_inv)
         dw, dg = cand - w, grad_new - grad
         curvature = float(dw @ dg)
-        lam = min(max(float(dw @ dw) / curvature, 1e-12), 1e12) if curvature > 0 else 1e12
+        lam = 1e12  # where the curvature is not positive
+        if curvature > 0:
+            lam = min(max(float(dw @ dw) / curvature, 1e-12 * scale), 1e12 * scale)
         w, f, grad = cand, f_cand, grad_new
         recent.append(f)
         iterations += 1
@@ -507,17 +513,18 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     return _report(problem, pattern, pattern_objective(problem, selected), initial, 0, t0)
 
 
-def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates, objective):
+def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, objective):
     """``(pair, clear)``: the swap ``pair = (i out, j in)`` the screen accepts,
-    or None, for the pattern ``selected`` whose inverse is ``A_inv`` and
-    whose objective is ``objective``, and whether that decision is clear.
+    or None, for the pattern ``selected`` (ascending) whose inverse is
+    ``A_inv`` and whose objective is ``objective``, and whether that decision
+    is clear.
 
     None when no swap improves by more than ``tol = SWAP_TOLERANCE *
     objective``.  Otherwise a swap ties with the best when its delta is
     within ``TIE_BAND`` times the objective of the best delta and still
-    improves by more than ``tol``: the lowest selected i with a tied swap
-    goes out, and the lowest tied candidate j of its row comes in.
-    ``selected`` and ``candidates`` are ascending.
+    improves by more than ``tol``, and the first tied entry of the K x P
+    screen in row-major order wins: the lowest selected i with a tied swap
+    goes out, and the lowest tied cell j of its row comes in.
 
     A decision is clear when it would not change if every delta and the
     objective moved by up to ``slack = REFLECT_SLACK * objective``: a None
@@ -527,24 +534,16 @@ def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, candidates, 
     the limit moves with the best delta, so the other deltas need twice the
     slack.  A tie in the band is never clear.
     """
-    deltas = swap_deltas(problem, A_inv, selected, candidates)
-    row_best = deltas.min(axis=1)
-    best = row_best.min()
+    deltas = swap_deltas(problem, A_inv, selected)
+    best = deltas.min()
     slack, tol = REFLECT_SLACK * objective, SWAP_TOLERANCE * objective
     if best >= -tol:
         return None, bool(best >= -tol + slack)
     limit = min(best + TIE_BAND * objective, -tol)
-    a = int(np.argmax(row_best <= limit))
-    b = int(np.argmax(deltas[a] <= limit))
-    # Unique when (a, b)'s row is the only one within reach, and (a, b) the
-    # only entry of its row.
+    a, j = divmod(int(np.argmax(deltas <= limit)), deltas.shape[1])
     reach = limit + (2.0 + TIE_BAND) * slack
-    clear = (
-        best < limit - slack
-        and np.count_nonzero(row_best <= reach) == 1
-        and np.count_nonzero(deltas[a] <= reach) == 1
-    )
-    return (int(selected[a]), int(candidates[b])), bool(clear)
+    clear = best < limit - slack and np.count_nonzero(deltas <= reach) == 1
+    return (int(selected[a]), j), bool(clear)
 
 
 def local_swap(
@@ -553,7 +552,8 @@ def local_swap(
     max_passes: int = 100,
     visited: dict | None = None,
 ) -> DesignReport:
-    """Fedorov exchange: apply the best improving (i out, j in) swap per pass.
+    """Fedorov exchange: apply the best improving (i out, j in) swap per pass,
+    a tie going to the first tied entry of the screen in row-major order.
 
     Stops when the best improvement falls below ``SWAP_TOLERANCE`` times the
     objective, leaving a 1-swap locally optimal pattern, or after ``max_passes`` passes;
@@ -617,12 +617,9 @@ def _swap_state(problem: DesignProblem, indices: tuple, visited: dict):
             return entry
     A_inv = pattern_inverse(problem, selected)
     objective = float(np.trace(A_inv).real)
-    unselected = np.ones(problem.grid.size, dtype=bool)
-    unselected[selected] = False
-    candidates = np.flatnonzero(unselected)
     pair, clear = None, True
-    if candidates.size:
-        pair, clear = _best_swap(problem, A_inv, selected, candidates, objective)
+    if problem.budget < problem.grid.size:
+        pair, clear = _best_swap(problem, A_inv, selected, objective)
     successor = None if pair is None else tuple(sorted(set(indices) - {pair[0]} | {pair[1]}))
     entry = visited[indices] = objective, successor, clear
     return entry

@@ -128,8 +128,7 @@ def check_incremental_updates() -> CheckResult:
 
         i = int(rng.choice(S))
         j2 = int(rng.choice(outside))
-        deltas = swap_deltas(problem, A_inv, selected, np.array(outside, dtype=np.intp))
-        delta = float(deltas[selected.searchsorted(i), outside.index(j2)])
+        delta = float(swap_deltas(problem, A_inv, selected)[selected.searchsorted(i), j2])
         swapped = tuple(sorted(set(S) - {i} | {j2}))
         direct_delta = objective_value(
             problem, PilotPattern(swapped, problem.grid)

@@ -489,7 +489,7 @@ class TestSwapDelta:
             direct = objective_value(
                 problem_rb, PilotPattern(swapped, problem_rb.grid)
             ) - objective_value(problem_rb, PilotPattern(tuple(S), problem_rb.grid))
-            screened = swap_deltas(problem_rb, A_inv, selected, [j])[selected.searchsorted(i), 0]
+            screened = swap_deltas(problem_rb, A_inv, selected)[selected.searchsorted(i), j]
             assert screened == pytest.approx(direct, rel=1e-9, abs=1e-12)
             delta = reference_swap_delta(problem_rb, A_inv, i, j)
             assert delta == pytest.approx(direct, rel=1e-9, abs=1e-12)
@@ -506,45 +506,56 @@ class TestSwapDelta:
         assert min(deltas) >= -1e-10
 
 
+def assert_screen_matches_reinversion(problem, selected, rows):
+    """``swap_deltas`` on the pattern ``selected`` is K x P, ``+inf``
+    exactly on the selected columns, and on the rows ``rows`` of it every
+    other column matches the change of two reinversions to 1e-9 of the
+    objective."""
+    A_inv = pattern_inverse(problem, selected)
+    trace = float(np.trace(A_inv).real)
+    deltas = swap_deltas(problem, A_inv, selected)
+    assert deltas.shape == (selected.size, problem.grid.size)
+    assert np.array_equal(np.flatnonzero(np.isinf(deltas).all(axis=0)), selected)
+    assert np.isfinite(np.delete(deltas, selected, axis=1)).all()
+    worst = 0.0
+    for a in rows:
+        rest = np.delete(selected, a)
+        for j in np.setdiff1d(np.arange(problem.grid.size), selected):
+            swapped = np.sort(np.append(rest, j))
+            direct = pattern_objective(problem, swapped) - trace
+            worst = max(worst, abs(deltas[a, j] - direct))
+    assert worst <= 1e-9 * trace
+
+
 class TestSwapDeltas:
     def test_every_pair_matches_swap_delta(self, problem_rb):
+        """Every row against reinversion, and every swap against the
+        per-pair reference."""
         pattern = PilotPattern(tuple(range(0, 168, 12)), problem_rb.grid)
-        A_inv = pattern_inverse(problem_rb, np.array(pattern.indices, dtype=np.intp))
-        selected = list(pattern.indices)
-        candidates = [j for j in range(problem_rb.grid.size) if j not in selected]
-        batched = swap_deltas(problem_rb, A_inv, selected, candidates)
-        assert batched.shape == (len(selected), len(candidates))
-        as_arrays = swap_deltas(
-            problem_rb, A_inv, np.array(selected, dtype=np.intp), np.array(candidates)
-        )
-        assert np.array_equal(as_arrays, batched)
+        selected = np.array(pattern.indices, dtype=np.intp)
+        assert_screen_matches_reinversion(problem_rb, selected, range(selected.size))
+        A_inv = pattern_inverse(problem_rb, selected)
+        batched = swap_deltas(problem_rb, A_inv, list(pattern.indices))
+        assert np.array_equal(batched, swap_deltas(problem_rb, A_inv, selected))
+        candidates = np.setdiff1d(np.arange(problem_rb.grid.size), selected)
         looped = np.array(
             [[reference_swap_delta(problem_rb, A_inv, i, j) for j in candidates] for i in selected]
         )
-        assert np.abs(batched - looped).max() <= 1e-9 * np.trace(A_inv).real
+        assert np.abs(batched[:, candidates] - looped).max() <= 1e-9 * np.trace(A_inv).real
 
     def test_pairs_match_swap_delta_at_48x28(self, problem_big):
-        """The screen at K = 134 and r = 28, on the greedy pattern, against
-        the per-pair reference on eight random candidates of every row."""
+        """The screen at K = 134 and r = 28, on the greedy pattern: every
+        column of eight random rows."""
         assert problem_big.rank == 28
         selected = np.array(greedy_design(problem_big).pattern.indices, dtype=np.intp)
-        candidates = np.setdiff1d(np.arange(problem_big.grid.size), selected)
-        A_inv = pattern_inverse(problem_big, selected)
-        batched = swap_deltas(problem_big, A_inv, selected, candidates)
-        assert batched.shape == (134, problem_big.grid.size - 134)
-        rng = np.random.default_rng(5)
-        worst = 0.0
-        for a, i in enumerate(selected):
-            for b in rng.choice(len(candidates), size=8, replace=False):
-                delta = reference_swap_delta(problem_big, A_inv, int(i), int(candidates[b]))
-                worst = max(worst, abs(batched[a, b] - delta))
-        assert worst <= 1e-9 * np.trace(A_inv).real
+        rows = np.random.default_rng(5).choice(selected.size, size=8, replace=False)
+        assert_screen_matches_reinversion(problem_big, selected, rows)
 
     def test_nonpositive_removal_denominator_raises(self, problem_rb):
         A_inv = pattern_inverse(problem_rb, np.array([0, 50], dtype=np.intp))
         with pytest.raises(DegenerateUpdateError, match="^removal of 50 hit denominator -6"):
             # 1e6 A^{-1} is no longer the inverse of A.
-            swap_deltas(problem_rb, 1e6 * A_inv, [0, 50], [1, 2, 3])
+            swap_deltas(problem_rb, 1e6 * A_inv, [0, 50])
 
 
 class TestGradient:
@@ -898,15 +909,13 @@ class TestReflectionInvariance:
     def test_swap_deltas_and_face_hessian(self, reflected_case, axis):
         _, problem, idx, w = reflected_case
         perm = reflection(problem.grid, axis)
-        unselected = np.ones(problem.grid.size, dtype=bool)
-        unselected[idx] = False
-        candidates = np.flatnonzero(unselected)
-        deltas = swap_deltas(problem, pattern_inverse(problem, idx), idx, candidates)
+        deltas = swap_deltas(problem, pattern_inverse(problem, idx), idx)
         idx_ref = np.sort(perm[idx])
-        deltas_ref = swap_deltas(
-            problem, pattern_inverse(problem, idx_ref), perm[idx], perm[candidates]
-        )
-        assert_close(deltas_ref, deltas)
+        # Row a swaps perm[idx[a]] out, and cell perm[k] stands for cell k.
+        deltas_ref = swap_deltas(problem, pattern_inverse(problem, idx_ref), perm[idx])[:, perm]
+        outside = np.isfinite(deltas)
+        assert np.array_equal(np.isfinite(deltas_ref), outside)
+        assert_close(deltas_ref[outside], deltas[outside])
 
         w_ref = np.empty_like(w)
         w_ref[perm] = w

@@ -439,6 +439,39 @@ class TestSolveRelaxation:
         assert alloc.iterations > 0
         assert 0.0 <= alloc.gap <= 1e-9
 
+    @pytest.mark.parametrize("snr_db", [150.0, 200.0, 250.0])
+    def test_certifies_at_high_snr(self, rb_sweep_problems, snr_db):
+        """The step range scales with the start's gradient, whose entries
+        are about 1e-30 at 200 dB: 12x14, K = 17, spreading 5e-3 certifies
+        within 100 steps, without a warning."""
+        problem = dataclasses.replace(
+            rb_sweep_problems[(0.005, 0.1)], noise_var=10.0 ** (-snr_db / 10.0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc = solve_relaxation(problem)
+        assert alloc.converged
+        assert alloc.gap <= optimizers.GAP_TOL
+        assert alloc.iterations <= 100
+
+    def test_a_zero_gradient_certifies_the_start(self):
+        """A pilot SNR so small that every gradient entry underflows to 0:
+        the step range has no scale, and the uniform start is certified
+        before any step."""
+        rows, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(16, 2)))
+        problem = DesignProblem(
+            grid=GridConfig(4, 4),
+            rows=rows,
+            prior=np.full(2, 1e-3),
+            budget=2,
+            power_fraction=5e-324,
+            noise_var=2.0,
+        )
+        assert problem.pilot_snr > 0.0
+        assert not objective_gradient(problem, np.full(16, 2 / 16)).any()
+        alloc = solve_relaxation(problem)
+        assert alloc.converged and alloc.iterations == 0 and alloc.gap == 0.0
+
     def test_matches_reference_loop_on_rb_sweep(self, rb_sweep_problems, problem_rb):
         """On the rb-sweep points and the shipped design config, the
         relaxation converges at tol 1e-6 wherever the SPG2-only reference
@@ -1028,28 +1061,28 @@ class TestLocalSwap:
         for indices in visited:
             selected = np.array(indices, dtype=np.intp)
             A_inv = pattern_inverse(problem, selected)
-            candidates = np.setdiff1d(np.arange(grid.size), selected)
             pair = lowest_pair_within_band(problem, A_inv, indices)
             trace = float(np.trace(A_inv).real)
-            screened, _ = optimizers._best_swap(problem, A_inv, selected, candidates, trace)
+            screened, _ = optimizers._best_swap(problem, A_inv, selected, trace)
             assert screened == pair, indices
-            deltas = swap_deltas(problem, A_inv, selected, candidates)
-            a, b = np.unravel_index(np.argmin(deltas), deltas.shape)
-            split += pair is not None and pair != (selected[a], candidates[b])
+            deltas = swap_deltas(problem, A_inv, selected)
+            a, j = np.unravel_index(np.argmin(deltas), deltas.shape)
+            split += pair is not None and pair != (selected[a], j)
         assert split > 0
 
     def test_rule_on_given_deltas(self, problem_rb, monkeypatch):
-        """The rule read off given screens: rows are selected 10 and 11,
-        columns candidates 20, 21 and 22."""
+        """The rule read off given screens: rows are selected 10 and 11, and
+        the given columns are cells 20, 21 and 22 of a K x P screen."""
         A_inv = pattern_inverse(problem_rb, np.array([10, 11], dtype=np.intp))
         trace = float(np.trace(A_inv).real)
         band, tol = TIE_BAND * trace, SWAP_TOLERANCE * trace
         assert band > 2 * tol
-        selected, candidates = np.array([10, 11]), np.array([20, 21, 22])
+        selected = np.array([10, 11])
 
         def pick(rows, objective=trace):
-            monkeypatch.setattr(optimizers, "swap_deltas", lambda *args: np.array(rows))
-            return optimizers._best_swap(problem_rb, A_inv, selected, candidates, objective)[0]
+            deltas = given_screen(rows, selected, problem_rb.grid.size)
+            monkeypatch.setattr(optimizers, "swap_deltas", lambda *args: deltas)
+            return optimizers._best_swap(problem_rb, A_inv, selected, objective)[0]
 
         # Row 11 holds the best delta and row 10 a tie in the band: the lowest
         # row wins, then the lowest column of it within the band.
@@ -1065,17 +1098,18 @@ class TestLocalSwap:
 
     def test_clear_rule_on_given_deltas(self, problem_rb, monkeypatch):
         """A decision is clear when it holds with every delta and the
-        objective moved by the slack; rows are selected 10 and 11, columns
-        candidates 20, 21 and 22."""
+        objective moved by the slack; rows are selected 10 and 11, and the
+        given columns are cells 20, 21 and 22 of a K x P screen."""
         A_inv = pattern_inverse(problem_rb, np.array([10, 11], dtype=np.intp))
         trace = float(np.trace(A_inv).real)
         band, tol, slack = TIE_BAND * trace, SWAP_TOLERANCE * trace, REFLECT_SLACK * trace
         assert band > 10 * slack and tol > slack
-        selected, candidates = np.array([10, 11]), np.array([20, 21, 22])
+        selected = np.array([10, 11])
 
         def decide(rows):
-            monkeypatch.setattr(optimizers, "swap_deltas", lambda *args: np.array(rows))
-            return optimizers._best_swap(problem_rb, A_inv, selected, candidates, trace)
+            deltas = given_screen(rows, selected, problem_rb.grid.size)
+            monkeypatch.setattr(optimizers, "swap_deltas", lambda *args: deltas)
+            return optimizers._best_swap(problem_rb, A_inv, selected, trace)
 
         # A lone best far from the band's top and from the tolerance.
         assert decide([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0]]) == ((11, 21), True)
@@ -1110,6 +1144,16 @@ class TestLocalSwap:
         assert capped.pattern.indices == report.pattern.indices
 
 
+def given_screen(rows, selected, P):
+    """A K x P screen holding ``rows`` at cells 20, 21 and 22, ``+inf`` on
+    the ``selected`` columns, as ``swap_deltas`` does, and 1.0, a swap that
+    does not improve, on every other cell."""
+    deltas = np.ones((len(selected), P))
+    deltas[:, selected] = np.inf
+    deltas[:, 20:23] = rows
+    return deltas
+
+
 def tied_roundings_problem():
     """12x14, spreading 1e-3, K = 14: 50 roundings with duplicates, merging
     chains and exactly tied optima."""
@@ -1124,9 +1168,9 @@ def counting_best_swap(monkeypatch, clear=None):
     screened = []
     original = optimizers._best_swap
 
-    def counted(problem, A_inv, selected, candidates, objective):
+    def counted(problem, A_inv, selected, objective):
         screened.append(tuple(selected))
-        result = original(problem, A_inv, selected, candidates, objective)
+        result = original(problem, A_inv, selected, objective)
         if clear is not None:
             clear.append(result[1])
         return result
