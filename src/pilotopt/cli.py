@@ -78,6 +78,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_BAD_CONFIG = 2
 EXIT_IO_ERROR = 3
 EXIT_POINT_FAILED = 4
+EXIT_OUT_OF_MEMORY = 5
 
 
 # --------------------------------------------------------------------------
@@ -701,6 +702,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

@@ -15,27 +15,27 @@ plus the discarded energy would not be.
 
 An optimizer's state is a sorted index array and its ``A^{-1}``, a plain
 r x r array (r << M*N).  Greedy selection screens every row at once from the
-row terms ``Y = U A^{-1}``, ``q`` and ``n`` of ``_row_terms`` and adds the
-best row with ``add_row``: ``A^{-1}`` by the Sherman-Morrison update
-``rank_one_update``, and the row terms carried in O(P r) and rebuilt from
-``A^{-1}`` every r picks.  The swap pass computes a state's ``A^{-1}`` from
-its pattern and screens every swap at once with ``swap_deltas``, a K x P
-screen over the whole grid (``+inf`` on the pattern's own cells) whose
-removal coefficients come from ``removal_terms``.  All of them read the terms
-of ``_row_terms``, as does ``gains_for_candidates``, the gains of every row
-against a given ``A^{-1}``.  No arithmetic path decides which of two exactly
-tied choices wins: the optimizers take the lowest index within
-``optimizers.TIE_BAND`` of the best.
+row terms ``Y = U A^{-1}``, ``q`` and ``n`` of ``_row_terms``, carries them
+past each pick with ``add_row`` in O(P r) and rebuilds them every r picks
+from the ``A^{-1}`` of its picks.  The swap pass computes a state's
+``A^{-1}`` from its pattern and screens every swap at once with
+``swap_deltas``, a K x P screen over the whole grid (``+inf`` on the
+pattern's own cells) whose removal coefficients come from ``removal_terms``.
+All of them read the terms of ``_row_terms``, as does
+``gains_for_candidates``, the gains of every row against a given
+``A^{-1}``.  No arithmetic path decides which of two exactly tied choices
+wins: the optimizers take the lowest index within ``optimizers.TIE_BAND``
+of the best.
 
-Every ``A^{-1}`` formed, not updated, comes from one Cholesky kernel,
-``_hermitian_inverse``: LAPACK ``zpotrf`` (scipy's compiled wrapper, which
-``_load_flapack`` loads without the ``scipy.linalg`` package) factors the
-lower triangle of ``A`` (which is therefore not symmetrized first), ``zpotri``
-inverts the factor into the lower triangle, and that triangle is mirrored; an
-``A`` that is not positive definite in floating point raises
-``NumericError``.  A caller that reads only the trace sums the diagonal of
-the unmirrored triangle (``_lower_inverse``), which gives the mirrored trace
-bit for bit.  ``pattern_inverse`` and its trace-only form
+Every ``A^{-1}`` an optimizer reads comes from one Cholesky kernel, with no
+update chain, ``_hermitian_inverse``: LAPACK ``zpotrf`` (scipy's compiled
+wrapper, which ``_load_flapack`` loads without the ``scipy.linalg`` package)
+factors the lower triangle of ``A`` (which is therefore not symmetrized
+first), ``zpotri`` inverts the factor into the lower triangle, and that
+triangle is mirrored; an ``A`` that is not positive definite in floating
+point raises ``NumericError``.  A caller that reads only the trace sums the
+diagonal of the unmirrored triangle (``_lower_inverse``), which gives the
+mirrored trace bit for bit.  ``pattern_inverse`` and its trace-only form
 ``pattern_objective`` feed the kernel a sorted ``np.intp`` index array, and
 ``allocation_lower_inverse`` (the relaxation's, which mirrors only accepted
 steps) a weight vector of length P, from the constants ``DesignProblem``
@@ -518,35 +518,22 @@ def gains_for_candidates(A_inv: np.ndarray, rows: np.ndarray, alpha: float) -> n
 def rank_one_update(problem: DesignProblem, A_inv: np.ndarray, j: int) -> np.ndarray:
     """Hermitian ``A^{-1}`` after adding row j to the pattern whose inverse is
     ``A_inv``, by Sherman-Morrison: ``A_inv - alpha y_j^H y_j / (1 + alpha q_j)``
-    with ``y_j = u_j A^{-1}`` and ``q_j = u_j A^{-1} u_j^H``."""
+    with ``y_j = u_j A^{-1}`` and ``q_j = u_j A^{-1} u_j^H``.  No optimizer
+    calls it; perfbench traces it by name."""
     alpha = problem.pilot_snr
-    row = problem.rows[j : j + 1]
-    # The operands and einsum of ``_row_terms``, without the squared norm.
-    Y = row @ A_inv
-    quad = np.einsum("ij,ij->i", row, Y.conj()).real
-    denom = 1.0 + alpha * quad[0]
-    A_inv = A_inv - (alpha / denom) * np.outer(Y[0].conj(), Y[0])
-    # Symmetrize to suppress drift over long update chains.
-    return 0.5 * (A_inv + A_inv.conj().T)
+    Y, quad, _ = _row_terms(A_inv, problem.rows[j : j + 1])
+    A_inv = A_inv - (alpha / (1.0 + alpha * quad[0])) * np.outer(Y[0].conj(), Y[0])
+    return 0.5 * (A_inv + A_inv.conj().T)  # Hermitian to the last bit
 
 
-def add_row(
-    problem: DesignProblem, A_inv: np.ndarray, Y: np.ndarray, quad: np.ndarray, j: int, size: int
-):
-    """Greedy's step: ``(A_inv, Y, quad, norm2)`` after adding row j as the
-    ``size``-th row of the pattern whose inverse is ``A_inv`` and whose row
-    terms of ``_row_terms`` are ``Y`` and ``quad``.
-
-    ``A^{-1}`` is updated by ``rank_one_update``.  When ``size`` is a
-    multiple of the rank r, the row terms are rebuilt from it by
-    ``_row_terms`` (P r^2 products); otherwise they are carried in P r: with
+def add_row(problem: DesignProblem, Y: np.ndarray, quad: np.ndarray, j: int):
+    """Greedy's carried step: the row terms ``(Y, quad, norm2)`` of
+    ``_row_terms`` after adding row j to the pattern whose terms are ``Y``
+    and ``quad``, in P r products and without ``A^{-1}``: with
     ``c = alpha / (1 + alpha q_j)`` and ``d = U y_j^H``, ``Y -= c d y_j`` and
     ``quad -= c |d|^2``, which overwrites ``Y`` and ``quad``, and ``norm2``
-    is read from ``Y``.  So a carried chain is at most r - 1 updates long.
+    is read from ``Y``.
     """
-    A_inv = rank_one_update(problem, A_inv, j)
-    if size % problem.rank == 0:
-        return (A_inv, *_row_terms(A_inv, problem.rows))
     alpha = problem.pilot_snr
     y = Y[j].copy()
     c = alpha / (1.0 + alpha * float(quad[j]))
@@ -556,7 +543,7 @@ def add_row(
     Y -= d[:, None] @ (c * y)[None, :]
     quad -= c * np.abs(d) ** 2
     Y_flat = Y.view(np.float64)
-    return A_inv, Y, quad, np.einsum("ij,ij->i", Y_flat, Y_flat)
+    return Y, quad, np.einsum("ij,ij->i", Y_flat, Y_flat)
 
 
 def removal_terms(problem: DesignProblem, quad: np.ndarray, selected) -> np.ndarray:

@@ -489,25 +489,30 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     """Select K pilots by repeated largest marginal gain; the lowest index
     within ``TIE_BAND`` of the largest gain wins.
 
-    The gains of every row come from the row terms ``Y = U A^{-1}``, ``q``
-    and ``n`` that ``objective.add_row`` carries from one pick to the next
-    in O(P r), rebuilding them from ``A^{-1}`` every r picks; the band is
-    read from the trace of that ``A^{-1}``."""
+    Greedy keeps its picks, the row terms ``Y = U A^{-1}``, ``q`` and ``n``
+    that give every row's gain, and the objective ``f`` that sets the band.
+    Every r picks, the first included, all three are rebuilt from
+    ``objective.pattern_inverse`` of the picks; between rebuilds
+    ``objective.add_row`` carries the terms in O(P r) and ``f`` falls by
+    the picked gain."""
     t0 = time.perf_counter()
     alpha = problem.pilot_snr
-    A_inv = np.diag(problem.prior).astype(np.complex128)
-    initial = float(np.trace(A_inv).real)
-    Y, quad, norm2 = _row_terms(A_inv, problem.rows)
     selected = np.zeros(problem.grid.size, dtype=bool)
-    for size in range(1, problem.budget + 1):
+    initial = pattern_objective(problem, np.flatnonzero(selected))
+    for size in range(problem.budget):  # size picks made so far
+        if size % problem.rank:
+            Y, quad, norm2 = add_row(problem, Y, quad, j)
+            f -= float(gains[j])
+        else:
+            A_inv = pattern_inverse(problem, np.flatnonzero(selected))
+            f = float(np.trace(A_inv).real)
+            Y, quad, norm2 = _row_terms(A_inv, problem.rows)
         gains = _gains(quad, norm2, alpha)
         gains[selected] = -1.0
-        j = int((gains >= gains.max() - TIE_BAND * A_inv.trace().real).argmax())
+        j = int((gains >= gains.max() - TIE_BAND * f).argmax())
         selected[j] = True
-        if size < problem.budget:
-            A_inv, Y, quad, norm2 = add_row(problem, A_inv, Y, quad, j, size)
     # Report the trace of the pattern's own A^{-1}, as every other method
-    # does, not the end of the update chain, which drifts in the last bits.
+    # does, not the carried f, which drifts in the last bits.
     selected = np.flatnonzero(selected)
     pattern = PilotPattern(tuple(selected.tolist()), problem.grid)
     return _report(problem, pattern, pattern_objective(problem, selected), initial, 0, t0)
@@ -556,8 +561,9 @@ def local_swap(
     a tie going to the first tied entry of the screen in row-major order.
 
     Stops when the best improvement falls below ``SWAP_TOLERANCE`` times the
-    objective, leaving a 1-swap locally optimal pattern, or after ``max_passes`` passes;
-    a run the cap stops with an improving swap left warns.
+    objective, leaving a 1-swap locally optimal pattern, or after ``max_passes``
+    passes; a run the cap stops with an improving swap left warns, naming K
+    and the objective it stopped at, so that each distinct stop prints.
 
     Each state's ``A^{-1}`` is computed from its pattern alone, so a state's
     objective and best swap are functions of its indices.  ``visited`` maps
@@ -584,8 +590,9 @@ def local_swap(
     while successor is not None:
         if accepted == max_passes:
             warnings.warn(
-                f"local_swap stopped at max_passes={max_passes} with an improving "
-                "swap left; the pattern is not 1-swap locally optimal",
+                f"local_swap stopped at max_passes={max_passes} (K = {problem.budget}, "
+                f"objective {value:.12g}) with an improving swap left; the pattern "
+                "is not 1-swap locally optimal",
                 stacklevel=2,
             )
             break

@@ -105,7 +105,8 @@ def check_incremental_updates() -> CheckResult:
     ``gains_for_candidates`` over all P rows and the swap pass's
     ``swap_deltas`` screen, each on the pattern's ``A^{-1}``; and along 20
     random chains of K picks, the gains of all P rows from the row terms
-    that greedy carries (``add_row``) at every step, against
+    that greedy carries (``add_row``, rebuilt from the picks' ``A^{-1}``
+    every r picks, the first included) at every step, against
     ``gains_for_candidates`` on the ``A^{-1}`` reinverted from the picks so
     far."""
     t0 = time.perf_counter()
@@ -137,14 +138,14 @@ def check_incremental_updates() -> CheckResult:
         worst_swap = max(worst_swap, abs(delta - direct_delta) / denom)
     for _ in range(20):
         picks = rng.choice(P, size=problem.budget, replace=False)
-        A_inv = np.diag(problem.prior).astype(np.complex128)
-        Y, quad, _ = _row_terms(A_inv, problem.rows)
-        for size, j in enumerate(picks.tolist(), 1):
-            A_inv, Y, quad, norm2 = add_row(problem, A_inv, Y, quad, j, size)
+        for size in range(problem.budget + 1):
+            A_inv = pattern_inverse(problem, np.sort(picks[:size]))
+            if size % problem.rank:
+                Y, quad, norm2 = add_row(problem, Y, quad, int(picks[size - 1]))
+            else:
+                Y, quad, norm2 = _row_terms(A_inv, problem.rows)
             gains = _gains(quad, norm2, problem.pilot_snr)
-            direct = gains_for_candidates(
-                pattern_inverse(problem, np.sort(picks[:size])), problem.rows, problem.pilot_snr
-            )
+            direct = gains_for_candidates(A_inv, problem.rows, problem.pilot_snr)
             worst_chain = max(worst_chain, float((abs(gains - direct) / direct).max()))
     ok = worst_gain <= 1e-9 and worst_swap <= 1e-9 and worst_chain <= 1e-9
     return _finish(

@@ -554,6 +554,14 @@ def stats_big():
 
 
 @pytest.fixture(scope="session")
+def stats_big_full():
+    """The 48x28 grid on every significant eigenpair (eta = 1, r = 82)."""
+    return build_statistics(
+        GridConfig(48, 28), ScatteringSpec(spreading_factor=0.005, rank_energy_threshold=1.0)
+    )
+
+
+@pytest.fixture(scope="session")
 def problem_big(stats_big):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # K > N exceeds the block power budget

@@ -57,8 +57,8 @@ def test_criterion_02_checks_greedys_carried_terms(monkeypatch):
     original = validation.add_row
 
     def skewed(*args):
-        A_inv, Y, quad, norm2 = original(*args)
-        return A_inv, Y, quad, norm2 * (1.0 + 1e-7)
+        Y, quad, norm2 = original(*args)
+        return Y, quad, norm2 * (1.0 + 1e-7)
 
     monkeypatch.setattr(validation, "add_row", skewed)
     result = check_incremental_updates()

@@ -2,7 +2,12 @@ import csv
 import inspect
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from pilotopt.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO_ERROR,
     EXIT_OK,
+    EXIT_OUT_OF_MEMORY,
     EXIT_POINT_FAILED,
     budget_pilots,
     derive_rounding_seed,
@@ -555,6 +561,30 @@ class TestErrorPaths:
             main(["design", "--config", str(cfg_path), "--out", str(blocker)])
             == EXIT_IO_ERROR
         )
+
+    def test_out_of_memory_exits_5_with_one_line(self, tmp_path):
+        """A 1000x1000 grid, whose Kronecker basis needs 28 GiB, run in a
+        child process limited to 2 GiB of address space: one stderr line
+        and exit 5, not a traceback."""
+        cfg_path = write_config(tmp_path, {"grid": {"M": 1000, "N": 1000}, "methods": ["greedy"]})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "pilotopt.cli", "design", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OUT_OF_MEMORY == 5
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: out of memory: ")
 
     def test_method_override(self, tmp_path):
         cfg_path = write_config(tmp_path, {"pilot_budget": 6})

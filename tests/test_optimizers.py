@@ -42,8 +42,8 @@ from pilotopt.errors import (
     LatticeError,
     NoFeasibleLatticeError,
 )
-from pilotopt import optimizers, validation
-from pilotopt.cli import derive_rounding_seed
+from pilotopt import objective, optimizers, validation
+from pilotopt.cli import RUNNERS, derive_rounding_seed
 from pilotopt.objective import (
     ROUNDING_EPS,
     _row_terms,
@@ -939,37 +939,64 @@ class TestGreedy:
     @pytest.mark.filterwarnings("ignore:power_fraction")
     @pytest.mark.parametrize(
         "stats, K, snr_db",
-        [("stats_big", 134, 10.0), ("stats_big", 134, 20.0)]
+        [("stats_big", 134, 10.0), ("stats_big", 134, 20.0), ("stats_big_full", 134, 20.0)]
         + [("stats_rb", K, snr_db) for K in (30, 50) for snr_db in (80.0, 100.0, 120.0)],
     )
     def test_picks_the_reference_greedys_picks(self, request, stats, K, snr_db):
-        """On 48x28 and, far above 40 dB, on 12x14, where the gains span many
-        orders of magnitude: terms carried as scalar recurrences lose the
-        small ones there, while carrying ``Y`` and rebuilding it every r
-        picks keeps the picks."""
+        """On 48x28, at r = 28 and at eta = 1 (r = 82), and, far above 40 dB,
+        on 12x14, where the gains span many orders of magnitude: terms
+        carried as scalar recurrences lose the small ones there, while
+        carrying ``Y`` and rebuilding it every r picks keeps the picks."""
         problem = make_design_problem(request.getfixturevalue(stats), K=K, snr_db=snr_db)
         want = tuple(sorted(reference_greedy(problem)))
         assert greedy_design(problem).pattern.indices == want
 
-    def test_carried_terms_match_reinversion_at_48x28(self, problem_big):
-        """Every r picks the row terms are rebuilt from the updated
-        ``A^{-1}``, and after greedy's K picks, 22 of them carried since the
-        last rebuild (K = 134, r = 28), they are those of the reinverted
-        ``A^{-1}`` to 1e-9 relative."""
+    def test_carried_terms_match_reinversion_at_48x28(self, problem_big, monkeypatch):
+        """Every r picks, the first included, greedy rebuilds its row terms
+        from ``pattern_inverse`` of its picks so far, bit for bit, and the
+        terms carried from the last rebuild through the remaining picks, 22
+        of them (K = 134, r = 28), are those of the reinverted ``A^{-1}`` to
+        1e-9 relative."""
+        rebuilt = []
+
+        def recorded(A_inv, rows):
+            terms = _row_terms(A_inv, rows)
+            rebuilt.append((A_inv, [term.copy() for term in terms]))  # add_row overwrites
+            return terms
+
+        monkeypatch.setattr(optimizers, "_row_terms", recorded)
         picks = reference_greedy(problem_big)
-        A_inv = np.diag(problem_big.prior).astype(np.complex128)
-        Y, quad, _ = _row_terms(A_inv, problem_big.rows)
-        for size, j in enumerate(picks, 1):
-            A_inv, Y, quad, norm2 = add_row(problem_big, A_inv, Y, quad, j, size)
-            if size % problem_big.rank == 0:
-                for got, want in zip((Y, quad, norm2), _row_terms(A_inv, problem_big.rows)):
-                    assert np.array_equal(got, want), size
-        assert problem_big.budget % problem_big.rank == 22
+        assert greedy_design(problem_big).pattern.indices == tuple(sorted(picks))
+        r, K = problem_big.rank, problem_big.budget
+        assert K % r == 22 and len(rebuilt) == 1 + K // r
+        for size, (A_inv, terms) in zip(range(0, K, r), rebuilt):
+            reinverted = pattern_inverse(problem_big, np.array(sorted(picks[:size]), dtype=np.intp))
+            assert np.array_equal(A_inv, reinverted), size
+            for got, want in zip(terms, _row_terms(reinverted, problem_big.rows)):
+                assert np.array_equal(got, want), size
+        Y, quad, _ = rebuilt[-1][1]
+        for j in picks[K - K % r :]:
+            Y, quad, norm2 = add_row(problem_big, Y, quad, j)
         A_ref = pattern_inverse(problem_big, np.array(sorted(picks), dtype=np.intp))
         Y_ref, quad_ref, norm2_ref = _row_terms(A_ref, problem_big.rows)
         assert np.abs(Y - Y_ref).max() <= 1e-9 * np.abs(Y_ref).max()
         np.testing.assert_allclose(quad, quad_ref, rtol=1e-9, atol=0)
         np.testing.assert_allclose(norm2, norm2_ref, rtol=1e-9, atol=0)
+
+    def test_no_optimizer_updates_by_sherman_morrison(self, problem_rb, monkeypatch):
+        """Greedy, greedy-swap, cr-round-swap, the two lattices and
+        criterion 2 run with ``rank_one_update`` refusing every call: each
+        ``A^{-1}`` they read comes from the Cholesky kernel."""
+
+        def refused(*args):
+            raise AssertionError("rank_one_update called")
+
+        for module in (objective, optimizers, validation):
+            monkeypatch.setattr(module, "rank_one_update", refused, raising=False)
+        allocation = solve_relaxation(problem_rb)
+        for method in ("greedy", "greedy-swap", "cr-round-swap", "rect", "diamond"):
+            RUNNERS[method](problem_rb, lambda: allocation, 0, 3)
+        assert validation.check_incremental_updates().passed
 
 
 class TestLocalSwap:
@@ -1133,6 +1160,18 @@ class TestLocalSwap:
         with pytest.warns(UserWarning, match="max_passes=1"):
             capped = local_swap(problem_rb, poor, max_passes=1)
         assert capped.swap_iterations == 1
+
+    def test_each_distinct_cap_hit_prints(self, problem_rb):
+        """Two runs the cap stops at different patterns each warn under
+        Python's default filter, which prints a message once per call site:
+        the message names K and the objective it stopped at."""
+        K = problem_rb.budget
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for start in (range(K), range(1, K + 1)):
+                capped = local_swap(problem_rb, PilotPattern(start, problem_rb.grid), max_passes=1)
+                assert f"K = {K}, objective {capped.objective:.12g})" in str(caught[-1].message)
+        assert len(caught) == 2
 
     def test_run_converging_at_the_cap_does_not_warn(self, problem_rb):
         init = greedy_design(problem_rb).pattern
