@@ -102,6 +102,11 @@ def _j0(x: float) -> float:
     return p * _SQRT_2_OVER_PI / sqrt(x)
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a boolean."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_finite_number(value) -> bool:
     """True for a real number that is not a boolean and is finite as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -134,8 +139,8 @@ class GridConfig:
     N: int
 
     def __post_init__(self):
-        if int(self.M) != self.M or int(self.N) != self.N:
-            raise InvalidSpecError("grid dimensions must be integers")
+        if not (is_integer(self.M) and is_integer(self.N)):
+            raise InvalidSpecError(f"grid dimensions must be integers, got {self.M!r}x{self.N!r}")
         if self.M < 1 or self.N < 1:
             raise InvalidSpecError(f"grid dimensions must be >= 1, got {self.M}x{self.N}")
         object.__setattr__(self, "M", int(self.M))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import GridConfig, ScatteringSpec, build_statistics, is_finite_number
+from .channel import GridConfig, ScatteringSpec, build_statistics, is_finite_number, is_integer
 from .errors import BudgetError, ConfigError, InvalidSpecError, PilotOptError
 from .objective import (
     FractionalAllocation,
@@ -116,10 +116,6 @@ def _require_distinct(values, field: str, noun: str):
     _require(len(set(values)) == len(values), f"field '{field}' lists {noun} twice")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _gives_noise_var(snr_db) -> bool:
     """True when ``10^(-snr_db/10)`` is a finite positive float."""
     try:
@@ -166,7 +162,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(grid_raw, dict) and "M" in grid_raw and "N" in grid_raw,
              "field 'grid' must be an object with M and N")
     _require(set(grid_raw) == {"M", "N"}, f"unknown grid fields: {sorted(set(grid_raw) - {'M', 'N'})}")
-    _require(_is_int(grid_raw["M"]) and _is_int(grid_raw["N"]),
+    _require(is_integer(grid_raw["M"]) and is_integer(grid_raw["N"]),
              "field 'grid': M and N must be integers")
     try:
         grid = GridConfig(grid_raw["M"], grid_raw["N"])
@@ -211,7 +207,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require_distinct(budget_raw, "pilot_budget", "a density")
         budgets = tuple(("density", float(d)) for d in budget_raw)
     else:
-        _require(_is_int(budget_raw),
+        _require(is_integer(budget_raw),
                  "field 'pilot_budget' must be an integer or a list of densities")
         _require(budget_raw >= 1, f"field 'pilot_budget': K = {budget_raw} is not a valid budget")
         budgets = (("pilots", int(budget_raw)),)
@@ -242,10 +238,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     seeds = _as_tuple(raw.get("seeds", 0), "seeds")
     for s in seeds:
-        _require(_is_int(s) and s >= 0, f"field 'seeds': {s!r} is not a non-negative integer")
+        _require(is_integer(s) and s >= 0, f"field 'seeds': {s!r} is not a non-negative integer")
     _require_distinct(seeds, "seeds", "a seed")
     repeats = raw.get("rounding_repeats", 50)
-    _require(_is_int(repeats) and repeats >= 1, "field 'rounding_repeats' must be an integer >= 1")
+    _require(is_integer(repeats) and repeats >= 1, "field 'rounding_repeats' must be an integer >= 1")
     output_dir = raw.get("output_dir", "out")
     _require(isinstance(output_dir, str), "field 'output_dir' must be a string")
 
@@ -379,15 +375,16 @@ def _mse_scorer(stats):
 def _outcome(problem, result, score) -> dict:
     """The outcome record of what a runner produced at ``problem``: a
     ``DesignReport``, the ``PilotPattern`` of a rounding, the shared
-    ``FractionalAllocation``, or ``(best report, [(rounding seed, report),
-    ...])`` for the per-rounding ``distribution``.  A report is scored on its
-    own problem, at the budget actually used, so a lattice that fell back to
-    K' is scored at K'."""
+    ``FractionalAllocation``, or ``(best report, [(rounding seed, report,
+    seconds), ...])`` for the per-rounding ``distribution``, whose rows take
+    the seconds of their rounding and swap run as their ``wall_time``.  A
+    report is scored on its own problem, at the budget actually used, so a
+    lattice that fell back to K' is scored at K'."""
     if isinstance(result, tuple):
         best, rounds = result
         distribution = [
-            {"rounding_seed": s, "wall_time": r.wall_time, **_outcome(problem, r, score)}
-            for s, r in rounds
+            {"rounding_seed": s, "wall_time": t, **_outcome(problem, r, score)}
+            for s, r, t in rounds
         ]
         return {**_outcome(problem, best, score), "distribution": distribution}
     if isinstance(result, DesignReport):
@@ -410,8 +407,8 @@ def _outcome(problem, result, score) -> dict:
 
 def _run_rounding_swap(problem, relax, seed, repeats):
     seeds = [derive_rounding_seed(seed, i) for i in range(repeats)]
-    best, reports = relax_round_swap_design(problem, seeds, relax())
-    return best, list(zip(seeds, reports))
+    best, rounds = relax_round_swap_design(problem, seeds, relax())
+    return best, [(s, report, seconds) for s, (report, seconds) in zip(seeds, rounds)]
 
 
 # Each runner takes (problem, relax, seed, repeats) and returns what
@@ -450,9 +447,14 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     is scored once per point, across all methods and roundings.  For ``cr``
     it is the error of the weights read as per-cell pilot power, which is
     not a bound, and it depends on which of the non-unique relaxed optima
-    the solver stops at far more than the objective does.  The
-    relaxation-based methods share one relaxation solve, ``relax()``, which
-    the first of them to run pays for in its ``wall_time``.
+    the solver stops at far more than the objective does.
+
+    ``wall_time`` is timed here, since the optimizers keep no clocks: the
+    wall seconds of the method's runner and of building its record, scoring
+    included.  The relaxation-based methods share one relaxation solve,
+    ``relax()``, which the first of them to run pays for in its
+    ``wall_time``.  A ``distribution`` row's ``wall_time`` covers its own
+    rounding and swap run, as ``relax_round_swap_design`` times them.
 
     The record is built by ``_outcome`` from what the method's runner
     returns.  The runners call the optimizers inside their bodies, so each

@@ -35,13 +35,11 @@ dense ``z L^T``) and ``lmmse_weights`` (the P x K grid weights ``W = L Q``,
 ``g_hat = W y_S``) are the grid form the tests hold it to.
 """
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .channel import ChannelStatistics
+from .channel import ChannelStatistics, is_finite_number, is_integer
 from .errors import InvalidSpecError
 from .objective import (
     DesignProblem, PilotPattern, _error_covariance, _scoring_problem, hermitian_from_lower
@@ -50,10 +48,6 @@ from .objective import (
 # Realizations are simulated in fixed-size batches to bound memory; the batch
 # size is an implementation constant so seeded runs stay bit-identical.
 _BATCH = 4096
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,22 +61,16 @@ class SimConfig:
     noise_var: float
 
     def __post_init__(self):
-        if not (_is_integer(self.realizations) and self.realizations >= 1):
+        if not (is_integer(self.realizations) and self.realizations >= 1):
             raise InvalidSpecError(
                 f"realizations must be an integer >= 1, got {self.realizations!r}"
             )
-        if not (_is_integer(self.rng_seed) and self.rng_seed >= 0):
+        if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
             raise InvalidSpecError(
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}"
             )
-        noise_var = self.noise_var
-        if not (
-            isinstance(noise_var, Real)
-            and not isinstance(noise_var, bool)
-            and math.isfinite(noise_var)
-            and noise_var > 0
-        ):
-            raise InvalidSpecError(f"noise_var must be finite and > 0, got {noise_var!r}")
+        if not (is_finite_number(self.noise_var) and self.noise_var > 0):
+            raise InvalidSpecError(f"noise_var must be finite and > 0, got {self.noise_var!r}")
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelStatistics, GridConfig
+from .channel import ChannelStatistics, GridConfig, is_integer
 from .errors import BudgetError, DegenerateUpdateError, InvalidSpecError, NumericError
 
 
@@ -111,8 +111,8 @@ def compute_alpha(beta: float, N: int, K: int, noise_var: float) -> float:
     Alpha must be a positive float whose square is finite (at most about
     1.3e154): the swap screen squares ``alpha / (1 - alpha q) >= alpha``.
     """
-    if K < 1 or int(K) != K:
-        raise BudgetError(f"pilot budget must be a positive integer, got {K}")
+    if not (is_integer(K) and K >= 1):
+        raise BudgetError(f"pilot budget must be a positive integer, got {K!r}")
     if beta <= 0 or N < 1 or noise_var <= 0:
         raise InvalidSpecError("beta, N and noise_var must be positive")
     alpha = float(beta) * N / (K * noise_var)
@@ -345,7 +345,7 @@ class FractionalAllocation:
     plan: RoundingPlan = field(init=False, repr=False)
 
     def __post_init__(self):
-        if int(self.budget) != self.budget:
+        if not is_integer(self.budget):
             raise InvalidSpecError(f"allocation budget must be an integer, got {self.budget!r}")
         # A private copy: the plan must not go stale under the caller's writes.
         w = np.array(self.weights, dtype=float)

@@ -63,10 +63,11 @@ SWAP_TOLERANCE = 1e-10
 # agree to about 1e-14 of it.
 REFLECT_SLACK = 1e-12
 # Exact ties are broken by index, not by arithmetic: the swap pass, greedy
-# selection and the choice of best rounding each take the lowest index (the
-# earliest seed) among the choices within this fraction of the objective of
-# the best one.  Mirror-symmetric channels give ties whose values differ in
-# the last bits, far inside the band.
+# selection, the lattice search, the exhaustive search and the choice of best
+# rounding each take the lowest index (the earliest seed) among the choices
+# within this fraction of the objective of the best one.  Mirror-symmetric
+# channels give ties whose values differ in the last bits, far inside the
+# band.
 TIE_BAND = 1e-9
 # The relaxation turns from SPG2 to Newton steps on the free weights once
 # this many accepted SPG2 steps in a row leave the weights pinned at 0 or 1
@@ -100,7 +101,8 @@ METHOD_DIAMOND = "diamond"
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Outcome of one design run.
+    """Outcome of one design run: its result and counts, and no time, which
+    its caller measures where it writes it (``cli.run_point``).
 
     ``objective`` is the design objective on the reduced-rank basis;
     ``problem`` is the instance the pattern was scored on, at the budget
@@ -111,7 +113,6 @@ class DesignReport:
     objective: float
     initial_objective: float
     swap_iterations: int
-    wall_time: float
     problem: DesignProblem = field(repr=False, compare=False)
 
     @property
@@ -120,15 +121,10 @@ class DesignReport:
         return self.problem.budget
 
 
-def _report(problem, pattern, objective, initial, swaps, t0):
-    return DesignReport(
-        pattern=pattern,
-        objective=objective,
-        initial_objective=initial,
-        swap_iterations=swaps,
-        wall_time=time.perf_counter() - t0,
-        problem=problem,
-    )
+def _first_in_band(objectives) -> int:
+    """Index of the first of ``objectives`` within ``TIE_BAND`` of the lowest."""
+    objectives = np.asarray(objectives, dtype=float)
+    return int(np.argmax(objectives <= objectives.min() * (1.0 + TIE_BAND)))
 
 
 def project_capped_simplex(v: np.ndarray, K: int) -> np.ndarray:
@@ -495,10 +491,8 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     ``objective.pattern_inverse`` of the picks; between rebuilds
     ``objective.add_row`` carries the terms in O(P r) and ``f`` falls by
     the picked gain."""
-    t0 = time.perf_counter()
     alpha = problem.pilot_snr
     selected = np.zeros(problem.grid.size, dtype=bool)
-    initial = pattern_objective(problem, np.flatnonzero(selected))
     for size in range(problem.budget):  # size picks made so far
         if size % problem.rank:
             Y, quad, norm2 = add_row(problem, Y, quad, j)
@@ -507,6 +501,8 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
             A_inv = pattern_inverse(problem, np.flatnonzero(selected))
             f = float(np.trace(A_inv).real)
             Y, quad, norm2 = _row_terms(A_inv, problem.rows)
+            if not size:
+                initial = f  # the empty pattern's objective
         gains = _gains(quad, norm2, alpha)
         gains[selected] = -1.0
         j = int((gains >= gains.max() - TIE_BAND * f).argmax())
@@ -515,7 +511,7 @@ def greedy_design(problem: DesignProblem) -> DesignReport:
     # does, not the carried f, which drifts in the last bits.
     selected = np.flatnonzero(selected)
     pattern = PilotPattern(tuple(selected.tolist()), problem.grid)
-    return _report(problem, pattern, pattern_objective(problem, selected), initial, 0, t0)
+    return DesignReport(pattern, pattern_objective(problem, selected), initial, 0, problem)
 
 
 def _best_swap(problem: DesignProblem, A_inv: np.ndarray, selected, objective):
@@ -581,7 +577,6 @@ def local_swap(
     """
     if len(init) != problem.budget:
         raise BudgetError(f"initial pattern has {len(init)} pilots, budget is {problem.budget}")
-    t0 = time.perf_counter()
     if visited is None:
         visited = {}
     indices = init.indices
@@ -599,7 +594,7 @@ def local_swap(
         indices = successor
         value, successor, _ = _swap_state(problem, indices, visited)
         accepted += 1
-    return _report(problem, PilotPattern(indices, problem.grid), value, initial, accepted, t0)
+    return DesignReport(PilotPattern(indices, problem.grid), value, initial, accepted, problem)
 
 
 def _swap_state(problem: DesignProblem, indices: tuple, visited: dict):
@@ -669,7 +664,6 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
     """
     if shape not in (METHOD_RECT, METHOD_DIAMOND):
         raise LatticeError(f"shape must be 'rect' or 'diamond', got {shape!r}")
-    t0 = time.perf_counter()
     grid = problem.grid
     f_sp, f_off, rows, shifted, _, _ = _spacing_offsets(grid.M)
     t_sp, t_off, _, _, even, odd = _spacing_offsets(grid.N)
@@ -688,10 +682,9 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
             for a, b in zip(f[order], t[order])
         ]
         objectives = [pattern_objective(sub_problem, idx) for idx in lattices]
-        lowest = min(objectives)
-        k = next(k for k, obj in enumerate(objectives) if obj <= lowest * (1.0 + TIE_BAND))
+        k = _first_in_band(objectives)
         pattern = PilotPattern(lattices[k], grid)
-        return _report(sub_problem, pattern, objectives[k], objectives[k], 0, t0)
+        return DesignReport(pattern, objectives[k], objectives[k], 0, sub_problem)
     raise NoFeasibleLatticeError(
         f"no {shape} lattice on {grid.M}x{grid.N} has {problem.budget - 2}"
         f"..{problem.budget} pilots"
@@ -699,64 +692,58 @@ def best_lattice(problem: DesignProblem, shape: str) -> DesignReport:
 
 
 def greedy_swap_design(problem: DesignProblem) -> DesignReport:
-    """Greedy initialization refined by local swaps."""
-    t0 = time.perf_counter()
-    seeded = greedy_design(problem)
-    refined = local_swap(problem, seeded.pattern)
-    return _report(
-        problem, refined.pattern, refined.objective, seeded.objective, refined.swap_iterations, t0
-    )
+    """Greedy initialization refined by local swaps: the swap run's own
+    report, whose initial objective is the greedy pattern's."""
+    return local_swap(problem, greedy_design(problem).pattern)
 
 
 def relax_round_swap_design(
     problem: DesignProblem, rounding_seeds, allocation: FractionalAllocation
-) -> tuple[DesignReport, list[DesignReport]]:
+) -> tuple[DesignReport, list[tuple[DesignReport, float]]]:
     """One swap-refined rounding of the relaxed ``allocation`` of ``problem``
     (``solve_relaxation``) per seed.
 
-    Returns the best report together with the per-seed reports, so callers can
-    record the rounding distribution.  The best is the earliest seed whose
-    objective is within ``TIE_BAND`` of the lowest.  The roundings share one
-    ``local_swap`` visited map, so a duplicate rounding, or a chain that
-    merges into an earlier one, screens no state twice, and a state whose
-    reflection was screened with a clear decision is not screened at all;
-    each report is the one an unshared run gives.
+    Returns ``(best, rounds)``: ``rounds`` holds ``(report, seconds)`` per
+    seed, in seed order, the ``local_swap`` report of the seed's rounding and
+    the wall seconds of that rounding and its swap run, so callers can record
+    the rounding distribution.  The best is the report of the earliest seed
+    whose objective is within ``TIE_BAND`` of the lowest.  The roundings
+    share one ``local_swap`` visited map, so a duplicate rounding, or a chain
+    that merges into an earlier one, screens no state twice, and a state
+    whose reflection was screened with a clear decision is not screened at
+    all; each report is the one an unshared run gives.
     """
-    reports = []
+    rounds = []
     visited = {}
     for seed in rounding_seeds:
         t0 = time.perf_counter()
         pattern = dependent_rounding(allocation, seed, grid=problem.grid)
         # The swap run's initial objective is the rounded pattern's.
-        refined = local_swap(problem, pattern, visited=visited)
-        reports.append(
-            _report(
-                problem,
-                refined.pattern,
-                refined.objective,
-                refined.initial_objective,
-                refined.swap_iterations,
-                t0,
-            )
-        )
-    lowest = min(r.objective for r in reports)
-    best = next(r for r in reports if r.objective <= lowest * (1.0 + TIE_BAND))
-    return best, reports
+        report = local_swap(problem, pattern, visited=visited)
+        rounds.append((report, time.perf_counter() - t0))
+    best = rounds[_first_in_band([report.objective for report, _ in rounds])][0]
+    return best, rounds
 
 
 def exhaustive_search(problem: DesignProblem) -> DesignReport:
-    """Global optimum by enumerating all K-subsets; desk-scale oracle only."""
+    """Global optimum by enumerating all K-subsets; desk-scale oracle only.
+    The first subset in lexicographic order whose objective is within
+    ``TIE_BAND`` of the lowest wins: mirror images tie up to rounding."""
     P, K = problem.grid.size, problem.budget
     n_subsets = comb(P, K)
     if n_subsets > EXHAUSTIVE_GUARD:
         raise ComplexityGuardError(
             f"C({P},{K}) = {n_subsets} subsets exceeds the {EXHAUSTIVE_GUARD} guard"
         )
-    t0 = time.perf_counter()
-    best_obj, best_subset = np.inf, None
-    for subset in itertools.combinations(range(P), K):
-        obj = pattern_objective(problem, np.array(subset, dtype=np.intp))
-        if obj < best_obj:
-            best_obj, best_subset = obj, subset
-    pattern = PilotPattern(best_subset, problem.grid)
-    return _report(problem, pattern, best_obj, best_obj, 0, t0)
+    objectives = np.fromiter(
+        (
+            pattern_objective(problem, np.array(subset, dtype=np.intp))
+            for subset in itertools.combinations(range(P), K)
+        ),
+        dtype=float,
+        count=n_subsets,
+    )
+    k = _first_in_band(objectives)
+    subset = next(itertools.islice(itertools.combinations(range(P), K), k, None))
+    pattern = PilotPattern(subset, problem.grid)
+    return DesignReport(pattern, float(objectives[k]), float(objectives[k]), 0, problem)

@@ -249,6 +249,17 @@ class TestGridConfig:
         with pytest.raises(InvalidSpecError):
             GridConfig(4, -1)
 
+    @pytest.mark.parametrize("M", [True, 4.0, np.float64(4.0), "4"])
+    def test_non_integer_dimensions(self, M):
+        with pytest.raises(InvalidSpecError, match="grid dimensions must be integers"):
+            GridConfig(M, 4)
+        with pytest.raises(InvalidSpecError, match="grid dimensions must be integers"):
+            GridConfig(4, M)
+
+    def test_numpy_integer_dimensions(self):
+        grid = GridConfig(np.int64(3), np.uint8(5))
+        assert (grid.M, grid.N) == (3, 5) and type(grid.M) is int
+
 
 PARITY_SIZES = (1, 2, 3, 7, 12, 14, 28, 48)
 

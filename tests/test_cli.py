@@ -727,6 +727,24 @@ class TestRunPoint:
             expected = self.DOCUMENTED_KEYS.get(method, self.INTEGER_KEYS)
             assert set(outcome) in (expected, {"error", "K"}), method
 
+    def test_distribution_rows_take_their_roundings_seconds(self, stats_4x4, monkeypatch):
+        """A ``distribution`` row's ``wall_time`` is the time
+        ``relax_round_swap_design`` gives its rounding and swap run."""
+        returned, design = [], cli.relax_round_swap_design
+
+        def recorded(*args):
+            returned.append(design(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "relax_round_swap_design", recorded)
+        cfg = parse_config({**BASE_CONFIG, "grid": {"M": 4, "N": 4}, "pilot_budget": 3})
+        outcome = run_point(cfg, stats_4x4, 3, 10.0, 0, ("cr-round-swap",), repeats=3)
+        [(_, rounds)] = returned
+        rows = outcome["cr-round-swap"]["distribution"]
+        assert [row["wall_time"] for row in rows] == [seconds for _, seconds in rounds]
+        assert [row["objective"] for row in rows] == [report.objective for report, _ in rounds]
+        assert outcome["cr-round-swap"]["wall_time"] >= sum(seconds for _, seconds in rounds)
+
     @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0, 80.0, 100.0])
     def test_the_relaxation_bounds_every_pattern_at_high_snr(self, snr_db, monkeypatch):
         """12x14, spreading 5e-3, K = 17: the relaxation certifies its gap,

@@ -487,6 +487,7 @@ class TestRunSimulation:
             ("noise_var", -0.1),
             ("noise_var", True),
             ("noise_var", "0.1"),
+            pytest.param("noise_var", 10**400, id="noise_var-int-beyond-float"),
         ],
     )
     def test_invalid_field_named(self, field, value):

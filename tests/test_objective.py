@@ -112,6 +112,14 @@ class TestComputeAlpha:
         with pytest.raises(BudgetError):
             compute_alpha(1.0, 14, 0, 0.1)
 
+    @pytest.mark.parametrize("K", [True, 3.0, np.float64(3.0)])
+    def test_non_integer_budget_rejected(self, K):
+        with pytest.raises(BudgetError, match="pilot budget must be a positive integer"):
+            compute_alpha(1.0, 14, K, 0.1)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert compute_alpha(1.0, 14, np.int64(14), 0.1) == compute_alpha(1.0, 14, 14, 0.1)
+
     @pytest.mark.parametrize(
         "beta, noise_var",
         [(1.0, 1e-320), (1e300, 0.1), (1e-300, 1e300)],  # inf, squares to inf, 0
@@ -168,6 +176,14 @@ class TestPatternTypes:
         with pytest.raises(InvalidSpecError):
             FractionalAllocation(np.array([1.5, 0.5]), budget=2)
         FractionalAllocation(np.array([0.5, 0.5, 1.0]), budget=2)
+
+    @pytest.mark.parametrize("budget", [2.0, np.float64(2.0), True])
+    def test_allocation_rejects_a_non_integer_budget(self, budget):
+        with pytest.raises(InvalidSpecError, match="allocation budget must be an integer"):
+            FractionalAllocation(np.array([1.0, 0.5, 0.5]), budget=budget)
+
+    def test_allocation_accepts_a_numpy_integer_budget(self):
+        assert FractionalAllocation(np.array([1.0, 0.5, 0.5]), budget=np.int64(2)).budget == 2
 
     @pytest.mark.parametrize(
         "indices, message",

@@ -931,6 +931,28 @@ class TestGreedy:
         start = local_swap(problem, greedy_design(problem).pattern).initial_objective
         assert greedy_swap_design(problem).initial_objective == start
 
+    def test_greedy_swap_is_the_swap_run_from_greedy(self, rb_sweep_problems):
+        """``greedy_swap_design`` returns the ``local_swap`` report of the
+        greedy pattern as it is."""
+        for point, problem in rb_sweep_problems.items():
+            alone = local_swap(problem, greedy_design(problem).pattern)
+            assert_same_report(greedy_swap_design(problem), alone, point)
+
+    def test_factors_the_empty_pattern_once(self, problem_rb, monkeypatch):
+        """The initial objective is the empty pattern's, read from the
+        first rebuild instead of a second factorization."""
+        empty = pattern_objective(problem_rb, np.array([], dtype=np.intp))
+        sizes, information = [], objective._pattern_information
+
+        def counted(problem, idx):
+            sizes.append(idx.size)
+            return information(problem, idx)
+
+        monkeypatch.setattr(objective, "_pattern_information", counted)
+        report = greedy_design(problem_rb)
+        assert sizes.count(0) == 1
+        assert report.initial_objective == empty
+
     def test_picks_the_reference_greedys_picks_on_rb_sweep(self, rb_sweep_problems):
         for point, problem in rb_sweep_problems.items():
             want = tuple(sorted(reference_greedy(problem)))
@@ -1268,7 +1290,8 @@ class TestSwapMemo:
                 allocation = solve_relaxation(problem)
                 seeds = range(10)
                 del screened[:]
-                _, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+                _, rounds = relax_round_swap_design(problem, seeds, allocation=allocation)
+                reports = [report for report, _ in rounds]
                 shared_screens = len(screened)
                 del screened[:]
                 for seed, report in zip(seeds, reports):
@@ -1291,7 +1314,8 @@ class TestSwapMemo:
         clear = []
         screened = counting_best_swap(monkeypatch, clear)
         maps = sharing_swap_maps(monkeypatch)
-        _, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+        _, rounds = relax_round_swap_design(problem, seeds, allocation=allocation)
+        reports = [report for report, _ in rounds]
         assert len(screened) == len(set(screened))
         (visited,) = {id(m): m for m in maps}.values()
         decided = dict(zip(screened, clear))
@@ -1407,7 +1431,8 @@ class TestSwapMemo:
         problem, seeds = tied_roundings_problem()
         allocation = solve_relaxation(problem)
         seeds = seeds[:10]
-        _, reports = relax_round_swap_design(problem, seeds, allocation=allocation)
+        _, rounds = relax_round_swap_design(problem, seeds, allocation=allocation)
+        reports = [report for report, _ in rounds]
         for seed, report in zip(seeds, reports):
             init = dependent_rounding(allocation, seed, grid=problem.grid)
             assert report.objective == objective_value(problem, report.pattern)
@@ -1647,6 +1672,30 @@ class TestExhaustive:
         assert report.objective == pytest.approx(min(values), rel=1e-12)
         assert all(report.objective <= v + 1e-12 for v in values)
 
+    @pytest.mark.parametrize("K, ties", [(2, 4), (3, 4), (4, 2), (5, 4)])
+    def test_a_tie_goes_to_the_first_subset(self, monkeypatch, K, ties):
+        """Criterion 1's 4x4 instances have mirror-image subsets within
+        ``TIE_BAND`` of the lowest.  The first of them in lexicographic order
+        wins, also when a later tied subset reads an ulp below all others."""
+        problem = validation._oracle_grid_problem(K)
+        subsets = list(itertools.combinations(range(16), K))
+        values = [pattern_objective(problem, np.array(s, dtype=np.intp)) for s in subsets]
+        lowest = min(values)
+        tied = [s for s, v in zip(subsets, values) if v <= lowest * (1.0 + TIE_BAND)]
+        assert len(tied) == ties
+        assert exhaustive_search(problem).pattern.indices == tied[0]
+        score = optimizers.pattern_objective
+
+        def skewed(problem, idx):
+            if tuple(idx.tolist()) == tied[-1]:
+                return float(np.nextafter(lowest, 0.0))
+            return score(problem, idx)
+
+        monkeypatch.setattr(optimizers, "pattern_objective", skewed)
+        report = exhaustive_search(problem)
+        assert report.pattern.indices == tied[0]
+        assert report.objective == values[subsets.index(tied[0])]
+
     def test_guard_refuses_large_instances(self, problem_rb):
         pr = dataclasses.replace(problem_rb, budget=20)  # C(168, 20) astronomically large
         with pytest.raises(ComplexityGuardError):
@@ -1670,12 +1719,26 @@ class TestPipelines:
         gap = abs(greedy_refined.objective - rounded_refined.objective)
         assert gap <= 0.02 * min(greedy_refined.objective, rounded_refined.objective)
 
+    def test_times_each_rounding_in_seed_order(self, problem_rb):
+        """One ``(report, seconds)`` per seed, in seed order: the unshared
+        swap run of the seed's rounding and a non-negative time."""
+        allocation = solve_relaxation(problem_rb)
+        seeds = [5, 3, 9, 3]
+        best, rounds = relax_round_swap_design(problem_rb, seeds, allocation)
+        assert len(rounds) == len(seeds)
+        for seed, (report, seconds) in zip(seeds, rounds):
+            init = dependent_rounding(allocation, seed, grid=problem_rb.grid)
+            assert_same_report(report, local_swap(problem_rb, init), seed)
+            assert isinstance(seconds, float) and seconds >= 0.0
+        assert any(best is report for report, _ in rounds)
+
     def test_tied_roundings_keep_their_best_pattern(self):
         # Refined roundings here tie to the last bits: four patterns lie
         # within the band of the lowest objective.  The earliest seed among
         # them wins, not the lowest float.
         problem, seeds = tied_roundings_problem()
-        best, reports = relax_round_swap_design(problem, seeds, solve_relaxation(problem))
+        best, rounds = relax_round_swap_design(problem, seeds, solve_relaxation(problem))
+        reports = [report for report, _ in rounds]
         assert best is reports[0]
         assert best.swap_iterations == 3
         assert best.pattern.indices == (0, 1, 10, 11, 75, 77, 83, 84, 89, 95, 156, 157, 166, 167)
