@@ -130,7 +130,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     passes the same checks as the field it replaces."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -138,6 +138,9 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer past Python's digit limit, or nesting past its recursion limit.
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
     return parse_config(raw)
@@ -436,7 +439,8 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
     ``objective``, ``average_mse``, ``K``, ``swap_iterations`` and
     ``wall_time``; ``cr-round-swap`` adds the per-rounding ``distribution``,
     and ``cr`` has ``weights`` and ``converged`` in place of ``indices``.  A
-    method infeasible at this point gets ``error`` and ``K`` instead.
+    method infeasible at this point, or out of memory in its own run, gets
+    ``error`` and ``K`` instead, and the point's other methods still run.
 
     ``objective`` is the design objective on the design problem's one,
     reduced-rank basis; for ``cr`` it is its value at the relaxation solver's
@@ -471,7 +475,7 @@ def run_point(cfg: ExperimentConfig, stats, K, snr_db, seed, methods, repeats):
         try:
             result = RUNNERS[method](problem, relax, seed, repeats)
             outcome = _outcome(problem, result, score)
-        except PilotOptError as exc:
+        except (PilotOptError, MemoryError) as exc:
             outcomes[method] = {"error": f"{type(exc).__name__}: {exc}", "K": K}
             continue
         outcome["wall_time"] = time.perf_counter() - t0

@@ -71,23 +71,16 @@ REFLECT_SLACK = 1e-12
 TIE_BAND = 1e-9
 # The relaxation turns from SPG2 to Newton steps on the free weights once
 # this many accepted SPG2 steps in a row leave the weights pinned at 0 or 1
-# unchanged.  A Newton step halves at most FACE_HALVINGS times before the
-# face phase hands back to SPG2, and the face Hessian takes a ridge of
-# FACE_RIDGE times its largest diagonal entry.
+# unchanged, and the face Hessian takes a ridge of FACE_RIDGE times its
+# largest diagonal entry.  A Newton step that fails its one trial hands back
+# to SPG2.
 FACE_SWITCH = 3
-FACE_HALVINGS = 10
 FACE_RIDGE = 1e-10
 # The relaxation converges when its best objective is within GAP_TOL of its
 # best lower bound, relative to that bound, and stops unconverged after
 # RELAX_MAX_ITERS steps.
 GAP_TOL = 1e-9
 RELAX_MAX_ITERS = 5000
-# An SPG2 trial whose weights miss sum w = K by more than BUDGET_SLACK is
-# refused.  Its projection lost the budget to rounding: with lam near the top
-# of its range, w - lam grad is so large that the projected weights fall
-# below its last bits.  A step short enough along the direction keeps it.
-# Over the shipped configs the projections miss K by at most 6.3e-13.
-BUDGET_SLACK = 1e-9
 
 METHOD_CR = "cr"
 METHOD_CR_ROUND = "cr-round"
@@ -190,12 +183,12 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
 
     Each SPG2 iteration projects once, for the direction
     ``d = P(w - lam grad) - w`` at the Barzilai-Borwein step ``lam`` (BB1,
-    clamped to [1e-12, 1e12] times ``scale``, the reciprocal of the start's
-    largest absolute gradient, which is the first step; 1e12 where the
-    curvature is not positive), and backtracks ``s <- s/2`` along ``w + s d``
-    with no further projection.  A trial is accepted when its objective is at
-    most the largest of the last 10 objectives plus ``1e-4 * s * grad.d``
-    (the Grippo-Lampariello-Lucidi rule).
+    clamped to [1e-12, 1e3] times ``scale``, the reciprocal of the start's
+    largest absolute gradient, which is the first step; the top of that
+    range where the curvature is not positive), and backtracks ``s <- s/2``
+    along ``w + s d`` with no further projection.  A trial is accepted when
+    its objective is at most the largest of the last 10 objectives plus
+    ``1e-4 * s * grad.d`` (the Grippo-Lampariello-Lucidi rule).
 
     Once ``FACE_SWITCH`` accepted SPG2 steps in a row leave the set of weights
     pinned at 0 or 1 unchanged, with at least two weights free and one
@@ -214,13 +207,12 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
     Bertsekas 1982, "Projected Newton methods for optimization problems with
     simple constraints", SIAM J. Control Optim. 20(2)).  A released weight
     whose Newton direction points out of the box stays pinned.  A step that
-    is not a descent, a line search that fails within ``FACE_HALVINGS``
-    halvings, a singular solve, a solved face with nothing to release that
-    the gap does not certify, or a face that shrinks below two weights hands
-    back to SPG2 from the current iterate.  Each trial's ``A^{-1}`` gives
-    its objective as the trace of its lower triangle
-    (``objective.allocation_lower_inverse``), and, once accepted, the
-    mirrored inverse gives its gradient and face Hessian.
+    is not a descent or fails its one trial, a singular solve, a solved face
+    with nothing to release that the gap does not certify, or a face that
+    shrinks below two weights hands back to SPG2 from the current iterate.
+    Each trial's ``A^{-1}`` gives its objective as the trace of its lower
+    triangle (``objective.allocation_lower_inverse``), and, once accepted,
+    the mirrored inverse gives its gradient and face Hessian.
 
     Every accepted iterate, the start included, gives a lower bound on the
     relaxed optimum (``_lower_bound``, one partition of the gradient), and
@@ -231,13 +223,14 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
     convex optimization", IEEE TSP 57(2)).  Otherwise, after
     ``RELAX_MAX_ITERS`` accepted steps of either kind or when no trial is
     accepted, the best iterate is returned with ``converged=False`` and a
-    warning.  An SPG2 trial that misses ``sum w = K`` by more than
-    ``BUDGET_SLACK`` is refused unevaluated, so every iterate holds the
-    budget to that slack.  The allocation records the steps taken, the
-    certified relative gap of the best iterate (inf when no bound was
-    positive; near the optimum it rounds to within about 1e-15 of 0, either
-    side), the objective evaluations made, the Newton steps among the steps
-    and the hand-backs to SPG2.
+    warning.  The budget holds by construction: with the step at most 1e3
+    times ``scale``, no entry of ``w - lam grad`` exceeds about 1e3, so the
+    exact projection, and every trial along its direction, sums to K to
+    rounding, as does a Newton step, whose direction sums to 0.  The
+    allocation records the steps taken, the certified relative gap of the
+    best iterate (inf when no bound was positive; near the optimum it rounds
+    to within about 1e-15 of 0, either side), the objective evaluations
+    made, the Newton steps among the steps and the hand-backs to SPG2.
     """
     P, K = problem.grid.size, problem.budget
     w = np.full(P, K / P)
@@ -296,8 +289,6 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
                 if trial:
                     s *= 0.5
                     cand = w + s * d
-                if abs(cand.sum() - K) > BUDGET_SLACK:
-                    continue  # a long step off a projection that lost the budget
                 lower = allocation_lower_inverse(problem, cand)
                 evaluations += 1
                 f_cand = float(np.trace(lower).real)
@@ -314,9 +305,9 @@ def solve_relaxation(problem: DesignProblem) -> FractionalAllocation:
         grad_new = gradient_from_inverse(problem, A_inv)
         dw, dg = cand - w, grad_new - grad
         curvature = float(dw @ dg)
-        lam = 1e12  # where the curvature is not positive
+        lam = 1e3 * scale  # the top of the range, where the curvature is not positive
         if curvature > 0:
-            lam = min(max(float(dw @ dw) / curvature, 1e-12 * scale), 1e12 * scale)
+            lam = min(max(float(dw @ dw) / curvature, 1e-12 * scale), lam)
         w, f, grad = cand, f_cand, grad_new
         recent.append(f)
         iterations += 1
@@ -384,13 +375,15 @@ def _face_line_search(problem: DesignProblem, w, f: float, grad, d, face):
     Newton direction ``d`` on ``face``, with None for the first three when it
     fails.
 
-    The step length starts at 1, cut at the first bound the step hits (the
-    ratio test; that weight lands on its bound), and halves until the
-    objective falls by ``1e-4 * t * grad_F.d`` (Armijo) and strictly, at
-    most ``FACE_HALVINGS`` times.  A direction that is not a descent fails.
-    The strict test matters once ``t * grad_F.d`` is below the last bit of
-    the objective: the Armijo bound then rounds to the objective itself, and
-    a step that leaves it unchanged would be taken again at every step.
+    The step length is 1, cut at the first bound the step hits (the ratio
+    test; that weight lands on its bound), and is tried once: the step is
+    taken when the objective falls by ``1e-4 * t * grad_F.d`` (Armijo) and
+    strictly.  A direction that is not a descent fails untried, and a step
+    that fails its trial hands back to SPG2, which takes its own, shorter
+    steps from there.  The strict test matters once ``t * grad_F.d`` is
+    below the last bit of the objective: the Armijo bound then rounds to the
+    objective itself, and a step that leaves it unchanged would be taken
+    again at every step.
     """
     slope = float(grad[face] @ d)
     w_face = w[face]
@@ -401,18 +394,16 @@ def _face_line_search(problem: DesignProblem, w, f: float, grad, d, face):
     if not (slope < 0.0 and room[b] > 0.0):
         return None, None, None, 0
     t = min(float(room[b]), 1.0)
-    for trial in range(FACE_HALVINGS + 1):
-        cand = w.copy()
-        moved = w_face + t * d
-        cand[face] = moved.clip(0.0, 1.0, out=moved)
-        if t == room[b]:
-            cand[face[b]] = 1.0 if d[b] > 0.0 else 0.0
-        lower = allocation_lower_inverse(problem, cand)
-        f_cand = float(np.trace(lower).real)
-        if f_cand < f and f_cand <= f + 1e-4 * t * slope:
-            return cand, lower, f_cand, trial + 1
-        t *= 0.5
-    return None, None, None, FACE_HALVINGS + 1
+    cand = w.copy()
+    moved = w_face + t * d
+    cand[face] = moved.clip(0.0, 1.0, out=moved)
+    if t == room[b]:
+        cand[face[b]] = 1.0 if d[b] > 0.0 else 0.0
+    lower = allocation_lower_inverse(problem, cand)
+    f_cand = float(np.trace(lower).real)
+    if f_cand < f and f_cand <= f + 1e-4 * t * slope:
+        return cand, lower, f_cand, 1
+    return None, None, None, 1
 
 
 def dependent_rounding(

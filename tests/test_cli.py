@@ -550,6 +550,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'seeds'" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"seeds": [0], "note": "caf\xe9"}'.encode("latin-1"),
+            b'{"seeds": [' + b"7" * 5000 + b"]}",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_unparseable_config_exits_2_with_one_line(self, tmp_path, capsys, content):
+        """A file that is not UTF-8, an integer literal past Python's
+        4300-digit limit and JSON nested past the recursion limit each give
+        one line naming the file, not a traceback."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["design", "--config", str(bad)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(bad) in err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["design", "--config", str(tmp_path / "nope.json")]) == EXIT_BAD_CONFIG
 
@@ -789,6 +808,24 @@ class TestRunPoint:
         outcomes = run_point(cfg, stats_4x4, 3, 10.0, 0, methods, repeats=2)
         assert len(calls) == solves
         assert all("error" not in outcome for outcome in outcomes.values())
+
+    def test_a_memory_error_in_one_method_is_its_error_record(self, stats_4x4, monkeypatch):
+        """A method that runs out of memory is recorded as a method that
+        fails is, and the point's other methods record what they record
+        without it."""
+        cfg = parse_config({**BASE_CONFIG, "grid": {"M": 4, "N": 4}, "pilot_budget": 3})
+        methods = ("greedy", "greedy-swap", "rect")
+        want = run_point(cfg, stats_4x4, 3, 10.0, 0, methods, repeats=1)
+
+        def out_of_memory(*args):
+            raise MemoryError("cannot allocate 28 GiB")
+
+        monkeypatch.setitem(cli.RUNNERS, "greedy-swap", out_of_memory)
+        got = run_point(cfg, stats_4x4, 3, 10.0, 0, methods, repeats=1)
+        assert got["greedy-swap"] == {"error": "MemoryError: cannot allocate 28 GiB", "K": 3}
+        for method in ("greedy", "rect"):
+            del got[method]["wall_time"], want[method]["wall_time"]
+            assert got[method] == want[method], method
 
     def test_singular_information_matrix_is_a_method_error(self):
         # At 200 dB the information matrices of the lattice and exhaustive

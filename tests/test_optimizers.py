@@ -372,6 +372,20 @@ class TestProjectionProperties:
         assert r2 / t2 <= (r1 / t1) * (1 + 1e-12) + slack / t1
 
 
+@pytest.fixture
+def budget_misses(monkeypatch):
+    """A list that records ``|sum w - K| / K`` of every weight vector whose
+    objective ``solve_relaxation`` evaluates, trials that fail included."""
+    misses, lower_inverse = [], optimizers.allocation_lower_inverse
+
+    def recorded(problem, w):
+        misses.append(abs(w.sum() - problem.budget) / problem.budget)
+        return lower_inverse(problem, w)
+
+    monkeypatch.setattr(optimizers, "allocation_lower_inverse", recorded)
+    return misses
+
+
 def assert_no_worse_than_reference(problem):
     """``solve_relaxation`` certifies its gap at 1e-9 (``GAP_TOL``), the
     SPG2-only reference converges at residual tol 1e-6, the relaxation's
@@ -440,10 +454,11 @@ class TestSolveRelaxation:
         assert 0.0 <= alloc.gap <= 1e-9
 
     @pytest.mark.parametrize("snr_db", [150.0, 200.0, 250.0])
-    def test_certifies_at_high_snr(self, rb_sweep_problems, snr_db):
+    def test_certifies_at_high_snr(self, rb_sweep_problems, snr_db, budget_misses):
         """The step range scales with the start's gradient, whose entries
         are about 1e-30 at 200 dB: 12x14, K = 17, spreading 5e-3 certifies
-        within 100 steps, without a warning."""
+        within 100 steps, without a warning, and every trial it evaluates
+        holds the budget to 1e-12 relative."""
         problem = dataclasses.replace(
             rb_sweep_problems[(0.005, 0.1)], noise_var=10.0 ** (-snr_db / 10.0)
         )
@@ -453,6 +468,7 @@ class TestSolveRelaxation:
         assert alloc.converged
         assert alloc.gap <= optimizers.GAP_TOL
         assert alloc.iterations <= 100
+        assert max(budget_misses) <= 1e-12
 
     def test_a_zero_gradient_certifies_the_start(self):
         """A pilot SNR so small that every gradient entry underflows to 0:
@@ -472,17 +488,22 @@ class TestSolveRelaxation:
         alloc = solve_relaxation(problem)
         assert alloc.converged and alloc.iterations == 0 and alloc.gap == 0.0
 
-    def test_matches_reference_loop_on_rb_sweep(self, rb_sweep_problems, problem_rb):
+    def test_matches_reference_loop_on_rb_sweep(
+        self, rb_sweep_problems, problem_rb, budget_misses
+    ):
         """On the rb-sweep points and the shipped design config, the
         relaxation converges at tol 1e-6 wherever the SPG2-only reference
         does, to an objective at most 1e-10 relative above the reference's,
-        with weights summing to K to rounding."""
+        with weights summing to K to rounding, and every trial it evaluates
+        holds the budget to 1e-12 relative."""
         for point in RB_SWEEP_POINTS:
             assert_no_worse_than_reference(rb_sweep_problems[point])
         assert_no_worse_than_reference(problem_rb)
+        assert max(budget_misses) <= 1e-12
 
-    def test_matches_reference_loop_at_48x28(self, problem_big):
+    def test_matches_reference_loop_at_48x28(self, problem_big, budget_misses):
         assert_no_worse_than_reference(problem_big)
+        assert max(budget_misses) <= 1e-12
 
     def test_newton_steps_finish_the_rb_sweep(self, rb_sweep_problems):
         """The face phase runs and records itself: its Newton steps are
@@ -638,26 +659,24 @@ class TestFreshInterpreter:
 
 class TestRelaxationFallbacks:
     """Each path by which the face phase hands back to SPG2, or SPG2 stops
-    short, forced on a problem where it is otherwise not taken.  The 12x14
-    problems are rb-sweep points at density 0.05 (K = 8), except where a
-    test names its own."""
+    short, forced on a problem where it is otherwise not taken, or run on
+    one found to take it.  The 12x14 problems are rb-sweep points at
+    density 0.05 (K = 8), except where a test names its own."""
 
-    def test_exhausted_halvings_hand_back_to_spg2(self, monkeypatch):
+    def test_a_failed_newton_trial_hands_back_to_spg2(self):
         # 12x14 at spreading 5e-3, K = 30, 20 dB, found by searching K at the
-        # rb-sweep spreadings: its face phase never hands back, but one of
-        # its Newton steps needs a halving.
+        # rb-sweep spreadings: one of its Newton steps fails its one trial,
+        # and the face phase hands back to SPG2 exactly once.
         stats = build_statistics(GridConfig(12, 14), ScatteringSpec(spreading_factor=5e-3))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # K > N exceeds the block power budget
             problem = make_design_problem(stats, K=30, snr_db=20.0)
-        unforced = solve_relaxation(problem)
-        monkeypatch.setattr(optimizers, "FACE_HALVINGS", 0)
-        marker = "return None, None, None, FACE_HALVINGS + 1"
-        with lines_run(optimizers._face_line_search, marker) as failed:
-            forced = solve_relaxation(problem)
-        assert unforced.face_fallbacks == 0
-        assert failed == [forced.face_fallbacks] and failed[0] > 0
-        assert_forced_run(problem, forced, unforced)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with lines_run(optimizers._face_line_search, "return None, None, None, 1") as failed:
+                alloc = solve_relaxation(problem)
+        assert failed == [1] and alloc.face_fallbacks == 1
+        assert alloc.converged and alloc.gap <= optimizers.GAP_TOL
 
     def test_an_early_switch_drops_weights_leaving_the_box(self, monkeypatch):
         # 12x14 at spreading 1e-2, K = 9, 20 dB, found by searching K at the
@@ -692,19 +711,17 @@ class TestRelaxationFallbacks:
         assert_forced_run(problem, forced, unforced)
 
     @pytest.mark.parametrize("point", ["12x14", "4x4"])
-    def test_a_projection_that_loses_the_budget_is_refused(
-        self, rb_sweep_problems, point, monkeypatch
+    def test_runs_past_the_optimum_keep_the_budget(
+        self, rb_sweep_problems, point, monkeypatch, budget_misses
     ):
-        """Past machine precision the BB step reaches its 1e12 clamp, and the
-        projection of ``w - lam grad`` misses ``sum w = K`` by 1e-5 to 1e-4.
-        Its trials are refused until a step short enough keeps the budget, so
-        the run ends with the cap's warning and a valid allocation.  The
-        points are the rb-sweep's 12x14 at spreading 5e-3, K = 17, 20 dB,
-        which raised within 500 steps before the refusal, as the best
-        iterate missed the budget, and 4x4 at spreading 9e-2, K = 4, 10 dB.
-        A gap tolerance of 0 does not take the run there: at the optimum the
-        computed gap rounds to 0 or below, which certifies it.  A negative
-        tolerance is met by no gap."""
+        """Past machine precision the BB step reaches the top of its range,
+        and the run ends with the cap's warning and a valid allocation:
+        every trial it evaluates holds ``sum w = K`` to 1e-12 relative, and
+        its gap is not negative beyond rounding.  The points are the
+        rb-sweep's 12x14 at spreading 5e-3, K = 17, 20 dB, and 4x4 at
+        spreading 9e-2, K = 4, 10 dB.  A gap tolerance of 0 does not take
+        the run there: at the optimum the computed gap rounds to 0 or below,
+        which certifies it.  A negative tolerance is met by no gap."""
         if point == "12x14":
             problem = rb_sweep_problems[(0.005, 0.1)]
         else:
@@ -713,12 +730,12 @@ class TestRelaxationFallbacks:
         unforced = solve_relaxation(problem)
         monkeypatch.setattr(optimizers, "GAP_TOL", -1.0)
         monkeypatch.setattr(optimizers, "RELAX_MAX_ITERS", 500)
+        del budget_misses[:]
         with pytest.warns(UserWarning, match="relaxation stopped after 500 iterations"):
-            with lines_run(solve_relaxation, "projection that lost the budget") as refused:
-                forced = solve_relaxation(problem)
-        assert refused[0] > 0
+            forced = solve_relaxation(problem)
         assert not forced.converged
-        assert abs(forced.weights.sum() - problem.budget) <= optimizers.BUDGET_SLACK
+        assert max(budget_misses) <= 1e-12
+        assert forced.gap >= -1e-12
         assert 0.0 <= forced.weights.min() and forced.weights.max() <= 1.0
         got, want = objective_value(problem, forced), objective_value(problem, unforced)
         assert abs(got - want) <= 1e-9 * want
